@@ -26,12 +26,20 @@ guards that the zero-rate fault path stays within noise of the
 fault-free engine.
 Context carries the google-benchmark host fields plus laps_threads notes.
 
+--only REGEX re-records just the benchmarks whose name matches (run
+bench_micro with the same --benchmark_filter) and carries every other
+row over from --previous unchanged, previous context included. The
+re-recorded rows then stamp the run's num_cpus on themselves, since the
+file context still describes the host of the carried-over rows.
+
 Usage:
-  merge_bench_json.py T1_JSON [--t8 T8_JSON] [--previous OLD] -o OUT
+  merge_bench_json.py T1_JSON [--t8 T8_JSON] [--previous OLD]
+                      [--only REGEX] -o OUT
 """
 
 import argparse
 import json
+import re
 import sys
 
 # Twin suffix -> output field: BM_Foo<Tag> entries annotate BM_Foo with
@@ -56,17 +64,28 @@ def main():
     parser.add_argument("t1_json", help="google-benchmark JSON at LAPS_THREADS=1")
     parser.add_argument("--t8", help="google-benchmark JSON at LAPS_THREADS=8")
     parser.add_argument("--previous", help="previous BENCH_micro.json to diff against")
+    parser.add_argument("--only", help="re-record only names matching this regex")
     parser.add_argument("-o", "--output", required=True)
     args = parser.parse_args()
+    if args.only and not args.previous:
+        parser.error("--only needs --previous to carry the other rows over")
 
     t1 = load(args.t1_json)
     t8 = by_name(load(args.t8)["benchmarks"]) if args.t8 else {}
     previous = {}
+    previous_file = {}
     if args.previous:
         try:
-            previous = by_name(load(args.previous)["benchmarks"])
+            previous_file = load(args.previous)
+            previous = by_name(previous_file["benchmarks"])
         except FileNotFoundError:
             pass  # first run: no trajectory yet
+    only = re.compile(args.only) if args.only else None
+    if only:
+        if not previous_file:
+            parser.error(f"--only: no previous file at {args.previous}")
+        t1["benchmarks"] = [b for b in t1["benchmarks"]
+                            if only.search(b["name"])]
 
     out = []
     for bench in t1["benchmarks"]:
@@ -92,6 +111,16 @@ def main():
                 prev["cpu_time_ns"] / entry["cpu_time_ns"], 3)
         out.append(entry)
 
+    if only:
+        cpus = t1.get("context", {}).get("num_cpus")
+        for entry in out:
+            entry["num_cpus"] = cpus
+        fresh = {e["name"]: e for e in out}
+        # Carried-over rows keep their order; re-recorded ones replace
+        # theirs in place, and new ones append.
+        out = [fresh.pop(b["name"], b) for b in previous_file["benchmarks"]]
+        out.extend(fresh.values())
+
     # Twin ratios: BM_Foo<Tag>/N measures a reference implementation on
     # the same instance as BM_Foo/N; the within-host cpu-time ratio
     # (reference / current) lands on the *current* entry, where the perf
@@ -110,10 +139,13 @@ def main():
             current[field] = round(
                 twin["cpu_time_ns"] / current["cpu_time_ns"], 3)
 
-    context = dict(t1.get("context", {}))
-    context["laps_threads_baseline"] = 1
-    if args.t8:
-        context["laps_threads_parallel"] = 8
+    if only:
+        context = previous_file["context"]
+    else:
+        context = dict(t1.get("context", {}))
+        context["laps_threads_baseline"] = 1
+        if args.t8:
+            context["laps_threads_parallel"] = 8
     result = {"context": context, "benchmarks": out}
     with open(args.output, "w") as f:
         json.dump(result, f, indent=2)

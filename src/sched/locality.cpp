@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -44,6 +45,23 @@ std::vector<bool> subsetMask(const ExtendedProcessGraph& graph,
     inSubset[p] = true;
   }
   return inSubset;
+}
+
+/// Audit (buildLocalityPlan's precondition): \p sharing is symmetric
+/// over the subset members, so a row read can stand in for a column
+/// read. Throws laps::AuditError on the first asymmetric pair.
+void auditSymmetricOver(const SharingMatrix& sharing,
+                        const std::vector<bool>& inSubset) {
+  for (std::size_t p = 0; p < inSubset.size(); ++p) {
+    if (!inSubset[p]) continue;
+    const std::span<const std::int64_t> row = sharing.row(p);
+    for (std::size_t q = p + 1; q < inSubset.size(); ++q) {
+      if (!inSubset[q]) continue;
+      audit::require(row[q] == sharing.row(q)[p],
+                     "buildLocalityPlan: sharing matrix is not symmetric "
+                     "over the planned subset");
+    }
+  }
 }
 
 /// IN = independent processes (EPG roots) — for a subset, the members
@@ -126,6 +144,7 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                std::span<const ProcessId> subset) {
   const std::vector<bool> inSubset =
       subsetMask(graph, sharing, coreCount, subset);
+  LAPS_AUDIT(auditSymmetricOver(sharing, inSubset));
 
   const std::size_t n = graph.processCount();
   LocalityPlan plan;
@@ -164,10 +183,12 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
       const ProcessId removed = in[worst];
       in.erase(in.begin() + static_cast<std::ptrdiff_t>(worst));
       totals.erase(totals.begin() + static_cast<std::ptrdiff_t>(worst));
-      // at(in[i], removed), not the transpose: hand-set matrices may be
-      // asymmetric, and the legacy rescan reads row in[i].
+      // row(removed)[in[i]] equals the legacy at(in[i], removed) on a
+      // symmetric matrix (the precondition, audited at entry), and reads
+      // one contiguous row instead of a strided column.
+      const std::span<const std::int64_t> removedRow = sharing.row(removed);
       for (std::size_t i = 0; i < in.size(); ++i) {
-        totals[i] -= sharing.at(in[i], removed);
+        totals[i] -= removedRow[in[i]];
       }
     }
   } else {
@@ -190,8 +211,8 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
 
   // --- Main loop on the indexed core: per round, each core pops the
   // ready process with maximum sharing with its previously placed
-  // process (smallest id on ties — the heap comparator's order equals
-  // the legacy ascending strict-`>` scan). place() releases successors
+  // process (smallest id on ties — the argmax order equals the legacy
+  // ascending strict-`>` scan). place() releases successors
   // through the cached indegree counters.
   PlanIndex index;
   index.beginPlanner(graph, sharing, coreCount, pending);

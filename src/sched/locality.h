@@ -81,10 +81,17 @@ struct LocalityOptions {
 /// Runs on the indexed planner core (sched/plan_index.h): incremental
 /// row-sum totals for the initial trim (O(|IN|²) instead of O(|IN|³)),
 /// cached indegree counters instead of the per-candidate predecessor
-/// walk, and per-core lazy max-heaps for the greedy argmax. The plan is
-/// identical — element for element — to buildLocalityPlanLegacy below;
-/// the differential tests in tests/sched/plan_index_test.cpp and the
-/// equality argument in docs/ARCHITECTURE.md §12 pin it.
+/// walk, and one linear argmax over the ready set per placement. The
+/// plan is identical — element for element — to buildLocalityPlanLegacy
+/// below; the differential tests in tests/sched/plan_index_test.cpp and
+/// the equality argument in docs/ARCHITECTURE.md §12 pin it.
+///
+/// Precondition: \p sharing is symmetric over the planned subset (every
+/// matrix SharingMatrix::compute or the incremental open-workload
+/// updates produce is). The trim patches its totals by reading the
+/// removed candidate's row, in place of the column the legacy loop
+/// reads; on an asymmetric matrix the two plans may differ. Checked at
+/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError).
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,

@@ -6,7 +6,7 @@
 /// Before this class each policy reimplemented its own score math:
 /// DLS's sharing-with-previous scan, CALS's sharing-minus-conflict
 /// combiner, OLS's tail-or-anchor arrival scoring and the plan index's
-/// heap keys. Adding the NoC hop-distance term would have meant a
+/// argmax keys. Adding the NoC hop-distance term would have meant a
 /// fourth copy. LocalityScore centralizes the arithmetic as one hook
 /// exposed on SchedulerPolicy (SchedulerPolicy::localityScore()):
 ///
@@ -68,9 +68,9 @@ class LocalityScore {
   /// Combined integer key over a precomputed \p sharingTerm for a
   /// candidate whose cache-warm home core is \p home, dispatched on
   /// \p core. Distance-blind: the sharing term unchanged (bit-identical
-  /// legacy heap keys). Distance-aware: sharing × kSharingScale −
+  /// legacy keys). Distance-aware: sharing × kSharingScale −
   /// hopWeight × hops(core, home) — still one int64, still totally
-  /// ordered, so the plan index's lazy max-heaps work unchanged.
+  /// ordered, so the plan index's argmax works unchanged.
   [[nodiscard]] std::int64_t key(std::int64_t sharingTerm, std::size_t core,
                                  std::optional<std::size_t> home) const {
     if (hopWeight_ == 0) return sharingTerm;

@@ -399,9 +399,6 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
     // retry starts cold, with no home until it runs again.
     if (score_.distanceAware()) index_.setHome(process, std::nullopt);
   }
-  // The live sharing matrix gained this process's row and column just
-  // before this event; cached keys involving it must not survive.
-  if (indexed()) index_.invalidateProcess(process);
   ++events_;
   if (consumePatchBudget()) {
     rebuild();
@@ -424,10 +421,6 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
     --readyCount_;
   }
   if (!open_) return;  // closed workload: completions never replan
-  // The live sharing matrix zeroes this process's row and column right
-  // after this event; heaps anchored on it (it is typically some core's
-  // previous pick) must rebuild before the next steal.
-  if (indexed()) index_.invalidateProcess(process);
   ++events_;
   if (consumePatchBudget()) {
     rebuild();
@@ -496,7 +489,7 @@ std::optional<ProcessId> OnlineLocalityScheduler::pickNext(
       return take(planned);
     }
 
-    // Steal fallback: LS's online rule from the index's lazy heap
+    // Steal fallback: LS's online rule as the index's ready-set argmax
     // (maximum sharing with the process this core ran last; an exited
     // previous process has a zeroed row, so the rule degrades to
     // smallest-id). The stolen process leaves whichever plan held it.

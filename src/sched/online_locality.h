@@ -35,7 +35,8 @@
 ///    planned[p] = (core, seq) — an entry is alive iff the map still
 ///    points at it, so exits and steals tombstone in O(1) and queues
 ///    compact when more than half their entries are dead. The steal
-///    argmax comes from the index's per-core lazy max-heaps;
+///    argmax is one linear scan over the index's ready set, read
+///    against the live sharing row — O(ready) per steal;
 ///  * legacy: the pre-index loops exactly as first written —
 ///    buildLocalityPlanLegacy rebuilds, std::find exits, linear-scan
 ///    steals. Kept as the differential oracle and the honest baseline

@@ -7,53 +7,26 @@
 
 namespace laps {
 
-namespace {
-
-/// Max-heap order: key descending, id ascending on equal keys — the
-/// heap top is the order-independent form of the legacy ascending scan
-/// with strict `>` (smallest id among the maximal keys).
-struct HeapBelow {
-  bool operator()(const PlanIndex::HeapEntry& a,
-                  const PlanIndex::HeapEntry& b) const {
-    if (a.key != b.key) return a.key < b.key;
-    return a.id > b.id;
-  }
-};
-
-}  // namespace
-
 void PlanIndex::reset(const SharingMatrix& sharing, std::size_t n,
                       std::size_t coreCount) {
   check(coreCount >= 1, "PlanIndex: need at least one core");
   check(sharing.size() == n, "PlanIndex: sharing matrix size mismatch");
+  check(n < kNotReady, "PlanIndex: too many processes");
   sharing_ = &sharing;
-  version_.assign(n, 0);
-  ready_.assign(n, false);
-  readyList_.clear();
-  readyCount_ = 0;
-  readyGen_ = 0;
-  heaps_.assign(coreCount, CoreHeap{});
+  coreCount_ = coreCount;
+  ready_.clear();
+  ready_.reserve(n);
+  slot_.assign(n, kNotReady);
   popCount_ = 0;
   score_ = nullptr;
   home_.assign(n, -1);
 }
 
-void PlanIndex::enableDistance(const LocalityScore* score) {
-  score_ = score;
-  // Keys may change meaning wholesale: force every heap to rebuild.
-  ++readyGen_;
-}
+void PlanIndex::enableDistance(const LocalityScore* score) { score_ = score; }
 
 void PlanIndex::setHome(ProcessId process, std::optional<std::size_t> home) {
   check(process < home_.size(), "PlanIndex::setHome: unknown process");
-  const std::int32_t next =
-      home ? static_cast<std::int32_t>(*home) : std::int32_t{-1};
-  if (home_[process] == next) return;
-  home_[process] = next;
-  // Distance-blind keys ignore homes — skip the (cache-thrashing)
-  // invalidation entirely so the pre-NoC hot path is untouched.
-  if (score_ == nullptr || !score_->distanceAware()) return;
-  invalidateProcess(process);
+  home_[process] = home ? static_cast<std::int32_t>(*home) : std::int32_t{-1};
 }
 
 std::optional<std::size_t> PlanIndex::homeOf(ProcessId process) const {
@@ -106,128 +79,51 @@ void PlanIndex::beginDispatch(const SharingMatrix& sharing, std::size_t n,
 }
 
 void PlanIndex::markReady(ProcessId process) {
-  check(process < ready_.size(), "PlanIndex::markReady: unknown process");
-  if (ready_[process]) return;
-  ready_[process] = true;
-  ++readyCount_;
-  readyList_.push_back(process);
+  check(process < slot_.size(), "PlanIndex::markReady: unknown process");
+  if (slot_[process] != kNotReady) return;
+  slot_[process] = static_cast<std::uint32_t>(ready_.size());
+  ready_.push_back(process);
 }
 
 void PlanIndex::markUnready(ProcessId process) {
-  check(process < ready_.size(), "PlanIndex::markUnready: unknown process");
-  if (!ready_[process]) return;
-  ready_[process] = false;
-  --readyCount_;
-  ++version_[process];  // stale every heap entry for it
-  if (readyList_.size() > 2 * readyCount_ + 64) compactReadyList();
+  check(process < slot_.size(), "PlanIndex::markUnready: unknown process");
+  const std::uint32_t at = slot_[process];
+  if (at == kNotReady) return;
+  // Swap-remove: the last ready id takes the vacated slot.
+  const ProcessId last = ready_.back();
+  ready_[at] = last;
+  slot_[last] = at;
+  ready_.pop_back();
+  slot_[process] = kNotReady;
 }
 
 bool PlanIndex::isReady(ProcessId process) const {
-  check(process < ready_.size(), "PlanIndex::isReady: unknown process");
-  return ready_[process];
-}
-
-void PlanIndex::invalidateProcess(ProcessId process) {
-  check(process < version_.size(),
-        "PlanIndex::invalidateProcess: unknown process");
-  ++version_[process];
-  // Heaps anchored on it notice via the anchorVersion check and
-  // rebuild; its own entries (if it is ready) go stale, so re-announce
-  // it on the ready list with the new tag for the sync path to absorb.
-  if (ready_[process]) readyList_.push_back(process);
-}
-
-void PlanIndex::compactReadyList() {
-  std::erase_if(readyList_,
-                [&](ProcessId p) { return !ready_[p]; });
-  ++readyGen_;  // heaps built against the old list must fully rebuild
-}
-
-void PlanIndex::rebuildHeap(CoreHeap& heap, std::size_t core,
-                            ProcessId anchor) {
-  const std::span<const std::int64_t> row = sharing_->row(anchor);
-  heap.entries.clear();
-  heap.entries.reserve(readyCount_);
-  for (const ProcessId q : readyList_) {
-    if (!ready_[q]) continue;
-    heap.entries.push_back(HeapEntry{keyFor(core, q, row.data()), q,
-                                     version_[q]});
-  }
-  std::make_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-  heap.valid = true;
-  heap.anchor = anchor;
-  heap.anchorVersion = version_[anchor];
-  heap.readyGen = readyGen_;
-  heap.syncedTo = readyList_.size();
-}
-
-void PlanIndex::syncHeap(CoreHeap& heap, std::size_t core, ProcessId anchor) {
-  if (heap.syncedTo == readyList_.size()) return;
-  const std::span<const std::int64_t> row = sharing_->row(anchor);
-  for (std::size_t i = heap.syncedTo; i < readyList_.size(); ++i) {
-    const ProcessId q = readyList_[i];
-    if (!ready_[q]) continue;
-    heap.entries.push_back(HeapEntry{keyFor(core, q, row.data()), q,
-                                     version_[q]});
-    std::push_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-  }
-  heap.syncedTo = readyList_.size();
-}
-
-std::optional<PlanIndex::HeapEntry> PlanIndex::rescanBest(
-    std::size_t core, std::optional<ProcessId> anchor) const {
-  std::optional<HeapEntry> best;
-  const std::int64_t* row = nullptr;
-  if (anchor) row = sharing_->row(*anchor).data();
-  for (const ProcessId q : readyList_) {
-    if (!ready_[q]) continue;
-    const std::int64_t s = keyFor(core, q, row);
-    if (!best || s > best->key || (s == best->key && q < best->id)) {
-      best = HeapEntry{s, q, version_[q]};
-    }
-  }
-  return best;
-}
-
-std::optional<PlanIndex::HeapEntry> PlanIndex::peekBest(
-    std::size_t core, std::optional<ProcessId> anchor) {
-  check(core < heaps_.size(), "PlanIndex: unknown core");
-  if (readyCount_ == 0) return std::nullopt;
-  if (!anchor) {
-    // Anchorless pick: distance-blind, every key is 0 and the argmax
-    // degenerates to the smallest ready id; distance-aware, keys are
-    // pure hop penalties and the nearest home wins. Either way a linear
-    // rescan — no heap to maintain for a cold core.
-    return rescanBest(core, std::nullopt);
-  }
-  CoreHeap& heap = heaps_[core];
-  if (!heap.valid || heap.anchor != anchor ||
-      heap.readyGen != readyGen_ ||
-      heap.anchorVersion != version_[*anchor]) {
-    rebuildHeap(heap, core, *anchor);
-  } else {
-    syncHeap(heap, core, *anchor);
-  }
-  while (!heap.entries.empty()) {
-    const HeapEntry& top = heap.entries.front();
-    if (top.version == version_[top.id]) return top;
-    std::pop_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
-    heap.entries.pop_back();  // stale: superseded or unreadied
-  }
-  return std::nullopt;
+  check(process < slot_.size(), "PlanIndex::isReady: unknown process");
+  return slot_[process] != kNotReady;
 }
 
 std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
                                             std::optional<ProcessId> anchor) {
-  const std::optional<HeapEntry> best = peekBest(core, anchor);
-  if (!best) return std::nullopt;
+  check(core < coreCount_, "PlanIndex: unknown core");
+  if (ready_.empty()) return std::nullopt;
+  // Anchorless, every sharing term is 0: distance-blind the argmax
+  // degenerates to the smallest ready id, distance-aware the nearest
+  // home wins. The order is independent of the array order.
+  const std::int64_t* row = anchor ? sharing_->row(*anchor).data() : nullptr;
+  ProcessId best = ready_.front();
+  std::int64_t bestKey = keyFor(core, best, row);
+  for (std::size_t i = 1; i < ready_.size(); ++i) {
+    const ProcessId q = ready_[i];
+    const std::int64_t key = keyFor(core, q, row);
+    if (key > bestKey || (key == bestKey && q < best)) {
+      best = q;
+      bestKey = key;
+    }
+  }
   ++popCount_;
-  LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) {
-    auditTopAgreement(core, anchor);
-  });
-  const ProcessId id = best->id;
-  markUnready(id);
-  return id;
+  LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) auditReadySet());
+  markUnready(best);
+  return best;
 }
 
 void PlanIndex::place(ProcessId process) {
@@ -241,36 +137,24 @@ void PlanIndex::place(ProcessId process) {
   }
 }
 
-void PlanIndex::auditTopAgreement(std::size_t core,
-                                  std::optional<ProcessId> anchor) {
-  const std::optional<HeapEntry> top = peekBest(core, anchor);
-  const std::optional<HeapEntry> oracle = rescanBest(core, anchor);
-  audit::require(top.has_value() == oracle.has_value(),
-                 "plan index: heap top exists iff the rescan finds a "
-                 "ready candidate");
-  if (!top) return;
-  audit::require(top->id == oracle->id,
-                 "plan index: heap top disagrees with the linear rescan "
-                 "argmax");
-  audit::require(top->key == oracle->key,
-                 "plan index: cached heap key drifted from the live "
-                 "sharing row");
+void PlanIndex::auditReadySet() const {
+  for (std::size_t i = 0; i < ready_.size(); ++i) {
+    const ProcessId p = ready_[i];
+    audit::require(p < slot_.size() && slot_[p] == i,
+                   "plan index: a listed ready process's position map "
+                   "entry does not point back at its slot");
+  }
+  const auto flagged = static_cast<std::size_t>(
+      std::count_if(slot_.begin(), slot_.end(),
+                    [](std::uint32_t at) { return at != kNotReady; }));
+  audit::require(flagged == ready_.size(),
+                 "plan index: a process flagged ready is missing from the "
+                 "ready set");
 }
 
-void PlanIndex::corruptKeyForTest(std::size_t core, ProcessId process,
-                                  std::int64_t key) {
-  check(core < heaps_.size(), "PlanIndex::corruptKeyForTest: unknown core");
-  CoreHeap& heap = heaps_[core];
-  check(heap.valid, "PlanIndex::corruptKeyForTest: heap not built");
-  bool found = false;
-  for (HeapEntry& entry : heap.entries) {
-    if (entry.id == process && entry.version == version_[process]) {
-      entry.key = key;
-      found = true;
-    }
-  }
-  check(found, "PlanIndex::corruptKeyForTest: no live entry for process");
-  std::make_heap(heap.entries.begin(), heap.entries.end(), HeapBelow{});
+void PlanIndex::corruptSlotForTest(ProcessId process, std::uint32_t slot) {
+  check(process < slot_.size(), "PlanIndex::corruptSlotForTest: unknown process");
+  slot_[process] = slot;
 }
 
 }  // namespace laps

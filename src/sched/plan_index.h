@@ -7,44 +7,30 @@
 /// The legacy planner answers "which schedulable process shares the
 /// most with this core's previous pick?" by scanning all |T| candidates
 /// and walking each one's predecessor list. PlanIndex answers the same
-/// question from three cached structures:
+/// question from two cached structures:
 ///
-///  * a compact ready list — candidates whose cached indegree (count of
-///    unplaced in-subset predecessors) is zero. Placing a process
-///    decrements its successors' counters; a counter hitting zero
-///    appends to the list. No predecessor walk ever runs per candidate;
-///  * per-core lazy max-heaps over the sharing row of the core's anchor
-///    (its previously placed / dispatched process). Entries cache
-///    (key = sharing(anchor, q), id = q, version = version[q]); the
-///    heap orders by key descending, id ascending. On NoC platforms
-///    (enableDistance) the key is the hop-weighted LocalityScore::key
-///    over the sharing term and the candidate's home core — still one
-///    int64, so nothing else changes;
-///  * per-process version tags. Any event that changes what a cached
-///    key or membership means — the process was placed, dispatched, or
-///    its sharing row changed under open-workload arrival/exit — bumps
-///    the tag. A heap entry whose tag disagrees with the current tag is
-///    stale and skipped (popped) during extraction; it is never
-///    eagerly deleted.
+///  * cached indegrees (planner mode) — the count of unplaced in-subset
+///    predecessors per candidate. Placing a process decrements its
+///    successors' counters; a counter hitting zero marks the successor
+///    ready. No predecessor walk ever runs per candidate;
+///  * a compact ready set — a dense array of ready ids plus a position
+///    map, so markReady and markUnready are O(1) (append, swap-remove).
 ///
-/// Staleness protocol (the equality-to-greedy argument lives in
-/// docs/ARCHITECTURE.md §12): a heap is rebuilt from the ready list
-/// when its anchor changes or the anchor's own row was invalidated;
-/// between rebuilds it absorbs newly ready candidates by appending
-/// (the ready list is append-only between compactions) and absorbs
-/// removals lazily via version-tag skips. Every live entry's key is
-/// current — a key (anchor, q) can only drift if anchor's or q's row
-/// changed, and both bump a version the pop path checks — so the heap
-/// top is exactly the order-independent argmax
+/// A pick is one linear argmax over the ready set through keyFor: the
+/// raw sharing(anchor, q), or on NoC platforms (enableDistance) the
+/// hop-weighted LocalityScore::key over it and q's home core. The order
 ///   (key > best) || (key == best && id < bestId)
-/// over ready candidates, which equals the legacy ascending scan with
-/// strict `>`. Differential tests (tests/sched/plan_index_test.cpp) pin
-/// the equality on random DAGs; under -DLAPSCHED_AUDIT=ON a sampled
-/// linear rescan re-derives the argmax and must agree with the heap top
-/// (PlanIndex::auditTopAgreement).
+/// is independent of the array order, and equals the legacy ascending
+/// scan with strict `>` (smallest id among the maximal keys). Keys are
+/// read from the live sharing row at pick time, so open-workload row
+/// rewrites and home changes need no invalidation. Cost: O(ready) per
+/// decision (docs/ARCHITECTURE.md §12). Differential tests
+/// (tests/sched/plan_index_test.cpp) pin the equality on random DAGs;
+/// under -DLAPSCHED_AUDIT=ON popBest samples a consistency check of the
+/// ready set (PlanIndex::auditReadySet).
 
+#include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "region/sharing.h"
@@ -53,7 +39,7 @@
 
 namespace laps {
 
-/// Ready-set index with per-core lazy max-heaps (see file comment).
+/// Ready-set index with a linear argmax (see file comment).
 ///
 /// Two modes:
 ///  * planner mode (beginPlanner): the index owns DAG readiness —
@@ -85,32 +71,24 @@ class PlanIndex {
   void markReady(ProcessId process);
 
   /// Withdraws readiness without placing (dispatch take, exit of a
-  /// ready process). Bumps the version tag: heap entries go stale.
+  /// ready process). Idempotent.
   void markUnready(ProcessId process);
 
   [[nodiscard]] bool isReady(ProcessId process) const;
-  [[nodiscard]] std::size_t readyCount() const { return readyCount_; }
+  [[nodiscard]] std::size_t readyCount() const { return ready_.size(); }
 
-  /// Open workloads: \p process's sharing row changed (it arrived or
-  /// exited the live matrix). Every cached key involving it — its own
-  /// heap entries, and any heap anchored on it — is invalidated.
-  void invalidateProcess(ProcessId process);
-
-  /// Hop-weighted keys (NoC platforms): every cached key becomes
+  /// Hop-weighted keys (NoC platforms): every key becomes
   /// score->key(sharing(anchor, q), core, home(q)) instead of the raw
-  /// sharing term — still one int64, so the heap machinery and the
-  /// strict-> argmax order are untouched. \p score is non-owning and
-  /// must stay configured for the index's lifetime; a null or
-  /// distance-blind score keeps the raw sharing keys bit-identically
-  /// (the pre-NoC arithmetic). Cleared by beginPlanner/beginDispatch —
-  /// call after them.
+  /// sharing term — still one int64, so the strict-> argmax order is
+  /// untouched. \p score is non-owning and must stay configured for the
+  /// index's lifetime; a null or distance-blind score keeps the raw
+  /// sharing keys bit-identically (the pre-NoC arithmetic). Cleared by
+  /// beginPlanner/beginDispatch — call after them.
   void enableDistance(const LocalityScore* score);
 
   /// Declares \p process's cache-warm home core (where it last ran), or
-  /// withdraws it with nullopt. A home change shifts the distance term
-  /// of every cached key for the process, so it reuses the
-  /// invalidateProcess staleness protocol; no-op when unchanged.
-  /// Distance-blind indexes ignore homes entirely.
+  /// withdraws it with nullopt. The next pick scores the process
+  /// against the new home. Distance-blind indexes ignore homes.
   void setHome(ProcessId process, std::optional<std::size_t> home);
 
   /// \p process's current home core (setHome), nullopt when none.
@@ -129,75 +107,42 @@ class PlanIndex {
   /// process first (popBest) or calls markUnready itself.
   void place(ProcessId process);
 
-  /// Audit checker (docs/ARCHITECTURE.md §12): the entry popBest would
-  /// extract for (\p core, \p anchor) must agree — same id, same cached
-  /// key — with a from-scratch linear rescan of the ready list against
-  /// the live sharing row. Throws laps::AuditError on disagreement.
-  /// popBest samples it under LAPS_AUDIT every kAuditSampleEvery pops;
-  /// tests corrupt a cached key (corruptKeyForTest) to prove it fires.
-  void auditTopAgreement(std::size_t core, std::optional<ProcessId> anchor);
+  /// Audit checker (docs/ARCHITECTURE.md §12): the ready set must be
+  /// consistent — every listed process's position map entry points
+  /// back at its slot, and exactly readyCount() processes are flagged
+  /// ready, so every flagged process is listed. Throws laps::AuditError
+  /// on violation. popBest samples it under LAPS_AUDIT every
+  /// kAuditSampleEvery pops; tests break the position map
+  /// (corruptSlotForTest) to prove it fires.
+  void auditReadySet() const;
 
-  /// Test seam for the audit path: overwrites the cached key of
-  /// \p process's entry in \p core's heap (restoring the heap order
-  /// afterwards), simulating a stale-key bug the version protocol
-  /// failed to catch. Throws laps::Error when no live entry exists.
-  void corruptKeyForTest(std::size_t core, ProcessId process,
-                         std::int64_t key);
+  /// Test seam for the audit path: overwrites \p process's position
+  /// map entry with \p slot (kNotReady unflags it), bypassing the
+  /// ready-set maintenance.
+  void corruptSlotForTest(ProcessId process, std::uint32_t slot);
 
-  /// Pops between sampled audit rescans in popBest (1 = every pop).
+  /// Pops between sampled audit checks in popBest (1 = every pop).
   static constexpr std::uint64_t kAuditSampleEvery = 16;
 
-  /// One cached heap entry (public for the comparator and tests).
-  struct HeapEntry {
-    /// sharing(anchor, id) at push time; with enableDistance, the
-    /// hop-weighted LocalityScore::key over it.
-    std::int64_t key = 0;
-    ProcessId id = 0;
-    std::uint32_t version = 0;  ///< version_[id] at push time
-  };
+  /// Position map entry of a process that is not ready.
+  static constexpr std::uint32_t kNotReady = 0xffffffffU;
 
  private:
-  struct CoreHeap {
-    bool valid = false;
-    std::optional<ProcessId> anchor;
-    std::uint32_t anchorVersion = 0;  ///< version_[*anchor] at build
-    std::uint64_t readyGen = 0;       ///< ready-list generation at build
-    std::size_t syncedTo = 0;         ///< ready-list prefix absorbed
-    std::vector<HeapEntry> entries;   ///< binary max-heap
-  };
-
   void reset(const SharingMatrix& sharing, std::size_t n,
              std::size_t coreCount);
   /// The one key function: distance-blind, the raw sharing term
   /// (row[q], or 0 anchorless); distance-aware, LocalityScore::key over
-  /// it and \p q's home. Heap build, sync, and the rescan oracle all go
-  /// through it so they can never disagree on arithmetic.
+  /// it and \p q's home.
   [[nodiscard]] std::int64_t keyFor(std::size_t core, ProcessId q,
                                     const std::int64_t* row) const;
-  void rebuildHeap(CoreHeap& heap, std::size_t core, ProcessId anchor);
-  void syncHeap(CoreHeap& heap, std::size_t core, ProcessId anchor);
-  void compactReadyList();
-  /// Peeks the current top (after sync + stale-pop); nullopt iff no
-  /// ready candidate survives.
-  [[nodiscard]] std::optional<HeapEntry> peekBest(
-      std::size_t core, std::optional<ProcessId> anchor);
-  /// The order-independent argmax by linear rescan (the audit oracle
-  /// and the anchorless path).
-  [[nodiscard]] std::optional<HeapEntry> rescanBest(
-      std::size_t core, std::optional<ProcessId> anchor) const;
 
   const ExtendedProcessGraph* graph_ = nullptr;  // planner mode only
   const SharingMatrix* sharing_ = nullptr;
-  std::vector<std::uint32_t> version_;
-  std::vector<bool> ready_;
+  std::size_t coreCount_ = 0;
+  std::vector<ProcessId> ready_;       ///< dense ready set, any order
+  std::vector<std::uint32_t> slot_;    ///< index into ready_, or kNotReady
   std::vector<bool> pending_;              // planner mode
   std::vector<std::uint32_t> indegree_;    // planner mode
-  /// Ready candidates, append-only between compactions; may hold
-  /// duplicates and unready (stale) ids — consumers re-check ready_.
-  std::vector<ProcessId> readyList_;
-  std::size_t readyCount_ = 0;
-  std::uint64_t readyGen_ = 0;
-  std::vector<CoreHeap> heaps_;
   std::uint64_t popCount_ = 0;  // audit sampling counter
   /// Distance hook (enableDistance); null or distance-blind = raw
   /// sharing keys, the pre-NoC arithmetic.

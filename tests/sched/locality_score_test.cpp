@@ -248,9 +248,9 @@ TEST(PlanIndexDistance, AnchorlessPickIsTheNearestHome) {
 }
 
 TEST(PlanIndexDistance, SetHomeInvalidatesCachedKeys) {
-  // A home change after the heap materialized must not serve stale
-  // distance terms: moving process 1's home onto the core flips the
-  // equal-sharing tie its way.
+  // A home change between picks must not serve stale distance terms:
+  // moving process 1's home onto the core flips the equal-sharing tie
+  // its way.
   SharingMatrix sharing(3);
   sharing.set(0, 1, 10);
   sharing.set(1, 0, 10);
@@ -266,17 +266,16 @@ TEST(PlanIndexDistance, SetHomeInvalidatesCachedKeys) {
   index.setHome(2, 0);
   index.markReady(1);
   index.markReady(2);
-  // Materialize the heap, then re-announce and rehome.
+  // Pick once, then re-announce and rehome.
   EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{2});
   index.markReady(2);
   index.setHome(1, 0);  // now 1 is just as close — and wins on id
   EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{1});
 }
 
-TEST(PlanIndexDistance, AuditOracleAgreesOnHopWeightedKeys) {
-  // The audit rescan shares keyFor with the heap, so a clean index must
-  // agree under distance keys — and an injected corruption must still
-  // fire, proving the checker audits the hop-weighted arithmetic.
+TEST(PlanIndexDistance, HopWeightedPopPrefersHigherSharing) {
+  // Under hop-weighted keys the sharing term still dominates: process 3
+  // shares the most with the anchor and wins from two hops away.
   SharingMatrix sharing(4);
   for (std::size_t q = 1; q < 4; ++q) {
     sharing.set(0, q, static_cast<std::int64_t>(10 * q));
@@ -292,11 +291,7 @@ TEST(PlanIndexDistance, AuditOracleAgreesOnHopWeightedKeys) {
     index.setHome(p, static_cast<std::size_t>(p));
     index.markReady(p);
   }
-  EXPECT_NO_THROW(index.auditTopAgreement(0, ProcessId{0}));
-  EXPECT_NO_THROW(index.auditTopAgreement(2, std::nullopt));
   ASSERT_EQ(index.popBest(0, ProcessId{0}), ProcessId{3});
-  index.corruptKeyForTest(0, ProcessId{1}, 1 << 20);
-  EXPECT_THROW(index.auditTopAgreement(0, ProcessId{0}), AuditError);
 }
 
 // --- OnlineLocality option validation ------------------------------------

@@ -224,7 +224,8 @@ TEST(OnlineLocality, RequiresContext) {
 /// Random DAG (edges low id -> high id) and symmetric small-valued
 /// sharing: the same generators the PlanIndex differential tests use,
 /// here driving whole policies instead of the planner core.
-ExtendedProcessGraph randomDag(Rng& rng, std::size_t n) {
+ExtendedProcessGraph randomDag(Rng& rng, std::size_t n,
+                               std::uint64_t edgePercent = 15) {
   ExtendedProcessGraph graph;
   for (std::size_t i = 0; i < n; ++i) {
     ProcessSpec p;
@@ -233,7 +234,7 @@ ExtendedProcessGraph randomDag(Rng& rng, std::size_t n) {
   }
   for (std::size_t to = 1; to < n; ++to) {
     for (std::size_t from = 0; from < to; ++from) {
-      if (rng.below(100) < 15) {
+      if (rng.below(100) < edgePercent) {
         graph.addDependence(static_cast<ProcessId>(from),
                             static_cast<ProcessId>(to));
       }
@@ -242,12 +243,13 @@ ExtendedProcessGraph randomDag(Rng& rng, std::size_t n) {
   return graph;
 }
 
-SharingMatrix randomSharing(Rng& rng, std::size_t n) {
+SharingMatrix randomSharing(Rng& rng, std::size_t n,
+                            std::uint64_t levels = 8, std::int64_t unit = 1) {
   SharingMatrix sharing(n);
   for (std::size_t p = 0; p < n; ++p) {
-    sharing.set(p, p, static_cast<std::int64_t>(rng.below(16)));
+    sharing.set(p, p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
     for (std::size_t q = 0; q < p; ++q) {
-      const auto s = static_cast<std::int64_t>(rng.below(8));
+      const auto s = static_cast<std::int64_t>(rng.below(levels)) * unit;
       sharing.set(p, q, s);
       sharing.set(q, p, s);
     }
@@ -260,15 +262,23 @@ TEST(OnlineLocality, IndexedMatchesLegacyOnRandomOpenWorkloads) {
   // and legacy (plain vectors + linear scans) implementations receive
   // the identical event stream and must agree on every plan state and
   // every dispatch decision — across rebuild thresholds, including
-  // exits of planned-but-never-dispatched processes.
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
+  // exits of planned-but-never-dispatched processes. Seeds 25 and 26
+  // are a deep backlog at the default rebuild threshold: hundreds of
+  // dependence-free processes, sharing drawn from {0, 256, 512} (ties
+  // everywhere), all live before the first dispatch on a few cores.
+  for (std::uint64_t seed = 0; seed < 27; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
-    const std::size_t n = 6 + static_cast<std::size_t>(rng.below(20));
-    const ExtendedProcessGraph graph = randomDag(rng, n);
-    const SharingMatrix sharing = randomSharing(rng, n);
+    const bool deep = seed >= 25;
+    const std::size_t n =
+        deep ? 200 + static_cast<std::size_t>(rng.below(60))
+             : 6 + static_cast<std::size_t>(rng.below(20));
+    const ExtendedProcessGraph graph = randomDag(rng, n, deep ? 0 : 15);
+    const SharingMatrix sharing =
+        deep ? randomSharing(rng, n, 3, 256) : randomSharing(rng, n);
     const std::size_t coreCount = 2 + static_cast<std::size_t>(rng.below(3));
     const std::int64_t threshold =
-        static_cast<std::int64_t>(rng.below(3)) * 5;  // 0, 5 or 10
+        deep ? OnlineLocalityOptions{}.rebuildThreshold
+             : static_cast<std::int64_t>(rng.below(3)) * 5;  // 0, 5 or 10
 
     OnlineLocalityOptions options;
     options.rebuildThreshold = threshold;

@@ -1,11 +1,12 @@
 /// \file plan_index_test.cpp
 /// \brief Differential property tests for the indexed planner core:
-/// buildLocalityPlan (lazy heaps + cached indegrees) must be
+/// buildLocalityPlan (ready-set argmax + cached indegrees) must be
 /// plan-identical to buildLocalityPlanLegacy (the pre-index Fig. 3
 /// loops) on random DAGs across subset spans and core counts, and
 /// dispatch-mode popBest must match pickMaxSharing decision-for-
-/// decision. The audit seam (auditTopAgreement / corruptKeyForTest)
-/// is proven to fire on an injected stale-key violation.
+/// decision. The audit seams (auditReadySet / corruptSlotForTest, and
+/// the planner's symmetry precondition) are proven to fire on injected
+/// violations.
 
 #include <gtest/gtest.h>
 
@@ -45,12 +46,14 @@ ExtendedProcessGraph randomDag(Rng& rng, std::size_t n,
 
 /// Random symmetric sharing matrix with a small value range so ties are
 /// common — the tie-break (smallest id) is the part most worth pinning.
-SharingMatrix randomSharing(Rng& rng, std::size_t n) {
+/// Off-diagonal cells are drawn from {0, unit, ..., (levels-1)·unit}.
+SharingMatrix randomSharing(Rng& rng, std::size_t n,
+                            std::uint64_t levels = 8, std::int64_t unit = 1) {
   SharingMatrix sharing(n);
   for (std::size_t p = 0; p < n; ++p) {
-    sharing.set(p, p, static_cast<std::int64_t>(rng.below(16)));
+    sharing.set(p, p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
     for (std::size_t q = 0; q < p; ++q) {
-      const auto s = static_cast<std::int64_t>(rng.below(8));
+      const auto s = static_cast<std::int64_t>(rng.below(levels)) * unit;
       sharing.set(p, q, s);
       sharing.set(q, p, s);
     }
@@ -71,12 +74,20 @@ void expectPlansEqual(const LocalityPlan& a, const LocalityPlan& b,
 TEST(PlanIndexDifferential, MatchesLegacyOnRandomDags) {
   // 200 random DAGs x core counts x options x subset spans. Any
   // divergence prints the seed, so a failure reproduces standalone.
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+  // Seeds 200..202 are dependence-free sets in the hundreds with
+  // sharing drawn from {0, 256, 512}, the keyed service workload's
+  // values: ties everywhere, a trim of hundreds of removals and a ready
+  // front as wide as the set.
+  for (std::uint64_t seed = 0; seed < 203; ++seed) {
     Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.below(48));
-    const std::uint64_t density = 5 + rng.below(45);
+    const bool wide = seed >= 200;
+    const std::size_t n =
+        wide ? 200 + static_cast<std::size_t>(rng.below(120))
+             : 1 + static_cast<std::size_t>(rng.below(48));
+    const std::uint64_t density = wide ? 0 : 5 + rng.below(45);
     const ExtendedProcessGraph graph = randomDag(rng, n, density);
-    const SharingMatrix sharing = randomSharing(rng, n);
+    const SharingMatrix sharing =
+        wide ? randomSharing(rng, n, 3, 256) : randomSharing(rng, n);
 
     LocalityOptions options;
     options.initialMinSharingRound = (seed % 2 == 0);
@@ -119,8 +130,8 @@ TEST(PlanIndexDifferential, MatchesLegacyOnRealWorkload) {
 
 TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
   // Dispatch mode against the legacy argmax: random interleavings of
-  // markReady / markUnready / invalidateProcess / popBest must agree
-  // with pickMaxSharing over a mirrored ready vector at every pick.
+  // markReady / markUnready / popBest must agree with pickMaxSharing
+  // over a mirrored ready vector at every pick.
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     Rng rng(seed * 0x517cc1b727220a95ULL + 3);
     const std::size_t n = 4 + static_cast<std::size_t>(rng.below(40));
@@ -140,8 +151,6 @@ TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
       } else if (action < 5) {
         if (index.isReady(p)) index.markUnready(p);
         mirror[p] = false;
-      } else if (action < 6) {
-        index.invalidateProcess(p);
       } else {
         const auto core = static_cast<std::size_t>(rng.below(coreCount));
         std::optional<ProcessId> anchor;
@@ -154,6 +163,7 @@ TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
       ASSERT_EQ(index.readyCount(),
                 static_cast<std::size_t>(
                     std::count(mirror.begin(), mirror.end(), true)));
+      ASSERT_NO_THROW(index.auditReadySet()) << "seed " << seed;
     }
   }
 }
@@ -169,40 +179,41 @@ TEST(PlanIndexAudit, CleanStateAgrees) {
   for (ProcessId p = 1; p < 6; ++p) index.markReady(p);
   // The checker is an ordinary function: callable (and clean) in every
   // build configuration, sampled from popBest only under LAPS_AUDIT.
-  EXPECT_NO_THROW(index.auditTopAgreement(0, ProcessId{0}));
-  EXPECT_NO_THROW(index.auditTopAgreement(1, std::nullopt));
+  EXPECT_NO_THROW(index.auditReadySet());
   const auto best = index.popBest(0, ProcessId{0});
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 5u);  // max sharing(0, q) = 50
-  EXPECT_NO_THROW(index.auditTopAgreement(0, ProcessId{0}));
+  index.markUnready(2);  // swap-removes from the middle of the set
+  EXPECT_NO_THROW(index.auditReadySet());
+  EXPECT_EQ(index.readyCount(), 3u);
 }
 
-TEST(PlanIndexAudit, CorruptedKeyFiresChecker) {
+TEST(PlanIndexAudit, BrokenPositionMapFiresChecker) {
   SharingMatrix sharing(6);
-  for (std::size_t q = 1; q < 6; ++q) {
-    sharing.set(0, q, static_cast<std::int64_t>(10 * q));
-    sharing.set(q, 0, static_cast<std::int64_t>(10 * q));
-  }
+  const auto readyOneToFour = [&](PlanIndex& index) {
+    index.beginDispatch(sharing, 6, 1);
+    for (ProcessId p = 1; p < 5; ++p) index.markReady(p);
+  };
   PlanIndex index;
-  index.beginDispatch(sharing, 6, 2);
-  for (ProcessId p = 1; p < 6; ++p) index.markReady(p);
-  // Materialize core 0's heap for anchor 0, then inject the bug the
-  // version protocol is supposed to make impossible: a cached key that
-  // no longer matches the live sharing row.
-  const auto first = index.popBest(0, ProcessId{0});
-  ASSERT_TRUE(first.has_value());
-  index.corruptKeyForTest(0, ProcessId{1}, 1000);  // real key is 10
-  EXPECT_THROW(index.auditTopAgreement(0, ProcessId{0}), AuditError);
-  // No live entry for an unready process: the seam itself reports it.
-  EXPECT_THROW(index.corruptKeyForTest(0, *first, 7), Error);
+  // A listed process whose position map entry points at another slot.
+  readyOneToFour(index);
+  index.corruptSlotForTest(1, 3);
+  EXPECT_THROW(index.auditReadySet(), AuditError);
+  // A process flagged ready that the ready set does not list: picks
+  // never see it, yet isReady() reports it.
+  readyOneToFour(index);
+  index.corruptSlotForTest(5, 0);
+  EXPECT_TRUE(index.isReady(5));
+  EXPECT_THROW(index.auditReadySet(), AuditError);
+  // The seam itself rejects unknown processes.
+  EXPECT_THROW(index.corruptSlotForTest(6, 0), Error);
 }
 
-TEST(PlanIndexAudit, SampledPopDetectsCorruption) {
+TEST(PlanIndexAudit, SampledPopDetectsBrokenReadySet) {
   // The macro path: popBest audits pops 1, 17, 33, ... (kAuditSampleEvery
-  // = 16). Corrupt a key after pop 1 and walk to pop 17: under
-  // LAPS_AUDIT the sampled rescan must throw; without it, the pop
-  // silently returns the wrong process — exactly the failure mode the
-  // audit layer exists to surface.
+  // = 16). Flag a never-ready process after pop 1 and walk to pop 17:
+  // under LAPS_AUDIT the sampled check must throw; without it, the ghost
+  // passes silently — isReady() says yes while no pick ever serves it.
   constexpr std::size_t kN = 30;
   SharingMatrix sharing(kN);
   for (std::size_t q = 1; q < kN; ++q) {
@@ -215,19 +226,39 @@ TEST(PlanIndexAudit, SampledPopDetectsCorruption) {
   for (ProcessId p = 1; p < 26; ++p) index.markReady(p);
 
   ASSERT_EQ(index.popBest(0, ProcessId{0}), ProcessId{1});  // pop 1: audited, clean
-  index.corruptKeyForTest(0, ProcessId{2}, -5);  // true key 998: heap bottom
-  for (ProcessId expect = 3; expect <= 17; ++expect) {
-    // Pops 2..16 are unsampled; the corrupted entry hides at the bottom
-    // while better-keyed (but actually worse) candidates pop first.
-    ASSERT_EQ(index.popBest(0, ProcessId{0}), expect);
+  index.corruptSlotForTest(27, 0);  // flagged, not listed
+  for (ProcessId expect = 2; expect <= 16; ++expect) {
+    ASSERT_EQ(index.popBest(0, ProcessId{0}), expect);  // unsampled pops
   }
   static_assert(PlanIndex::kAuditSampleEvery == 16);
   if (audit::enabled()) {
     EXPECT_THROW((void)index.popBest(0, ProcessId{0}), AuditError);
   } else {
-    // Decision corruption passes silently: process 2 (key 998) should
-    // win, but the heap serves 18.
-    EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{18});
+    EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{17});
+    EXPECT_TRUE(index.isReady(27));
+  }
+}
+
+TEST(PlanIndexAudit, AsymmetricSharingFiresPlannerPrecondition) {
+  // buildLocalityPlan's trim reads rows where the legacy loop reads
+  // columns, so it requires a matrix symmetric over the planned subset.
+  ExtendedProcessGraph graph;
+  for (int i = 0; i < 4; ++i) {
+    ProcessSpec p;
+    p.name = "A" + std::to_string(i);
+    graph.addProcess(std::move(p));
+  }
+  SharingMatrix sharing(4);
+  sharing.set(0, 1, 5);  // (1, 0) stays 0
+  sharing.set(2, 3, 7);
+  sharing.set(3, 2, 7);
+  const std::vector<ProcessId> symmetricPart{2, 3};
+  EXPECT_NO_THROW((void)buildLocalityPlan(graph, sharing, 1, {},
+                                          symmetricPart));
+  if (audit::enabled()) {
+    EXPECT_THROW((void)buildLocalityPlan(graph, sharing, 2), AuditError);
+  } else {
+    EXPECT_NO_THROW((void)buildLocalityPlan(graph, sharing, 2));
   }
 }
 
