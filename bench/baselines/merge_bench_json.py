@@ -11,19 +11,16 @@ Output schema (one object per benchmark, times in ns):
   name, iterations, real_time_ns, cpu_time_ns         from the t1 run
   t8_real_time_ns, t8_cpu_time_ns, t8_speedup         when --t8 covers it
   previous_cpu_time_ns, speedup_vs_previous           when --previous has it
-  vs_legacy_speedup                                   when a Legacy twin ran
   vs_faultfree_speedup                                when a FaultFree twin ran
 t8_speedup is wall-time based (t1 real / t8 real): google-benchmark's
 cpu_time counts only the driving thread, which mostly waits while the
 pool works, so a cpu-time ratio would overstate parallel scaling.
-The twin fields pair each benchmark with a reference twin sharing its
-stem (e.g. BM_LocalityPlanLegacy/12 vs BM_LocalityPlan/12, or
-BM_OpenWorkloadFaultPathFaultFree vs BM_OpenWorkloadFaultPath) and
-record twin_cpu / current_cpu on the current entry — within-host
-ratios, so check_bench_regression.py gates them like t8_speedup:
-Legacy ratios guard an optimization's speedup, the FaultFree ratio
-guards that the zero-rate fault path stays within noise of the
-fault-free engine.
+The twin field pairs a benchmark with a reference twin sharing its
+stem (BM_OpenWorkloadFaultPathFaultFree vs BM_OpenWorkloadFaultPath)
+and records twin_cpu / current_cpu on the current entry — a
+within-host ratio, so check_bench_regression.py gates it like
+t8_speedup: it guards that the zero-rate fault path stays within noise
+of the fault-free engine.
 Context carries the google-benchmark host fields plus laps_threads notes.
 
 --only REGEX re-records just the benchmarks whose name matches (run
@@ -45,7 +42,6 @@ import sys
 # Twin suffix -> output field: BM_Foo<Tag> entries annotate BM_Foo with
 # twin_cpu / current_cpu (see the twin-ratio block below).
 TWINS = [
-    ("Legacy", "vs_legacy_speedup"),
     ("FaultFree", "vs_faultfree_speedup"),
 ]
 
@@ -124,9 +120,8 @@ def main():
     # Twin ratios: BM_Foo<Tag>/N measures a reference implementation on
     # the same instance as BM_Foo/N; the within-host cpu-time ratio
     # (reference / current) lands on the *current* entry, where the perf
-    # gate picks it up via the *_speedup suffix. "Legacy" twins guard
-    # optimizations (ratio >> 1 must hold); "FaultFree" twins guard the
-    # inert fault path (ratio ~ 1 — the zero-rate engine must stay
+    # gate picks it up via the *_speedup suffix. "FaultFree" twins guard
+    # the inert fault path (ratio ~ 1 — the zero-rate engine must stay
     # within noise of the fault-free one, docs §13).
     entries = {e["name"]: e for e in out}
     for tag, field in TWINS:

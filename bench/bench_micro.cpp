@@ -209,25 +209,9 @@ void BM_LocalityPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalityPlan)->Arg(1)->Arg(6)->Arg(12)->Arg(24);
 
-// The pre-index Fig. 3 loops on the same instances: the merge script
-// derives vs_legacy_speedup from each (BM_LocalityPlanLegacy,
-// BM_LocalityPlan) pair, and check_bench_regression gates it.
-void BM_LocalityPlanLegacy(benchmark::State& state) {
-  const auto count = static_cast<std::size_t>(state.range(0));
-  const auto suite = standardSuite();
-  const Workload mix = concurrentScenario(suite, count);
-  const auto footprints = mix.footprints();
-  const SharingMatrix sharing = SharingMatrix::compute(footprints);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(buildLocalityPlanLegacy(mix.graph, sharing, 8));
-  }
-  state.SetLabel(std::to_string(mix.graph.processCount()) + " processes");
-}
-BENCHMARK(BM_LocalityPlanLegacy)->Arg(1)->Arg(6)->Arg(12)->Arg(24);
-
 // Large-|T| planning on the synthetic layered instance of
 // bench_policy_overhead (synthetic_overhead.h): |T| in the thousands is
-// where the indexed planner's complexity separates from the legacy
+// where the indexed planner's complexity separates from Fig. 3's
 // O(|T|) rescans per placement.
 void BM_LocalityPlanLarge(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -239,17 +223,6 @@ void BM_LocalityPlanLarge(benchmark::State& state) {
   state.SetLabel(std::to_string(n) + " processes, layered");
 }
 BENCHMARK(BM_LocalityPlanLarge)->Arg(1000)->Arg(4000);
-
-void BM_LocalityPlanLargeLegacy(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Workload mix = synth::makeLayeredWorkload(n, 64);
-  const SharingMatrix sharing = synth::makeBandedSharing(n, 32);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(buildLocalityPlanLegacy(mix.graph, sharing, 8));
-  }
-  state.SetLabel(std::to_string(n) + " processes, layered");
-}
-BENCHMARK(BM_LocalityPlanLargeLegacy)->Arg(1000)->Arg(4000);
 
 // The fault-path overhead guard (docs §13): the same open service run
 // with a FaultPlan attached whose every rate is zero — the plan is

@@ -33,21 +33,6 @@ MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles)
     : memLatencyCycles_(memLatencyCycles) {}
 
 MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles,
-                                 const std::optional<SharedL2Config>& l2,
-                                 const std::optional<BusConfig>& bus,
-                                 std::int64_t lineBytes)
-    : memLatencyCycles_(memLatencyCycles) {
-  if (l2) {
-    check(l2->lineBytes == lineBytes,
-          "MemoryHierarchy: shared L2 line size must match the L1s");
-    l2_.emplace(*l2);
-  }
-  if (bus) {
-    bus_.emplace(*bus, lineBytes);
-  }
-}
-
-MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles,
                                  const PlatformConfig& platform,
                                  std::size_t coreCount, std::int64_t lineBytes)
     : memLatencyCycles_(memLatencyCycles) {

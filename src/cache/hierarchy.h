@@ -62,15 +62,6 @@ class MemoryHierarchy {
   /// Flat off-chip memory with a fixed latency (paper default).
   explicit MemoryHierarchy(std::int64_t memLatencyCycles = 75);
 
-  /// Legacy composition shim: optional shared L2 and optional bus.
-  /// \p memLatencyCycles is the off-chip latency used when \p bus is
-  /// absent. Equivalent to the PlatformConfig constructor with the
-  /// descriptor MpsocConfig::resolvedPlatform() would derive.
-  MemoryHierarchy(std::int64_t memLatencyCycles,
-                  const std::optional<SharedL2Config>& l2,
-                  const std::optional<BusConfig>& bus,
-                  std::int64_t lineBytes);
-
   /// Full composition from a platform descriptor (cache/platform.h):
   /// interconnect {Flat, Bus, Mesh, Xbar} × coherence {Broadcast,
   /// Directory} × optional shared L2. \p coreCount sizes the NoC (one

@@ -1,23 +1,18 @@
 #pragma once
 /// \file platform.h
 /// \brief Composable platform descriptor: cores × interconnect ×
-/// coherence, replacing MpsocConfig's accreted optional toggles.
+/// coherence × optional shared L2.
 ///
-/// Before this redesign the shared-level shape was spread over two
-/// independent optionals (`MpsocConfig::sharedL2`, `MpsocConfig::bus`)
-/// whose four combinations were validated in the engine, and adding the
-/// NoC would have made that eight. PlatformConfig collapses the axes
-/// into one descriptor validated eagerly in one place:
+/// PlatformConfig spans the shared-level axes in one descriptor,
+/// validated eagerly in one place:
 ///
 ///   interconnect  Flat | Bus | Mesh | Xbar   (how misses travel)
 ///   coherence     Broadcast | Directory      (how inclusion recalls)
 ///   sharedL2      optional banked inclusive L2 (orthogonal to both)
 ///
-/// The legacy fields still work: MpsocConfig::resolvedPlatform() maps
-/// them onto the equivalent descriptor (a thin deprecation shim), so
-/// every existing call site and committed baseline stays byte-identical
-/// — setting both surfaces at once is an eager error, not a silent
-/// precedence rule.
+/// MpsocConfig::platform carries it; unset, MpsocConfig::
+/// resolvedPlatform() yields the default descriptor (the paper's
+/// platform).
 
 #include <optional>
 #include <string_view>

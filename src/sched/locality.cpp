@@ -1,7 +1,5 @@
 #include "sched/locality.h"
 
-#include <algorithm>
-
 #include "util/audit.h"
 #include "util/error.h"
 
@@ -26,9 +24,9 @@ std::size_t LocalityPlan::processCount() const {
 
 namespace {
 
-/// Shared prelude of both planner implementations: validates inputs and
-/// expands the subset argument into a mask. The full-set case keeps
-/// every downstream loop byte-identical to the pre-subset algorithm.
+/// Validates the planner inputs and expands the subset argument into a
+/// mask. The full-set case keeps every downstream loop byte-identical
+/// to the pre-subset algorithm.
 std::vector<bool> subsetMask(const ExtendedProcessGraph& graph,
                              const SharingMatrix& sharing,
                              std::size_t coreCount,
@@ -94,8 +92,6 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
 /// sharing(p, q) × (diameter + 1 − hops(tile, d)); strict `>` over the
 /// ascending-id candidate list makes ties fall to the smallest id, and
 /// the first tile (all scores 0) takes the smallest id outright.
-/// Shared by both planner implementations so the legacy oracle and the
-/// indexed planner keep producing element-identical plans.
 void placeInitialRound(LocalityPlan& plan, const std::vector<ProcessId>& in,
                        const SharingMatrix& sharing,
                        const NocTopology* topology, std::size_t coreCount) {
@@ -157,10 +153,10 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
   // with the maximum total sharing with the other candidates (paper
   // Fig. 3). The totals are computed once — O(|IN|^2) row loads — and
   // patched after each removal by subtracting the removed candidate's
-  // contribution: integer sums, so each patched total equals the
-  // legacy from-scratch rescan exactly, and the worst-pick scan below
-  // replicates the legacy sentinel (worst stays 0 unless some total
-  // exceeds -1) and its smallest-index tie-break.
+  // contribution: integer sums, so each patched total equals Fig. 3's
+  // from-scratch rescan exactly, and the worst-pick scan below keeps
+  // the rescan's sentinel (worst stays 0 unless some total exceeds -1)
+  // and its smallest-index tie-break.
   if (options.initialMinSharingRound) {
     std::vector<std::int64_t> totals(in.size(), 0);
     for (std::size_t i = 0; i < in.size(); ++i) {
@@ -183,7 +179,7 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
       const ProcessId removed = in[worst];
       in.erase(in.begin() + static_cast<std::ptrdiff_t>(worst));
       totals.erase(totals.begin() + static_cast<std::ptrdiff_t>(worst));
-      // row(removed)[in[i]] equals the legacy at(in[i], removed) on a
+      // row(removed)[in[i]] equals the rescan's at(in[i], removed) on a
       // symmetric matrix (the precondition, audited at entry), and reads
       // one contiguous row instead of a strided column.
       const std::span<const std::int64_t> removedRow = sharing.row(removed);
@@ -211,8 +207,8 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
 
   // --- Main loop on the indexed core: per round, each core pops the
   // ready process with maximum sharing with its previously placed
-  // process (smallest id on ties — the argmax order equals the legacy
-  // ascending strict-`>` scan). place() releases successors
+  // process (smallest id on ties — the argmax order equals an
+  // ascending strict-`>` scan over every pending process). place() releases successors
   // through the cached indegree counters.
   PlanIndex index;
   index.beginPlanner(graph, sharing, coreCount, pending);
@@ -236,126 +232,6 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
           "buildLocalityPlan: no schedulable process in a full round");
   }
   return plan;
-}
-
-LocalityPlan buildLocalityPlanLegacy(const ExtendedProcessGraph& graph,
-                                     const SharingMatrix& sharing,
-                                     std::size_t coreCount,
-                                     const LocalityOptions& options,
-                                     std::span<const ProcessId> subset) {
-  const std::vector<bool> inSubset =
-      subsetMask(graph, sharing, coreCount, subset);
-
-  const std::size_t n = graph.processCount();
-  LocalityPlan plan;
-  plan.perCore.resize(coreCount);
-  if (n == 0) return plan;
-
-  std::vector<ProcessId> in = initialCandidates(graph, inSubset, subset);
-  std::vector<bool> inPlan(n, false);
-
-  // Trim IN down to the core count by repeatedly removing the candidate
-  // with the maximum total sharing with the other candidates; the
-  // totals are rescanned from scratch every iteration — the O(|IN|^3)
-  // loop exactly as Fig. 3 writes it.
-  if (options.initialMinSharingRound) {
-    while (in.size() > coreCount) {
-      std::size_t worst = 0;
-      std::int64_t worstSharing = -1;
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        std::int64_t total = 0;
-        for (std::size_t j = 0; j < in.size(); ++j) {
-          if (i != j) total += sharing.at(in[i], in[j]);
-        }
-        if (total > worstSharing) {
-          worstSharing = total;
-          worst = i;
-        }
-      }
-      in.erase(in.begin() + static_cast<std::ptrdiff_t>(worst));
-    }
-  } else {
-    // Ablation: keep the first X roots in id order.
-    while (in.size() > coreCount) in.pop_back();
-  }
-
-  // Schedule the initial round (one process per core; id order, or the
-  // spiral region-growing walk on NoC platforms — see placeInitialRound).
-  placeInitialRound(plan, in, sharing, options.topology, coreCount);
-  for (const ProcessId p : in) inPlan[p] = true;
-
-  // Remaining pool: every subset member not yet placed.
-  std::vector<bool> pending = inSubset;
-  for (std::size_t c = 0; c < plan.perCore.size(); ++c) {
-    for (const ProcessId p : plan.perCore[c]) pending[p] = false;
-  }
-
-  auto schedulable = [&](ProcessId q) {
-    for (const ProcessId pred : graph.predecessors(q)) {
-      // A predecessor outside the subset is satisfied by assumption
-      // (completed/retired/foreign task); inside, it must be placed.
-      if (inSubset[pred] && !inPlan[pred]) return false;
-    }
-    return true;
-  };
-
-  std::size_t remaining = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (pending[p]) ++remaining;
-  }
-
-  // --- Main loop: per round, each core takes the schedulable process with
-  // maximum sharing with its previously placed process. ---
-  while (remaining > 0) {
-    bool placedAny = false;
-    for (std::size_t c = 0; c < coreCount && remaining > 0; ++c) {
-      std::optional<ProcessId> previous;
-      if (!plan.perCore[c].empty()) previous = plan.perCore[c].back();
-
-      std::optional<ProcessId> best;
-      std::int64_t bestSharing = -1;
-      for (ProcessId q = 0; q < n; ++q) {
-        if (!pending[q] || !schedulable(q)) continue;
-        // Without a previous process (core idle so far), prefer the
-        // process sharing least with the other cores' latest picks is the
-        // natural analogue; the paper leaves it open — we use sharing 0
-        // so ties fall to the smallest id.
-        const std::int64_t s = previous ? sharing.at(*previous, q) : 0;
-        if (s > bestSharing) {
-          bestSharing = s;
-          best = q;
-        }
-      }
-      if (best) {
-        plan.perCore[c].push_back(*best);
-        pending[*best] = false;
-        inPlan[*best] = true;
-        --remaining;
-        placedAny = true;
-      }
-    }
-    // A full round with no placement would loop forever; in a DAG there
-    // is always a schedulable pending process, so this indicates a bug.
-    check(placedAny || remaining == 0,
-          "buildLocalityPlan: no schedulable process in a full round");
-  }
-  return plan;
-}
-
-std::optional<ProcessId> pickMaxSharing(const std::vector<bool>& ready,
-                                        const SharingMatrix& sharing,
-                                        std::optional<ProcessId> previous) {
-  std::optional<ProcessId> best;
-  std::int64_t bestSharing = -1;
-  for (ProcessId q = 0; q < ready.size(); ++q) {
-    if (!ready[q]) continue;
-    const std::int64_t s = previous ? sharing.at(*previous, q) : 0;
-    if (s > bestSharing) {
-      bestSharing = s;
-      best = q;
-    }
-  }
-  return best;
 }
 
 LocalityScheduler::LocalityScheduler(LocalityOptions options)
@@ -402,7 +278,7 @@ std::optional<ProcessId> LocalityScheduler::pickNext(
   }
 
   // Online Fig. 3 rule: maximize sharing with the process this core ran
-  // last, over the ready set — popBest is the indexed pickMaxSharing.
+  // last, over the ready set (popBest; smallest id on ties).
   return index_.popBest(core, previous);
 }
 

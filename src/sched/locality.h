@@ -82,14 +82,15 @@ struct LocalityOptions {
 /// row-sum totals for the initial trim (O(|IN|²) instead of O(|IN|³)),
 /// cached indegree counters instead of the per-candidate predecessor
 /// walk, and one linear argmax over the ready set per placement. The
-/// plan is identical — element for element — to buildLocalityPlanLegacy
-/// below; the differential tests in tests/sched/plan_index_test.cpp and
-/// the equality argument in docs/ARCHITECTURE.md §12 pin it.
+/// plan is identical — element for element — to the Fig. 3 loops as
+/// written; the differential tests in tests/sched/plan_index_test.cpp
+/// (against the test-only reference planner) and the equality argument
+/// in docs/ARCHITECTURE.md §12 pin it.
 ///
 /// Precondition: \p sharing is symmetric over the planned subset (every
 /// matrix SharingMatrix::compute or the incremental open-workload
 /// updates produce is). The trim patches its totals by reading the
-/// removed candidate's row, in place of the column the legacy loop
+/// removed candidate's row, in place of the column Fig. 3's rescan
 /// reads; on an asymmetric matrix the two plans may differ. Checked at
 /// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError).
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
@@ -97,26 +98,6 @@ struct LocalityOptions {
                                              std::size_t coreCount,
                                              const LocalityOptions& options = {},
                                              std::span<const ProcessId> subset = {});
-
-/// The pre-index reference implementation: the Fig. 3 loops exactly as
-/// written — O(|IN|³) trim, full candidate rescans with a predecessor
-/// walk per candidate. Kept as the differential-test oracle and the
-/// baseline arm of bench_policy_overhead / BM_LocalityPlanLegacy; new
-/// code should call buildLocalityPlan.
-[[nodiscard]] LocalityPlan buildLocalityPlanLegacy(
-    const ExtendedProcessGraph& graph, const SharingMatrix& sharing,
-    std::size_t coreCount, const LocalityOptions& options = {},
-    std::span<const ProcessId> subset = {});
-
-/// The online Fig. 3 dispatch rule shared by LS and the open-workload
-/// replanner (OLS's steal fallback): among ready processes
-/// (ready[q] == true), the one maximizing sharing with \p previous —
-/// smallest id breaks ties; without a previous process the first ready
-/// one wins. nullopt when nothing is ready. Pure; the caller clears the
-/// chosen process's ready flag.
-[[nodiscard]] std::optional<ProcessId> pickMaxSharing(
-    const std::vector<bool>& ready, const SharingMatrix& sharing,
-    std::optional<ProcessId> previous);
 
 /// The paper's LS policy (LSM reuses it after re-layout).
 ///

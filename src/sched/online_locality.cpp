@@ -1,7 +1,5 @@
 #include "sched/online_locality.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace laps {
@@ -10,10 +8,6 @@ void OnlineLocalityOptions::validate() const {
   check(rebuildThreshold >= 0,
         "OnlineLocalityOptions: rebuildThreshold must be >= 0");
   check(hopWeight >= 0, "OnlineLocalityOptions: hopWeight must be >= 0");
-  // The legacy loops are the distance-blind differential oracle; they
-  // never learned hop arithmetic and never will.
-  check(hopWeight == 0 || indexedPlanner,
-        "OnlineLocalityOptions: hopWeight requires the indexed planner");
   check(quantumCycles >= 0,
         "OnlineLocalityOptions: quantumCycles must be >= 0");
   balancer.validate();
@@ -61,22 +55,11 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   // Stale queues from a previous reset must not leak into adoptPlan's
   // slot clearing (their entries may reference a different universe).
   queues_.clear();
-  if (indexed()) {
-    // Index first: adoptPlan's pushPlanned records distance homes in
-    // the index, which must already cover this process universe.
-    index_.beginDispatch(*sharing_, n, coreCount_);
-    index_.enableDistance(&score_);
-    adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions));
-    ready_.clear();
-  } else {
-    plan_ = buildLocalityPlanLegacy(*graph_, *sharing_, coreCount_,
-                                    lsOptions);
-    planDirty_ = false;
-    queues_.clear();
-    deadCount_.clear();
-    ready_.assign(n, false);
-  }
-  readyCount_ = 0;
+  // Index first: adoptPlan's pushPlanned records distance homes in the
+  // index, which must already cover this process universe.
+  index_.beginDispatch(*sharing_, n, coreCount_);
+  index_.enableDistance(&score_);
+  adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions));
   patchesSinceRebuild_ = 0;
   rebuilds_ = 0;
   events_ = 0;
@@ -93,7 +76,7 @@ bool OnlineLocalityScheduler::consumePatchBudget() {
   return false;
 }
 
-// --- Tombstone-queue primitives (indexed representation) -------------
+// --- Tombstone-queue primitives ----------------------------------------
 
 bool OnlineLocalityScheduler::aliveEntry(std::size_t core,
                                          const PlanEntry& entry) const {
@@ -157,7 +140,7 @@ void OnlineLocalityScheduler::adoptPlan(LocalityPlan&& fresh) {
 }
 
 const LocalityPlan& OnlineLocalityScheduler::plan() const {
-  if (indexed() && planDirty_) {
+  if (planDirty_) {
     plan_.perCore.assign(coreCount_, {});
     for (std::size_t c = 0; c < coreCount_; ++c) {
       for (const PlanEntry& entry : queues_[c]) {
@@ -187,17 +170,10 @@ void OnlineLocalityScheduler::rebuild() {
     LocalityOptions lsOptions;
     lsOptions.initialMinSharingRound = options_.initialMinSharingRound;
     if (score_.distanceAware()) lsOptions.topology = score_.topology();
-    fresh = indexed()
-                ? buildLocalityPlan(*graph_, *sharing_, coreCount_,
-                                    lsOptions, liveSet)
-                : buildLocalityPlanLegacy(*graph_, *sharing_, coreCount_,
-                                          lsOptions, liveSet);
+    fresh = buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions,
+                              liveSet);
   }
-  if (indexed()) {
-    adoptPlan(std::move(fresh));
-  } else {
-    plan_ = std::move(fresh);
-  }
+  adoptPlan(std::move(fresh));
   // buildLocalityPlan places over the full core set; work it put on a
   // down core is orphaned right back to the up cores.
   if (downCount_ > 0 && downCount_ < coreCount_) {
@@ -217,68 +193,34 @@ void OnlineLocalityScheduler::patchArrival(ProcessId process) {
   // unless every core is down, in which case the work parks anywhere
   // (dispatch is gated by the engine, not the plan).
   const bool skipDown = downCount_ > 0 && downCount_ < coreCount_;
-  std::size_t bestCore = 0;
-  std::int64_t bestSharing = -1;
-  if (indexed()) {
-    // The legacy scan lifted through LocalityScore::key: distance-blind
-    // the key is the raw sharing term — exactly the loop below — while
-    // on NoC platforms each core's term is discounted by its hops from
-    // the process's home (the core it last ran on, where its warm state
-    // sits; a never-ran process has none and pays no penalty anywhere —
-    // its first dispatch charges no migration). Sharing still dominates;
-    // among comparable cores the patch lands the process close to its
-    // warm tile, which is precisely the distance the migration penalty
-    // charges at resume.
-    const std::optional<std::size_t> home =
-        score_.distanceAware() ? index_.homeOf(process) : std::nullopt;
-    bool have = false;
-    for (std::size_t c = 0; c < coreCount_; ++c) {
-      if (skipDown && coreDown_[c]) continue;
-      dropTrailingDead(c);
-      std::int64_t s = 0;
-      if (!queues_[c].empty()) {
-        s = sharing_->at(queues_[c].back().process, process);
-      } else if (anchor_[c]) {
-        s = sharing_->at(*anchor_[c], process);
-      }
-      const std::int64_t key = score_.key(s, c, home);
-      if (!have || key > bestSharing) {
-        have = true;
-        bestSharing = key;
-        bestCore = c;
-      }
-    }
-    pushPlanned(bestCore, process);
-    return;
-  }
-  for (std::size_t c = 0; c < plan_.perCore.size(); ++c) {
+  // Each core's sharing term runs through LocalityScore::key:
+  // distance-blind the key is the raw sharing term, while on NoC
+  // platforms it is discounted by the core's hops from the process's
+  // home (the core it last ran on, where its warm state sits; a never-ran
+  // process has none and pays no penalty anywhere — its first dispatch
+  // charges no migration). Sharing still dominates; among comparable
+  // cores the patch lands the process close to its warm tile, which is
+  // precisely the distance the migration penalty charges at resume.
+  const std::optional<std::size_t> home =
+      score_.distanceAware() ? index_.homeOf(process) : std::nullopt;
+  std::optional<std::size_t> bestCore;
+  std::int64_t bestKey = 0;
+  for (std::size_t c = 0; c < coreCount_; ++c) {
     if (skipDown && coreDown_[c]) continue;
+    dropTrailingDead(c);
     std::int64_t s = 0;
-    if (!plan_.perCore[c].empty()) {
-      s = sharing_->at(plan_.perCore[c].back(), process);
+    if (!queues_[c].empty()) {
+      s = sharing_->at(queues_[c].back().process, process);
     } else if (anchor_[c]) {
       s = sharing_->at(*anchor_[c], process);
     }
-    if (s > bestSharing) {
-      bestSharing = s;
+    const std::int64_t key = score_.key(s, c, home);
+    if (!bestCore || key > bestKey) {
       bestCore = c;
+      bestKey = key;
     }
   }
-  plan_.perCore[bestCore].push_back(process);
-}
-
-void OnlineLocalityScheduler::patchExit(ProcessId process) {
-  if (indexed()) {
-    unplan(process);
-    return;
-  }
-  for (auto& order : plan_.perCore) {
-    const auto it = std::find(order.begin(), order.end(), process);
-    if (it != order.end()) {
-      order.erase(it);
-      return;
-    }
-  }
+  pushPlanned(*bestCore, process);
 }
 
 void OnlineLocalityScheduler::maybeBalance() {
@@ -297,17 +239,8 @@ void OnlineLocalityScheduler::maybeBalance() {
   const std::vector<BalanceMove> moves = planBalanceMoves(
       snapshot, *sharing_, anchor_, options_.balancer, upMask, &score_);
   for (const BalanceMove& move : moves) {
-    if (indexed()) {
-      unplan(move.process);
-      pushPlanned(move.to, move.process);
-    } else {
-      auto& source = plan_.perCore[move.from];
-      check(!source.empty() && source.back() == move.process,
-            "OnlineLocalityScheduler: balance move does not match the "
-            "source queue tail");
-      source.pop_back();
-      plan_.perCore[move.to].push_back(move.process);
-    }
+    unplan(move.process);
+    pushPlanned(move.to, move.process);
   }
   stats_.offloads += moves.size();
 }
@@ -315,19 +248,14 @@ void OnlineLocalityScheduler::maybeBalance() {
 void OnlineLocalityScheduler::evacuateCore(std::size_t core) {
   // Orphan the core's pending queue...
   std::vector<ProcessId> orphans;
-  if (indexed()) {
-    for (const PlanEntry& entry : queues_[core]) {
-      if (aliveEntry(core, entry)) orphans.push_back(entry.process);
-    }
-    if (!queues_[core].empty()) {
-      for (const ProcessId p : orphans) planned_[p] = std::nullopt;
-      queues_[core].clear();
-      deadCount_[core] = 0;
-      planDirty_ = true;
-    }
-  } else {
-    orphans = std::move(plan_.perCore[core]);
-    plan_.perCore[core].clear();
+  for (const PlanEntry& entry : queues_[core]) {
+    if (aliveEntry(core, entry)) orphans.push_back(entry.process);
+  }
+  if (!queues_[core].empty()) {
+    for (const ProcessId p : orphans) planned_[p] = std::nullopt;
+    queues_[core].clear();
+    deadCount_[core] = 0;
+    planDirty_ = true;
   }
   if (orphans.empty()) return;
   // ...and re-home every orphan onto the best-sharing up core (pure
@@ -337,11 +265,7 @@ void OnlineLocalityScheduler::evacuateCore(std::size_t core) {
   const std::vector<std::size_t> targets = planOrphanReassignment(
       orphans, plan().perCore, *sharing_, anchor_, upMask);
   for (std::size_t i = 0; i < orphans.size(); ++i) {
-    if (indexed()) {
-      pushPlanned(targets[i], orphans[i]);
-    } else {
-      plan_.perCore[targets[i]].push_back(orphans[i]);
-    }
+    pushPlanned(targets[i], orphans[i]);
   }
   stats_.offloads += orphans.size();
 }
@@ -378,11 +302,7 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
     open_ = true;
     LocalityPlan empty;
     empty.perCore.resize(coreCount_);
-    if (indexed()) {
-      adoptPlan(std::move(empty));
-    } else {
-      plan_ = std::move(empty);
-    }
+    adoptPlan(std::move(empty));
     patchesSinceRebuild_ = 0;
   }
   // A crashed process re-enters as a fresh arrival after its onExit
@@ -413,19 +333,14 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
   check(process < exited_.size(), "OnlineLocalityScheduler: unknown process");
   if (exited_[process]) return;
   exited_[process] = true;
-  if (indexed()) {
-    // Defensive: an exit may race a stale readiness.
-    if (index_.isReady(process)) index_.markUnready(process);
-  } else if (ready_[process]) {
-    ready_[process] = false;
-    --readyCount_;
-  }
+  // Defensive: an exit may race a stale readiness.
+  if (index_.isReady(process)) index_.markUnready(process);
   if (!open_) return;  // closed workload: completions never replan
   ++events_;
   if (consumePatchBudget()) {
     rebuild();
   } else {
-    patchExit(process);
+    unplan(process);
     ++stats_.patches;
   }
   maybeBalance();
@@ -434,14 +349,7 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
 void OnlineLocalityScheduler::onReady(ProcessId process) {
   check(process < exited_.size(), "OnlineLocalityScheduler: unknown process");
   check(live(process), "OnlineLocalityScheduler: ready process not live");
-  if (indexed()) {
-    index_.markReady(process);
-    return;
-  }
-  if (!ready_[process]) {
-    ready_[process] = true;
-    ++readyCount_;
-  }
+  index_.markReady(process);
 }
 
 void OnlineLocalityScheduler::onPreempt(ProcessId process) {
@@ -462,77 +370,39 @@ std::optional<ProcessId> OnlineLocalityScheduler::pickNext(
   // keeps direct policy harnesses honest too.
   if (coreDown_[core]) return std::nullopt;
 
-  if (indexed()) {
-    if (index_.readyCount() == 0) return std::nullopt;
-
-    const auto take = [&](ProcessId p) {
-      dispatched_[p] = true;
-      // The process runs — and warms up — here: its distance home is
-      // this core until it runs somewhere else.
-      if (score_.distanceAware()) index_.setHome(p, core);
-      anchor_[core] = p;
-      ++stats_.decisions;
-      return p;
-    };
-
-    // Plan-guided dispatch: the first *alive* entry in this core's
-    // queue whose process is ready (skipping tombstones and entries
-    // whose dependences are still pending — work conservation beats
-    // rigid plan order).
-    const auto& queue = queues_[core];
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      if (!aliveEntry(core, queue[i])) continue;
-      const ProcessId planned = queue[i].process;
-      if (!index_.isReady(planned)) continue;
-      unplan(planned);
-      index_.markUnready(planned);
-      return take(planned);
-    }
-
-    // Steal fallback: LS's online rule as the index's ready-set argmax
-    // (maximum sharing with the process this core ran last; an exited
-    // previous process has a zeroed row, so the rule degrades to
-    // smallest-id). The stolen process leaves whichever plan held it.
-    const std::optional<ProcessId> best = index_.popBest(core, previous);
-    if (!best) return std::nullopt;
-    unplan(*best);
-    ++stats_.steals;
-    return take(*best);
-  }
-
-  if (readyCount_ == 0) return std::nullopt;
+  if (index_.readyCount() == 0) return std::nullopt;
 
   const auto take = [&](ProcessId p) {
-    ready_[p] = false;
     dispatched_[p] = true;
+    // The process runs — and warms up — here: its distance home is this
+    // core until it runs somewhere else.
+    if (score_.distanceAware()) index_.setHome(p, core);
     anchor_[core] = p;
-    --readyCount_;
     ++stats_.decisions;
     return p;
   };
 
-  // Plan-guided dispatch: the first ready process remaining in this
-  // core's plan (skipping entries whose dependences are still pending —
-  // work conservation beats rigid plan order).
-  auto& order = plan_.perCore[core];
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (ready_[order[i]]) {
-      const ProcessId planned = order[i];
-      order.erase(order.begin() + static_cast<std::ptrdiff_t>(i));
-      return take(planned);
-    }
+  // Plan-guided dispatch: the first *alive* entry in this core's queue
+  // whose process is ready (skipping tombstones and entries whose
+  // dependences are still pending — work conservation beats rigid plan
+  // order).
+  const auto& queue = queues_[core];
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (!aliveEntry(core, queue[i])) continue;
+    const ProcessId planned = queue[i].process;
+    if (!index_.isReady(planned)) continue;
+    unplan(planned);
+    index_.markUnready(planned);
+    return take(planned);
   }
 
-  // Steal fallback: LS's online rule (pickMaxSharing — maximize sharing
-  // with the process this core ran last). An exited previous process
-  // has a zeroed row in the live sharing matrix, so the rule degrades
-  // to smallest-id — the cache it warmed is still there, but nobody
-  // left shares with it.
-  const std::optional<ProcessId> best =
-      pickMaxSharing(ready_, *sharing_, previous);
+  // Steal fallback: LS's online rule as the index's ready-set argmax
+  // (maximum sharing with the process this core ran last; an exited
+  // previous process has a zeroed row, so the rule degrades to
+  // smallest-id). The stolen process leaves whichever plan held it.
+  const std::optional<ProcessId> best = index_.popBest(core, previous);
   if (!best) return std::nullopt;
-  // The stolen process leaves whichever plan held it.
-  patchExit(*best);
+  unplan(*best);
   ++stats_.steals;
   return take(*best);
 }

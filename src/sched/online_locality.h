@@ -10,8 +10,7 @@
 ///
 ///  * onArrival(p) appends p to the core whose most recently planned
 ///    process shares the most data with p — one O(cores) patch;
-///  * onExit(p) deletes p from its core's plan — O(1) amortized on the
-///    indexed representation, one O(n) scan on the legacy one;
+///  * onExit(p) deletes p from its core's plan — O(1) amortized;
 ///  * after more than rebuildThreshold patches accumulate, the plan is
 ///    rebuilt from scratch over the live set (buildLocalityPlan with a
 ///    subset), bounding how far the patched plan can drift from the
@@ -26,31 +25,24 @@
 /// Dispatched processes leave the plan — the plan always holds exactly
 /// the pending work.
 ///
-/// Two implementations sit behind OnlineLocalityOptions::indexedPlanner
-/// and make the same decisions event for event (the differential tests
-/// and the bench_policy_overhead checksum column pin it):
-///
-///  * indexed (default): rebuilds run on the PlanIndex planner core;
-///    per-core queues hold {process, seq} entries with a reverse map
-///    planned[p] = (core, seq) — an entry is alive iff the map still
-///    points at it, so exits and steals tombstone in O(1) and queues
-///    compact when more than half their entries are dead. The steal
-///    argmax is one linear scan over the index's ready set, read
-///    against the live sharing row — O(ready) per steal;
-///  * legacy: the pre-index loops exactly as first written —
-///    buildLocalityPlanLegacy rebuilds, std::find exits, linear-scan
-///    steals. Kept as the differential oracle and the honest baseline
-///    arm of bench_policy_overhead.
+/// Rebuilds run on the PlanIndex planner core. Per-core queues hold
+/// {process, seq} entries with a reverse map planned[p] = (core, seq):
+/// an entry is alive iff the map still points at it, so exits and
+/// steals tombstone in O(1) and queues compact when more than half
+/// their entries are dead. The steal argmax is one linear scan over the
+/// index's ready set, read against the live sharing row — O(ready) per
+/// steal. Golden decision digests (tests/sched/online_locality_test.cpp)
+/// and the bench_policy_overhead checksum column pin every decision.
 ///
 /// An optional locality-aware load balancer (load_balancer.h, off by
 /// default) sheds queue tails from overloaded cores to the best-sharing
-/// underloaded core after each absorbed event, in either mode.
+/// underloaded core after each absorbed event.
 ///
-/// On NoC platforms (OnlineLocalityOptions::hopWeight > 0; indexed mode
-/// only) every decision becomes hop-weighted through the shared
-/// LocalityScore: rebuilds take the spiral initial mapping, arrival
-/// patches and steals score candidates by the hop-weighted key against
-/// each process's home — the core it last ran on, where its warm state
+/// On NoC platforms (OnlineLocalityOptions::hopWeight > 0) every
+/// decision becomes hop-weighted through the shared LocalityScore:
+/// rebuilds take the spiral initial mapping, arrival patches and
+/// steals score candidates by the hop-weighted key against each
+/// process's home — the core it last ran on, where its warm state
 /// sits; a never-ran process has no home and pays no distance penalty,
 /// because its first dispatch charges no migration — and balance moves
 /// discount candidate targets by the hops the moved process's warm
@@ -91,12 +83,6 @@ struct OnlineLocalityOptions {
   /// Apply the Fig. 3 initial min-sharing round in every (re)build.
   bool initialMinSharingRound = true;
 
-  /// Run on the PlanIndex planner core with the tombstone plan
-  /// representation (see file comment). False selects the legacy
-  /// loops — same decisions, pre-index costs; exists for differential
-  /// tests and the bench_policy_overhead baseline arm.
-  bool indexedPlanner = true;
-
   /// Locality-aware load shedding over the per-core plan queues
   /// (disabled by default; enabling it changes dispatch).
   LoadBalancerOptions balancer;
@@ -104,11 +90,10 @@ struct OnlineLocalityOptions {
   /// NoC platforms: hop penalty per unit of distance in every scoring
   /// decision, in 1/LocalityScore::kSharingScale sharing units (>= 0).
   /// 0 — the default, and the only meaningful value off-NoC — keeps
-  /// every decision bit-identical to the distance-blind policy. > 0
-  /// (requires the indexed planner and a platform with a topology) the
-  /// scheduler becomes distance-aware end to end: spiral initial
-  /// mapping in rebuilds, home-anchored arrival patches, steals and
-  /// balance targets discounted by NoC hops.
+  /// every decision bit-identical to the distance-blind policy. > 0 (on
+  /// a platform with a topology) the scheduler becomes distance-aware
+  /// end to end: spiral initial mapping in rebuilds, home-anchored
+  /// arrival patches, steals and balance targets discounted by NoC hops.
   std::int64_t hopWeight = 0;
 
   /// Preemption quantum in cycles (>= 0). 0 — the default — keeps OLS
@@ -121,10 +106,9 @@ struct OnlineLocalityOptions {
   std::int64_t quantumCycles = 0;
 
   /// Throws laps::Error on a negative rebuild threshold, a negative
-  /// hop weight or quantum, a hop weight without the indexed planner,
-  /// or invalid balancer tunables. The single source of these
-  /// constraints: the scheduler's constructor and makeScheduler both
-  /// enforce it.
+  /// hop weight or quantum, or invalid balancer tunables. The single
+  /// source of these constraints: the scheduler's constructor and
+  /// makeScheduler both enforce it.
   void validate() const;
 };
 
@@ -152,9 +136,8 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
 
   /// The current (patched or rebuilt) plan — the pending, undispatched
   /// work per core. Right after reset() on a closed workload this is
-  /// the full static LS plan. On the indexed representation this
-  /// materializes the live entries of the tombstone queues (cached
-  /// until the next plan mutation).
+  /// the full static LS plan. Materializes the live entries of the
+  /// tombstone queues (cached until the next plan mutation).
   [[nodiscard]] const LocalityPlan& plan() const;
 
   /// Full rebuilds performed since reset().
@@ -171,20 +154,18 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   }
 
  private:
-  /// One tombstone-queue entry (indexed representation). Alive iff
-  /// planned_[process] still records this (core, seq) pair.
+  /// One tombstone-queue entry. Alive iff planned_[process] still
+  /// records this (core, seq) pair.
   struct PlanEntry {
     ProcessId process = 0;
     std::uint64_t seq = 0;
   };
 
-  /// Where a process is currently planned (indexed representation).
+  /// Where a process is currently planned.
   struct PlanSlot {
     std::size_t core = 0;
     std::uint64_t seq = 0;
   };
-
-  [[nodiscard]] bool indexed() const { return options_.indexedPlanner; }
 
   /// True when \p process is in the system and unfinished.
   [[nodiscard]] bool live(ProcessId process) const;
@@ -195,9 +176,6 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// Appends \p process to the core with maximum sharing between the
   /// core's last planned process and \p process (ties: lowest core).
   void patchArrival(ProcessId process);
-
-  /// Deletes \p process from whichever per-core plan holds it.
-  void patchExit(ProcessId process);
 
   /// Counts one event against the patch budget; returns true when the
   /// caller should rebuild instead of patching.
@@ -212,7 +190,7 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// a rebuild placed work on a core that is (still) down.
   void evacuateCore(std::size_t core);
 
-  /// \name Tombstone-queue primitives (indexed representation)
+  /// \name Tombstone-queue primitives
   /// @{
   /// Adopts a freshly built plan as the queue state.
   void adoptPlan(LocalityPlan&& fresh);
@@ -235,8 +213,7 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// Distance-aware iff options_.hopWeight > 0 and the platform handed
   /// a topology through SchedContext; also the PlanIndex distance hook.
   LocalityScore score_;
-  /// Legacy mode: the live plan representation. Indexed mode: the
-  /// plan() materialization cache, stale while planDirty_.
+  /// The plan() materialization cache, stale while planDirty_.
   mutable LocalityPlan plan_;
   mutable bool planDirty_ = false;
   /// False until the first onArrival: a closed workload never opens, so
@@ -254,13 +231,7 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   std::vector<bool> coreDown_;
   std::size_t downCount_ = 0;
 
-  /// \name Legacy dispatch state (indexedPlanner == false)
-  /// @{
-  std::vector<bool> ready_;
-  std::size_t readyCount_ = 0;
-  /// @}
-
-  /// \name Indexed dispatch state
+  /// \name Dispatch state
   /// @{
   PlanIndex index_;
   std::vector<std::vector<PlanEntry>> queues_;

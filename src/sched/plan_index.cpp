@@ -58,7 +58,7 @@ void PlanIndex::beginPlanner(const ExtendedProcessGraph& graph,
   // Cached indegrees: a pending process waits only on pending
   // predecessors (a subset member not yet placed); predecessors outside
   // the subset — or already placed — are satisfied. This is the
-  // schedulable() predicate of the legacy planner, evaluated once.
+  // schedulable() predicate of Fig. 3's candidate scan, evaluated once.
   for (ProcessId q = 0; q < n; ++q) {
     if (!pending_[q]) continue;
     std::uint32_t degree = 0;

@@ -2,9 +2,9 @@
 /// \file plan_index.h
 /// \brief Indexed planner core: the data structure behind the Fig. 3
 /// greedy argmax, shared by buildLocalityPlan, the OLS replanner and
-/// the online pickMaxSharing dispatch rule.
+/// LS's online max-sharing dispatch rule.
 ///
-/// The legacy planner answers "which schedulable process shares the
+/// Fig. 3 as written answers "which schedulable process shares the
 /// most with this core's previous pick?" by scanning all |T| candidates
 /// and walking each one's predecessor list. PlanIndex answers the same
 /// question from two cached structures:
@@ -20,7 +20,7 @@
 /// raw sharing(anchor, q), or on NoC platforms (enableDistance) the
 /// hop-weighted LocalityScore::key over it and q's home core. The order
 ///   (key > best) || (key == best && id < bestId)
-/// is independent of the array order, and equals the legacy ascending
+/// is independent of the array order, and equals Fig. 3's ascending
 /// scan with strict `>` (smallest id among the maximal keys). Keys are
 /// read from the live sharing row at pick time, so open-workload row
 /// rewrites and home changes need no invalidation. Cost: O(ready) per
@@ -56,9 +56,9 @@ class PlanIndex {
   /// pending process waits only on pending predecessors — one outside
   /// the subset, or already placed, is satisfied — so the cached
   /// indegrees count pending predecessors only, and every pending
-  /// process with counter zero is ready immediately. This is the
-  /// legacy schedulable() predicate, evaluated once instead of per
-  /// candidate per round.
+  /// process with counter zero is ready immediately. This is Fig. 3's
+  /// schedulable() predicate, evaluated once instead of per candidate
+  /// per round.
   void beginPlanner(const ExtendedProcessGraph& graph,
                     const SharingMatrix& sharing, std::size_t coreCount,
                     const std::vector<bool>& pending);
@@ -96,7 +96,7 @@ class PlanIndex {
 
   /// Extracts the best ready candidate for \p core: maximum
   /// sharing(anchor, q), smallest id on ties; without an anchor, the
-  /// smallest ready id (the legacy scan's s = 0 degenerate case).
+  /// smallest ready id (the ascending scan's s = 0 degenerate case).
   /// nullopt when nothing is ready. The winner is marked unready.
   [[nodiscard]] std::optional<ProcessId> popBest(
       std::size_t core, std::optional<ProcessId> anchor);

@@ -6,14 +6,11 @@
 #include <cstdint>
 #include <optional>
 
-#include "cache/bus.h"
 #include "cache/hierarchy.h"
 #include "cache/platform.h"
-#include "cache/shared_l2.h"
 #include "sim/admission.h"
 #include "sim/arrivals.h"
 #include "sim/faults.h"
-#include "util/error.h"
 
 namespace laps {
 
@@ -30,10 +27,10 @@ enum class ReplayMode {
 
 /// The simulated platform. Defaults reproduce Table 2 of the paper:
 /// 8 processors, 8 KB 2-way data/instruction caches, 2-cycle cache
-/// access, 75-cycle off-chip access, 200 MHz cores — and no shared L2
-/// or bus contention (sharedL2/bus disabled), so the default miss path
-/// is the paper's fixed latency, bit-identical to the pre-hierarchy
-/// simulator.
+/// access, 75-cycle off-chip access, 200 MHz cores — and the default
+/// platform descriptor (flat interconnect, no shared L2), so the default
+/// miss path is the paper's fixed latency, bit-identical to the
+/// pre-hierarchy simulator.
 struct MpsocConfig {
   std::size_t coreCount = 8;
   MemoryConfig memory{};            ///< replicated per core (private L1s)
@@ -41,24 +38,9 @@ struct MpsocConfig {
   /// The shared-level topology in one composable descriptor
   /// (cache/platform.h): interconnect {Flat, Bus, Mesh, Xbar} ×
   /// coherence {Broadcast, Directory} × optional shared L2, validated
-  /// eagerly in one place. Unset = derive the descriptor from the
-  /// legacy sharedL2/bus fields below (resolvedPlatform()).
+  /// eagerly in one place. Unset = the default descriptor, the paper's
+  /// platform (resolvedPlatform()).
   std::optional<PlatformConfig> platform;
-
-  /// \name Legacy shared-level toggles (deprecation shims)
-  /// The pre-PlatformConfig surface, kept so every existing call site
-  /// and committed baseline stays byte-identical. resolvedPlatform()
-  /// maps them onto the equivalent descriptor; setting them *and*
-  /// `platform` is an eager configuration error, not a precedence rule.
-  /// New code should set `platform` instead.
-  /// @{
-  /// Optional shared banked L2 between the L1s and memory
-  /// (docs/ARCHITECTURE.md §7). Disabled = paper platform.
-  std::optional<SharedL2Config> sharedL2;
-  /// Optional off-chip bus with bounded outstanding transactions and
-  /// queueing delay. Disabled = fixed memory.memLatencyCycles per miss.
-  std::optional<BusConfig> bus;
-  /// @}
 
   /// Optional open-workload arrival schedule (docs/ARCHITECTURE.md
   /// §§9-10): work arrives at seeded inter-arrival distances — whole
@@ -100,24 +82,9 @@ struct MpsocConfig {
   }
 
   /// The effective platform descriptor: `platform` when set, otherwise
-  /// the descriptor equivalent to the legacy sharedL2/bus fields (the
-  /// deprecation shim — byte-identical results by construction, since
-  /// both spellings build the same MemoryHierarchy). Throws laps::Error
-  /// when both surfaces are set at once.
+  /// the default one (flat interconnect, broadcast recalls, no L2).
   [[nodiscard]] PlatformConfig resolvedPlatform() const {
-    if (platform) {
-      check(!sharedL2 && !bus,
-            "MpsocConfig: set either `platform` or the legacy "
-            "sharedL2/bus fields, not both");
-      return *platform;
-    }
-    PlatformConfig resolved;
-    resolved.sharedL2 = sharedL2;
-    if (bus) {
-      resolved.interconnect = InterconnectKind::Bus;
-      resolved.bus = *bus;
-    }
-    return resolved;
+    return platform.value_or(PlatformConfig{});
   }
 };
 

@@ -41,8 +41,8 @@ MpsocSimulator::MpsocSimulator(const Workload& workload,
   config_.memory.l1d.validate();
   if (config_.memory.modelICache) config_.memory.l1i.validate();
   // One eager validation point for the whole shared-level shape: the
-  // descriptor (or its legacy-field equivalent) checks each enabled
-  // component plus the cross-field rules.
+  // descriptor checks each enabled component plus the cross-field
+  // rules.
   platform_ = config_.resolvedPlatform();
   platform_.validate(config_.coreCount);
   config_.admission.validate();

@@ -9,8 +9,8 @@
 ///    scheduler exploits;
 ///  * all cores share one MemoryHierarchy below the L1s: flat fixed-
 ///    latency memory by default (the paper platform), optionally a
-///    shared banked L2 and a bounded off-chip bus
-///    (MpsocConfig::sharedL2/bus), in which case a miss's latency
+///    shared banked L2, a bounded off-chip bus or a NoC
+///    (MpsocConfig::platform), in which case a miss's latency
 ///    depends on the absolute cycle it issues and the other cores'
 ///    traffic;
 ///  * a process trace step costs: instruction-fetch latency + data-access

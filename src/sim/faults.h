@@ -121,7 +121,7 @@ struct FaultPlan {
   std::int64_t migrationPenaltyCycles = 2'000;
 
   /// Extra displacement penalty when the platform has a shared L2
-  /// (MpsocConfig::sharedL2): re-warming the larger shared level.
+  /// (PlatformConfig::sharedL2): re-warming the larger shared level.
   std::int64_t l2RewarmPenaltyCycles = 0;
 
   /// Crash recovery policy (see RetryPolicy).

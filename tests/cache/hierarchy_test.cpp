@@ -71,18 +71,20 @@ TEST(MemorySystem, ClassifierCountsWhenEnabled) {
 }
 
 std::shared_ptr<MemoryHierarchy> contendedHierarchy() {
-  SharedL2Config l2;
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Bus;
+  SharedL2Config& l2 = platform.sharedL2.emplace();
   l2.sizeBytes = 4096;
   l2.assoc = 2;
   l2.lineBytes = 32;
   l2.bankCount = 4;
   l2.hitLatencyCycles = 8;
   l2.bankBusyCycles = 4;
-  BusConfig bus;
-  bus.maxOutstanding = 2;
-  bus.latencyCycles = 75;
-  bus.widthBytes = 8;  // 79-cycle occupancy on 32 B lines
-  return std::make_shared<MemoryHierarchy>(75, l2, bus, 32);
+  platform.bus.maxOutstanding = 2;
+  platform.bus.latencyCycles = 75;
+  platform.bus.widthBytes = 8;  // 79-cycle occupancy on 32 B lines
+  // The core count only sizes NoCs and directories; a bus needs none.
+  return std::make_shared<MemoryHierarchy>(75, platform, 1, 32);
 }
 
 TEST(MemorySystem, DefaultHierarchyIsFlatAndUncontended) {
@@ -132,11 +134,12 @@ TEST(MemorySystem, MissNeverStallsBehindItsOwnVictimWriteback) {
   // 1-slot bus, direct-mapped 2-set L1: a miss that evicts a dirty
   // victim must pay only its own fill (2 + 79); the victim's write-back
   // is posted behind it, not in front of it.
-  BusConfig bus;
-  bus.maxOutstanding = 1;
-  bus.latencyCycles = 75;
-  bus.widthBytes = 8;  // occupancy 79
-  auto shared = std::make_shared<MemoryHierarchy>(75, std::nullopt, bus, 32);
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Bus;
+  platform.bus.maxOutstanding = 1;
+  platform.bus.latencyCycles = 75;
+  platform.bus.widthBytes = 8;  // occupancy 79
+  auto shared = std::make_shared<MemoryHierarchy>(75, platform, 1, 32);
   MemoryConfig cfg = paperDefaults();
   cfg.l1d = CacheConfig{64, 1, 32, 2};
   MemorySystem mem(cfg, shared);

@@ -310,24 +310,11 @@ TEST(PlatformConfig, EagerValidationCatchesBadCompositions) {
   EXPECT_NO_THROW(good.validate(64));
 }
 
-TEST(PlatformConfig, LegacyShimResolvesBothSurfaces) {
-  // Legacy fields resolve to the equivalent platform descriptor...
-  MpsocConfig legacy;
-  legacy.sharedL2 = smallL2();
-  BusConfig bus;
-  bus.maxOutstanding = 2;
-  bus.latencyCycles = 75;
-  bus.widthBytes = 8;
-  legacy.bus = bus;
-  const PlatformConfig resolved = legacy.resolvedPlatform();
-  EXPECT_EQ(resolved.interconnect, InterconnectKind::Bus);
-  ASSERT_TRUE(resolved.sharedL2.has_value());
-  EXPECT_EQ(resolved.bus.widthBytes, 8);
-
-  // ...and setting both surfaces at once is an eager error.
-  MpsocConfig both = legacy;
-  both.platform = PlatformConfig{};
-  EXPECT_THROW(both.resolvedPlatform(), Error);
+TEST(PlatformConfig, UnsetPlatformResolvesToThePaperPlatform) {
+  const PlatformConfig resolved = MpsocConfig{}.resolvedPlatform();
+  EXPECT_EQ(resolved.interconnect, InterconnectKind::Flat);
+  EXPECT_EQ(resolved.coherence, CoherenceKind::Broadcast);
+  EXPECT_FALSE(resolved.sharedL2.has_value());
 }
 
 }  // namespace

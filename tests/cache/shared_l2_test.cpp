@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cache/hierarchy.h"
 #include "util/error.h"
 
@@ -23,6 +25,27 @@ SharedL2Config smallL2() {
   cfg.bankBusyCycles = 4;
   return cfg;
 }
+
+/// A shared L2 over flat memory.
+PlatformConfig l2Platform(const SharedL2Config& l2) {
+  PlatformConfig platform;
+  platform.sharedL2 = l2;
+  return platform;
+}
+
+/// A bus interconnect, optionally under a shared L2.
+PlatformConfig busPlatform(const BusConfig& bus,
+                           std::optional<SharedL2Config> l2 = std::nullopt) {
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Bus;
+  platform.bus = bus;
+  platform.sharedL2 = l2;
+  return platform;
+}
+
+// The core count only sizes NoCs and directories; flat and bus
+// platforms need just one.
+constexpr std::size_t kCores = 1;
 
 TEST(SharedL2Config, GeometryDerivation) {
   const SharedL2Config cfg = smallL2();
@@ -110,7 +133,7 @@ TEST(MemoryHierarchy, L2HitAndMissLatencyComposition) {
   bus.maxOutstanding = 2;
   bus.latencyCycles = 75;
   bus.widthBytes = 8;  // occupancy 79 on 32 B lines
-  MemoryHierarchy h(75, smallL2(), bus, 32);
+  MemoryHierarchy h(75, busPlatform(bus, smallL2()), kCores, 32);
   EXPECT_TRUE(h.contended());
   // Cold: bank (no wait) + L2 hit latency 8 + bus 79.
   EXPECT_EQ(h.missLatency(0, 0), 8 + 79);
@@ -119,7 +142,7 @@ TEST(MemoryHierarchy, L2HitAndMissLatencyComposition) {
 }
 
 TEST(MemoryHierarchy, L2WithoutBusFallsBackToFlatMemory) {
-  MemoryHierarchy h(75, smallL2(), std::nullopt, 32);
+  MemoryHierarchy h(75, l2Platform(smallL2()), kCores, 32);
   EXPECT_EQ(h.missLatency(0, 0), 8 + 75);
   EXPECT_EQ(h.missLatency(0, 1000), 8);
   EXPECT_EQ(h.bus(), nullptr);
@@ -127,7 +150,7 @@ TEST(MemoryHierarchy, L2WithoutBusFallsBackToFlatMemory) {
 
 TEST(MemoryHierarchy, InclusionBackInvalidatesL1Copies) {
   const SharedL2Config cfg = smallL2();
-  MemoryHierarchy h(75, cfg, std::nullopt, 32);
+  MemoryHierarchy h(75, l2Platform(cfg), kCores, 32);
   SetAssocCache l1(CacheConfig{1024, 2, 32, 2});
   h.registerDataCache(&l1);
 
@@ -151,7 +174,7 @@ TEST(MemoryHierarchy, DirtyBackInvalidationPostsABusWriteback) {
   const SharedL2Config cfg = smallL2();
   BusConfig bus;
   bus.maxOutstanding = 4;
-  MemoryHierarchy h(75, cfg, bus, 32);
+  MemoryHierarchy h(75, busPlatform(bus, cfg), kCores, 32);
   SetAssocCache l1(CacheConfig{1024, 2, 32, 2});
   h.registerDataCache(&l1);
 
@@ -174,7 +197,7 @@ TEST(MemoryHierarchy, DirtyBackInvalidationPostsABusWriteback) {
 TEST(MemoryHierarchy, L1WritebackWithL2IsAbsorbedOnChip) {
   BusConfig bus;
   bus.maxOutstanding = 4;
-  MemoryHierarchy withL2(75, smallL2(), bus, 32);
+  MemoryHierarchy withL2(75, busPlatform(bus, smallL2()), kCores, 32);
   withL2.missLatency(0, 0);
   const std::uint64_t beforeTx = withL2.bus()->stats().transactions;
   EXPECT_TRUE(withL2.absorbL1Writeback(0));  // L2 holds the line
@@ -188,7 +211,7 @@ TEST(MemoryHierarchy, L1WritebackWithL2IsAbsorbedOnChip) {
   EXPECT_EQ(withL2.inclusionWritebacks(), 1u);
 
   // Without an L2 the write-back is posted straight onto the bus.
-  MemoryHierarchy busOnly(75, std::nullopt, bus, 32);
+  MemoryHierarchy busOnly(75, busPlatform(bus), kCores, 32);
   EXPECT_FALSE(busOnly.absorbL1Writeback(0));
   busOnly.postL1Writeback(50);
   EXPECT_EQ(busOnly.bus()->stats().transactions, 1u);
@@ -206,7 +229,8 @@ TEST(MemoryHierarchy, DirtyVictimSurvivesItsOwnMissesL2Eviction) {
   l2.assoc = 1;
   l2.lineBytes = 32;
   l2.bankCount = 1;
-  auto shared = std::make_shared<MemoryHierarchy>(75, l2, std::nullopt, 32);
+  auto shared =
+      std::make_shared<MemoryHierarchy>(75, l2Platform(l2), kCores, 32);
   MemoryConfig cfg;
   cfg.l1d = CacheConfig{32, 1, 32, 2};  // a single line
   cfg.l1i = CacheConfig{32, 1, 32, 2};

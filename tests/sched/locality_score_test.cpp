@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "reference_planner.h"
 #include "util/audit.h"
 
 namespace laps {
@@ -98,9 +99,9 @@ ExtendedProcessGraph independentProcesses(std::size_t n) {
   return graph;
 }
 
-TEST(SpiralMapping, IndexedAndLegacyPlannersAgreeUnderTopology) {
-  // Both planners route their initial round through the same spiral
-  // placement, so plan identity must survive the topology option.
+TEST(SpiralMapping, PlannerMatchesReferenceUnderTopology) {
+  // The test-side reference planner implements the spiral walk on its
+  // own, so plan identity must survive the topology option.
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityOptions options;
   options.topology = &mesh;
@@ -117,7 +118,7 @@ TEST(SpiralMapping, IndexedAndLegacyPlannersAgreeUnderTopology) {
       }
     }
     const LocalityPlan a = buildLocalityPlan(graph, sharing, 4, options);
-    const LocalityPlan b = buildLocalityPlanLegacy(graph, sharing, 4, options);
+    const LocalityPlan b = reference::buildPlan(graph, sharing, 4, options);
     ASSERT_EQ(a.perCore.size(), b.perCore.size()) << "seed " << seed;
     for (std::size_t c = 0; c < a.perCore.size(); ++c) {
       ASSERT_EQ(a.perCore[c], b.perCore[c]) << "seed " << seed << " core " << c;
@@ -296,15 +297,13 @@ TEST(PlanIndexDistance, HopWeightedPopPrefersHigherSharing) {
 
 // --- OnlineLocality option validation ------------------------------------
 
-TEST(OnlineLocalityOptions, HopWeightRequiresTheIndexedPlanner) {
+TEST(OnlineLocalityOptions, HopWeightMustBeNonNegative) {
   OnlineLocalityOptions options;
   options.hopWeight = 4;
-  options.indexedPlanner = false;
-  EXPECT_THROW(options.validate(), Error);
-  options.indexedPlanner = true;
   EXPECT_NO_THROW(options.validate());
   options.hopWeight = -1;
   EXPECT_THROW(options.validate(), Error);
+  EXPECT_THROW(OnlineLocalityScheduler{options}, Error);
 }
 
 TEST(OnlineLocalityOptions, QuantumMustBeNonNegative) {

@@ -1,12 +1,12 @@
 /// \file plan_index_test.cpp
 /// \brief Differential property tests for the indexed planner core:
 /// buildLocalityPlan (ready-set argmax + cached indegrees) must be
-/// plan-identical to buildLocalityPlanLegacy (the pre-index Fig. 3
-/// loops) on random DAGs across subset spans and core counts, and
-/// dispatch-mode popBest must match pickMaxSharing decision-for-
-/// decision. The audit seams (auditReadySet / corruptSlotForTest, and
-/// the planner's symmetry precondition) are proven to fire on injected
-/// violations.
+/// plan-identical to reference::buildPlan (the Fig. 3 loops as written,
+/// reference_planner.h) on random DAGs across subset spans and core
+/// counts, and dispatch-mode popBest must match the reference
+/// pickMaxSharing decision for decision. The audit seams
+/// (auditReadySet / corruptSlotForTest, and the planner's symmetry
+/// precondition) are proven to fire on injected violations.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "reference_planner.h"
 #include "util/audit.h"
 
 namespace laps {
@@ -71,7 +72,7 @@ void expectPlansEqual(const LocalityPlan& a, const LocalityPlan& b,
   }
 }
 
-TEST(PlanIndexDifferential, MatchesLegacyOnRandomDags) {
+TEST(PlanIndexDifferential, MatchesReferenceOnRandomDags) {
   // 200 random DAGs x core counts x options x subset spans. Any
   // divergence prints the seed, so a failure reproduces standalone.
   // Seeds 200..202 are dependence-free sets in the hundreds with
@@ -96,7 +97,7 @@ TEST(PlanIndexDifferential, MatchesLegacyOnRandomDags) {
                                         std::size_t{3}, std::size_t{8}}) {
       expectPlansEqual(
           buildLocalityPlan(graph, sharing, coreCount, options),
-          buildLocalityPlanLegacy(graph, sharing, coreCount, options),
+          reference::buildPlan(graph, sharing, coreCount, options),
           seed, coreCount);
     }
 
@@ -110,12 +111,12 @@ TEST(PlanIndexDifferential, MatchesLegacyOnRandomDags) {
     const std::size_t coreCount = 1 + static_cast<std::size_t>(rng.below(8));
     expectPlansEqual(
         buildLocalityPlan(graph, sharing, coreCount, options, subset),
-        buildLocalityPlanLegacy(graph, sharing, coreCount, options, subset),
+        reference::buildPlan(graph, sharing, coreCount, options, subset),
         seed, coreCount);
   }
 }
 
-TEST(PlanIndexDifferential, MatchesLegacyOnRealWorkload) {
+TEST(PlanIndexDifferential, MatchesReferenceOnRealWorkload) {
   // The benchmark-suite mixes exercise the realistic sharing topology
   // (dense blocks within an application, sparse across).
   const auto suite = standardSuite();
@@ -123,13 +124,13 @@ TEST(PlanIndexDifferential, MatchesLegacyOnRealWorkload) {
   const SharingMatrix sharing = SharingMatrix::compute(mix.footprints());
   for (const std::size_t coreCount : {std::size_t{2}, std::size_t{8}}) {
     expectPlansEqual(buildLocalityPlan(mix.graph, sharing, coreCount),
-                     buildLocalityPlanLegacy(mix.graph, sharing, coreCount),
+                     reference::buildPlan(mix.graph, sharing, coreCount),
                      9999, coreCount);
   }
 }
 
-TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
-  // Dispatch mode against the legacy argmax: random interleavings of
+TEST(PlanIndexDifferential, DispatchPopMatchesReferencePick) {
+  // Dispatch mode against the reference argmax: random interleavings of
   // markReady / markUnready / popBest must agree with pickMaxSharing
   // over a mirrored ready vector at every pick.
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
@@ -155,7 +156,8 @@ TEST(PlanIndexDifferential, DispatchPopMatchesPickMaxSharing) {
         const auto core = static_cast<std::size_t>(rng.below(coreCount));
         std::optional<ProcessId> anchor;
         if (rng.below(4) != 0) anchor = static_cast<ProcessId>(rng.below(n));
-        const auto expected = pickMaxSharing(mirror, sharing, anchor);
+        const auto expected =
+            reference::pickMaxSharing(mirror, sharing, anchor);
         const auto got = index.popBest(core, anchor);
         ASSERT_EQ(got, expected) << "seed " << seed << " step " << step;
         if (got) mirror[*got] = false;  // popBest marks the winner unready
@@ -240,7 +242,7 @@ TEST(PlanIndexAudit, SampledPopDetectsBrokenReadySet) {
 }
 
 TEST(PlanIndexAudit, AsymmetricSharingFiresPlannerPrecondition) {
-  // buildLocalityPlan's trim reads rows where the legacy loop reads
+  // buildLocalityPlan's trim reads rows where the Fig. 3 loop reads
   // columns, so it requires a matrix symmetric over the planned subset.
   ExtendedProcessGraph graph;
   for (int i = 0; i < 4; ++i) {

@@ -382,8 +382,9 @@ TEST(MpsocSimulator, SharedL2StatsFlowIntoTheResult) {
   const SharingMatrix sharing =
       SharingMatrix::compute(rig.workload.footprints());
   MpsocConfig cfg = smallConfig(2);
-  cfg.sharedL2.emplace();
-  cfg.bus.emplace();
+  PlatformConfig& platform = cfg.platform.emplace();
+  platform.interconnect = InterconnectKind::Bus;
+  platform.sharedL2.emplace();
   MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
   const SimResult r = sim.run();
   EXPECT_TRUE(r.sharedL2Enabled);
@@ -402,8 +403,9 @@ TEST(MpsocSimulator, ContentionIsDeterministic) {
     const SharingMatrix sharing =
         SharingMatrix::compute(rig.workload.footprints());
     MpsocConfig cfg = smallConfig(3);
-    cfg.sharedL2.emplace();
-    cfg.bus.emplace();
+    PlatformConfig& platform = cfg.platform.emplace();
+    platform.interconnect = InterconnectKind::Bus;
+    platform.sharedL2.emplace();
     MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
     return sim.run();
   };
@@ -426,11 +428,11 @@ TEST(MpsocSimulator, ABoundedBusStretchesTheMakespan) {
         SharingMatrix::compute(rig.workload.footprints());
     MpsocConfig cfg = smallConfig(4);
     if (bounded) {
-      BusConfig bus;
-      bus.maxOutstanding = 1;
-      bus.latencyCycles = 75;
-      bus.widthBytes = 8;
-      cfg.bus = bus;
+      PlatformConfig& platform = cfg.platform.emplace();
+      platform.interconnect = InterconnectKind::Bus;
+      platform.bus.maxOutstanding = 1;
+      platform.bus.latencyCycles = 75;
+      platform.bus.widthBytes = 8;
     }
     MpsocSimulator sim(rig.workload, space, sharing, policy, cfg);
     return sim.run().makespanCycles;

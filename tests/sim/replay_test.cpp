@@ -218,15 +218,14 @@ TEST(RunLengthReplay, InterleavedLayoutTransform) {
 
 MpsocConfig contendedConfig(std::size_t cores) {
   MpsocConfig cfg = stressConfig(cores);
-  SharedL2Config l2;
+  PlatformConfig& platform = cfg.platform.emplace();
+  platform.interconnect = InterconnectKind::Bus;
+  SharedL2Config& l2 = platform.sharedL2.emplace();
   l2.sizeBytes = 4096;
   l2.assoc = 2;
   l2.lineBytes = 32;
   l2.bankCount = 4;
-  cfg.sharedL2 = l2;
-  BusConfig bus;
-  bus.maxOutstanding = 2;
-  cfg.bus = bus;
+  platform.bus.maxOutstanding = 2;
   return cfg;
 }
 
@@ -268,8 +267,9 @@ TEST(RunLengthReplay, ContendedSuitePaperSchedulers) {
   const Workload mix = concurrentScenario(suite, 3);
   for (const SchedulerKind kind : paperSchedulers()) {
     ExperimentConfig config;
-    config.mpsoc.sharedL2.emplace();
-    config.mpsoc.bus.emplace();
+    PlatformConfig& platform = config.mpsoc.platform.emplace();
+    platform.interconnect = InterconnectKind::Bus;
+    platform.sharedL2.emplace();
     config.mpsoc.memory.classifyMisses = true;
     config.sched.rrsQuantumCycles = 2'000;
     config.mpsoc.replayMode = ReplayMode::PerEvent;
