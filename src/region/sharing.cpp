@@ -10,12 +10,18 @@
 namespace laps {
 
 SharingMatrix::SharingMatrix(std::size_t n)
-    : n_(n), cells_(n * n, 0), active_(n, 1) {}
+    : n_(n), cells_(n * n, 0), rowSums_(n, 0), active_(n, 1) {}
 
 SharingMatrix SharingMatrix::inactive(std::size_t n) {
   SharingMatrix m(n);
   m.active_.assign(n, 0);
   return m;
+}
+
+std::int64_t SharingMatrix::sumRow(std::size_t p) const {
+  std::int64_t sum = -cell(p, p);
+  for (std::size_t q = 0; q < n_; ++q) sum += cell(p, q);
+  return sum;
 }
 
 std::size_t SharingMatrix::idx(std::size_t p, std::size_t q) const {
@@ -37,6 +43,7 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
   // operand order mirrors compute()'s upper-triangle evaluation
   // (footprints[min].sharedElements(footprints[max])), so the values are
   // the very same calls a from-scratch compute over the active set makes.
+  // rowSums_[q] is owned by index q too, so its update rides along.
   const auto updateRange = [&](std::size_t begin, std::size_t end) {
     for (std::size_t q = begin; q < end; ++q) {
       if (q == p || !active_[q]) continue;
@@ -46,6 +53,7 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
           footprints[lo].sharedElements(footprints[hi]);
       cell(p, q) = shared;
       cell(q, p) = shared;
+      rowSums_[q] += shared;
     }
   };
   // A row update is O(n) cheap intersections; below this width the
@@ -59,16 +67,22 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
   } else {
     parallelChunks(n_, updateRange);
   }
+  rowSums_[p] = sumRow(p);
 }
 
 void SharingMatrix::removeProcess(std::size_t p) {
   check(p < n_, "SharingMatrix::removeProcess: index out of range");
   check(active_[p], "SharingMatrix::removeProcess: process not active");
   active_[p] = 0;
+  // Inactive processes' cells are already zero, so only the active
+  // ones' column cells (strided, one cache line each) need a visit.
   for (std::size_t q = 0; q < n_; ++q) {
-    cell(p, q) = 0;
+    if (!active_[q]) continue;
+    rowSums_[q] -= cell(q, p);
     cell(q, p) = 0;
   }
+  std::fill_n(cells_.begin() + static_cast<std::ptrdiff_t>(p * n_), n_, 0);
+  rowSums_[p] = 0;
 }
 
 bool SharingMatrix::isActive(std::size_t p) const {
@@ -123,6 +137,10 @@ SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
       }
     }
   });
+  // Row sums once the cells are final. Serial: n^2 additions are a few
+  // percent of the intersections above, less than a second pool
+  // dispatch costs at 8 threads.
+  for (std::size_t p = 0; p < n; ++p) m.rowSums_[p] = m.sumRow(p);
   return m;
 }
 
@@ -131,7 +149,9 @@ std::int64_t SharingMatrix::at(std::size_t p, std::size_t q) const {
 }
 
 void SharingMatrix::set(std::size_t p, std::size_t q, std::int64_t value) {
-  cells_[idx(p, q)] = value;
+  std::int64_t& target = cells_[idx(p, q)];
+  if (p != q) rowSums_[p] += value - target;
+  target = value;
 }
 
 std::span<const std::int64_t> SharingMatrix::row(std::size_t p) const {
@@ -139,21 +159,9 @@ std::span<const std::int64_t> SharingMatrix::row(std::size_t p) const {
   return {cells_.data() + p * n_, n_};
 }
 
-std::int64_t SharingMatrix::rowSum(std::size_t p,
-                                   std::span<const std::size_t> candidates) const {
+std::int64_t SharingMatrix::rowSum(std::size_t p) const {
   check(p < n_, "SharingMatrix::rowSum: index out of range");
-  std::int64_t total = 0;
-  if (candidates.empty()) {
-    for (std::size_t q = 0; q < n_; ++q) {
-      if (q != p) total += cell(p, q);
-    }
-  } else {
-    for (const std::size_t q : candidates) {
-      check(q < n_, "SharingMatrix::rowSum: candidate out of range");
-      if (q != p) total += cell(p, q);
-    }
-  }
-  return total;
+  return rowSums_[p];
 }
 
 bool SharingMatrix::isDiagonal() const {
@@ -166,13 +174,24 @@ bool SharingMatrix::isDiagonal() const {
 }
 
 void SharingMatrix::auditInvariants() const {
+  // Each clause tests first and builds its message only on a violation:
+  // the engine audits after every arrival and exit, n^2 cells a time.
   for (std::size_t p = 0; p < n_; ++p) {
+    const std::int64_t sum = sumRow(p);
+    if (sum != rowSums_[p]) {
+      audit::require(false, "SharingMatrix: stored row sum of process " +
+                                std::to_string(p) + " is " +
+                                std::to_string(rowSums_[p]) +
+                                ", its row sums to " + std::to_string(sum));
+    }
     if (!active_[p]) {
       for (std::size_t q = 0; q < n_; ++q) {
-        audit::require(cell(p, q) == 0 && cell(q, p) == 0,
-                       "SharingMatrix: inactive process " + std::to_string(p) +
-                           " has a nonzero row or column entry at " +
-                           std::to_string(q));
+        if (cell(p, q) != 0 || cell(q, p) != 0) {
+          audit::require(false, "SharingMatrix: inactive process " +
+                                    std::to_string(p) +
+                                    " has a nonzero row or column entry at " +
+                                    std::to_string(q));
+        }
       }
       continue;
     }
@@ -181,13 +200,20 @@ void SharingMatrix::auditInvariants() const {
                    "process " +
                        std::to_string(p));
     for (std::size_t q = p + 1; q < n_; ++q) {
-      audit::require(cell(p, q) == cell(q, p),
-                     "SharingMatrix: asymmetric cells (" + std::to_string(p) +
-                         ", " + std::to_string(q) + "): " +
-                         std::to_string(cell(p, q)) + " vs " +
-                         std::to_string(cell(q, p)));
+      if (cell(p, q) != cell(q, p)) {
+        audit::require(false, "SharingMatrix: asymmetric cells (" +
+                                  std::to_string(p) + ", " +
+                                  std::to_string(q) + "): " +
+                                  std::to_string(cell(p, q)) + " vs " +
+                                  std::to_string(cell(q, p)));
+      }
     }
   }
+}
+
+void SharingMatrix::corruptRowSumForTest(std::size_t p, std::int64_t value) {
+  check(p < n_, "SharingMatrix::corruptRowSumForTest: index out of range");
+  rowSums_[p] = value;
 }
 
 namespace audit {

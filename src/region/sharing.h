@@ -53,7 +53,9 @@ class SharingMatrix {
   void addProcess(std::span<const Footprint> footprints, std::size_t p);
 
   /// Deactivates process \p p, zeroing its row and column (including the
-  /// diagonal). Throws laps::Error if \p p is not active.
+  /// diagonal). Only the active processes' column cells are visited —
+  /// an inactive process's cells are already zero. Throws laps::Error
+  /// if \p p is not active.
   void removeProcess(std::size_t p);
 
   /// True when \p p is present (added and not removed).
@@ -76,11 +78,13 @@ class SharingMatrix {
   /// is invalidated by any mutation of the matrix.
   [[nodiscard]] std::span<const std::int64_t> row(std::size_t p) const;
 
-  /// Sum over q != p of M[p][q] (how much p shares with everyone else);
-  /// if \p candidates is non-empty, restricted to that set. Used by the
-  /// Fig. 3 initial round ("remove the candidate with maximum sharing").
-  [[nodiscard]] std::int64_t rowSum(std::size_t p,
-                                    std::span<const std::size_t> candidates = {}) const;
+  /// Sum over q != p of M[p][q] (how much p shares with everyone else),
+  /// in O(1): the sum is stored and kept live by every mutation —
+  /// compute() fills it, addProcess/removeProcess patch it with the
+  /// row and column they touch, set() applies the change in value. The
+  /// Fig. 3 trim derives each candidate's total from it by complement
+  /// (sched/locality.h).
+  [[nodiscard]] std::int64_t rowSum(std::size_t p) const;
 
   /// True when no off-diagonal entry is positive.
   [[nodiscard]] bool isDiagonal() const;
@@ -90,15 +94,23 @@ class SharingMatrix {
 
   /// Audit checker (docs/ARCHITECTURE.md §11): the matrix must be
   /// symmetric over the active set, every inactive process's row and
-  /// column must be zero, and the diagonal of an active process must be
-  /// non-negative (a footprint size). Throws laps::AuditError on
+  /// column must be zero, the diagonal of an active process must be
+  /// non-negative (a footprint size), and every stored row sum must
+  /// equal a fresh sum of its row. Throws laps::AuditError on
   /// violation. The engine runs it after every incremental
   /// arrival/exit update under LAPSCHED_AUDIT; tests inject violations
-  /// through set() (which writes a single cell) to prove it fires.
+  /// through set() (which writes a single cell) and
+  /// corruptRowSumForTest to prove it fires.
   void auditInvariants() const;
+
+  /// Test seam for the audit path: overwrites \p p's stored row sum
+  /// with \p value, bypassing the maintenance.
+  void corruptRowSumForTest(std::size_t p, std::int64_t value);
 
  private:
   [[nodiscard]] std::size_t idx(std::size_t p, std::size_t q) const;
+  /// Σ_{q≠p} M[p][q] summed fresh from row p (p < n_).
+  [[nodiscard]] std::int64_t sumRow(std::size_t p) const;
 
   /// Unchecked cell access for loops whose indices are validated once at
   /// the boundary (p, q < n_ by construction).
@@ -111,6 +123,7 @@ class SharingMatrix {
 
   std::size_t n_ = 0;
   std::vector<std::int64_t> cells_;  // row-major n x n
+  std::vector<std::int64_t> rowSums_;  // rowSums_[p] = Σ_{q≠p} M[p][q]
   std::vector<char> active_;         // per-process presence flags
 };
 

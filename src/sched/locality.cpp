@@ -83,6 +83,86 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
   return in;
 }
 
+/// Each candidate's total sharing with the other candidates, summed
+/// over the smaller side of the split: directly over IN, or by
+/// complement as rowSum(p) minus the row over the active processes
+/// outside IN (exact: an inactive process's cells are zero). An OLS
+/// rebuild is on the complement side, a closed plan's roots usually on
+/// the direct one.
+std::vector<std::int64_t> trimTotals(const std::vector<ProcessId>& in,
+                                     const SharingMatrix& sharing) {
+  std::vector<char> isCandidate(sharing.size(), 0);
+  for (const ProcessId p : in) isCandidate[p] = 1;
+  // The outside list is only wanted while it stays the smaller side.
+  std::vector<ProcessId> outside;
+  outside.reserve(in.size());
+  for (ProcessId q = 0; q < sharing.size() && outside.size() < in.size();
+       ++q) {
+    if (!isCandidate[q] && sharing.isActive(q)) outside.push_back(q);
+  }
+  const bool byComplement = outside.size() < in.size();
+  std::vector<std::int64_t> totals(in.size(), 0);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const std::span<const std::int64_t> row = sharing.row(in[i]);
+    std::int64_t total = 0;
+    if (byComplement) {
+      total = sharing.rowSum(in[i]);
+      for (const ProcessId q : outside) total -= row[q];
+    } else {
+      for (const ProcessId q : in) total += row[q];
+      total -= row[in[i]];
+    }
+    totals[i] = total;
+  }
+  return totals;
+}
+
+/// Fig. 3's initial round: trims IN down to the core count by
+/// repeatedly removing the candidate with the maximum total sharing
+/// with the other candidates. Each removal is one pass that compacts
+/// the removed candidate out, subtracts its row from the remaining
+/// totals and picks the next worst. Integer sums, so each patched total
+/// equals Fig. 3's from-scratch rescan exactly; the pick keeps the
+/// rescan's sentinel (the first candidate unless some total exceeds -1)
+/// and its smallest-index tie-break (strict `>`).
+void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
+                     std::size_t coreCount) {
+  if (in.size() <= coreCount) return;
+  std::vector<std::int64_t> totals = trimTotals(in, sharing);
+  std::size_t worst = 0;
+  std::int64_t worstSharing = -1;
+  for (std::size_t i = 0; i < totals.size(); ++i) {
+    if (totals[i] > worstSharing) {
+      worstSharing = totals[i];
+      worst = i;
+    }
+  }
+  while (in.size() > coreCount) {
+    // row(removed)[p] equals the rescan's at(p, removed) on a symmetric
+    // matrix (the precondition, audited at entry), and reads one
+    // contiguous row instead of a strided column.
+    const std::span<const std::int64_t> removedRow = sharing.row(in[worst]);
+    std::size_t kept = 0;
+    std::size_t next = 0;
+    std::int64_t nextSharing = -1;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (i == worst) continue;
+      const ProcessId p = in[i];
+      const std::int64_t total = totals[i] - removedRow[p];
+      in[kept] = p;
+      totals[kept] = total;
+      if (total > nextSharing) {
+        nextSharing = total;
+        next = kept;
+      }
+      ++kept;
+    }
+    in.resize(kept);
+    totals.resize(kept);
+    worst = next;
+  }
+}
+
 /// Places the initial round — one process per core. Distance-blind
 /// (no topology): id order onto cores 0..|in|-1, the paper's placement,
 /// byte-identical to the pre-NoC loop. With a topology: a region-growing
@@ -149,44 +229,8 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
 
   std::vector<ProcessId> in = initialCandidates(graph, inSubset, subset);
 
-  // Trim IN down to the core count by repeatedly removing the candidate
-  // with the maximum total sharing with the other candidates (paper
-  // Fig. 3). The totals are computed once — O(|IN|^2) row loads — and
-  // patched after each removal by subtracting the removed candidate's
-  // contribution: integer sums, so each patched total equals Fig. 3's
-  // from-scratch rescan exactly, and the worst-pick scan below keeps
-  // the rescan's sentinel (worst stays 0 unless some total exceeds -1)
-  // and its smallest-index tie-break.
   if (options.initialMinSharingRound) {
-    std::vector<std::int64_t> totals(in.size(), 0);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::span<const std::int64_t> row = sharing.row(in[i]);
-      std::int64_t total = 0;
-      for (std::size_t j = 0; j < in.size(); ++j) {
-        if (i != j) total += row[in[j]];
-      }
-      totals[i] = total;
-    }
-    while (in.size() > coreCount) {
-      std::size_t worst = 0;
-      std::int64_t worstSharing = -1;
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        if (totals[i] > worstSharing) {
-          worstSharing = totals[i];
-          worst = i;
-        }
-      }
-      const ProcessId removed = in[worst];
-      in.erase(in.begin() + static_cast<std::ptrdiff_t>(worst));
-      totals.erase(totals.begin() + static_cast<std::ptrdiff_t>(worst));
-      // row(removed)[in[i]] equals the rescan's at(in[i], removed) on a
-      // symmetric matrix (the precondition, audited at entry), and reads
-      // one contiguous row instead of a strided column.
-      const std::span<const std::int64_t> removedRow = sharing.row(removed);
-      for (std::size_t i = 0; i < in.size(); ++i) {
-        totals[i] -= removedRow[in[i]];
-      }
-    }
+    trimToCoreCount(in, sharing, coreCount);
   } else {
     // Ablation: keep the first X roots in id order.
     while (in.size() > coreCount) in.pop_back();

@@ -78,10 +78,15 @@ struct LocalityOptions {
 /// belong to another task), and only subset members are placed. An
 /// empty subset means every process, exactly as before.
 ///
-/// Runs on the indexed planner core (sched/plan_index.h): incremental
-/// row-sum totals for the initial trim (O(|IN|²) instead of O(|IN|³)),
-/// cached indegree counters instead of the per-candidate predecessor
-/// walk, and one linear argmax over the ready set per placement. The
+/// Runs on the indexed planner core (sched/plan_index.h). The initial
+/// trim computes each candidate's total once, in
+/// O(|IN| · min(|IN|, |active∖IN|)): directly, or by complement from
+/// the matrix's live row sums (SharingMatrix::rowSum) minus the row
+/// over the active processes outside IN — for an OLS rebuild, just the
+/// running ones. Each removal is then one O(|IN|) pass, where Fig. 3's
+/// rescan is O(|IN|²). Cached indegree counters replace the
+/// per-candidate predecessor walk, and one linear argmax over the
+/// ready set serves each placement. The
 /// plan is identical — element for element — to the Fig. 3 loops as
 /// written; the differential tests in tests/sched/plan_index_test.cpp
 /// (against the test-only reference planner) and the equality argument
@@ -92,7 +97,9 @@ struct LocalityOptions {
 /// updates produce is). The trim patches its totals by reading the
 /// removed candidate's row, in place of the column Fig. 3's rescan
 /// reads; on an asymmetric matrix the two plans may differ. Checked at
-/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError).
+/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError). The complement
+/// also relies on SharingMatrix's own invariants (inactive cells zero,
+/// row sums live), which SharingMatrix::auditInvariants checks.
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,

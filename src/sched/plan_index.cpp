@@ -110,15 +110,18 @@ std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
   // degenerates to the smallest ready id, distance-aware the nearest
   // home wins. The order is independent of the array order.
   const std::int64_t* row = anchor ? sharing_->row(*anchor).data() : nullptr;
+  // The comparison is evaluated without short-circuit branches: the
+  // sharing values repeat (ties are the common case on keyed
+  // workloads), so a branch on key == bestKey mispredicts. What is left
+  // to branch on, a new best, is rare once the scan is under way.
   ProcessId best = ready_.front();
   std::int64_t bestKey = keyFor(core, best, row);
   for (std::size_t i = 1; i < ready_.size(); ++i) {
     const ProcessId q = ready_[i];
     const std::int64_t key = keyFor(core, q, row);
-    if (key > bestKey || (key == bestKey && q < best)) {
-      best = q;
-      bestKey = key;
-    }
+    const bool better = (key > bestKey) | ((key == bestKey) & (q < best));
+    best = better ? q : best;
+    bestKey = better ? key : bestKey;
   }
   ++popCount_;
   LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) auditReadySet());

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/laps.h"
 #include "util/audit.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace laps {
 namespace {
@@ -78,8 +80,6 @@ TEST(SharingMatrix, RowSumAllAndRestricted) {
   m.set(0, 3, 30);
   m.set(0, 0, 999);  // diagonal must be excluded
   EXPECT_EQ(m.rowSum(0), 60);
-  const std::vector<std::size_t> candidates{0, 1, 3};
-  EXPECT_EQ(m.rowSum(0, candidates), 40);
 }
 
 TEST(SharingMatrix, EmptyMatrix) {
@@ -157,27 +157,74 @@ TEST(SharingAudit, ActiveSetAgreementCatchesDisagreements) {
   EXPECT_THROW(audit::activeSetAgreement(m, arrived, exited, 0), AuditError);
 }
 
+TEST(SharingAudit, InjectedRowSumTrips) {
+  SharingMatrix m = SharingMatrix::compute(prog1Footprints());
+  EXPECT_NO_THROW(m.auditInvariants());
+  // A stale stored sum with every cell intact: symmetric, zero outside
+  // the active set, so only the row-sum clause can catch it.
+  m.corruptRowSumForTest(3, m.rowSum(3) + 1);
+  EXPECT_THROW(m.auditInvariants(), AuditError);
+  // An inactive process's stored sum must be zero too.
+  SharingMatrix open = SharingMatrix::inactive(3);
+  open.corruptRowSumForTest(1, 5);
+  EXPECT_THROW(open.auditInvariants(), AuditError);
+  // The seam itself rejects unknown processes.
+  EXPECT_THROW(open.corruptRowSumForTest(3, 0), Error);
+}
+
+/// Restores automatic thread-count resolution when a test exits.
+class ThreadCountGuard {
+ public:
+  ~ThreadCountGuard() { setParallelThreadCount(0); }
+};
+
 TEST(SharingAudit, IncrementalMaintenanceStaysCleanThroughChurn) {
-  const auto fps = prog1Footprints();
-  SharingMatrix m = SharingMatrix::inactive(fps.size());
-  std::vector<bool> arrived(fps.size(), false);
-  std::vector<bool> exited(fps.size(), false);
-  std::size_t live = 0;
-  const auto checkAll = [&] {
-    m.auditInvariants();
-    audit::activeSetAgreement(m, arrived, exited, live);
-  };
-  for (std::size_t p = 0; p < fps.size(); ++p) {
-    m.addProcess(fps, p);
-    arrived[p] = true;
-    ++live;
-    EXPECT_NO_THROW(checkAll());
-  }
-  for (std::size_t p = 0; p < fps.size(); p += 2) {
-    m.removeProcess(p);
-    exited[p] = true;
-    --live;
-    EXPECT_NO_THROW(checkAll());
+  // Inputs: the paper's Prog1 (inline row updates) and a 330-process
+  // suite mix (above addProcess's parallel cutoff), each at thread
+  // counts {1, 8}. After every addProcess, removeProcess and set, each
+  // stored row sum must equal a brute-force sum of its row.
+  const ThreadCountGuard guard;
+  const std::vector<std::vector<Footprint>> inputs{
+      prog1Footprints(),
+      concurrentScenario(standardSuite(), 12).footprints()};
+  for (const auto& fps : inputs) {
+    for (const std::size_t threads : {1u, 8u}) {
+      setParallelThreadCount(threads);
+      SharingMatrix m = SharingMatrix::inactive(fps.size());
+      std::vector<bool> arrived(fps.size(), false);
+      std::vector<bool> exited(fps.size(), false);
+      std::size_t live = 0;
+      const auto checkAll = [&] {
+        m.auditInvariants();
+        audit::activeSetAgreement(m, arrived, exited, live);
+        for (std::size_t p = 0; p < m.size(); ++p) {
+          const std::span<const std::int64_t> row = m.row(p);
+          std::int64_t expected = 0;
+          for (std::size_t q = 0; q < row.size(); ++q) {
+            if (q != p) expected += row[q];
+          }
+          ASSERT_EQ(m.rowSum(p), expected)
+              << "process " << p << " of " << m.size() << " at " << threads
+              << " threads";
+        }
+      };
+      for (std::size_t p = 0; p < fps.size(); ++p) {
+        m.addProcess(fps, p);
+        arrived[p] = true;
+        ++live;
+        EXPECT_NO_THROW(checkAll());
+      }
+      for (std::size_t p = 0; p < fps.size(); p += 2) {
+        m.removeProcess(p);
+        exited[p] = true;
+        --live;
+        EXPECT_NO_THROW(checkAll());
+      }
+      // set() rewrites one symmetric pair between active processes.
+      m.set(1, 3, m.at(1, 3) + 7);
+      m.set(3, 1, m.at(3, 1) + 7);
+      EXPECT_NO_THROW(checkAll());
+    }
   }
 }
 

@@ -118,7 +118,8 @@ TEST(PlanIndexDifferential, MatchesReferenceOnRandomDags) {
 
 TEST(PlanIndexDifferential, MatchesReferenceOnRealWorkload) {
   // The benchmark-suite mixes exercise the realistic sharing topology
-  // (dense blocks within an application, sparse across).
+  // (dense blocks within an application, sparse across), closed and
+  // open.
   const auto suite = standardSuite();
   const Workload mix = concurrentScenario(suite, 3);
   const SharingMatrix sharing = SharingMatrix::compute(mix.footprints());
@@ -126,6 +127,29 @@ TEST(PlanIndexDifferential, MatchesReferenceOnRealWorkload) {
     expectPlansEqual(buildLocalityPlan(mix.graph, sharing, coreCount),
                      reference::buildPlan(mix.graph, sharing, coreCount),
                      9999, coreCount);
+  }
+
+  // Open mode, the OLS rebuild's input: a matrix grown by addProcess
+  // over the keyed service workload (sharing in {0, 256, 512}), with
+  // every seventh request never activated, planned over the active
+  // requests minus every ninth id (the running processes). The trim
+  // then skips both inactive processes and active non-members.
+  ServiceWorkloadParams params;
+  params.requestCount = 200;
+  const Workload service = makeServiceWorkload(params);
+  const std::vector<Footprint> footprints = service.footprints();
+  SharingMatrix open = SharingMatrix::inactive(footprints.size());
+  std::vector<ProcessId> subset;
+  for (ProcessId p = 0; p < footprints.size(); ++p) {
+    if (p % 7 == 3) continue;
+    open.addProcess(footprints, p);
+    if (p % 9 != 4) subset.push_back(p);
+  }
+  for (const std::size_t coreCount : {std::size_t{2}, std::size_t{8}}) {
+    expectPlansEqual(
+        buildLocalityPlan(service.graph, open, coreCount, {}, subset),
+        reference::buildPlan(service.graph, open, coreCount, {}, subset),
+        10000, coreCount);
   }
 }
 
