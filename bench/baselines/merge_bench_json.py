@@ -9,6 +9,7 @@ file records a before/after trajectory, not a single snapshot.
 
 Output schema (one object per benchmark, times in ns):
   name, iterations, real_time_ns, cpu_time_ns         from the t1 run
+  <counter>                                           user counters of the t1 run
   t8_real_time_ns, t8_cpu_time_ns, t8_speedup         when --t8 covers it
   previous_cpu_time_ns, speedup_vs_previous           when --previous has it
   vs_faultfree_speedup                                when a FaultFree twin ran
@@ -44,6 +45,17 @@ import sys
 TWINS = [
     ("FaultFree", "vs_faultfree_speedup"),
 ]
+
+
+# Fields google-benchmark writes for every run; any other numeric field
+# of a run is a user counter.
+GBENCH_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads", "iterations",
+    "real_time", "cpu_time", "time_unit", "label", "items_per_second",
+    "bytes_per_second", "error_occurred", "error_message",
+    "aggregate_name", "aggregate_unit",
+}
 
 
 def load(path):
@@ -94,6 +106,11 @@ def main():
         }
         if "label" in bench:
             entry["label"] = bench["label"]
+        # User counters (state.counters) are carried over verbatim: they
+        # are deterministic work counts, e.g. examined_pairs.
+        for key, value in bench.items():
+            if key not in GBENCH_FIELDS and isinstance(value, (int, float)):
+                entry[key] = value
         if name in t8:
             entry["t8_real_time_ns"] = round(t8[name]["real_time"], 1)
             entry["t8_cpu_time_ns"] = round(t8[name]["cpu_time"], 1)

@@ -224,6 +224,39 @@ void BM_LocalityPlanLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalityPlanLarge)->Arg(1000)->Arg(4000);
 
+// Fig. 5 re-layout selection on a seeded n-array conflict matrix (272
+// is the array count of the |T|=48 concurrent mix) with mean T, a
+// 1-in-8 eligibility relation and no size guard. examined_pairs is the
+// deterministic work count: pairs above T the walk actually examines.
+void BM_PlanRelayout(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(0x5eed0000 + n);
+  ConflictMatrix conflicts(n);
+  std::vector<bool> eligibleCells(n * n, false);
+  for (std::size_t x = 0; x < n; ++x) {
+    for (std::size_t y = x + 1; y < n; ++y) {
+      const auto v = static_cast<std::int64_t>(rng.below(4096));
+      conflicts.set(x, y, v);
+      conflicts.set(y, x, v);
+      eligibleCells[x * n + y] = rng.below(8) == 0;
+    }
+  }
+  const PairEligibility eligible = [&eligibleCells, n](ArrayId x, ArrayId y) {
+    return eligibleCells[std::min<std::size_t>(x, y) * n +
+                         std::max<std::size_t>(x, y)];
+  };
+  const CacheConfig cache{};
+  std::size_t examined = 0;
+  for (auto _ : state) {
+    const RelayoutPlan plan = planRelayout(conflicts, cache, eligible);
+    examined = plan.examinedPairs.size();
+    benchmark::DoNotOptimize(plan.transforms.data());
+  }
+  state.counters["examined_pairs"] = static_cast<double>(examined);
+  state.SetLabel(std::to_string(n) + " arrays");
+}
+BENCHMARK(BM_PlanRelayout)->Arg(68)->Arg(272);
+
 // The fault-path overhead guard (docs §13): the same open service run
 // with a FaultPlan attached whose every rate is zero — the plan is
 // inert, faultsActive_ stays false, and the engine must take the exact

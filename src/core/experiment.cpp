@@ -2,6 +2,7 @@
 
 #include "sched/locality.h"
 #include "taskgraph/validate.h"
+#include "util/error.h"
 
 namespace laps {
 
@@ -18,6 +19,10 @@ std::vector<SchedulerKind> openSchedulers() {
 
 ExperimentResult runExperiment(const Workload& workload, SchedulerKind kind,
                                const ExperimentConfig& config) {
+  // Config before workload: a negative T is rejected before any
+  // footprint work, whichever scheduler runs.
+  check(!config.relayoutThreshold || *config.relayoutThreshold >= 0,
+        "runExperiment: relayoutThreshold must be >= 0");
   validateWorkload(workload);
 
   // §2: exact per-process data sets and the sharing matrix. In open

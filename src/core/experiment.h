@@ -29,7 +29,8 @@ struct ExperimentConfig {
   AddressSpaceOptions addressSpace{}; ///< array placement
   EnergyModel energy{};               ///< energy accounting
   /// Override for the LSM re-layout threshold T (default: mean conflicts,
-  /// as in the paper).
+  /// as in the paper). Must be >= 0; runExperiment rejects a negative
+  /// value up front.
   std::optional<std::int64_t> relayoutThreshold;
 };
 

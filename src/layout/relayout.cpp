@@ -1,5 +1,6 @@
 #include "layout/relayout.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_set>
 
@@ -53,69 +54,58 @@ RelayoutPlan planRelayout(const ConflictMatrix& conflicts,
     plan.threshold =
         count > 1 ? total / count : conflicts.averagePairConflicts();
   }
+  check(plan.threshold >= 0, "planRelayout: threshold T must be >= 0");
   if (n < 2) return plan;
+
+  // Fig. 5's rounds, as one sorted walk (equivalence argument in
+  // relayout.h): the pairs above T in (value desc, x asc, y asc) order,
+  // skipping those whose arrays are both re-laid out already.
+  struct Candidate {
+    std::int64_t value;
+    ArrayId x;
+    ArrayId y;
+  };
+  std::vector<Candidate> candidates;
+  for (std::size_t x = 0; x < n; ++x) {
+    for (std::size_t y = x + 1; y < n; ++y) {
+      const std::int64_t value = conflicts.at(x, y);
+      if (value > plan.threshold) {
+        candidates.push_back(
+            {value, static_cast<ArrayId>(x), static_cast<ArrayId>(y)});
+      }
+    }
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.value != b.value) return a.value > b.value;
+              if (a.x != b.x) return a.x < b.x;
+              return a.y < b.y;
+            });
 
   const std::int64_t page = cache.cachePageBytes();
   const std::int64_t half = page / 2;
-  std::vector<bool> relayouted(n, false);
-
-  // Working copy of the matrix (entries are zeroed as pairs are consumed).
-  ConflictMatrix m(n);
-  for (std::size_t x = 0; x < n; ++x) {
-    for (std::size_t y = 0; y < n; ++y) {
-      m.set(x, y, conflicts.at(x, y));
-    }
-  }
-
-  // Picks the max-conflict pair among pairs with at least one fresh array;
-  // returns false when none remains.
-  const auto selectMax = [&](std::size_t& outX, std::size_t& outY) {
-    std::int64_t best = -1;
-    for (std::size_t x = 0; x < n; ++x) {
-      for (std::size_t y = x + 1; y < n; ++y) {
-        if (relayouted[x] && relayouted[y]) continue;
-        if (m.at(x, y) > best) {
-          best = m.at(x, y);
-          outX = x;
-          outY = y;
-        }
-      }
-    }
-    return best >= 0;
+  const auto opposite = [&](std::int64_t phase) {
+    return phase == 0 ? half : std::int64_t{0};
   };
-
-  std::size_t x = 0;
-  std::size_t y = 0;
-  if (!selectMax(x, y)) return plan;
-  while (m.at(x, y) > plan.threshold) {
-    m.set(x, y, 0);
-    m.set(y, x, 0);
-    plan.examinedPairs.emplace_back(static_cast<ArrayId>(x),
-                                    static_cast<ArrayId>(y));
-    if (eligible(static_cast<ArrayId>(x), static_cast<ArrayId>(y)) &&
-        limits.fits(static_cast<ArrayId>(x)) &&
-        limits.fits(static_cast<ArrayId>(y))) {
-      const auto opposite = [&](std::int64_t phase) {
-        return phase == 0 ? half : std::int64_t{0};
-      };
-      if (relayouted[x] && !relayouted[y]) {
-        plan.transforms[y] = LayoutTransform::interleave(
-            page, opposite(plan.transforms[x].phase()));
-        relayouted[y] = true;
-      } else if (relayouted[y] && !relayouted[x]) {
-        plan.transforms[x] = LayoutTransform::interleave(
-            page, opposite(plan.transforms[y].phase()));
-        relayouted[x] = true;
-      } else if (!relayouted[x] && !relayouted[y]) {
-        plan.transforms[x] = LayoutTransform::interleave(page, 0);
-        plan.transforms[y] = LayoutTransform::interleave(page, half);
-        relayouted[x] = true;
-        relayouted[y] = true;
-      }
-      // Both already re-layouted: their layouts were fixed by pairs with
-      // higher conflict counts; leave them as-is (paper Fig. 5).
+  std::vector<bool> relayouted(n, false);
+  for (const auto& [value, x, y] : candidates) {
+    if (relayouted[x] && relayouted[y]) continue;
+    plan.examinedPairs.emplace_back(x, y);
+    if (!eligible(x, y) || !limits.fits(x) || !limits.fits(y)) continue;
+    if (relayouted[x]) {
+      plan.transforms[y] = LayoutTransform::interleave(
+          page, opposite(plan.transforms[x].phase()));
+      relayouted[y] = true;
+    } else if (relayouted[y]) {
+      plan.transforms[x] = LayoutTransform::interleave(
+          page, opposite(plan.transforms[y].phase()));
+      relayouted[x] = true;
+    } else {
+      plan.transforms[x] = LayoutTransform::interleave(page, 0);
+      plan.transforms[y] = LayoutTransform::interleave(page, half);
+      relayouted[x] = true;
+      relayouted[y] = true;
     }
-    if (!selectMax(x, y)) break;
   }
   return plan;
 }

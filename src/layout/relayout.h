@@ -9,6 +9,17 @@
 /// opposite phases so they can no longer conflict. It stops when the best
 /// remaining pair is below the threshold T (default: the mean conflict
 /// count over all pairs).
+///
+/// The paper states the loop as a rescan: each round takes the largest
+/// value among pairs that still have a fresh array (first in row-major
+/// order on ties), zeroes it, and stops once that value is <= T. Because
+/// a consumed pair sits at 0, which is never above T when T >= 0, and a
+/// pair whose arrays are both re-laid out stays that way, the rounds pick
+/// exactly the pairs above T in (value desc, x asc, y asc) order, minus
+/// those whose arrays were both re-laid out by earlier picks.
+/// planRelayout runs that one sorted walk: O(n^2 + k log k) for k pairs
+/// above T instead of O(k * n^2). T < 0 is rejected — under the rescan
+/// it would make consumed pairs selectable forever.
 
 #include <cstdint>
 #include <functional>
@@ -65,6 +76,7 @@ struct RelayoutLimits {
 ///                    to consider every pair
 /// \param thresholdOverride  use a fixed T instead of the mean
 /// \param limits      working-set size guard (see RelayoutLimits)
+/// \throws laps::Error when T (fixed or mean) is negative
 [[nodiscard]] RelayoutPlan planRelayout(
     const ConflictMatrix& conflicts, const CacheConfig& cache,
     const PairEligibility& eligible,

@@ -18,6 +18,21 @@ AppParams smallApps() {
   return p;
 }
 
+/// One process reading 64 elements of an 8-element array: fails
+/// validateWorkload.
+Workload outOfBoundsWorkload() {
+  Workload bad;
+  const ArrayId v = bad.arrays.add("V", {8}, 4);
+  ProcessSpec p;
+  p.name = "oob";
+  p.nests.push_back(
+      LoopNest{IterationSpace::box({{0, 64}}),
+               {ArrayAccess{v, AffineMap{AffineExpr({1}, 0)}, AccessKind::Read}},
+               1});
+  bad.graph.addProcess(std::move(p));
+  return bad;
+}
+
 TEST(RunExperiment, ProducesCompleteMetrics) {
   const Application app = makeShape(smallApps());
   const ExperimentResult r =
@@ -125,17 +140,26 @@ TEST(RunExperiment, ThresholdOverrideControlsRelayout) {
   EXPECT_GT(aggressive.relayoutedArrays, 0u);
 }
 
+TEST(RunExperiment, NegativeThresholdRejectedBeforeWorkload) {
+  // The config is checked first, whichever scheduler runs: with a
+  // workload that fails its own validation the error names the threshold.
+  ExperimentConfig cfg = testConfig();
+  cfg.relayoutThreshold = -1;
+  for (const auto kind : {SchedulerKind::LocalityMapping, SchedulerKind::Random}) {
+    try {
+      (void)runExperiment(outOfBoundsWorkload(), kind, cfg);
+      ADD_FAILURE() << "negative relayoutThreshold accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("relayoutThreshold"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(RunExperiment, RejectsMalformedWorkload) {
-  Workload bad;
-  const ArrayId v = bad.arrays.add("V", {8}, 4);
-  ProcessSpec p;
-  p.name = "oob";
-  p.nests.push_back(
-      LoopNest{IterationSpace::box({{0, 64}}),
-               {ArrayAccess{v, AffineMap{AffineExpr({1}, 0)}, AccessKind::Read}},
-               1});
-  bad.graph.addProcess(std::move(p));
-  EXPECT_THROW((void)runExperiment(bad, SchedulerKind::Locality, testConfig()),
+  EXPECT_THROW((void)runExperiment(outOfBoundsWorkload(), SchedulerKind::Locality,
+                                   testConfig()),
                Error);
 }
 

@@ -5,6 +5,8 @@
 #include <set>
 #include <utility>
 
+#include "util/error.h"
+
 namespace laps {
 namespace {
 
@@ -88,6 +90,25 @@ TEST(PlanRelayout, ZeroConflictsNothingToDo) {
   const RelayoutPlan plan = planRelayout(m, paperCache(), alwaysEligible());
   EXPECT_EQ(plan.relayoutCount(), 0u);
   EXPECT_EQ(plan.threshold, 0);
+}
+
+TEST(PlanRelayout, NegativeThresholdRejected) {
+  // Under the rescan form of Fig. 5 a negative T made the consumed
+  // (zeroed) pairs selectable forever: with one pair ineligible this
+  // input never returned. It is now an eager error.
+  const auto m = matrixOf(3, {{0, 1, 100}, {0, 2, 10}, {1, 2, 5}});
+  const PairEligibility allButFirst = [](ArrayId x, ArrayId y) {
+    return !(x == 0 && y == 1);
+  };
+  EXPECT_THROW((void)planRelayout(m, paperCache(), allButFirst, -1), Error);
+  EXPECT_THROW((void)planRelayout(ConflictMatrix(1), paperCache(),
+                                  alwaysEligible(), -5),
+               Error);
+  // A negative mean (only possible from negative cells) is rejected too.
+  const auto negative = matrixOf(2, {{0, 1, -4}});
+  EXPECT_THROW((void)planRelayout(negative, paperCache(), alwaysEligible()),
+               Error);
+  EXPECT_NO_THROW((void)planRelayout(m, paperCache(), allButFirst, 0));
 }
 
 TEST(ScheduleEligibility, SameProcessArraysCompete) {
