@@ -1,7 +1,8 @@
 /// \file bench_micro.cpp
 /// \brief google-benchmark microbenchmarks of the substrates: region
 /// algebra throughput (footprints, sharing matrices), cache model
-/// access rate, trace generation, and full simulation throughput.
+/// access rate, contention calendar bookings, trace generation, and
+/// full simulation throughput.
 ///
 /// These guard the performance of the analysis path (the paper's
 /// scheduler runs inside an OS, so the sharing analysis must be cheap)
@@ -256,6 +257,38 @@ void BM_PlanRelayout(benchmark::State& state) {
   state.SetLabel(std::to_string(n) + " arrays");
 }
 BENCHMARK(BM_PlanRelayout)->Arg(68)->Arg(272);
+
+// The contention calendar under a mesh-link-like stream: requests
+// issued out of order within a window above a periodically advancing
+// retire horizon (the owners' lazy horizon-then-book), holding ~100
+// live intervals. Each iteration replays the same seeded stream on a
+// fresh calendar; bookings and live_intervals (the live span averaged
+// over the horizon steps) are the deterministic work counts.
+void BM_BusyTimelineReserve(benchmark::State& state) {
+  constexpr std::int64_t kBookings = 8192;
+  constexpr std::int64_t kPerHorizon = 4;  // bookings per horizon step
+  std::int64_t liveSum = 0;
+  for (auto _ : state) {
+    Rng rng(0x5eedca1e);
+    BusyTimeline calendar;
+    std::int64_t horizon = 0;
+    liveSum = 0;
+    for (std::int64_t i = 0; i < kBookings; ++i) {
+      if (i % kPerHorizon == 0) {
+        horizon += 48;
+        calendar.retireBefore(horizon);
+        liveSum += static_cast<std::int64_t>(calendar.intervalCount());
+      }
+      benchmark::DoNotOptimize(
+          calendar.reserve(horizon + rng.range(0, 3200), 4));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kBookings);
+  state.counters["bookings"] = static_cast<double>(kBookings);
+  state.counters["live_intervals"] =
+      static_cast<double>(liveSum / (kBookings / kPerHorizon));
+}
+BENCHMARK(BM_BusyTimelineReserve);
 
 // The fault-path overhead guard (docs §13): the same open service run
 // with a FaultPlan attached whose every rate is zero — the plan is

@@ -1,5 +1,7 @@
 #include "cache/bus.h"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 
@@ -10,7 +12,7 @@ namespace laps {
 
 namespace audit {
 
-void timelineDisjoint(const std::map<std::int64_t, std::int64_t>& busy) {
+void timelineDisjoint(std::span<const BusyInterval> busy) {
   std::int64_t prevEnd = std::numeric_limits<std::int64_t>::min();
   for (const auto& [start, end] : busy) {
     require(end > start, "BusyTimeline: interval [" + std::to_string(start) +
@@ -23,6 +25,12 @@ void timelineDisjoint(const std::map<std::int64_t, std::int64_t>& busy) {
                 std::to_string(prevEnd));
     prevEnd = end;
   }
+}
+
+void issuedAtOrAfterHorizon(std::int64_t issue, std::int64_t horizon) {
+  require(issue >= horizon,
+          "calendar booking requested at cycle " + std::to_string(issue) +
+              " precedes the retire horizon " + std::to_string(horizon));
 }
 
 }  // namespace audit
@@ -39,55 +47,83 @@ void BusConfig::validate() const {
   check(latencyCycles >= 1, "BusConfig: latencyCycles must be >= 1");
 }
 
-std::int64_t BusyTimeline::earliestStart(std::int64_t now,
-                                         std::int64_t duration) const {
+BusyTimeline::Gap BusyTimeline::findGap(std::int64_t now,
+                                        std::int64_t duration) const {
+  const auto live = busy_.begin() + static_cast<std::ptrdiff_t>(head_);
+  auto it = std::upper_bound(
+      live, busy_.end(), now,
+      [](std::int64_t t, const BusyInterval& iv) { return t < iv.first; });
   std::int64_t cursor = now;
-  auto it = busy_.upper_bound(now);
-  if (it != busy_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > cursor) cursor = prev->second;
+  if (it != live && std::prev(it)->second > cursor) {
+    cursor = std::prev(it)->second;
   }
   for (; it != busy_.end(); ++it) {
     if (it->first - cursor >= duration) break;  // gap fits
-    if (it->second > cursor) cursor = it->second;
+    cursor = std::max(cursor, it->second);
   }
-  return cursor;
+  return {cursor, static_cast<std::size_t>(it - busy_.begin())};
+}
+
+std::int64_t BusyTimeline::earliestStart(std::int64_t now,
+                                         std::int64_t duration) const {
+  return findGap(now, duration).start;
 }
 
 std::int64_t BusyTimeline::reserve(std::int64_t now, std::int64_t duration) {
-  const std::int64_t start = earliestStart(now, duration);
-  bookAt(start, duration);
-  return start;
+  check(duration > 0, "BusyTimeline: duration must be positive");
+  const Gap gap = findGap(now, duration);
+  place(gap.next, gap.start, gap.start + duration);
+  return gap.start;
 }
 
 void BusyTimeline::bookAt(std::int64_t start, std::int64_t duration) {
   check(duration > 0, "BusyTimeline: duration must be positive");
-  std::int64_t lo = start;
-  std::int64_t hi = start + duration;
-  // Coalesce with an abutting predecessor and/or successor so saturated
-  // periods collapse into single intervals.
-  auto next = busy_.lower_bound(lo);
-  if (next != busy_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second == lo) {
-      lo = prev->first;
-      busy_.erase(prev);
-    }
-  }
-  next = busy_.lower_bound(lo);
-  if (next != busy_.end() && next->first == hi) {
-    hi = next->second;
-    busy_.erase(next);
-  }
-  busy_.emplace(lo, hi);
-  // Every mutation funnels through here (reserve() calls bookAt), so
-  // this one call site audits the whole calendar discipline.
-  LAPS_AUDIT(audit::timelineDisjoint(busy_));
+  const Gap gap = findGap(start, duration);
+  check(gap.start == start, "BusyTimeline: bookAt start is not free");
+  place(gap.next, start, start + duration);
 }
 
-void BusyTimeline::retireBefore(std::int64_t cycle) {
-  for (auto it = busy_.begin(); it != busy_.end() && it->second <= cycle;) {
-    it = busy_.erase(it);
+void BusyTimeline::place(std::size_t next, std::int64_t lo, std::int64_t hi) {
+  // Coalesce with an abutting predecessor and/or successor so saturated
+  // periods collapse into single intervals; only an isolated booking
+  // grows the vector.
+  const bool joinsPrev = next > head_ && busy_[next - 1].second == lo;
+  const bool joinsNext = next < busy_.size() && busy_[next].first == hi;
+  if (joinsPrev && joinsNext) {
+    busy_[next - 1].second = busy_[next].second;
+    busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(next));
+  } else if (joinsPrev) {
+    busy_[next - 1].second = hi;
+  } else if (joinsNext) {
+    busy_[next].first = lo;
+  } else {
+    busy_.insert(busy_.begin() + static_cast<std::ptrdiff_t>(next), {lo, hi});
+  }
+  // Every booking funnels through here (reserve and bookAt), so this
+  // one call site audits the whole calendar discipline.
+  LAPS_AUDIT(audit::timelineDisjoint(intervals()));
+}
+
+void BusyTimeline::retireLive(std::int64_t cycle) {
+  // Intervals are disjoint and sorted, so their ends ascend too: the
+  // retired ones form a prefix of the live span.
+  while (head_ < busy_.size() && busy_[head_].second <= cycle) ++head_;
+  if (head_ * 2 > busy_.size()) {
+    busy_.erase(busy_.begin(),
+                busy_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void BusyTimeline::auditInjectIntervalForTest(std::int64_t start,
+                                              std::int64_t end) {
+  const auto it = std::lower_bound(
+      busy_.begin() + static_cast<std::ptrdiff_t>(head_), busy_.end(), start,
+      [](const BusyInterval& iv, std::int64_t t) { return iv.first < t; });
+  if (it != busy_.end() && it->first == start) {
+    it->second = end;
+  } else {
+    busy_.insert(it, {start, end});
   }
 }
 
@@ -109,6 +145,8 @@ std::int64_t MemoryBus::reserveBestSlot(std::int64_t now) {
       if (start == now) break;  // cannot do better than no wait
     }
   }
+  LAPS_AUDIT(audit::issuedAtOrAfterHorizon(now, horizon_));
+  slots_[best].retireBefore(horizon_);
   slots_[best].bookAt(bestStart, occupancyCycles_);
   return bestStart;
 }
@@ -126,7 +164,7 @@ void MemoryBus::postedAccess(std::int64_t now) {
 }
 
 void MemoryBus::retireBefore(std::int64_t cycle) {
-  for (BusyTimeline& slot : slots_) slot.retireBefore(cycle);
+  horizon_ = std::max(horizon_, cycle);
 }
 
 }  // namespace laps

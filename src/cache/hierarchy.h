@@ -138,8 +138,10 @@ class MemoryHierarchy {
 
   void resetStats();
 
-  /// Prunes the L2 bank and bus calendars; call once no future request
-  /// can be issued before \p cycle (the engine does, at segment starts).
+  /// Raises the retire horizon of the L2 bank, bus and NoC link
+  /// calendars (each owner prunes a calendar to it when booking it);
+  /// call once no future request can be issued before \p cycle (the
+  /// engine does, at segment starts).
   /// Under LAPSCHED_AUDIT also runs the full inclusion audit — segment
   /// starts are the natural cadence for the O(resident L1 lines) scan.
   void retireBefore(std::int64_t cycle);

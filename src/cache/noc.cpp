@@ -1,5 +1,8 @@
 #include "cache/noc.h"
 
+#include <algorithm>
+
+#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -124,7 +127,10 @@ NocFabric::NocFabric(const NocConfig& config, std::int64_t nodeCount,
 std::int64_t NocFabric::traverseLink(std::size_t linkId, std::int64_t t,
                                      std::int64_t* wait) {
   if (occupancyCycles_ > 0) {
-    const std::int64_t start = links_[linkId].reserve(t, occupancyCycles_);
+    LAPS_AUDIT(audit::issuedAtOrAfterHorizon(t, horizon_));
+    BusyTimeline& link = links_[linkId];
+    link.retireBefore(horizon_);
+    const std::int64_t start = link.reserve(t, occupancyCycles_);
     *wait += start - t;
     t = start;
   }
@@ -185,7 +191,7 @@ void NocFabric::postedTransfer(std::int64_t src, std::int64_t dst,
 }
 
 void NocFabric::retireBefore(std::int64_t cycle) {
-  for (BusyTimeline& link : links_) link.retireBefore(cycle);
+  horizon_ = std::max(horizon_, cycle);
 }
 
 }  // namespace laps

@@ -30,6 +30,7 @@
 /// hierarchy differentials.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cache/bus.h"
@@ -132,7 +133,8 @@ class NocFabric {
   /// the requester does not stall, so no latency is returned.
   void postedTransfer(std::int64_t src, std::int64_t dst, std::int64_t now);
 
-  /// Prunes every link calendar (see BusyTimeline::retireBefore).
+  /// Raises the retire horizon: no later transfer is issued before
+  /// \p cycle. Each link calendar is pruned to it lazily, when booked.
   void retireBefore(std::int64_t cycle);
 
   [[nodiscard]] const NocStats& stats() const { return stats_; }
@@ -162,6 +164,7 @@ class NocFabric {
   /// Mesh: 4 directed links per node (E, W, S, N); crossbar: one output
   /// port per destination node. Unused edge links stay empty.
   std::vector<BusyTimeline> links_;
+  std::int64_t horizon_ = std::numeric_limits<std::int64_t>::min();
   NocStats stats_;
 };
 

@@ -1,5 +1,8 @@
 #include "cache/shared_l2.h"
 
+#include <algorithm>
+
+#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -67,6 +70,8 @@ L2AccessResult SharedL2::access(std::uint64_t addr, std::int64_t now) {
   const auto b = static_cast<std::size_t>(bank);
 
   L2AccessResult result;
+  LAPS_AUDIT(audit::issuedAtOrAfterHorizon(now, horizon_));
+  calendars_[b].retireBefore(horizon_);
   const std::int64_t start =
       calendars_[b].reserve(now, config_.bankBusyCycles);
   result.bankWaitCycles = start - now;
@@ -109,7 +114,7 @@ void SharedL2::resetStats() {
 }
 
 void SharedL2::retireBefore(std::int64_t cycle) {
-  for (BusyTimeline& calendar : calendars_) calendar.retireBefore(cycle);
+  horizon_ = std::max(horizon_, cycle);
 }
 
 }  // namespace laps

@@ -18,6 +18,7 @@
 /// are exempt (no coherence to maintain; see ARCHITECTURE.md §7).
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -91,7 +92,8 @@ class SharedL2 {
 
   void resetStats();
 
-  /// Prunes every bank calendar (see BusyTimeline::retireBefore).
+  /// Raises the retire horizon: no later request is issued before
+  /// \p cycle. Each bank calendar is pruned to it lazily, when booked.
   void retireBefore(std::int64_t cycle);
 
   [[nodiscard]] const SharedL2Config& config() const { return config_; }
@@ -106,6 +108,7 @@ class SharedL2 {
   SharedL2Config config_;
   std::vector<SetAssocCache> banks_;
   std::vector<BusyTimeline> calendars_;
+  std::int64_t horizon_ = std::numeric_limits<std::int64_t>::min();
   std::uint64_t bankWait_ = 0;
 };
 

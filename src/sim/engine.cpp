@@ -113,8 +113,8 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   MemorySystem& mem = *core.memory;
 
   // Event times are popped in non-decreasing order, so no later segment
-  // can issue a shared-level request before this one starts: retire the
-  // contention calendars up to here.
+  // can issue a shared-level request before this one starts: raise the
+  // contention calendars' retire horizon to here.
   hierarchy_->retireBefore(now);
   const std::int64_t segStart = now + switchOverhead;
 

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <vector>
 
 #include "util/audit.h"
 #include "util/error.h"
@@ -118,43 +118,38 @@ TEST(MemoryBus, BoundedOutstandingQueuesTheOverflow) {
 // --- audit layer (docs/ARCHITECTURE.md §11) ------------------------------
 
 TEST(TimelineAudit, AcceptsDisjointCoalescedCalendar) {
-  std::map<std::int64_t, std::int64_t> busy;
+  std::vector<BusyInterval> busy;
   EXPECT_NO_THROW(audit::timelineDisjoint(busy));  // empty
-  busy[0] = 10;
-  busy[20] = 30;
+  busy = {{0, 10}, {20, 30}};
   EXPECT_NO_THROW(audit::timelineDisjoint(busy));
 }
 
 TEST(TimelineAudit, RejectsOverlappingIntervals) {
-  std::map<std::int64_t, std::int64_t> busy;
-  busy[0] = 10;
-  busy[5] = 15;  // overlaps [0, 10)
+  const std::vector<BusyInterval> busy = {{0, 10}, {5, 15}};  // overlap
   EXPECT_THROW(audit::timelineDisjoint(busy), AuditError);
 }
 
 TEST(TimelineAudit, RejectsAbuttingUncoalescedIntervals) {
-  std::map<std::int64_t, std::int64_t> busy;
-  busy[0] = 10;
-  busy[10] = 20;  // abuts [0, 10): bookAt should have coalesced these
+  // [10, 20) abuts [0, 10): a booking should have coalesced these.
+  const std::vector<BusyInterval> busy = {{0, 10}, {10, 20}};
   EXPECT_THROW(audit::timelineDisjoint(busy), AuditError);
 }
 
 TEST(TimelineAudit, RejectsEmptyOrInvertedInterval) {
-  std::map<std::int64_t, std::int64_t> busy;
-  busy[5] = 5;
+  std::vector<BusyInterval> busy = {{5, 5}};
   EXPECT_THROW(audit::timelineDisjoint(busy), AuditError);
-  busy[5] = 3;
+  busy = {{5, 3}};
   EXPECT_THROW(audit::timelineDisjoint(busy), AuditError);
 }
 
 TEST(TimelineAudit, InjectedCorruptionTripsTheAuditedBooking) {
-  // Proves the in-situ LAPS_AUDIT call in bookAt fires: corrupt the
+  // Proves the in-situ LAPS_AUDIT call after a booking fires: corrupt the
   // calendar behind the invariant maintenance, then book. Only
   // observable in an audit build — otherwise the check is compiled out
   // and the booking must succeed untouched.
   BusyTimeline t;
   t.reserve(0, 10);                       // [0, 10)
-  t.auditInjectIntervalForTest(5, 15);    // overlaps, bypassing bookAt
+  t.auditInjectIntervalForTest(5, 15);    // overlaps, bypassing reserve
   if (audit::enabled()) {
     EXPECT_THROW(t.reserve(100, 10), AuditError);
   } else {
@@ -173,6 +168,49 @@ TEST(MemoryBus, PostedTrafficOccupiesButNeverWaitsTheRequester) {
   EXPECT_EQ(bus.stats().waitCycles, 0u);  // nobody stalled for it...
   EXPECT_EQ(bus.demandAccess(0), 79 + 79);  // ...but demand queues behind
   EXPECT_EQ(bus.stats().waitCycles, 79u);
+}
+
+TEST(HorizonAudit, AcceptsIssueAtOrAfterTheHorizon) {
+  EXPECT_NO_THROW(audit::issuedAtOrAfterHorizon(100, 100));
+  EXPECT_NO_THROW(audit::issuedAtOrAfterHorizon(101, 100));
+  EXPECT_THROW(audit::issuedAtOrAfterHorizon(99, 100), AuditError);
+}
+
+TEST(HorizonAudit, BookingBehindTheBusHorizonTripsTheAudit) {
+  // Proves the in-situ LAPS_AUDIT call at the bus's booking fires:
+  // retire ahead, then issue a request behind the horizon — the one
+  // case in which retirement could change a start. Only observable in
+  // an audit build; otherwise the request books untouched.
+  MemoryBus bus(BusConfig{}, 32);
+  bus.retireBefore(1000);
+  EXPECT_NO_THROW(bus.demandAccess(1000));
+  if (audit::enabled()) {
+    EXPECT_THROW(bus.demandAccess(10), AuditError);
+    EXPECT_THROW(bus.postedAccess(10), AuditError);
+  } else {
+    EXPECT_NO_THROW(bus.demandAccess(10));
+    EXPECT_NO_THROW(bus.postedAccess(10));
+  }
+}
+
+TEST(MemoryBus, LazyRetirementKeepsEveryStart) {
+  // Retiring at the horizon must not move any start a request at or
+  // after it books: the same stream, with and without retirement.
+  BusConfig cfg;
+  cfg.maxOutstanding = 2;
+  MemoryBus retired(cfg, 32);
+  MemoryBus kept(cfg, 32);
+  std::int64_t horizon = 0;
+  for (std::int64_t i = 0; i < 200; ++i) {
+    // Out of order within a window of 300 cycles above the horizon.
+    const std::int64_t now = horizon + (i * 137) % 300;
+    EXPECT_EQ(retired.demandAccess(now), kept.demandAccess(now)) << i;
+    if (i % 10 == 9) {
+      horizon += 40;
+      retired.retireBefore(horizon);
+    }
+  }
+  EXPECT_EQ(retired.stats().waitCycles, kept.stats().waitCycles);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "cache/hierarchy.h"
 #include "cache/platform.h"
 #include "sim/config.h"
+#include "util/audit.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -194,6 +195,23 @@ TEST(NocFabric, PostedTransfersOccupyWithoutStalling) {
   EXPECT_EQ(fabric.stats().transfers, 0u);
   // Demand traffic right behind it queues past the posted hold.
   EXPECT_GT(fabric.demandTransfer(0, 1, 0), 1);
+}
+
+TEST(NocFabric, BookingBehindTheRetireHorizonTripsTheAudit) {
+  // Proves the horizon check at the link booking fires (see the bus's
+  // HorizonAudit test); the default build books untouched.
+  NocConfig cfg;
+  cfg.meshCols = 4;
+  cfg.hopCycles = 1;
+  cfg.linkWidthBytes = 8;
+  NocFabric fabric(cfg, 16, 32, NocTopologyKind::Mesh);
+  fabric.retireBefore(1000);
+  EXPECT_EQ(fabric.demandTransfer(0, 1, 1000), 1);
+  if (audit::enabled()) {
+    EXPECT_THROW(fabric.demandTransfer(0, 1, 10), AuditError);
+  } else {
+    EXPECT_NO_THROW(fabric.demandTransfer(0, 1, 10));
+  }
 }
 
 TEST(NocFabric, ZeroCostFabricIsUntimed) {

@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "cache/hierarchy.h"
+#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -104,6 +105,19 @@ TEST(SharedL2, SameBankRequestsQueueBehindEachOther) {
   EXPECT_EQ(l2.access(128, 100).bankWaitCycles, 4);   // same bank, busy
   EXPECT_EQ(l2.access(32, 100).bankWaitCycles, 0);    // different bank
   EXPECT_EQ(l2.bankWaitCycles(), 4u);
+}
+
+TEST(SharedL2, BookingBehindTheRetireHorizonTripsTheAudit) {
+  // Proves the horizon check at the bank booking fires (see the bus's
+  // HorizonAudit test); the default build books untouched.
+  SharedL2 l2(smallL2());
+  l2.retireBefore(1000);
+  EXPECT_NO_THROW(l2.access(0, 1000));
+  if (audit::enabled()) {
+    EXPECT_THROW(l2.access(0, 10), AuditError);
+  } else {
+    EXPECT_NO_THROW(l2.access(0, 10));
+  }
 }
 
 TEST(SharedL2, WritebackDirtiesTheResidentCopy) {
