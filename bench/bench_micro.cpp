@@ -292,8 +292,8 @@ BENCHMARK(BM_BusyTimelineReserve);
 
 // The fault-path overhead guard (docs §13): the same open service run
 // with a FaultPlan attached whose every rate is zero — the plan is
-// inert, faultsActive_ stays false, and the engine must take the exact
-// fault-free code path. The merge script derives vs_faultfree_speedup
+// inert, no injection is ever queued, and the engine must take the
+// exact fault-free code path. The merge script derives vs_faultfree_speedup
 // from the (BM_OpenWorkloadFaultPathFaultFree, BM_OpenWorkloadFaultPath)
 // pair; check_bench_regression gates it, so the zero-rate path drifting
 // out of the fault-free noise band fails the perf gate.

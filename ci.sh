@@ -11,7 +11,8 @@
 #               the static side of the determinism contract,
 #               docs/ARCHITECTURE.md §11) plus clang-tidy with the
 #               committed .clang-tidy profile when the binary is
-#               available (skipped with a notice otherwise);
+#               available (skipped with a notice otherwise); also
+#               prints the src/ line count (informational);
 #   audit       Debug build with -DLAPSCHED_AUDIT=ON — the LAPS_AUDIT
 #               runtime invariant checks execute in every hot layer —
 #               and the full test suite under it;
@@ -136,6 +137,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "lint" ]; then
     echo "ci.sh: python3 not found; cannot run the determinism lint" >&2
     exit 1
   fi
+  # The src/ line count is the size metric ROADMAP's north-star aim 2
+  # tracks (the same results from less code): printed, not gated.
+  echo "ci.sh: src/ line count $(find src -name '*.[ch]*' -exec cat {} + | wc -l | tr -d ' ')"
   # clang-tidy is advisory-but-enforced where available: the committed
   # .clang-tidy profile runs over every library source with
   # warnings-as-errors. Skipped (not failed) when the binary is absent

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "sim/replay.h"
 #include "util/audit.h"
@@ -56,7 +55,7 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   // other path can slip a segment onto one (the ForTest seam lets the
   // audit suite show the checker is live).
   LAPS_AUDIT(audit::coreUpForDispatch(
-      coreDown_[coreIdx] || auditPretendDownCoreForTest_ == coreIdx, coreIdx));
+      core.down || auditPretendDownCoreForTest_ == coreIdx, coreIdx));
 
   // Switch overhead is charged outside the quantum comparison: the OS
   // timer starts when the process actually runs, so dispatch overhead
@@ -66,7 +65,7 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   // platform has one) — also outside the quantum, but accounted
   // separately (FaultStats::migrationPenaltyCycles).
   std::int64_t switchOverhead = 0;
-  if (faultsActive_ && migrationPenaltyDue_[process]) {
+  if (migrationPenaltyDue_[process]) {
     migrationPenaltyDue_[process] = false;
     const std::int64_t penalty =
         config_.faults->migrationPenaltyCycles +
@@ -122,9 +121,8 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   // an overstaying process is cut exactly there (the caller retires it
   // when the segment ends at or past the deadline). The cap acts like a
   // per-segment quantum, so it composes with preemptive policies.
-  if (openWorkload_ && config_.arrivals->processLifetimeCycles) {
-    const std::int64_t remain =
-        std::max<std::int64_t>(deadline(process) - segStart, 1);
+  if (const std::int64_t due = deadline(process); due != kNever) {
+    const std::int64_t remain = std::max<std::int64_t>(due - segStart, 1);
     quantum = quantum ? std::min(*quantum, remain) : remain;
   }
 
@@ -164,9 +162,35 @@ void MpsocSimulator::provideFootprints(std::vector<Footprint> footprints) {
 
 std::int64_t MpsocSimulator::deadline(ProcessId process) const {
   if (!openWorkload_ || !config_.arrivals->processLifetimeCycles) {
-    return std::numeric_limits<std::int64_t>::max();
+    return kNever;
   }
-  return arrivalCycle_[process] + *config_.arrivals->processLifetimeCycles;
+  // Saturating: a lifetime reaching past kNever is unlimited, not a
+  // wrapped (negative) deadline.
+  const std::int64_t arrival = arrivalCycle_[process];
+  return arrival +
+         std::min(*config_.arrivals->processLifetimeCycles, kNever - arrival);
+}
+
+bool MpsocSimulator::alive() const {
+  const auto pending = [this](EventSource source) {
+    return pending_[static_cast<std::size_t>(source)] > 0;
+  };
+  return pending(EventSource::Arrival) || pending(EventSource::Retry) ||
+         pending(EventSource::Core) ||
+         (pending(EventSource::Recovery) &&
+          departedCount_ < workload_->graph.processCount());
+}
+
+bool MpsocSimulator::enterSystem(ProcessId process) {
+  if (!admission_.admit(inSystem_ - runningCount_)) return false;
+  arrived_[process] = true;
+  ++inSystem_;
+  liveSharing_.addProcess(footprints_, process);
+  policy_->onArrival(process);
+  LAPS_AUDIT(liveSharing_.auditInvariants());
+  LAPS_AUDIT(
+      audit::activeSetAgreement(liveSharing_, arrived_, completed_, inSystem_));
+  return true;
 }
 
 void MpsocSimulator::leaveSystem(ProcessId process) {
@@ -272,18 +296,19 @@ void MpsocSimulator::takeCoreDown(std::size_t coreIdx, std::int64_t now,
                                   bool permanent) {
   Core& core = cores_[coreIdx];
   // Only idle cores go down directly (a busy core's fault waits at
-  // pendingCoreFault_ until its segment boundary, where current has
+  // Core::pendingFault until its segment boundary, where current has
   // already been cleared and freeAt set to now — zero idle here).
   result_.coreIdleCycles[coreIdx] += now - core.freeAt;
   core.freeAt = now;
-  coreDown_[coreIdx] = true;
-  coreDownSince_[coreIdx] = now;
+  core.down = true;
+  core.downSince = now;
   if (permanent) {
-    corePermanentlyDown_[coreIdx] = true;
+    core.permanentlyDown = true;
     ++result_.faults.coreFailures;
   } else {
     ++result_.faults.coreOutages;
-    recoveryQueue_.emplace(now + config_.faults->outageDownCycles, coreIdx);
+    schedule(now + config_.faults->outageDownCycles, EventSource::Recovery,
+             coreIdx);
   }
   policy_->onCoreDown(coreIdx);
 }
@@ -300,8 +325,8 @@ void MpsocSimulator::applyFault(const FaultEvent& event, std::int64_t now) {
       // wedge the platform is suppressed, not applied.
       std::vector<std::size_t> eligible;
       for (std::size_t c = 0; c < config_.coreCount; ++c) {
-        if (!corePermanentlyDown_[c] &&
-            pendingCoreFault_[c] != PendingCoreFault::Failure) {
+        if (!cores_[c].permanentlyDown &&
+            cores_[c].pendingFault != PendingCoreFault::Failure) {
           eligible.push_back(c);
         }
       }
@@ -311,20 +336,21 @@ void MpsocSimulator::applyFault(const FaultEvent& event, std::int64_t now) {
       }
       const std::size_t c =
           eligible[faultTargetRng_.below(eligible.size())];
-      if (pendingCoreFault_[c] == PendingCoreFault::Outage) {
+      Core& core = cores_[c];
+      if (core.pendingFault == PendingCoreFault::Outage) {
         // The harsher event wins: the pending outage never applies
         // (counted suppressed) and the boundary takes the core down
         // for good.
-        pendingCoreFault_[c] = PendingCoreFault::Failure;
+        core.pendingFault = PendingCoreFault::Failure;
         ++result_.faults.faultsSuppressed;
-      } else if (coreDown_[c]) {
+      } else if (core.down) {
         // Already transiently down: the failure makes it permanent.
         // The policy heard onCoreDown at the outage and simply never
         // hears onCoreUp; the queued recovery is dropped when popped.
-        corePermanentlyDown_[c] = true;
+        core.permanentlyDown = true;
         ++result_.faults.coreFailures;
-      } else if (cores_[c].current) {
-        pendingCoreFault_[c] = PendingCoreFault::Failure;
+      } else if (core.current) {
+        core.pendingFault = PendingCoreFault::Failure;
       } else {
         takeCoreDown(c, now, /*permanent=*/true);
       }
@@ -334,7 +360,8 @@ void MpsocSimulator::applyFault(const FaultEvent& event, std::int64_t now) {
       // Eligible: up cores with no fault already pending.
       std::vector<std::size_t> eligible;
       for (std::size_t c = 0; c < config_.coreCount; ++c) {
-        if (!coreDown_[c] && pendingCoreFault_[c] == PendingCoreFault::None) {
+        const Core& core = cores_[c];
+        if (!core.down && core.pendingFault == PendingCoreFault::None) {
           eligible.push_back(c);
         }
       }
@@ -345,7 +372,7 @@ void MpsocSimulator::applyFault(const FaultEvent& event, std::int64_t now) {
       const std::size_t c =
           eligible[faultTargetRng_.below(eligible.size())];
       if (cores_[c].current) {
-        pendingCoreFault_[c] = PendingCoreFault::Outage;
+        cores_[c].pendingFault = PendingCoreFault::Outage;
       } else {
         takeCoreDown(c, now, /*permanent=*/false);
       }
@@ -357,13 +384,14 @@ void MpsocSimulator::applyFault(const FaultEvent& event, std::int64_t now) {
       // nothing — all progress is lost either way).
       std::vector<std::size_t> eligible;
       for (std::size_t c = 0; c < config_.coreCount; ++c) {
-        if (cores_[c].current && !crashPending_[c]) eligible.push_back(c);
+        if (cores_[c].current && !cores_[c].crashPending) eligible.push_back(c);
       }
       if (eligible.empty()) {
         ++result_.faults.faultsSuppressed;
         return;
       }
-      crashPending_[eligible[faultTargetRng_.below(eligible.size())]] = true;
+      cores_[eligible[faultTargetRng_.below(eligible.size())]].crashPending =
+          true;
       return;
     }
   }
@@ -393,9 +421,9 @@ void MpsocSimulator::handleCrash(ProcessId process, std::size_t coreIdx,
   if (crashCount_[process] > retry.maxAttempts) {
     markDeparted(process, coreIdx, now, DepartureReason::Failed);
   } else {
-    retryQueue_.emplace(
+    schedule(
         now + retryBackoffCycles(retry, crashCount_[process], retryJitterRng_),
-        process);
+        EventSource::Retry, process);
     ++result_.faults.retriesScheduled;
   }
 }
@@ -407,15 +435,11 @@ void MpsocSimulator::admitBatch(std::size_t batchIdx, std::int64_t now) {
   // and rejected processes are non-events to the policy.
   const ArrivalBatch& batch = arrivalBatches_[batchIdx];
   for (const ProcessId p : batch.members) {
-    if (!admission_.admit(inSystem_ - runningCount_)) {
+    if (enterSystem(p)) {
+      result_.processes[p].arrivalCycle = now;
+    } else {
       markDeparted(p, 0, now, DepartureReason::Rejected);
-      continue;
     }
-    arrived_[p] = true;
-    ++inSystem_;
-    result_.processes[p].arrivalCycle = now;
-    liveSharing_.addProcess(footprints_, p);
-    policy_->onArrival(p);
   }
   // announceReady's exactly-once guard matters here: an in-batch
   // rejection may have already released an admitted batch member via
@@ -423,13 +447,6 @@ void MpsocSimulator::admitBatch(std::size_t batchIdx, std::int64_t now) {
   for (const ProcessId p : batch.members) {
     if (arrived_[p] && remainingPreds_[p] == 0) announceReady(p);
   }
-  // The incremental row updates must leave the matrix exactly where a
-  // from-scratch compute over the live set would: symmetric, zero
-  // outside the active set, and in agreement with the engine's own
-  // live-process bookkeeping.
-  LAPS_AUDIT(liveSharing_.auditInvariants());
-  LAPS_AUDIT(
-      audit::activeSetAgreement(liveSharing_, arrived_, completed_, inSystem_));
 }
 
 SimResult MpsocSimulator::run() {
@@ -528,30 +545,26 @@ SimResult MpsocSimulator::run() {
   }
 
   // Fault injection (docs §13). Disabled — the default, including a
-  // FaultPlan with every mean zero — none of this state is consulted on
-  // the hot path beyond one boolean, and the run is bit-identical to a
-  // fault-free engine.
+  // FaultPlan with every mean zero — no injection is ever queued, the
+  // per-core and per-process fault state stays inert by value, and the
+  // run is bit-identical to a fault-free engine.
   if (config_.faults) config_.faults->validate();
-  faultsActive_ = config_.faults.has_value() && config_.faults->enabled();
-  faultTimeline_.reset();
-  if (faultsActive_) {
+  const bool faultsActive =
+      config_.faults.has_value() && config_.faults->enabled();
+  std::optional<FaultTimeline> timeline;
+  if (faultsActive) {
     check(openWorkload_,
           "MpsocConfig::faults requires an arrival schedule (open workload)");
-    faultTimeline_.emplace(*config_.faults);
+    timeline.emplace(*config_.faults);
     faultTargetRng_ =
         Rng(faultStreamSeed(config_.faults->seed, FaultStream::Targets));
     retryJitterRng_ =
         Rng(faultStreamSeed(config_.faults->seed, FaultStream::RetryJitter));
   }
-  coreDown_.assign(config_.coreCount, false);
-  corePermanentlyDown_.assign(config_.coreCount, false);
-  coreDownSince_.assign(config_.coreCount, 0);
-  pendingCoreFault_.assign(config_.coreCount, PendingCoreFault::None);
-  crashPending_.assign(config_.coreCount, false);
   crashCount_.assign(n, 0);
   migrationPenaltyDue_.assign(n, false);
-  retryQueue_ = TimedEventQueue{};
-  recoveryQueue_ = TimedEventQueue{};
+  queue_ = {};
+  pending_.fill(0);
 
   const SchedContext context{&workload_->graph,
                              openWorkload_ ? &liveSharing_ : sharing_,
@@ -565,14 +578,6 @@ SimResult MpsocSimulator::run() {
       announceReady(p);
     }
   }
-  std::size_t nextBatch = 0;
-  if (openWorkload_ && arrivalBatches_[0].cycle == 0) {
-    admitBatch(nextBatch++, 0);
-  }
-
-  // Busy cores, ordered by segment end time (core index breaks ties).
-  using Event = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
 
   // Offers work to an idle core; returns true when a segment started.
   // A picked process whose lifetime already expired is retired on the
@@ -580,7 +585,7 @@ SimResult MpsocSimulator::run() {
   // lazy retirement at the scheduling boundary keeps every policy's
   // ready-queue bookkeeping valid without new obligations.
   const auto offer = [&](std::size_t coreIdx, std::int64_t now) {
-    if (coreDown_[coreIdx]) return false;  // a down core is never offered
+    if (cores_[coreIdx].down) return false;  // a down core is never offered
     while (true) {
       const auto pick =
           policy_->pickNext(coreIdx, cores_[coreIdx].lastScheduled);
@@ -599,8 +604,7 @@ SimResult MpsocSimulator::run() {
       result_.coreIdleCycles[coreIdx] += now - cores_[coreIdx].freeAt;
       running[p] = true;
       ++runningCount_;
-      const std::int64_t end = runSegment(coreIdx, p, now);
-      events.emplace(end, coreIdx);
+      schedule(runSegment(coreIdx, p, now), EventSource::Core, coreIdx);
       return true;
     }
   };
@@ -610,166 +614,119 @@ SimResult MpsocSimulator::run() {
     }
   };
 
-  for (std::size_t c = 0; c < config_.coreCount; ++c) {
-    offer(c, 0);
+  // One queue orders every event by (cycle, source, id); EventSource's
+  // declaration order is the equal-cycle drain order (docs §13).
+  // Arrival batches and fault injections are produced one ahead —
+  // popping one queues the next — while retries, recoveries and segment
+  // ends are queued where they arise. A closed workload starts by
+  // offering every core; an open one starts at its first arrival.
+  if (openWorkload_) {
+    schedule(arrivalBatches_[0].cycle, EventSource::Arrival, 0);
+  } else {
+    offerIdleCores(0);
   }
+  if (timeline) schedule(timeline->peek().cycle, EventSource::Injection, 0);
 
-  // The event loop merges five sources in fixed priority at equal
-  // cycles: arrivals, then crash retries, then outage recoveries, then
-  // fault injections, then core events. Arrivals-before-core-events is
-  // the PR 5 discipline (a core freeing at t must see the processes
-  // arriving at t) extended to the fault sources; injections beat core
-  // events so a fault at t lands on the segment ending at t. The fault
-  // timeline is infinite, so injections never keep the loop alive by
-  // themselves — one is consumed only when due at or before the next
-  // real event. Recoveries alone sustain the loop only while processes
-  // remain (an all-cores-down platform must wake up to finish them).
-  constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
   std::int64_t now = 0;
-  while (!events.empty() || nextBatch < arrivalBatches_.size() ||
-         !retryQueue_.empty() ||
-         (departedCount_ < n && !recoveryQueue_.empty())) {
-    const std::int64_t nextArrival =
-        nextBatch < arrivalBatches_.size() ? arrivalBatches_[nextBatch].cycle
-                                           : kNever;
-    const std::int64_t nextRetry =
-        retryQueue_.empty() ? kNever : retryQueue_.top().first;
-    const std::int64_t nextRecovery =
-        recoveryQueue_.empty() ? kNever : recoveryQueue_.top().first;
-    const std::int64_t nextCore = events.empty() ? kNever : events.top().first;
-    const std::int64_t t = std::min(std::min(nextArrival, nextRetry),
-                                    std::min(nextRecovery, nextCore));
-    const std::int64_t nextInjection =
-        faultsActive_ ? faultTimeline_->peek().cycle : kNever;
-
-    // An injection strictly earlier than every real event applies
-    // first; at equal cycles the sources drain in the documented
-    // priority (arrival, retry, recovery, injection, core), handled by
-    // the second injection branch below. t is a real event (the loop
-    // condition holds), so the timeline never sustains the loop.
-    if (faultsActive_ && nextInjection < t) {
-      const FaultEvent event = faultTimeline_->pop();
-      LAPS_AUDIT(audit::cycleMonotone(now, event.cycle));
-      now = event.cycle;
-      applyFault(event, now);
-      offerIdleCores(now);
-      continue;
-    }
-
-    if (nextArrival <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      admitBatch(nextBatch++, now);
-      offerIdleCores(now);
-      continue;
-    }
-    if (nextRetry <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      const auto p = static_cast<ProcessId>(retryQueue_.top().second);
-      retryQueue_.pop();
-      // A retry re-enters through admission control like any other
-      // arrival, so QueueCap/SloShed can shed it under overload — a
-      // shed retry permanently fails the process.
-      if (!admission_.admit(inSystem_ - runningCount_)) {
-        ++result_.faults.retriesShed;
-        markDeparted(p, 0, now, DepartureReason::Failed);
-      } else {
-        arrived_[p] = true;
-        ++inSystem_;
-        // result_.processes[p].arrivalCycle keeps the ORIGINAL arrival:
-        // sojourn and the lifetime deadline are measured from when the
-        // request first entered, so crashes cannot launder SLO time.
-        liveSharing_.addProcess(footprints_, p);
-        policy_->onArrival(p);
-        if (remainingPreds_[p] == 0) announceReady(p);
-        LAPS_AUDIT(liveSharing_.auditInvariants());
-        LAPS_AUDIT(audit::activeSetAgreement(liveSharing_, arrived_,
-                                             completed_, inSystem_));
+  EventSource lastSource = EventSource::Arrival;
+  while (alive()) {
+    const Event event = queue_.top();
+    queue_.pop();
+    --pending_[static_cast<std::size_t>(event.source)];
+    // Popped (cycle, source) pairs never run backwards: time is
+    // monotone, and equal-cycle events drain in the declared order.
+    LAPS_AUDIT(audit::eventOrder(now, static_cast<int>(lastSource),
+                                 event.cycle, static_cast<int>(event.source)));
+    now = event.cycle;
+    lastSource = event.source;
+    switch (event.source) {
+      case EventSource::Arrival:
+        if (event.id + 1 < arrivalBatches_.size()) {
+          schedule(arrivalBatches_[event.id + 1].cycle, EventSource::Arrival,
+                   event.id + 1);
+        }
+        admitBatch(event.id, now);
+        break;
+      case EventSource::Retry: {
+        // A retry re-enters through admission control like any other
+        // arrival, so QueueCap/SloShed can shed it under overload — a
+        // shed retry permanently fails the process. An admitted retry
+        // keeps its ORIGINAL arrival cycle: sojourn and the lifetime
+        // deadline are measured from when the request first entered, so
+        // crashes cannot launder SLO time.
+        const auto p = static_cast<ProcessId>(event.id);
+        if (!enterSystem(p)) {
+          ++result_.faults.retriesShed;
+          markDeparted(p, 0, now, DepartureReason::Failed);
+        } else if (remainingPreds_[p] == 0) {
+          announceReady(p);
+        }
+        break;
       }
-      offerIdleCores(now);
-      continue;
-    }
-    if (nextRecovery <= t) {
-      LAPS_AUDIT(audit::cycleMonotone(now, t));
-      now = t;
-      const std::size_t c = recoveryQueue_.top().second;
-      recoveryQueue_.pop();
-      // A core permanently failed mid-outage never recovers; its queued
-      // recovery is simply dropped.
-      if (!corePermanentlyDown_[c]) {
-        coreDown_[c] = false;
-        result_.faults.coreDownCycles +=
-            static_cast<std::uint64_t>(now - coreDownSince_[c]);
-        ++result_.faults.coreRecoveries;
-        Core& core = cores_[c];
+      case EventSource::Recovery: {
+        // A core permanently failed mid-outage never recovers; its queued
+        // recovery is simply dropped.
+        Core& core = cores_[event.id];
+        if (!core.permanentlyDown) {
+          core.down = false;
+          result_.faults.coreDownCycles +=
+              static_cast<std::uint64_t>(now - core.downSince);
+          ++result_.faults.coreRecoveries;
+          core.freeAt = now;
+          core.memory->flushAll();  // the outage lost the caches
+          core.lastScheduled.reset();
+          policy_->onCoreUp(event.id);
+        }
+        break;
+      }
+      case EventSource::Injection: {
+        const FaultEvent fault = timeline->pop();
+        schedule(timeline->peek().cycle, EventSource::Injection, 0);
+        // onCoreDown may re-home planned work onto cores that were idle
+        // for lack of it; the offer below picks it up.
+        applyFault(fault, now);
+        break;
+      }
+      case EventSource::Core: {
+        const std::size_t coreIdx = event.id;
+        Core& core = cores_[coreIdx];
+        const ProcessId p = *core.current;
+        core.current.reset();
         core.freeAt = now;
-        core.memory->flushAll();  // the outage lost the caches
-        core.lastScheduled.reset();
-        policy_->onCoreUp(c);
-      }
-      offerIdleCores(now);
-      continue;
-    }
-    if (faultsActive_ && nextInjection <= t) {
-      const FaultEvent event = faultTimeline_->pop();
-      LAPS_AUDIT(audit::cycleMonotone(now, event.cycle));
-      now = event.cycle;
-      applyFault(event, now);
-      // onCoreDown may have re-homed planned work onto cores that were
-      // idle for lack of it.
-      offerIdleCores(now);
-      continue;
-    }
-
-    const auto [tc, coreIdx] = events.top();
-    events.pop();
-    // This branch is taken only when every pending arrival/retry/
-    // recovery is strictly later and every due injection has been
-    // applied (they all win ties), and popped event times never run
-    // backwards.
-    LAPS_AUDIT(audit::arrivalBeforeCore(tc, nextArrival));
-    LAPS_AUDIT(audit::faultBeforeCore(tc, nextInjection));
-    LAPS_AUDIT(audit::cycleMonotone(now, tc));
-    now = tc;
-    Core& core = cores_[coreIdx];
-    const ProcessId p = *core.current;
-    core.current.reset();
-    core.freeAt = now;
-    running[p] = false;
-    --runningCount_;
-    const bool crashed = faultsActive_ && crashPending_[coreIdx];
-    const bool displaced =
-        faultsActive_ && pendingCoreFault_[coreIdx] != PendingCoreFault::None;
-    if (crashed) {
-      // The crash point precedes the boundary, so it wins even over a
-      // finished trace (documented approximation, docs §13).
-      crashPending_[coreIdx] = false;
-      handleCrash(p, coreIdx, now);
-    } else if (cursors_[p]->done()) {
-      markDeparted(p, coreIdx, now, DepartureReason::Completed);
-    } else if (deadline(p) <= now) {
-      // The lifetime cap cut this segment: the process overstayed.
-      markDeparted(p, coreIdx, now, DepartureReason::Retired);
-    } else {
-      ++result_.preemptions;
-      policy_->onPreempt(p);
-      if (displaced) {
-        // Displaced by the core going down: progress is kept, but the
-        // resume pays the migration penalty (charged in runSegment).
-        migrationPenaltyDue_[p] = true;
-        ++result_.faults.faultMigrations;
+        running[p] = false;
+        --runningCount_;
+        const bool displaced = core.pendingFault != PendingCoreFault::None;
+        if (core.crashPending) {
+          // The crash point precedes the boundary, so it wins even over a
+          // finished trace (documented approximation, docs §13).
+          core.crashPending = false;
+          handleCrash(p, coreIdx, now);
+        } else if (cursors_[p]->done()) {
+          markDeparted(p, coreIdx, now, DepartureReason::Completed);
+        } else if (deadline(p) <= now) {
+          // The lifetime cap cut this segment: the process overstayed.
+          markDeparted(p, coreIdx, now, DepartureReason::Retired);
+        } else {
+          ++result_.preemptions;
+          policy_->onPreempt(p);
+          if (displaced) {
+            // Displaced by the core going down: progress is kept, but the
+            // resume pays the migration penalty (charged in runSegment).
+            migrationPenaltyDue_[p] = true;
+            ++result_.faults.faultMigrations;
+          }
+        }
+        if (displaced) {
+          const bool permanent = core.pendingFault == PendingCoreFault::Failure;
+          core.pendingFault = PendingCoreFault::None;
+          takeCoreDown(coreIdx, now, permanent);
+        }
+        // The finishing core first, then (below) any core that was
+        // starved — new readiness may have unblocked them.
+        offer(coreIdx, now);
+        break;
       }
     }
-    if (displaced) {
-      const bool permanent =
-          pendingCoreFault_[coreIdx] == PendingCoreFault::Failure;
-      pendingCoreFault_[coreIdx] = PendingCoreFault::None;
-      takeCoreDown(coreIdx, now, permanent);
-    }
-    // The finishing core first, then any core that was starved — new
-    // readiness may have unblocked them.
-    offer(coreIdx, now);
     offerIdleCores(now);
   }
 
@@ -822,11 +779,11 @@ SimResult MpsocSimulator::run() {
   }
   for (std::size_t c = 0; c < config_.coreCount; ++c) {
     result_.coreBusyCycles[c] = cores_[c].busyCycles;
-    if (coreDown_[c]) {
+    if (cores_[c].down) {
       // A core that ends the run down was unavailable, not idle, since
       // it went down.
       result_.faults.coreDownCycles +=
-          static_cast<std::uint64_t>(now - coreDownSince_[c]);
+          static_cast<std::uint64_t>(now - cores_[c].downSince);
     } else {
       result_.coreIdleCycles[c] += now - cores_[c].freeAt;
     }

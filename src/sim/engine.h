@@ -16,6 +16,10 @@
 ///  * a process trace step costs: instruction-fetch latency + data-access
 ///    latency (2 on hit, 2+75 on miss with Table 2 defaults) + its
 ///    compute cycles;
+///  * one event queue drives the run, popped in (cycle, source, id)
+///    order; EventSource declares the equal-cycle drain order —
+///    arrivals, crash retries, outage recoveries, fault injections,
+///    then segment ends (docs §13);
 ///  * scheduling decisions happen when a core goes idle (process finished
 ///    or quantum expired) and when new processes become ready;
 ///  * with an arrival schedule (MpsocConfig::arrivals, docs §§9-10) the
@@ -36,11 +40,11 @@
 ///    the quantum (overhead must not shrink the policy's time slice) and
 ///    reported separately from useful work (SimResult::switchOverheadCycles);
 ///  * with a FaultPlan (MpsocConfig::faults, docs §13; requires an
-///    arrival schedule) the platform is unreliable: seeded fault events
-///    interleave with the event loop (arrivals, then retries, then
-///    recoveries, then injections, then core events at equal cycles).
-///    A failing or transiently-outaged core goes down at its next
-///    segment boundary (immediately when idle); its displaced process
+///    arrival schedule) the platform is unreliable: seeded fault
+///    injections join the event queue, and a core carries its own fault
+///    state (inert by value when faults are off). A failing or
+///    transiently-outaged core goes down at its next segment boundary
+///    (immediately when idle); its displaced process
 ///    is preempted with progress kept and pays a migration penalty on
 ///    resume, while a down core is never offered work again until it
 ///    recovers (cold). A crashed process loses all progress, leaves the
@@ -54,11 +58,14 @@
 /// results. The simulation is fully deterministic: identical inputs
 /// (workload, layout, policy, config) produce identical results.
 
+#include <array>
+#include <compare>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "layout/address_space.h"
@@ -108,12 +115,44 @@ class MpsocSimulator {
   /// @}
 
  private:
+  /// A fault aimed at a busy core, waiting for its segment boundary.
+  /// Failure overrides a pending Outage (the harsher event wins).
+  enum class PendingCoreFault : std::uint8_t { None, Outage, Failure };
+
   struct Core {
     std::unique_ptr<MemorySystem> memory;
     std::optional<ProcessId> current;       // running this segment
     std::optional<ProcessId> lastScheduled; // last process that ran here
     std::int64_t freeAt = 0;                // cycle the core becomes free
     std::int64_t busyCycles = 0;
+    /// Fault state: inert by value when fault injection is off (a core
+    /// that never faults is never down and has nothing pending).
+    bool down = false;             // unavailable now
+    bool permanentlyDown = false;  // never recovers
+    std::int64_t downSince = 0;
+    PendingCoreFault pendingFault = PendingCoreFault::None;
+    bool crashPending = false;     // crash its process at the boundary
+  };
+
+  /// The sources of run()'s event queue, declared in their equal-cycle
+  /// drain order (docs/ARCHITECTURE.md §13).
+  enum class EventSource : std::uint8_t {
+    Arrival,    ///< id: arrival batch index
+    Retry,      ///< id: crashed process re-entering
+    Recovery,   ///< id: core whose outage ends
+    Injection,  ///< id: 0; the payload is the fault timeline's head
+    Core,       ///< id: core whose segment ends
+  };
+  static constexpr std::size_t kEventSources =
+      static_cast<std::size_t>(EventSource::Core) + 1;
+
+  /// Popped in (cycle, source, id) order: ties within a source break on
+  /// the smaller id, so equal-cycle events process deterministically.
+  struct Event {
+    std::int64_t cycle = 0;
+    EventSource source = EventSource::Arrival;
+    std::size_t id = 0;
+    friend auto operator<=>(const Event&, const Event&) = default;
   };
 
   /// Why a process terminally left the system. Every terminal departure
@@ -146,6 +185,24 @@ class MpsocSimulator {
   /// *temporary* crash departure (which may re-enter via a retry).
   void leaveSystem(ProcessId process);
 
+  /// Queues \p source's event \p id at \p cycle.
+  void schedule(std::int64_t cycle, EventSource source, std::size_t id) {
+    queue_.push(Event{cycle, source, id});
+    ++pending_[static_cast<std::size_t>(source)];
+  }
+
+  /// True while an arrival, a retry or a segment end is pending, or a
+  /// recovery while undeparted processes remain (an all-cores-down
+  /// platform must wake up to finish them). A queued injection never
+  /// keeps the run alive: the fault timeline is infinite.
+  [[nodiscard]] bool alive() const;
+
+  /// Open workloads: \p process asks to enter the live set, as a new
+  /// arrival or a crash retry. Admission control decides; when admitted
+  /// the policy hears onArrival and the live sharing matrix gains the
+  /// row. Returns false when refused. The mirror of leaveSystem.
+  bool enterSystem(ProcessId process);
+
   /// Handles arrival batch \p batchIdx at \p now (one cohort in cohort
   /// granularity, one process in per-process granularity): consults
   /// admission control per process, activates admitted rows in the live
@@ -156,7 +213,7 @@ class MpsocSimulator {
   /// Applies injected fault \p event at \p now: picks the target from
   /// the Targets stream among the currently eligible cores/processes,
   /// defers busy-core faults to the segment boundary
-  /// (pendingCoreFault_/crashPending_), and counts events with no valid
+  /// (Core::pendingFault/crashPending), and counts events with no valid
   /// target as suppressed.
   void applyFault(const FaultEvent& event, std::int64_t now);
 
@@ -177,7 +234,11 @@ class MpsocSimulator {
   /// logic — batch admission, departure release — funnels through here.
   void announceReady(ProcessId process);
 
-  /// Lifetime deadline of \p process (max int64 when unlimited).
+  /// The cycle that never comes: an unlimited deadline.
+  static constexpr std::int64_t kNever =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// Lifetime deadline of \p process (kNever when unlimited).
   [[nodiscard]] std::int64_t deadline(ProcessId process) const;
 
   const Workload* workload_;
@@ -230,29 +291,15 @@ class MpsocSimulator {
   SharingMatrix liveSharing_;
   /// @}
 
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  std::array<std::size_t, kEventSources> pending_{};  // queued, per source
+
   /// \name Fault-injection state (inert when config_.faults is disabled)
   /// @{
-  bool faultsActive_ = false;
-  std::optional<FaultTimeline> faultTimeline_;
   Rng faultTargetRng_{0};   ///< FaultStream::Targets
   Rng retryJitterRng_{0};   ///< FaultStream::RetryJitter
-  /// A fault aimed at a busy core, waiting for its segment boundary.
-  /// Failure overrides a pending Outage (the harsher event wins).
-  enum class PendingCoreFault : std::uint8_t { None, Outage, Failure };
-  std::vector<bool> coreDown_;             // per core: unavailable now
-  std::vector<bool> corePermanentlyDown_;  // per core: never recovers
-  std::vector<std::int64_t> coreDownSince_;
-  std::vector<PendingCoreFault> pendingCoreFault_;
-  std::vector<bool> crashPending_;          // per core: crash at boundary
   std::vector<std::uint32_t> crashCount_;   // per process
   std::vector<bool> migrationPenaltyDue_;   // per process: charge on resume
-  /// (cycle, id) min-heaps; ties break on the smaller id, so equal-cycle
-  /// retries/recoveries process in deterministic order.
-  using TimedEvent = std::pair<std::int64_t, std::size_t>;
-  using TimedEventQueue =
-      std::priority_queue<TimedEvent, std::vector<TimedEvent>, std::greater<>>;
-  TimedEventQueue retryQueue_;     // crashed processes awaiting re-arrival
-  TimedEventQueue recoveryQueue_;  // transiently-down cores
   /// @}
 
   /// \name Audit test seams (see the public ...ForTest setters)

@@ -8,20 +8,14 @@ void require(bool condition, std::string_view message) {
   }
 }
 
-void cycleMonotone(std::int64_t previous, std::int64_t next) {
-  require(next >= previous,
-          "event-queue cycle monotonicity violated: event at cycle " +
-              std::to_string(next) + " popped after cycle " +
-              std::to_string(previous));
-}
-
-void arrivalBeforeCore(std::int64_t coreEventCycle,
-                       std::int64_t nextArrivalCycle) {
-  require(coreEventCycle < nextArrivalCycle,
-          "arrival-before-core ordering violated: core event at cycle " +
-              std::to_string(coreEventCycle) +
-              " processed with an arrival pending at cycle " +
-              std::to_string(nextArrivalCycle));
+void eventOrder(std::int64_t previousCycle, int previousSource,
+                std::int64_t cycle, int source) {
+  require(cycle > previousCycle ||
+              (cycle == previousCycle && source >= previousSource),
+          "event order violated: event of source " + std::to_string(source) +
+              " at cycle " + std::to_string(cycle) +
+              " popped after source " + std::to_string(previousSource) +
+              " at cycle " + std::to_string(previousCycle));
 }
 
 void admissionIdentity(std::size_t samples, std::size_t rejected,
@@ -47,15 +41,6 @@ void departureConservation(std::size_t departed, std::size_t completed,
 void coreUpForDispatch(bool coreDown, std::size_t core) {
   require(!coreDown, "down-core dispatch: a segment was dispatched on core " +
                          std::to_string(core) + " while it is down");
-}
-
-void faultBeforeCore(std::int64_t coreEventCycle,
-                     std::int64_t nextFaultCycle) {
-  require(coreEventCycle <= nextFaultCycle,
-          "fault-before-core ordering violated: core event at cycle " +
-              std::to_string(coreEventCycle) +
-              " processed with a fault injection pending at cycle " +
-              std::to_string(nextFaultCycle));
 }
 
 void percentileOrdering(std::int64_t p50, std::int64_t p95, std::int64_t p99,

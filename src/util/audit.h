@@ -60,16 +60,16 @@ constexpr bool enabled() { return LAPS_AUDIT_ENABLED != 0; }
 /// primitive every checker funnels through.
 void require(bool condition, std::string_view message);
 
-/// Engine event loop: simulated time never runs backwards. \p previous
-/// is the cycle of the event processed before \p next.
-void cycleMonotone(std::int64_t previous, std::int64_t next);
-
-/// Engine event loop: a core event may only be popped when no pending
-/// arrival is due at or before it (arrivals are processed first at
-/// equal cycles, so a core freeing at t sees the processes arriving
-/// at t).
-void arrivalBeforeCore(std::int64_t coreEventCycle,
-                       std::int64_t nextArrivalCycle);
+/// Engine event queue: popped events never run backwards in
+/// (cycle, source) order. Simulated time is monotone, and at equal
+/// cycles the sources drain in the engine's declared order (arrival,
+/// retry, recovery, injection, core — docs/ARCHITECTURE.md §13), so a
+/// core freeing at t sees every arrival, retry and recovery at t, and a
+/// fault injected at t lands on the segment ending at t. \p previous*
+/// describe the event popped before \p cycle / \p source; sources are
+/// the ordinals of that declared order.
+void eventOrder(std::int64_t previousCycle, int previousSource,
+                std::int64_t cycle, int source);
 
 /// Open-workload accounting identity: every process of the run is
 /// either a ranked sojourn sample, was rejected at admission, or was
@@ -92,12 +92,6 @@ void departureConservation(std::size_t departed, std::size_t completed,
 /// checker is the compiled-in proof that no other path can slip work
 /// onto one.
 void coreUpForDispatch(bool coreDown, std::size_t core);
-
-/// Fault engine event ordering: when a core event at \p coreEventCycle
-/// is popped, every pending fault injection at a strictly earlier
-/// cycle has already been applied.
-void faultBeforeCore(std::int64_t coreEventCycle,
-                     std::int64_t nextFaultCycle);
 
 /// Order statistics sanity: p50 <= p95 <= p99, and all three are zero
 /// while no sample was recorded.

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "sim_digest.h"
 #include "util/audit.h"
 #include "util/parallel.h"
 
@@ -185,6 +186,40 @@ TEST(FaultInjection, DisabledPlanIsBitIdenticalToFaultFree) {
               inert.sim.processes[p].completionCycle);
     EXPECT_EQ(plain.sim.processes[p].segments, inert.sim.processes[p].segments);
   }
+}
+
+TEST(FaultInjection, InjectionsPastTheEndNeverSustainTheRun) {
+  // An enabled plan whose injections all fall after the last departure:
+  // the fault timeline is infinite, so a queued injection must never
+  // keep the event loop alive (this would hang), and the run is
+  // bit-identical to the fault-free one.
+  const Workload service = makeServiceWorkload();
+  auto config = serviceConfig(2'000);
+  const auto plain = runExperiment(service, SchedulerKind::DynamicLocality,
+                                   config);
+  config.mpsoc.faults.emplace();
+  config.mpsoc.faults->meanCrashCycles = 1'000'000'000'000;
+  const auto late = runExperiment(service, SchedulerKind::DynamicLocality,
+                                  config);
+  EXPECT_EQ(late.sim.faults.processCrashes, 0u);
+  EXPECT_EQ(late.sim.faults.faultsSuppressed, 0u);
+  EXPECT_EQ(simDigest(late.sim), simDigest(plain.sim));
+}
+
+TEST(FaultInjection, RecoveriesSustainAOneCorePlatform) {
+  // On one core every outage leaves no core up: the pending recovery is
+  // then the only event that can wake the platform, so it must keep the
+  // loop alive while undeparted processes remain.
+  const Workload service = makeServiceWorkload();
+  auto config = serviceConfig(2'000);
+  config.mpsoc.coreCount = 1;
+  config.mpsoc.faults.emplace();
+  config.mpsoc.faults->seed = 5;
+  config.mpsoc.faults->meanCoreOutageCycles = 20'000;
+  config.mpsoc.faults->outageDownCycles = 5'000;
+  const auto r = runExperiment(service, SchedulerKind::Fcfs, config);
+  EXPECT_GT(r.sim.faults.coreRecoveries, 0u);
+  EXPECT_EQ(r.sim.completedProcesses(), r.sim.processes.size());
 }
 
 TEST(FaultInjection, CrashedProcessesRetryAndKeepTheirOriginalArrival) {

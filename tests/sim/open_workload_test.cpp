@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "sim_digest.h"
 
 namespace laps {
 namespace {
@@ -144,6 +145,25 @@ TEST(OpenWorkload, EveryPolicyKindSurvivesAnOpenWorkload) {
       EXPECT_GE(p.completionCycle, 0)
           << to_string(kind) << " stranded process " << p.id;
     }
+  }
+}
+
+TEST(OpenWorkload, UnboundedLifetimeMatchesNoLifetime) {
+  // A lifetime of INT64_MAX cycles means "unlimited": the deadline
+  // arrival + lifetime saturates instead of overflowing, so the run is
+  // bit-identical to one without a lifetime, preemptive policy included.
+  const Workload service = makeServiceWorkload();
+  for (const SchedulerKind kind :
+       {SchedulerKind::RoundRobin, SchedulerKind::DynamicLocality}) {
+    auto config = openConfig(2'000);
+    config.mpsoc.arrivals->granularity = ArrivalGranularity::PerProcess;
+    const auto unlimited = runExperiment(service, kind, config);
+    config.mpsoc.arrivals->processLifetimeCycles =
+        std::numeric_limits<std::int64_t>::max();
+    const auto saturated = runExperiment(service, kind, config);
+    EXPECT_EQ(saturated.sim.retiredProcesses, 0u) << to_string(kind);
+    EXPECT_EQ(simDigest(saturated.sim), simDigest(unlimited.sim))
+        << to_string(kind);
   }
 }
 

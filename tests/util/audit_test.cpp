@@ -47,25 +47,51 @@ TEST(AuditRequire, AuditErrorIsAnError) {
   EXPECT_THROW(audit::require(false, "x"), Error);
 }
 
-TEST(AuditCycleMonotone, AcceptsForwardAndEqualTime) {
-  EXPECT_NO_THROW(audit::cycleMonotone(0, 0));
-  EXPECT_NO_THROW(audit::cycleMonotone(10, 10));
-  EXPECT_NO_THROW(audit::cycleMonotone(10, 11));
+// The engine's EventSource ordinals, in their declared equal-cycle
+// drain order (docs/ARCHITECTURE.md §13).
+constexpr int kArrival = 0;
+constexpr int kRetry = 1;
+constexpr int kRecovery = 2;
+constexpr int kInjection = 3;
+constexpr int kCore = 4;
+
+TEST(AuditEventOrder, AcceptsForwardTimeAndDeclaredTieOrder) {
+  EXPECT_NO_THROW(audit::eventOrder(0, kArrival, 0, kArrival));
+  EXPECT_NO_THROW(audit::eventOrder(10, kCore, 10, kCore));
+  EXPECT_NO_THROW(audit::eventOrder(10, kCore, 11, kArrival));
+  EXPECT_NO_THROW(audit::eventOrder(5, kArrival, 5, kRetry));
+  EXPECT_NO_THROW(audit::eventOrder(5, kRetry, 5, kRecovery));
+  EXPECT_NO_THROW(audit::eventOrder(5, kRecovery, 5, kInjection));
+  EXPECT_NO_THROW(audit::eventOrder(5, kInjection, 5, kCore));
+  EXPECT_NO_THROW(audit::eventOrder(5, kArrival, 6, kArrival));
 }
 
-TEST(AuditCycleMonotone, RejectsBackwardTime) {
-  EXPECT_THROW(audit::cycleMonotone(11, 10), AuditError);
+TEST(AuditEventOrder, RejectsBackwardTime) {
+  EXPECT_THROW(audit::eventOrder(11, kArrival, 10, kCore), AuditError);
+  EXPECT_THROW(audit::eventOrder(11, kCore, 10, kCore), AuditError);
 }
 
-TEST(AuditArrivalBeforeCore, AcceptsCoreEventBeforeNextArrival) {
-  EXPECT_NO_THROW(audit::arrivalBeforeCore(5, 6));
+TEST(AuditEventOrder, RejectsDueArrivalLeftPending) {
+  // An arrival due at or before a core event's cycle must already have
+  // been drained (arrivals first at equal cycles).
+  EXPECT_THROW(audit::eventOrder(5, kCore, 5, kArrival), AuditError);
+  EXPECT_THROW(audit::eventOrder(5, kCore, 4, kArrival), AuditError);
 }
 
-TEST(AuditArrivalBeforeCore, RejectsDueArrivalLeftPending) {
-  // An arrival due at the core event's own cycle must already have been
-  // drained (arrivals first at equal cycles).
-  EXPECT_THROW(audit::arrivalBeforeCore(5, 5), AuditError);
-  EXPECT_THROW(audit::arrivalBeforeCore(5, 4), AuditError);
+TEST(AuditEventOrder, RejectsEarlierFaultLeftPending) {
+  EXPECT_THROW(audit::eventOrder(5, kCore, 4, kInjection), AuditError);
+}
+
+TEST(AuditEventOrder, RejectsEqualCycleInjectionAfterCore) {
+  // A fault injected at t must land on the segment ending at t, so it
+  // pops before that core event, never after it.
+  EXPECT_THROW(audit::eventOrder(5, kCore, 5, kInjection), AuditError);
+}
+
+TEST(AuditEventOrder, RejectsEqualCycleSourcesOutOfOrder) {
+  EXPECT_THROW(audit::eventOrder(5, kRetry, 5, kArrival), AuditError);
+  EXPECT_THROW(audit::eventOrder(5, kRecovery, 5, kRetry), AuditError);
+  EXPECT_THROW(audit::eventOrder(5, kInjection, 5, kRecovery), AuditError);
 }
 
 TEST(AuditAdmissionIdentity, AcceptsExactPartition) {
@@ -96,18 +122,6 @@ TEST(AuditCoreUpForDispatch, AcceptsUpCore) {
 
 TEST(AuditCoreUpForDispatch, RejectsDownCoreDispatch) {
   EXPECT_THROW(audit::coreUpForDispatch(true, 3), AuditError);
-}
-
-TEST(AuditFaultBeforeCore, AcceptsDrainedFaults) {
-  // A fault injection due strictly before the core event must already
-  // have been applied; one at the same cycle applies after arrivals but
-  // before the core event is handled, so equality is fine here.
-  EXPECT_NO_THROW(audit::faultBeforeCore(5, 5));
-  EXPECT_NO_THROW(audit::faultBeforeCore(5, 6));
-}
-
-TEST(AuditFaultBeforeCore, RejectsEarlierFaultLeftPending) {
-  EXPECT_THROW(audit::faultBeforeCore(5, 4), AuditError);
 }
 
 TEST(AuditPercentileOrdering, AcceptsOrderedPercentiles) {
