@@ -225,6 +225,40 @@ void BM_LocalityPlanLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalityPlanLarge)->Arg(1000)->Arg(4000);
 
+// An OLS rebuild's input at service scale: a seeded keyed service
+// workload over 48 keys (the saturation sweep's overload point) on an
+// open matrix grown by addProcess, planned on 4 cores over a
+// dependence-free live subset: every third request active, every
+// seventeenth of those left out as running. live and classes count the
+// planned processes and their sharing classes.
+void BM_LocalityPlanOpenService(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ServiceWorkloadParams params;
+  params.requestCount = n;
+  params.keyCount = 48;
+  const Workload service = makeServiceWorkload(params);
+  const std::vector<Footprint> footprints = service.footprints();
+  SharingMatrix sharing = SharingMatrix::inactive(n);
+  std::vector<ProcessId> live;
+  for (ProcessId p = 0; p < n; p += 3) {
+    sharing.addProcess(footprints, p);
+    if (p % 17 != 0) live.push_back(p);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        buildLocalityPlan(service.graph, sharing, 4, {}, live));
+  }
+  std::vector<bool> seen(sharing.classCount(), false);
+  std::size_t classes = 0;
+  for (const ProcessId p : live) {
+    classes += seen[sharing.classOf(p)] ? 0 : 1;
+    seen[sharing.classOf(p)] = true;
+  }
+  state.counters["live"] = static_cast<double>(live.size());
+  state.counters["classes"] = static_cast<double>(classes);
+}
+BENCHMARK(BM_LocalityPlanOpenService)->Arg(512)->Arg(2048);
+
 // Fig. 5 re-layout selection on a seeded n-array conflict matrix (272
 // is the array count of the |T|=48 concurrent mix) with mean T, a
 // 1-in-8 eligibility relation and no size guard. examined_pairs is the

@@ -27,21 +27,26 @@
 #   bench-gate  run the bench mode against a saved copy of the committed
 #               BENCH_micro.json and fail if any *_speedup field
 #               regressed >25% (bench/baselines/check_bench_regression.py)
-#               — the scheduled CI perf gate.
+#               — the scheduled CI perf gate;
+#   perfbench   run the end-to-end benchmark (perfbench/run.py) for 1 s
+#               at seed 1 on each BENCHMARK.json workload and fail
+#               unless every result line reports "correct": true and
+#               "failed": 0 — the committed-baseline-row and sim-digest
+#               checks of perfbench/run.py, in CI.
 #
 # Every cmake configure honours LAPSCHED_WERROR (default OFF); CI
 # exports LAPSCHED_WERROR=ON so all CI configurations build -Werror.
 #
-# Usage: ci.sh [tier1|lint|audit|sanitize|tsan|bench|bench-gate|all]
-# (default: all)
+# Usage: ci.sh [tier1|lint|audit|sanitize|tsan|bench|bench-gate|perfbench|all]
+# (default: all; perfbench runs only when named)
 set -eu
 
 MODE="${1:-all}"
 case "$MODE" in
-  all|tier1|lint|audit|sanitize|tsan|bench|bench-gate) ;;
+  all|tier1|lint|audit|sanitize|tsan|bench|bench-gate|perfbench) ;;
   *)
     echo "ci.sh: unknown mode '$MODE' (expected tier1, lint, audit," \
-         "sanitize, tsan, bench, bench-gate or all)" >&2
+         "sanitize, tsan, bench, bench-gate, perfbench or all)" >&2
     exit 2
     ;;
 esac
@@ -251,4 +256,24 @@ if [ "$MODE" = "bench" ] || [ "$MODE" = "bench-gate" ]; then
       BENCH_micro.json build_bench_baseline.json
     rm -f build_bench_baseline.json
   fi
+fi
+
+if [ "$MODE" = "perfbench" ]; then
+  # perfbench/run.py builds its own tree (.bench_build/perfbench), runs
+  # one workload and prints a context line and a result line; a build or
+  # run failure exits non-zero and stops this script (set -e).
+  for workload in service-ols-overload noc-mesh8x8 closed-lsm faults-bus; do
+    output=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+      --seconds 1 --trace 0)
+    python3 -c '
+import json
+import sys
+
+workload, output = sys.argv[1], sys.argv[2]
+result = json.loads(output.splitlines()[-1])
+correct, failed = result.get("correct"), result.get("failed")
+print(f"ci.sh: perfbench {workload}: correct={correct} failed={failed}")
+sys.exit(0 if correct is True and failed == 0 else 1)
+' "$workload" "$output"
+  done
 fi

@@ -1,5 +1,8 @@
 #include "sched/locality.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/audit.h"
 #include "util/error.h"
 
@@ -83,84 +86,129 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
   return in;
 }
 
-/// Each candidate's total sharing with the other candidates, summed
-/// over the smaller side of the split: directly over IN, or by
-/// complement as rowSum(p) minus the row over the active processes
-/// outside IN (exact: an inactive process's cells are zero). An OLS
-/// rebuild is on the complement side, a closed plan's roots usually on
-/// the direct one.
-std::vector<std::int64_t> trimTotals(const std::vector<ProcessId>& in,
-                                     const SharingMatrix& sharing) {
+/// Fig. 3's initial round: trims IN down to the core count by
+/// repeatedly removing the candidate with the maximum total sharing
+/// with the other candidates — on class groups, whose members share
+/// one total. A group's cells with any other group are those of its
+/// fixed representative (rep, its smallest member); between two of its
+/// members they are its intra value. Reading reps only keeps the trim
+/// on |groups|² cells of the matrix, where removed members' rows would
+/// touch a fresh row per removal.
+///
+/// Each total is computed once, over the smaller side of the split:
+/// directly as Σ size(h) · row(rep)[rep(h)] over the other groups plus
+/// the intra term, or by complement as rowSum(rep) minus the row over
+/// the active processes outside IN (exact: an inactive process's cells
+/// are zero). An OLS rebuild is on the complement side, a closed
+/// plan's roots usually on the direct one. Each removal then takes the
+/// smallest remaining member of the worst group, and one pass over the
+/// groups subtracts its cell with each group from the total and picks
+/// the next worst. Integer sums, so each patched total equals Fig. 3's
+/// from-scratch rescan exactly; the pick keeps the rescan's sentinel
+/// (the smallest id unless some total exceeds -1) and its smallest-id
+/// tie-break. Survivors come back in ascending id. The pick branches:
+/// with singleton groups (the closed paper workloads) a new worst is
+/// rare, and there the branch-free form measured slower.
+void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
+                     std::size_t coreCount) {
+  if (in.size() <= coreCount) return;
+  const ClassGroups groups = groupByClass(sharing, in);
+  // One slot per group with members left, in any order (the pick is
+  // order-independent). The pass over the slots reads totals, reps and
+  // fronts, so those are arrays of their own.
+  const std::size_t count = groups.count;
+  std::vector<std::int64_t> totals(count, 0);
+  std::vector<ProcessId> rep(count);    // smallest member: its row stands
+                                        // for the group
+  std::vector<ProcessId> front(count);  // smallest remaining member
+  struct Rest {
+    std::uint32_t next;  // front's index in groups.members
+    std::uint32_t end;   // the group's end index in groups.members
+    std::int64_t intra;  // sharing between two members
+  };
+  std::vector<Rest> rest(count);
+  for (std::size_t g = 0; g < count; ++g) {
+    rest[g].next = groups.start[g];
+    rest[g].end = groups.start[g + 1];
+    rep[g] = front[g] = groups.members[rest[g].next];
+    rest[g].intra = rest[g].end - rest[g].next > 1
+                        ? sharing.row(rep[g])[groups.members[rest[g].next + 1]]
+                        : 0;
+  }
+
   std::vector<char> isCandidate(sharing.size(), 0);
   for (const ProcessId p : in) isCandidate[p] = 1;
   // The outside list is only wanted while it stays the smaller side.
   std::vector<ProcessId> outside;
-  outside.reserve(in.size());
-  for (ProcessId q = 0; q < sharing.size() && outside.size() < in.size();
-       ++q) {
+  outside.reserve(count);
+  for (ProcessId q = 0; q < sharing.size() && outside.size() < count; ++q) {
     if (!isCandidate[q] && sharing.isActive(q)) outside.push_back(q);
   }
-  const bool byComplement = outside.size() < in.size();
-  std::vector<std::int64_t> totals(in.size(), 0);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    const std::span<const std::int64_t> row = sharing.row(in[i]);
+  const bool byComplement = outside.size() < count;
+  std::vector<std::int64_t> sizes(count);
+  for (std::size_t g = 0; g < count; ++g) sizes[g] = rest[g].end - rest[g].next;
+  for (std::size_t g = 0; g < count; ++g) {
+    const std::int64_t* row = sharing.row(rep[g]).data();
     std::int64_t total = 0;
     if (byComplement) {
-      total = sharing.rowSum(in[i]);
+      total = sharing.rowSum(rep[g]);
       for (const ProcessId q : outside) total -= row[q];
     } else {
-      for (const ProcessId q : in) total += row[q];
-      total -= row[in[i]];
+      for (std::size_t h = 0; h < count; ++h) total += sizes[h] * row[rep[h]];
+      total += (sizes[g] - 1) * rest[g].intra - sizes[g] * row[rep[g]];
     }
-    totals[i] = total;
+    totals[g] = total;
   }
-  return totals;
-}
 
-/// Fig. 3's initial round: trims IN down to the core count by
-/// repeatedly removing the candidate with the maximum total sharing
-/// with the other candidates. Each removal is one pass that compacts
-/// the removed candidate out, subtracts its row from the remaining
-/// totals and picks the next worst. Integer sums, so each patched total
-/// equals Fig. 3's from-scratch rescan exactly; the pick keeps the
-/// rescan's sentinel (the first candidate unless some total exceeds -1)
-/// and its smallest-index tie-break (strict `>`).
-void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
-                     std::size_t coreCount) {
-  if (in.size() <= coreCount) return;
-  std::vector<std::int64_t> totals = trimTotals(in, sharing);
-  std::size_t worst = 0;
-  std::int64_t worstSharing = -1;
-  for (std::size_t i = 0; i < totals.size(); ++i) {
-    if (totals[i] > worstSharing) {
-      worstSharing = totals[i];
-      worst = i;
-    }
-  }
-  while (in.size() > coreCount) {
-    // row(removed)[p] equals the rescan's at(p, removed) on a symmetric
-    // matrix (the precondition, audited at entry), and reads one
-    // contiguous row instead of a strided column.
-    const std::span<const std::int64_t> removedRow = sharing.row(in[worst]);
-    std::size_t kept = 0;
-    std::size_t next = 0;
-    std::int64_t nextSharing = -1;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      if (i == worst) continue;
-      const ProcessId p = in[i];
-      const std::int64_t total = totals[i] - removedRow[p];
-      in[kept] = p;
-      totals[kept] = total;
-      if (total > nextSharing) {
-        nextSharing = total;
-        next = kept;
+  // Patches the totals with the removed group's rep row (none: the
+  // initial pick) and picks the worst group: (total desc, id asc), or
+  // the smallest id when no total exceeds the rescan's -1 sentinel.
+  const auto patchAndPick = [&](const std::int64_t* removedRow) {
+    std::size_t worst = 0;
+    std::int64_t worstSharing = -1;
+    ProcessId worstFront = std::numeric_limits<ProcessId>::max();
+    for (std::size_t i = 0; i < totals.size(); ++i) {
+      if (removedRow != nullptr) totals[i] -= removedRow[rep[i]];
+      if (totals[i] > worstSharing ||
+          (totals[i] == worstSharing && front[i] < worstFront)) {
+        worstSharing = totals[i];
+        worstFront = front[i];
+        worst = i;
       }
-      ++kept;
     }
-    in.resize(kept);
-    totals.resize(kept);
-    worst = next;
+    if (worstSharing > -1) return worst;
+    return static_cast<std::size_t>(
+        std::min_element(front.begin(), front.end()) - front.begin());
+  };
+  std::size_t worst = patchAndPick(nullptr);
+  for (std::size_t remaining = in.size(); remaining > coreCount;
+       --remaining) {
+    // The rep's row reads the rescan's at(p, removed) for p outside the
+    // group (class contract plus symmetry, the precondition audited at
+    // entry); the group's own slot loses its intra value instead of the
+    // rep's diagonal.
+    const std::int64_t* removedRow = sharing.row(rep[worst]).data();
+    if (++rest[worst].next < rest[worst].end) {
+      front[worst] = groups.members[rest[worst].next];
+      totals[worst] += removedRow[rep[worst]] - rest[worst].intra;
+    } else {  // emptied: swap-remove the slot
+      totals[worst] = totals.back();
+      rep[worst] = rep.back();
+      front[worst] = front.back();
+      rest[worst] = rest.back();
+      totals.pop_back();
+      rep.pop_back();
+      front.pop_back();
+      rest.pop_back();
+    }
+    worst = patchAndPick(removedRow);
   }
+  in.clear();
+  for (const Rest& slot : rest) {
+    in.insert(in.end(), groups.members.begin() + slot.next,
+              groups.members.begin() + slot.end);
+  }
+  std::sort(in.begin(), in.end());
 }
 
 /// Places the initial round — one process per core. Distance-blind

@@ -78,15 +78,17 @@ struct LocalityOptions {
 /// belong to another task), and only subset members are placed. An
 /// empty subset means every process, exactly as before.
 ///
-/// Runs on the indexed planner core (sched/plan_index.h). The initial
-/// trim computes each candidate's total once, in
-/// O(|IN| · min(|IN|, |active∖IN|)): directly, or by complement from
-/// the matrix's live row sums (SharingMatrix::rowSum) minus the row
-/// over the active processes outside IN — for an OLS rebuild, just the
-/// running ones. Each removal is then one O(|IN|) pass, where Fig. 3's
-/// rescan is O(|IN|²). Cached indegree counters replace the
-/// per-candidate predecessor walk, and one linear argmax over the
-/// ready set serves each placement. The
+/// Runs on the indexed planner core (sched/plan_index.h), over sharing
+/// classes (SharingMatrix::classOf): processes whose rows agree are one
+/// candidate. The initial trim keeps one total per class, computed
+/// once over the smaller side of the split — directly over the
+/// classes, or by complement from the matrix's live row sums
+/// (SharingMatrix::rowSum) minus the row over the active processes
+/// outside IN (for an OLS rebuild, just the running ones). Each
+/// removal takes the smallest member of the worst class and is one
+/// O(classes) pass, where Fig. 3's rescan is O(|IN|²). Cached indegree
+/// counters replace the per-candidate predecessor walk, and one argmax
+/// over the ready classes' smallest members serves each placement. The
 /// plan is identical — element for element — to the Fig. 3 loops as
 /// written; the differential tests in tests/sched/plan_index_test.cpp
 /// (against the test-only reference planner) and the equality argument

@@ -1,11 +1,43 @@
 #include "sched/plan_index.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
+
+ClassGroups groupByClass(const SharingMatrix& sharing,
+                         std::span<const ProcessId> ids) {
+  constexpr std::uint32_t kNone = 0xffffffffU;
+  ClassGroups groups;
+  std::vector<std::uint32_t> groupOfClass(sharing.classCount(), kNone);
+  std::vector<std::uint32_t> sizes;
+  groups.groupOf.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    auto group = static_cast<std::uint32_t>(sizes.size());
+    if (sharing.isActive(ids[i])) {
+      std::uint32_t& known = groupOfClass[sharing.classOf(ids[i])];
+      if (known == kNone) known = group;
+      group = known;
+    }
+    if (group == sizes.size()) sizes.push_back(0);
+    ++sizes[group];
+    groups.groupOf[i] = group;
+  }
+  groups.count = sizes.size();
+  groups.start.assign(sizes.size() + 1, 0);
+  for (std::size_t g = 0; g < sizes.size(); ++g) {
+    groups.start[g + 1] = groups.start[g] + sizes[g];
+  }
+  std::vector<std::uint32_t> next(groups.start.begin(), groups.start.end() - 1);
+  groups.members.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    groups.members[next[groups.groupOf[i]]++] = ids[i];
+  }
+  return groups;
+}
 
 void PlanIndex::reset(const SharingMatrix& sharing, std::size_t n,
                       std::size_t coreCount) {
@@ -20,6 +52,73 @@ void PlanIndex::reset(const SharingMatrix& sharing, std::size_t n,
   popCount_ = 0;
   score_ = nullptr;
   home_.assign(n, -1);
+  bucketOf_.clear();
+}
+
+void PlanIndex::bucketByClass(const std::vector<bool>& pending) {
+  const std::size_t n = pending.size();
+  if (sharing_->classCount() == n) return;  // all singletons: the plain scan
+  std::vector<ProcessId> ids;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (pending[p]) ids.push_back(p);
+  }
+  ClassGroups groups = groupByClass(*sharing_, ids);
+  if (groups.count == ids.size()) return;
+  bucketOf_.assign(n, kNotReady);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    bucketOf_[ids[i]] = groups.groupOf[i];
+  }
+  bucketStart_ = std::move(groups.start);
+  bucketSize_.assign(groups.count, 0);
+  bucketRep_.resize(groups.count);
+  bucketIntra_.resize(groups.count);
+  for (std::size_t b = 0; b < groups.count; ++b) {
+    const std::uint32_t first = bucketStart_[b];
+    bucketRep_[b] = groups.members[first];
+    bucketIntra_[b] = bucketStart_[b + 1] - first > 1
+                          ? sharing_->row(groups.members[first])
+                                [groups.members[first + 1]]
+                          : 0;
+  }
+  heap_.assign(ids.size(), 0);
+  live_.clear();
+  liveSlot_.assign(groups.count, kNotReady);
+}
+
+void PlanIndex::pushBucket(ProcessId process) {
+  const std::uint32_t b = bucketOf_[process];
+  const auto first = heap_.begin() + bucketStart_[b];
+  first[bucketSize_[b]] = process;
+  std::push_heap(first, first + ++bucketSize_[b], std::greater<>());
+  if (bucketSize_[b] == 1) {
+    liveSlot_[b] = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(LiveBucket{process, bucketRep_[b], b});
+  } else {
+    live_[liveSlot_[b]].top = *first;
+  }
+}
+
+void PlanIndex::eraseBucket(ProcessId process) {
+  const std::uint32_t b = bucketOf_[process];
+  const auto first = heap_.begin() + bucketStart_[b];
+  const auto last = first + bucketSize_[b]--;
+  if (*first == process) {
+    std::pop_heap(first, last, std::greater<>());
+  } else {
+    // Not the smallest member: only a markUnready outside popBest.
+    *std::find(first, last, process) = *(last - 1);
+    std::make_heap(first, last - 1, std::greater<>());
+  }
+  const std::uint32_t at = liveSlot_[b];
+  if (bucketSize_[b] > 0) {
+    live_[at].top = *first;
+    return;
+  }
+  // Swap-remove the emptied bucket from the live list.
+  live_[at] = live_.back();
+  liveSlot_[live_[at].bucket] = at;
+  live_.pop_back();
+  liveSlot_[b] = kNotReady;
 }
 
 void PlanIndex::enableDistance(const LocalityScore* score) { score_ = score; }
@@ -52,6 +151,7 @@ void PlanIndex::beginPlanner(const ExtendedProcessGraph& graph,
   check(pending.size() == n,
         "PlanIndex::beginPlanner: pending mask size mismatch");
   reset(sharing, n, coreCount);
+  bucketByClass(pending);
   graph_ = &graph;
   pending_ = pending;
   indegree_.assign(n, 0);
@@ -80,9 +180,12 @@ void PlanIndex::beginDispatch(const SharingMatrix& sharing, std::size_t n,
 
 void PlanIndex::markReady(ProcessId process) {
   check(process < slot_.size(), "PlanIndex::markReady: unknown process");
+  check(bucketOf_.empty() || bucketOf_[process] != kNotReady,
+        "PlanIndex::markReady: class buckets hold pending processes only");
   if (slot_[process] != kNotReady) return;
   slot_[process] = static_cast<std::uint32_t>(ready_.size());
   ready_.push_back(process);
+  if (!bucketOf_.empty()) pushBucket(process);
 }
 
 void PlanIndex::markUnready(ProcessId process) {
@@ -95,6 +198,7 @@ void PlanIndex::markUnready(ProcessId process) {
   slot_[last] = at;
   ready_.pop_back();
   slot_[process] = kNotReady;
+  if (!bucketOf_.empty()) eraseBucket(process);
 }
 
 bool PlanIndex::isReady(ProcessId process) const {
@@ -110,6 +214,12 @@ std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
   // degenerates to the smallest ready id, distance-aware the nearest
   // home wins. The order is independent of the array order.
   const std::int64_t* row = anchor ? sharing_->row(*anchor).data() : nullptr;
+  ++popCount_;
+  LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) auditReadySet());
+  if (!bucketOf_.empty() && (score_ == nullptr || !score_->distanceAware()) &&
+      !(anchor && slot_[*anchor] != kNotReady)) {
+    return popBucketed(anchor);
+  }
   // The comparison is evaluated without short-circuit branches: the
   // sharing values repeat (ties are the common case on keyed
   // workloads), so a branch on key == bestKey mispredicts. What is left
@@ -123,8 +233,39 @@ std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
     best = better ? q : best;
     bestKey = better ? key : bestKey;
   }
-  ++popCount_;
-  LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) auditReadySet());
+  markUnready(best);
+  return best;
+}
+
+ProcessId PlanIndex::popBucketed(std::optional<ProcessId> anchor) {
+  // One candidate per non-empty bucket, its smallest ready member, keyed
+  // by the raw sharing term: the cell with the bucket's rep, or the
+  // intra value in the anchor's own bucket. A bucketed anchor reads its
+  // rep's row — the rows of |classes| reps in all, where anchors' own
+  // rows would be fresh on every pop.
+  std::uint32_t anchorBucket = kNotReady;
+  const std::int64_t* repRow = nullptr;
+  if (anchor) {
+    anchorBucket = bucketOf_[*anchor];
+    repRow = sharing_
+                 ->row(anchorBucket == kNotReady ? *anchor
+                                                 : bucketRep_[anchorBucket])
+                 .data();
+  }
+  const auto keyOf = [&](const LiveBucket& live) -> std::int64_t {
+    if (repRow == nullptr) return 0;
+    return live.bucket == anchorBucket ? bucketIntra_[live.bucket]
+                                       : repRow[live.rep];
+  };
+  ProcessId best = live_.front().top;
+  std::int64_t bestKey = keyOf(live_.front());
+  for (std::size_t i = 1; i < live_.size(); ++i) {
+    const ProcessId q = live_[i].top;
+    const std::int64_t key = keyOf(live_[i]);
+    const bool better = (key > bestKey) | ((key == bestKey) & (q < best));
+    best = better ? q : best;
+    bestKey = better ? key : bestKey;
+  }
   markUnready(best);
   return best;
 }
@@ -153,6 +294,45 @@ void PlanIndex::auditReadySet() const {
   audit::require(flagged == ready_.size(),
                  "plan index: a process flagged ready is missing from the "
                  "ready set");
+  if (bucketOf_.empty()) return;
+  // Each bucket entry is a distinct ready process of that bucket's
+  // class (its rep's), and the entries number readyCount(): every ready
+  // process sits in exactly its class's bucket. classKey is a process's
+  // class while active, none (kNotReady) while inactive.
+  const auto classKey = [this](ProcessId p) {
+    return sharing_->isActive(p)
+               ? static_cast<std::uint32_t>(sharing_->classOf(p))
+               : kNotReady;
+  };
+  std::vector<char> seen(slot_.size(), 0);
+  std::size_t bucketed = 0;
+  for (const LiveBucket& live : live_) {
+    const std::uint32_t b = live.bucket;
+    const auto first = heap_.begin() + bucketStart_[b];
+    const auto last = first + bucketSize_[b];
+    audit::require(bucketSize_[b] > 0 && live.top == *first &&
+                       live.rep == bucketRep_[b] &&
+                       std::is_heap(first, last, std::greater<>()),
+                   "plan index: a live class bucket is empty, stale or "
+                   "not a min-heap");
+    const std::uint32_t key = classKey(bucketRep_[b]);
+    const bool singleton = bucketStart_[b + 1] - bucketStart_[b] == 1;
+    for (auto it = first; it != last; ++it) {
+      const ProcessId q = *it;
+      const bool member = q < slot_.size() && slot_[q] != kNotReady &&
+                          seen[q] == 0 && bucketOf_[q] == b &&
+                          classKey(q) == key &&
+                          (key != kNotReady || singleton);
+      audit::require(member, "plan index: a class bucket holds a process "
+                             "that is not ready, repeated or of another "
+                             "class");
+      seen[q] = 1;
+    }
+    bucketed += bucketSize_[b];
+  }
+  audit::require(bucketed == ready_.size(),
+                 "plan index: a ready process is missing from its class's "
+                 "bucket");
 }
 
 void PlanIndex::corruptSlotForTest(ProcessId process, std::uint32_t slot) {

@@ -24,13 +24,23 @@
 /// scan with strict `>` (smallest id among the maximal keys). Keys are
 /// read from the live sharing row at pick time, so open-workload row
 /// rewrites and home changes need no invalidation. Cost: O(ready) per
-/// decision (docs/ARCHITECTURE.md §12). Differential tests
+/// decision (docs/ARCHITECTURE.md §12).
+///
+/// Planner mode buckets the ready set by sharing class
+/// (SharingMatrix::classOf): same-class ready processes have the same
+/// key against any anchor outside the class and against an anchor in
+/// it (the anchor is placed, never ready). Each bucket keeps its ready
+/// members in a min-heap, so the argmax runs over the non-empty
+/// buckets' smallest members — O(classes) per placement — and reads
+/// the key off the buckets' representatives, |classes|² cells in all.
+/// Differential tests
 /// (tests/sched/plan_index_test.cpp) pin the equality on random DAGs;
 /// under -DLAPSCHED_AUDIT=ON popBest samples a consistency check of the
 /// ready set (PlanIndex::auditReadySet).
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "region/sharing.h"
@@ -39,12 +49,29 @@
 
 namespace laps {
 
+/// The planner's sharing classes over an ascending id list: two ids
+/// share a group iff both are active in one SharingMatrix class. An
+/// inactive process is a group of its own (its cells are all zero,
+/// whatever its class). Groups are numbered in order of their smallest
+/// member.
+struct ClassGroups {
+  std::size_t count = 0;               ///< number of groups
+  std::vector<std::uint32_t> groupOf;  ///< group of each id, parallel to it
+  std::vector<std::uint32_t> start;    ///< CSR offsets, count + 1
+  std::vector<ProcessId> members;      ///< ascending within a group
+};
+
+/// Groups \p ids (ascending) by planner class; see ClassGroups.
+[[nodiscard]] ClassGroups groupByClass(const SharingMatrix& sharing,
+                                       std::span<const ProcessId> ids);
+
 /// Ready-set index with a linear argmax (see file comment).
 ///
 /// Two modes:
 ///  * planner mode (beginPlanner): the index owns DAG readiness —
 ///    cached indegrees over the pending subset, place() releases
-///    successors. Used by buildLocalityPlan;
+///    successors — and buckets the ready set by sharing class unless
+///    every class is a singleton. Used by buildLocalityPlan;
 ///  * dispatch mode (beginDispatch): readiness is announced externally
 ///    (markReady), as the simulation engine drives policies. Used by
 ///    LocalityScheduler and OnlineLocalityScheduler at pick time.
@@ -67,7 +94,8 @@ class PlanIndex {
   void beginDispatch(const SharingMatrix& sharing, std::size_t n,
                      std::size_t coreCount);
 
-  /// Announces readiness (dispatch mode, or tests). Idempotent.
+  /// Announces readiness (dispatch mode, or tests). Idempotent. With
+  /// class buckets (planner mode), only pending processes.
   void markReady(ProcessId process);
 
   /// Withdraws readiness without placing (dispatch take, exit of a
@@ -110,10 +138,14 @@ class PlanIndex {
   /// Audit checker (docs/ARCHITECTURE.md §12): the ready set must be
   /// consistent — every listed process's position map entry points
   /// back at its slot, and exactly readyCount() processes are flagged
-  /// ready, so every flagged process is listed. Throws laps::AuditError
-  /// on violation. popBest samples it under LAPS_AUDIT every
-  /// kAuditSampleEvery pops; tests break the position map
-  /// (corruptSlotForTest) to prove it fires.
+  /// ready, so every flagged process is listed. With class buckets,
+  /// every ready process must sit in exactly its class's bucket (the
+  /// one whose rep is in its current SharingMatrix class), each bucket
+  /// must be a min-heap, and the buckets must hold readyCount()
+  /// processes in all. Throws laps::AuditError on violation. popBest
+  /// samples it under LAPS_AUDIT every kAuditSampleEvery pops; tests
+  /// break the position map (corruptSlotForTest) or a class
+  /// (SharingMatrix::corruptClassForTest) to prove it fires.
   void auditReadySet() const;
 
   /// Test seam for the audit path: overwrites \p process's position
@@ -135,6 +167,15 @@ class PlanIndex {
   /// it and \p q's home.
   [[nodiscard]] std::int64_t keyFor(std::size_t core, ProcessId q,
                                     const std::int64_t* row) const;
+  /// Buckets the pending processes by class (beginPlanner), unless
+  /// every class is a singleton.
+  void bucketByClass(const std::vector<bool>& pending);
+  /// Class buckets: add a ready process, remove one.
+  void pushBucket(ProcessId process);
+  void eraseBucket(ProcessId process);
+  /// popBest over the class buckets (planner mode, raw sharing keys, a
+  /// placed anchor). Out of line: inlined, it slowed the plain scan.
+  ProcessId popBucketed(std::optional<ProcessId> anchor);
 
   const ExtendedProcessGraph* graph_ = nullptr;  // planner mode only
   const SharingMatrix* sharing_ = nullptr;
@@ -148,6 +189,22 @@ class PlanIndex {
   /// sharing keys, the pre-NoC arithmetic.
   const LocalityScore* score_ = nullptr;
   std::vector<std::int32_t> home_;  ///< home core per process; -1 = none
+  // Planner-mode class buckets over the pending processes; empty = no
+  // bucketing. A bucket's cells with any other process are those of
+  // its rep (smallest member), and between two members its intra value.
+  struct LiveBucket {
+    ProcessId top;          ///< smallest ready member
+    ProcessId rep;          ///< smallest member
+    std::uint32_t bucket;
+  };
+  std::vector<std::uint32_t> bucketOf_;     ///< per process; kNotReady = none
+  std::vector<std::uint32_t> bucketStart_;  ///< CSR offsets into heap_
+  std::vector<std::uint32_t> bucketSize_;   ///< ready members per bucket
+  std::vector<ProcessId> bucketRep_;        ///< smallest member
+  std::vector<std::int64_t> bucketIntra_;   ///< sharing between two members
+  std::vector<ProcessId> heap_;  ///< per-bucket min-heaps of ready ids
+  std::vector<LiveBucket> live_;            ///< non-empty buckets, any order
+  std::vector<std::uint32_t> liveSlot_;     ///< index into live_
 };
 
 }  // namespace laps

@@ -26,10 +26,9 @@ class ThreadCountGuard {
 /// The oracle: full compute over every footprint, masked down to the
 /// active set (a from-scratch compute over the survivors produces
 /// exactly these values for the active pairs and zero elsewhere).
-void expectMatchesMaskedCompute(const SharingMatrix& incremental,
-                                std::span<const Footprint> footprints,
-                                const std::vector<bool>& active) {
-  const SharingMatrix full = SharingMatrix::compute(footprints);
+void expectMatchesMasked(const SharingMatrix& incremental,
+                         const SharingMatrix& full,
+                         const std::vector<bool>& active) {
   ASSERT_EQ(incremental.size(), full.size());
   for (std::size_t p = 0; p < full.size(); ++p) {
     ASSERT_EQ(incremental.isActive(p), static_cast<bool>(active[p]));
@@ -40,6 +39,12 @@ void expectMatchesMaskedCompute(const SharingMatrix& incremental,
           << "cell (" << p << ", " << q << ")";
     }
   }
+}
+
+void expectMatchesMaskedCompute(const SharingMatrix& incremental,
+                                std::span<const Footprint> footprints,
+                                const std::vector<bool>& active) {
+  expectMatchesMasked(incremental, SharingMatrix::compute(footprints), active);
 }
 
 std::vector<Footprint> suiteFootprints(std::size_t apps) {
@@ -183,6 +188,59 @@ TEST(SharingMatrixIncremental, ParallelRowPathMatchesAtLargeUniverse) {
     }
   }
   expectMatchesMaskedCompute(m, footprints, active);
+}
+
+TEST(SharingMatrixIncremental, TwinHeavyChurnMatchesComputeAfterEveryEvent) {
+  // Service workloads over 1-3 keys: nearly every arrival has a live
+  // twin whose row addProcess copies. After every add and remove each
+  // cell and row sum must equal the masked full compute, at thread
+  // counts {1, 8} and on both sides of the parallel-row cutoff.
+  const ThreadCountGuard guard;
+  for (const std::size_t keys : {1u, 2u, 3u}) {
+    for (const std::size_t requests : {48u, 300u}) {
+      ServiceWorkloadParams params;
+      params.seed = 7 + keys;
+      params.requestCount = requests;
+      params.keyCount = keys;
+      params.keysPerRequest = keys > 1 ? 2 : 1;
+      params.hotKeyCount = 0;
+      const auto footprints = makeServiceWorkload(params).footprints();
+      const std::size_t n = footprints.size();
+      const SharingMatrix full = SharingMatrix::compute(footprints);
+      ASSERT_LT(full.classCount(), n / 8);
+      for (const std::size_t threads : {1u, 8u}) {
+        setParallelThreadCount(threads);
+        Rng rng(0x7a1f + keys * 31 + requests + threads);
+        SharingMatrix m = SharingMatrix::inactive(n);
+        std::vector<bool> active(n, false);
+        std::vector<std::size_t> activeIds;
+        for (int step = 0; step < 120; ++step) {
+          if (activeIds.size() < n && (activeIds.empty() || rng.chance(0.6))) {
+            std::size_t p = static_cast<std::size_t>(rng.index(n));
+            while (active[p]) p = (p + 1) % n;
+            active[p] = true;
+            activeIds.push_back(p);
+            m.addProcess(footprints, p);
+          } else {
+            const std::size_t i = rng.index(activeIds.size());
+            const std::size_t p = activeIds[i];
+            activeIds.erase(activeIds.begin() +
+                            static_cast<std::ptrdiff_t>(i));
+            active[p] = false;
+            m.removeProcess(p);
+          }
+          expectMatchesMasked(m, full, active);
+          for (std::size_t p = 0; p < n; ++p) {
+            const std::span<const std::int64_t> row = m.row(p);
+            std::int64_t sum = 0;
+            for (std::size_t q = 0; q < n; ++q) sum += q != p ? row[q] : 0;
+            ASSERT_EQ(m.rowSum(p), sum) << "process " << p << " step " << step;
+          }
+          ASSERT_NO_THROW(m.auditInvariants()) << "step " << step;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -237,5 +237,104 @@ TEST(SharingMatrix, ToTableShape) {
   EXPECT_NE(t.ascii().find("2000"), std::string::npos);
 }
 
+/// Hand-built footprints for the class rules: P0 and P1 touch only
+/// private arrays, P2 and P3 the same elements of one shared array, P4
+/// other elements of it, P5 P2's elements plus a private array, and P6
+/// and P7 the same elements of an array only the two of them touch.
+std::vector<Footprint> classFootprints() {
+  std::vector<Footprint> fps(8);
+  fps[0].add(0, IntervalSet::range(0, 10));
+  fps[1].add(1, IntervalSet::range(0, 20));
+  fps[2].add(2, IntervalSet::range(0, 8));
+  fps[3].add(2, IntervalSet::range(0, 8));
+  fps[4].add(2, IntervalSet::range(4, 12));
+  fps[5].add(2, IntervalSet::range(0, 8));
+  fps[5].add(3, IntervalSet::range(0, 5));
+  fps[6].add(4, IntervalSet::range(0, 3));
+  fps[7].add(4, IntervalSet::range(0, 3));
+  return fps;
+}
+
+TEST(SharingClasses, PrivateArraysDropOut) {
+  // Arrays 0, 1 and 3 have one toucher each, so they leave the key:
+  // P0 and P1 (empty keys) share a class, as do P2, P3 and P5 (same
+  // elements of array 2); P4 touches other elements of it. Array 4 has
+  // two touchers, so it stays: P6 and P7 are a class of their own.
+  // Classes are numbered by smallest member.
+  const SharingMatrix m = SharingMatrix::compute(classFootprints());
+  EXPECT_EQ(m.classCount(), 4u);
+  const std::vector<std::size_t> expected{0, 0, 1, 1, 2, 1, 3, 3};
+  for (std::size_t p = 0; p < expected.size(); ++p) {
+    EXPECT_EQ(m.classOf(p), expected[p]) << "process " << p;
+  }
+  // The contract the classes stand for: rows agree off the pair, and
+  // the intra pairs hold one value.
+  EXPECT_EQ(m.at(2, 4), m.at(3, 4));
+  EXPECT_EQ(m.at(5, 4), m.at(3, 4));
+  EXPECT_EQ(m.at(2, 3), m.at(2, 5));
+  EXPECT_EQ(m.at(3, 5), m.at(2, 5));
+  EXPECT_NO_THROW(m.auditInvariants());
+}
+
+TEST(SharingClasses, ServiceRequestsWithOneKeySetShareAClass) {
+  // Each request touches its private scratch plus its key's value
+  // array, so with keysPerRequest = 1 the class is the key.
+  ServiceWorkloadParams params;
+  params.requestCount = 64;
+  params.keyCount = 3;
+  params.keysPerRequest = 1;
+  params.hotKeyCount = 0;
+  const std::vector<Footprint> fps = makeServiceWorkload(params).footprints();
+  const SharingMatrix m = SharingMatrix::compute(fps);
+  EXPECT_EQ(m.classCount(), 3u);
+  for (std::size_t p = 0; p < fps.size(); ++p) {
+    for (std::size_t q = p + 1; q < fps.size(); ++q) {
+      // Same class iff the requests share a value array.
+      EXPECT_EQ(m.classOf(p) == m.classOf(q), m.at(p, q) > 0);
+    }
+  }
+}
+
+TEST(SharingClasses, HandBuiltAndSetMatricesAreSingletons) {
+  SharingMatrix m(4);
+  EXPECT_EQ(m.classCount(), 4u);
+  for (std::size_t p = 0; p < 4; ++p) EXPECT_EQ(m.classOf(p), p);
+  SharingMatrix computed = SharingMatrix::compute(classFootprints());
+  ASSERT_LT(computed.classCount(), computed.size());
+  computed.set(2, 4, 1);  // one cell: the contract may no longer hold
+  EXPECT_EQ(computed.classCount(), computed.size());
+  EXPECT_EQ(computed.classOf(3), 3u);
+  EXPECT_THROW((void)computed.classOf(8), Error);
+  // An open matrix interns on its first addProcess.
+  const auto fps = classFootprints();
+  SharingMatrix open = SharingMatrix::inactive(fps.size());
+  EXPECT_EQ(open.classCount(), fps.size());
+  open.addProcess(fps, 4);
+  EXPECT_EQ(open.classCount(), 4u);
+}
+
+TEST(SharingAudit, BrokenClassContractTrips) {
+  const auto fps = classFootprints();
+  SharingMatrix m = SharingMatrix::compute(fps);
+  EXPECT_NO_THROW(m.auditInvariants());
+  // P4 claims P2's class, whose row it does not have.
+  m.corruptClassForTest(4, m.classOf(2));
+  EXPECT_THROW(m.auditInvariants(), AuditError);
+  // The same on an open matrix, and for a member that left its class's
+  // witness behind.
+  SharingMatrix open = SharingMatrix::inactive(fps.size());
+  for (std::size_t p = 0; p < fps.size(); ++p) open.addProcess(fps, p);
+  open.removeProcess(2);  // the witness of {2, 3, 5} moves on
+  EXPECT_NO_THROW(open.auditInvariants());
+  open.corruptClassForTest(3, open.classOf(0));
+  EXPECT_THROW(open.auditInvariants(), AuditError);
+  // The seam itself rejects unknown processes and classes, and
+  // singleton-class matrices.
+  EXPECT_THROW(m.corruptClassForTest(8, 0), Error);
+  EXPECT_THROW(m.corruptClassForTest(0, 4), Error);
+  SharingMatrix hand(3);
+  EXPECT_THROW(hand.corruptClassForTest(0, 1), Error);
+}
+
 }  // namespace
 }  // namespace laps

@@ -153,6 +153,121 @@ TEST(PlanIndexDifferential, MatchesReferenceOnRealWorkload) {
   }
 }
 
+/// Distinct SharingMatrix classes among \p ids.
+std::size_t classesAmong(const SharingMatrix& sharing,
+                         const std::vector<ProcessId>& ids) {
+  std::vector<bool> seen(sharing.classCount(), false);
+  std::size_t count = 0;
+  for (const ProcessId p : ids) {
+    count += seen[sharing.classOf(p)] ? 0 : 1;
+    seen[sharing.classOf(p)] = true;
+  }
+  return count;
+}
+
+/// Random sorted subset of \p ids, each kept with \p keepPercent.
+std::vector<ProcessId> randomSubset(Rng& rng, const std::vector<ProcessId>& ids,
+                                    std::uint64_t keepPercent) {
+  std::vector<ProcessId> subset;
+  for (const ProcessId p : ids) {
+    if (rng.below(100) < keepPercent) subset.push_back(p);
+  }
+  return subset;
+}
+
+TEST(PlanIndexDifferential, MatchesReferenceOnTwinHeavyInputs) {
+  // The class path: inputs where most processes have a twin, so the
+  // trim and the planner's argmax run over classes, not processes.
+  // Any divergence prints the case, so a failure reproduces standalone.
+  const NocTopology mesh(NocTopologyKind::Mesh, 9, 3);
+  const auto check = [&](const ExtendedProcessGraph& graph,
+                         const SharingMatrix& sharing,
+                         const std::vector<ProcessId>& subset,
+                         std::uint64_t tag) {
+    ASSERT_LT(classesAmong(sharing, subset), subset.size()) << "case " << tag;
+    for (std::size_t coreCount = 1; coreCount <= 9; ++coreCount) {
+      for (const bool trim : {true, false}) {
+        LocalityOptions options;
+        options.initialMinSharingRound = trim;
+        expectPlansEqual(
+            buildLocalityPlan(graph, sharing, coreCount, options, subset),
+            reference::buildPlan(graph, sharing, coreCount, options, subset),
+            tag, coreCount);
+      }
+    }
+    LocalityOptions spiral;
+    spiral.topology = &mesh;
+    expectPlansEqual(buildLocalityPlan(graph, sharing, 9, spiral, subset),
+                     reference::buildPlan(graph, sharing, 9, spiral, subset),
+                     tag, 9);
+  };
+
+  // Service workloads grown by addProcess in random order (twins copy
+  // live rows), planned over random subsets of the active requests
+  // plus a few inactive ones (singleton classes, zero rows).
+  for (const std::size_t keys : {1u, 2u, 3u, 8u}) {
+    ServiceWorkloadParams params;
+    params.seed = 40 + keys;
+    params.requestCount = 160;
+    params.keyCount = keys;
+    params.keysPerRequest = keys > 1 ? 2 : 1;
+    params.hotKeyCount = keys > 2 ? 2 : 0;
+    const Workload service = makeServiceWorkload(params);
+    const std::vector<Footprint> footprints = service.footprints();
+    Rng rng(0xc1a55 + keys);
+    std::vector<ProcessId> order(footprints.size());
+    for (ProcessId p = 0; p < order.size(); ++p) order[p] = p;
+    rng.shuffle(order);
+    SharingMatrix open = SharingMatrix::inactive(footprints.size());
+    std::vector<ProcessId> active;
+    std::vector<ProcessId> inactive;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      if (i % 5 == 4) {
+        inactive.push_back(order[i]);
+      } else {
+        open.addProcess(footprints, order[i]);
+        active.push_back(order[i]);
+      }
+    }
+    std::sort(active.begin(), active.end());
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      std::vector<ProcessId> subset = randomSubset(rng, active, 85);
+      for (std::size_t i = 0; i < 3; ++i) subset.push_back(inactive[i + round]);
+      std::sort(subset.begin(), subset.end());
+      check(service.graph, open, subset, 20000 + keys * 10 + round);
+    }
+  }
+
+  // Seeded DAGs whose processes copy one of a few template footprints
+  // over shared arrays and touch a private array of their own: place()
+  // releases twins out of id order, so class buckets fill late.
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    Rng rng(seed * 0x2545f4914f6cdd1dULL + 11);
+    const std::size_t n = 30 + static_cast<std::size_t>(rng.below(90));
+    const ExtendedProcessGraph graph = randomDag(rng, n, 3 + rng.below(20));
+    const std::size_t templateCount = 2 + static_cast<std::size_t>(rng.below(4));
+    std::vector<Footprint> templates(templateCount);
+    for (Footprint& t : templates) {
+      for (ArrayId a = 0; a < 4; ++a) {
+        if (rng.below(2) == 0) continue;
+        const auto lo = static_cast<std::int64_t>(rng.below(64));
+        t.add(a, IntervalSet::range(lo, lo + 1 + static_cast<std::int64_t>(
+                                                  rng.below(64))));
+      }
+    }
+    std::vector<Footprint> footprints(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      footprints[p] = templates[rng.below(templateCount)];
+      footprints[p].add(static_cast<ArrayId>(16 + p), IntervalSet::range(0, 9));
+    }
+    std::vector<ProcessId> all(n);
+    for (ProcessId p = 0; p < n; ++p) all[p] = p;
+    const SharingMatrix closed = SharingMatrix::compute(footprints);
+    check(graph, closed, all, 30000 + seed);
+    check(graph, closed, randomSubset(rng, all, 70), 31000 + seed);
+  }
+}
+
 TEST(PlanIndexDifferential, DispatchPopMatchesReferencePick) {
   // Dispatch mode against the reference argmax: random interleavings of
   // markReady / markUnready / popBest must agree with pickMaxSharing
@@ -286,6 +401,30 @@ TEST(PlanIndexAudit, AsymmetricSharingFiresPlannerPrecondition) {
   } else {
     EXPECT_NO_THROW((void)buildLocalityPlan(graph, sharing, 2));
   }
+}
+
+TEST(PlanIndexAudit, ProcessOutsideItsClassBucketFiresChecker) {
+  // Planner mode over four twins and a loner: after beginPlanner, one
+  // ready twin's SharingMatrix class is moved to the loner's, so it
+  // sits in a bucket that is no longer its class's.
+  ExtendedProcessGraph graph;
+  std::vector<Footprint> footprints(5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    ProcessSpec p;
+    p.name = "T" + std::to_string(i);
+    graph.addProcess(std::move(p));
+    footprints[i].add(0, i < 4 ? IntervalSet::range(0, 8)
+                               : IntervalSet::range(4, 12));
+  }
+  SharingMatrix sharing = SharingMatrix::compute(footprints);
+  ASSERT_EQ(sharing.classCount(), 2u);
+  PlanIndex index;
+  index.beginPlanner(graph, sharing, 2, std::vector<bool>(5, true));
+  EXPECT_NO_THROW(index.auditReadySet());
+  EXPECT_EQ(index.popBest(0, std::nullopt), ProcessId{0});
+  EXPECT_NO_THROW(index.auditReadySet());
+  sharing.corruptClassForTest(2, sharing.classOf(4));
+  EXPECT_THROW(index.auditReadySet(), AuditError);
 }
 
 TEST(PlanIndexPlanner, PlaceReleasesSuccessors) {
