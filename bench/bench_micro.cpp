@@ -169,6 +169,22 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+void BM_CacheAccessHit(benchmark::State& state) {
+  // The hit-dominated twin of BM_CacheAccess: a pseudo-random walk over a
+  // working set of half the (Table 2) capacity, resident after warm-up —
+  // the regime of the replay loop's per-event steps.
+  SetAssocCache cache(CacheConfig{});
+  const std::uint64_t workingSet = 4096;
+  for (std::uint64_t a = 0; a < workingSet; a += 32) cache.access(a, false);
+  std::uint64_t addr = 0;
+  for (auto _ : state) {
+    addr = (addr * 2654435761u + 97) & (workingSet - 1);
+    benchmark::DoNotOptimize(cache.access(addr, false));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheAccessHit);
+
 void BM_TraceGeneration(benchmark::State& state) {
   const Application app = makeMxM();
   const AddressSpace space(app.workload.arrays);
@@ -184,6 +200,36 @@ void BM_TraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceGeneration);
+
+void BM_TraceRuns(benchmark::State& state) {
+  // Run-length trace description over the Fig. 7 |T| = 48 mix under its
+  // LSM address space (the closed-lsm layout): every process drained
+  // whole run by whole run through peekRun/consume, no cache model.
+  const Workload mix = concurrentScenario(standardSuite(), 48);
+  const std::vector<Footprint> footprints = mix.footprints();
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  const ExperimentConfig config;
+  AddressSpace space(mix.arrays, config.addressSpace);
+  applyLsmRelayout(mix, footprints, sharing, config, space);
+  std::int64_t runs = 0;
+  for (auto _ : state) {
+    std::int64_t steps = 0;
+    runs = 0;
+    TraceRun run;
+    for (const ProcessSpec& spec : mix.graph.processes()) {
+      ProcessTraceCursor cursor(spec, mix.arrays, space);
+      while (cursor.peekRun(run)) {
+        steps += run.steps();
+        ++runs;
+        cursor.consume(run.steps());
+      }
+    }
+    benchmark::DoNotOptimize(steps);
+    state.SetItemsProcessed(steps + state.items_processed());
+  }
+  state.counters["runs"] = static_cast<double>(runs);
+}
+BENCHMARK(BM_TraceRuns);
 
 void BM_FullSimulationShape(benchmark::State& state) {
   const Application app = makeShape();

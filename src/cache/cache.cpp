@@ -1,8 +1,8 @@
 #include "cache/cache.h"
 
 #include <algorithm>
+#include <bit>
 
-#include "util/error.h"
 #include "util/stride.h"
 
 namespace laps {
@@ -23,60 +23,42 @@ void CacheStats::accumulate(const CacheStats& other) {
 
 SetAssocCache::SetAssocCache(CacheConfig config) : config_(config) {
   config_.validate();
-  ways_.resize(static_cast<std::size_t>(config_.numSets() * config_.assoc));
+  const auto lineBytes = static_cast<std::uint64_t>(config_.lineBytes);
+  const auto numSets = static_cast<std::uint64_t>(config_.numSets());
+  lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes));
+  tagShift_ = lineShift_ + static_cast<unsigned>(std::countr_zero(numSets));
+  setMask_ = numSets - 1;
+  assoc_ = static_cast<std::size_t>(config_.assoc);
+  ways_.resize(static_cast<std::size_t>(numSets) * assoc_);
 }
 
-SetAssocCache::Way* SetAssocCache::lookup(std::uint64_t addr, Way** victim) {
-  const std::int64_t set = config_.setIndexOf(addr);
-  const std::uint64_t tag = config_.tagOf(addr);
-  const std::size_t base = static_cast<std::size_t>(set * config_.assoc);
-  const std::size_t assoc = static_cast<std::size_t>(config_.assoc);
-  std::size_t candidate = base;
-  for (std::size_t w = base; w < base + assoc; ++w) {
-    Way& way = ways_[w];
-    if (way.valid && way.tag == tag) return &way;
-    // Track the LRU (or first invalid) way as the victim candidate.
-    if (!ways_[candidate].valid) {
-      continue;  // already found an invalid slot
-    }
-    if (!way.valid || way.lastUse < ways_[candidate].lastUse) {
-      candidate = w;
-    }
-  }
-  if (victim != nullptr) *victim = &ways_[candidate];
-  return nullptr;
-}
-
-AccessOutcome SetAssocCache::access(std::uint64_t addr, bool isWrite,
-                                    EvictionInfo* evicted) {
-  ++stats_.accesses;
-  ++useClock_;
-  Way* victim = nullptr;
-  if (Way* way = lookup(addr, &victim)) {
-    way->lastUse = useClock_;
-    way->dirty |= isWrite;
-    ++stats_.hits;
-    return AccessOutcome::Hit;
-  }
+void SetAssocCache::fillMiss(std::uint64_t addr, bool isWrite,
+                             EvictionInfo* evicted) {
   ++stats_.misses;
-  if (victim->valid) {
+  const std::uint64_t set = setIndexOf(addr);
+  const std::size_t base = static_cast<std::size_t>(set) * assoc_;
+  std::size_t candidate = base;
+  for (std::size_t w = base; w < base + assoc_; ++w) {
+    if (!ways_[w].valid) {
+      candidate = w;
+      break;
+    }
+    if (ways_[w].lastUse < ways_[candidate].lastUse) candidate = w;
+  }
+  Way& victim = ways_[candidate];
+  if (victim.valid) {
     ++stats_.evictions;
-    if (victim->dirty) ++stats_.dirtyEvictions;
+    if (victim.dirty) ++stats_.dirtyEvictions;
     if (evicted != nullptr) {
-      const std::int64_t set = config_.setIndexOf(addr);
       evicted->evicted = true;
-      evicted->dirty = victim->dirty;
-      evicted->lineAddr =
-          (victim->tag * static_cast<std::uint64_t>(config_.numSets()) +
-           static_cast<std::uint64_t>(set)) *
-          static_cast<std::uint64_t>(config_.lineBytes);
+      evicted->dirty = victim.dirty;
+      evicted->lineAddr = victim.tag << tagShift_ | set << lineShift_;
     }
   }
-  victim->tag = config_.tagOf(addr);
-  victim->valid = true;
-  victim->dirty = isWrite;  // write-allocate
-  victim->lastUse = useClock_;
-  return AccessOutcome::Miss;
+  victim.tag = tagOf(addr);
+  victim.valid = true;
+  victim.dirty = isWrite;  // write-allocate
+  victim.lastUse = useClock_;
 }
 
 AccessRunOutcome SetAssocCache::accessRun(std::uint64_t addr,
@@ -93,27 +75,18 @@ AccessRunOutcome SetAssocCache::accessRun(std::uint64_t addr,
     // would leave it.
     stats_.accesses += static_cast<std::uint64_t>(group);
     useClock_ += static_cast<std::uint64_t>(group);
-    Way* victim = nullptr;
-    Way* way = lookup(addr, &victim);
-    if (way != nullptr) {
+    const std::size_t w = find(addr);
+    if (w != kAbsent) {
       stats_.hits += static_cast<std::uint64_t>(group);
       outcome.hits += group;
+      ways_[w].dirty |= isWrite;
+      ways_[w].lastUse = useClock_;
     } else {
-      way = victim;
-      ++stats_.misses;
+      fillMiss(addr, isWrite, nullptr);
       stats_.hits += static_cast<std::uint64_t>(group - 1);
       outcome.hits += group - 1;
       ++outcome.misses;
-      if (way->valid) {
-        ++stats_.evictions;
-        if (way->dirty) ++stats_.dirtyEvictions;
-      }
-      way->tag = config_.tagOf(addr);
-      way->valid = true;
-      way->dirty = false;
     }
-    way->dirty |= isWrite;
-    way->lastUse = useClock_;
     addr += static_cast<std::uint64_t>(strideBytes * group);
     count -= group;
   }
@@ -124,16 +97,6 @@ void SetAssocCache::bulkHits(std::int64_t count) {
   stats_.accesses += static_cast<std::uint64_t>(count);
   stats_.hits += static_cast<std::uint64_t>(count);
   useClock_ += static_cast<std::uint64_t>(count);
-}
-
-void SetAssocCache::touch(std::uint64_t addr, bool isWrite,
-                          std::uint64_t lastUseStamp) {
-  if (Way* way = lookup(addr, nullptr)) {
-    way->lastUse = std::max(way->lastUse, lastUseStamp);
-    way->dirty |= isWrite;
-    return;
-  }
-  check(false, "SetAssocCache::touch: line not resident");
 }
 
 void SetAssocCache::flush() {
@@ -147,25 +110,13 @@ void SetAssocCache::flush() {
 }
 
 bool SetAssocCache::invalidateLine(std::uint64_t addr) {
-  if (Way* way = lookup(addr, nullptr)) {
-    ++stats_.invalidations;
-    const bool dirty = way->dirty;
-    if (dirty) ++stats_.dirtyEvictions;
-    *way = Way{};
-    return dirty;
-  }
-  return false;
-}
-
-bool SetAssocCache::probe(std::uint64_t addr) const {
-  const std::int64_t set = config_.setIndexOf(addr);
-  const std::uint64_t tag = config_.tagOf(addr);
-  const std::size_t base = static_cast<std::size_t>(set * config_.assoc);
-  for (std::size_t w = base; w < base + static_cast<std::size_t>(config_.assoc);
-       ++w) {
-    if (ways_[w].valid && ways_[w].tag == tag) return true;
-  }
-  return false;
+  const std::size_t w = find(addr);
+  if (w == kAbsent) return false;
+  ++stats_.invalidations;
+  const bool dirty = ways_[w].dirty;
+  if (dirty) ++stats_.dirtyEvictions;
+  ways_[w] = Way{};
+  return dirty;
 }
 
 std::int64_t SetAssocCache::residentLines() const {
@@ -178,13 +129,10 @@ std::int64_t SetAssocCache::residentLines() const {
 
 std::vector<std::uint64_t> SetAssocCache::residentLineAddrs() const {
   std::vector<std::uint64_t> addrs;
-  const auto numSets = static_cast<std::uint64_t>(config_.numSets());
-  const auto assoc = static_cast<std::size_t>(config_.assoc);
   for (std::size_t w = 0; w < ways_.size(); ++w) {
     if (!ways_[w].valid) continue;
-    const std::uint64_t set = static_cast<std::uint64_t>(w / assoc);
-    addrs.push_back((ways_[w].tag * numSets + set) *
-                    static_cast<std::uint64_t>(config_.lineBytes));
+    const auto set = static_cast<std::uint64_t>(w / assoc_);
+    addrs.push_back(ways_[w].tag << tagShift_ | set << lineShift_);
   }
   return addrs;
 }

@@ -7,10 +7,13 @@
 /// Cache state deliberately persists across context switches on the same
 /// core: that persistence is the mechanism the paper's scheduler exploits.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "cache/config.h"
+#include "util/error.h"
 
 namespace laps {
 
@@ -65,6 +68,14 @@ struct CacheStats {
 };
 
 /// A single set-associative, true-LRU, write-back cache.
+///
+/// Geometry is resolved once, at construction, into shifts and a mask:
+/// CacheConfig::validate() guarantees power-of-two line sizes and set
+/// counts (the associativity may be any value), so the set index and
+/// tag of an address are two shifts and an AND — no division on any
+/// path. The hit paths (access, probe, touch) are inline so the replay
+/// loop can fold them in; a miss's victim choice and fill stay out of
+/// line (fillMiss), the one definition of the replacement policy.
 class SetAssocCache {
  public:
   explicit SetAssocCache(CacheConfig config);
@@ -73,7 +84,19 @@ class SetAssocCache {
   /// When \p evicted is non-null it reports the line a miss displaced
   /// (untouched on hits and fill-into-invalid).
   AccessOutcome access(std::uint64_t addr, bool isWrite,
-                       EvictionInfo* evicted = nullptr);
+                       EvictionInfo* evicted = nullptr) {
+    ++stats_.accesses;
+    ++useClock_;
+    const std::size_t w = find(addr);
+    if (w == kAbsent) {
+      fillMiss(addr, isWrite, evicted);
+      return AccessOutcome::Miss;
+    }
+    ways_[w].lastUse = useClock_;
+    ways_[w].dirty |= isWrite;
+    ++stats_.hits;
+    return AccessOutcome::Hit;
+  }
 
   /// Simulates \p count accesses of the strided stream addr,
   /// addr + strideBytes, ... with final state and statistics identical to
@@ -98,7 +121,12 @@ class SetAssocCache {
   /// (monotone: keeps the line's stamp if it is already newer) and merges
   /// the dirty bit. The line must be resident (throws otherwise); verify
   /// with probe() first.
-  void touch(std::uint64_t addr, bool isWrite, std::uint64_t lastUseStamp);
+  void touch(std::uint64_t addr, bool isWrite, std::uint64_t lastUseStamp) {
+    const std::size_t w = find(addr);
+    check(w != kAbsent, "SetAssocCache::touch: line not resident");
+    ways_[w].lastUse = std::max(ways_[w].lastUse, lastUseStamp);
+    ways_[w].dirty |= isWrite;
+  }
 
   /// Invalidates everything (dirty lines count as write-backs).
   void flush();
@@ -111,7 +139,18 @@ class SetAssocCache {
   bool invalidateLine(std::uint64_t addr);
 
   /// True when the line containing \p addr is resident (no side effects).
-  [[nodiscard]] bool probe(std::uint64_t addr) const;
+  [[nodiscard]] bool probe(std::uint64_t addr) const {
+    return find(addr) != kAbsent;
+  }
+
+  /// Set index and tag of \p addr from the construction-time shifts;
+  /// equal to config().setIndexOf / tagOf, the readable definitions.
+  [[nodiscard]] std::uint64_t setIndexOf(std::uint64_t addr) const {
+    return (addr >> lineShift_) & setMask_;
+  }
+  [[nodiscard]] std::uint64_t tagOf(std::uint64_t addr) const {
+    return addr >> tagShift_;
+  }
 
   /// Number of valid lines currently resident.
   [[nodiscard]] std::int64_t residentLines() const;
@@ -135,13 +174,31 @@ class SetAssocCache {
     bool dirty = false;
   };
 
-  /// Associative search for \p addr's line: returns the hit way, or
-  /// nullptr with \p victim set to the replacement candidate (first
-  /// invalid way, else true-LRU). The single definition of the victim
-  /// policy — access(), accessRun() and touch() all resolve through it.
-  Way* lookup(std::uint64_t addr, Way** victim);
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// Associative search for \p addr's line: the index of its way in
+  /// ways_, or kAbsent.
+  [[nodiscard]] std::size_t find(std::uint64_t addr) const {
+    const std::uint64_t tag = tagOf(addr);
+    const std::size_t base = static_cast<std::size_t>(setIndexOf(addr)) * assoc_;
+    for (std::size_t w = base; w < base + assoc_; ++w) {
+      if (ways_[w].valid && ways_[w].tag == tag) return w;
+    }
+    return kAbsent;
+  }
+
+  /// Miss on \p addr (counters and clock already advanced by the
+  /// caller): counts the miss, evicts the replacement candidate of the
+  /// line's set — the first invalid way, else true-LRU; the single
+  /// definition of the victim policy — reports it through \p evicted
+  /// when non-null, and fills the line stamped with the current clock.
+  void fillMiss(std::uint64_t addr, bool isWrite, EvictionInfo* evicted);
 
   CacheConfig config_;
+  unsigned lineShift_ = 0;     // log2(lineBytes)
+  unsigned tagShift_ = 0;      // log2(lineBytes * numSets)
+  std::uint64_t setMask_ = 0;  // numSets - 1
+  std::size_t assoc_ = 0;
   std::vector<Way> ways_;  // numSets * assoc, set-major
   CacheStats stats_;
   std::uint64_t useClock_ = 0;

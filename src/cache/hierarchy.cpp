@@ -198,21 +198,6 @@ MemorySystem::~MemorySystem() {
   hierarchy_->unregisterDataCache(&dcache_);
 }
 
-std::int64_t MemorySystem::dataAccess(std::uint64_t addr, bool isWrite,
-                                      std::int64_t nowCycles) {
-  EvictionInfo evicted;
-  const AccessOutcome outcome = dcache_.access(addr, isWrite, &evicted);
-  if (classifier_) {
-    classifier_->record(addr, outcome == AccessOutcome::Miss);
-  }
-  if (outcome == AccessOutcome::Hit) {
-    return config_.l1d.hitLatencyCycles;
-  }
-  return config_.l1d.hitLatencyCycles +
-         missBeyondL1(addr, evicted,
-                      nowCycles + config_.l1d.hitLatencyCycles);
-}
-
 std::int64_t MemorySystem::missBeyondL1(std::uint64_t addr,
                                         const EvictionInfo& evicted,
                                         std::int64_t issueCycle) {
@@ -253,20 +238,6 @@ std::int64_t MemorySystem::accessRun(std::uint64_t addr,
     count -= group;
   }
   return latency;
-}
-
-std::int64_t MemorySystem::instrFetch(std::uint64_t addr,
-                                      std::int64_t nowCycles) {
-  if (!config_.modelICache) return 0;
-  const AccessOutcome outcome = icache_.access(addr, /*isWrite=*/false);
-  if (outcome == AccessOutcome::Hit) {
-    return config_.l1i.hitLatencyCycles;
-  }
-  // Instruction lines are never dirty: no write-back on eviction.
-  return config_.l1i.hitLatencyCycles +
-         hierarchy_->missLatency(addr,
-                                 nowCycles + config_.l1i.hitLatencyCycles,
-                                 coreIndex_, /*dataFill=*/false);
 }
 
 void MemorySystem::flushAll() {

@@ -196,9 +196,19 @@ class MemorySystem {
   MemorySystem& operator=(const MemorySystem&) = delete;
 
   /// One data reference at absolute cycle \p nowCycles; returns its
-  /// latency in cycles.
+  /// latency in cycles. The hit path is inline; a miss continues out of
+  /// line in missBeyondL1.
   std::int64_t dataAccess(std::uint64_t addr, bool isWrite,
-                          std::int64_t nowCycles = 0);
+                          std::int64_t nowCycles = 0) {
+    EvictionInfo evicted;
+    const AccessOutcome outcome = dcache_.access(addr, isWrite, &evicted);
+    if (classifier_) {
+      classifier_->record(addr, outcome == AccessOutcome::Miss);
+    }
+    const std::int64_t hit = config_.l1d.hitLatencyCycles;
+    if (outcome == AccessOutcome::Hit) return hit;
+    return hit + missBeyondL1(addr, evicted, nowCycles + hit);
+  }
 
   /// \p count data references of the strided stream addr,
   /// addr + strideBytes, ...; returns their summed latency. On the flat
@@ -216,8 +226,18 @@ class MemorySystem {
                          std::int64_t nowCycles = 0);
 
   /// One instruction fetch at absolute cycle \p nowCycles; returns its
-  /// latency in cycles (0 when instruction modeling is disabled).
-  std::int64_t instrFetch(std::uint64_t addr, std::int64_t nowCycles = 0);
+  /// latency in cycles (0 when instruction modeling is disabled). The
+  /// hit path is inline.
+  std::int64_t instrFetch(std::uint64_t addr, std::int64_t nowCycles = 0) {
+    if (!config_.modelICache) return 0;
+    const std::int64_t hit = config_.l1i.hitLatencyCycles;
+    if (icache_.access(addr, /*isWrite=*/false) == AccessOutcome::Hit) {
+      return hit;
+    }
+    // Instruction lines are never dirty: no write-back on eviction.
+    return hit + hierarchy_->missLatency(addr, nowCycles + hit, coreIndex_,
+                                         /*dataFill=*/false);
+  }
 
   /// \name Bulk-replay primitives
   /// The run-length replay path (sim/replay.cpp) accounts the guaranteed

@@ -17,6 +17,59 @@ std::vector<SchedulerKind> openSchedulers() {
           SchedulerKind::OnlineLocality};
 }
 
+RelayoutPlan applyLsmRelayout(const Workload& workload,
+                              const std::vector<Footprint>& footprints,
+                              const SharingMatrix& sharing,
+                              const ExperimentConfig& config,
+                              AddressSpace& space) {
+  // Build the LS plan first: the re-layout eligibility relation
+  // depends on which processes run back-to-back on a core.
+  LocalityOptions lsOptions;
+  lsOptions.initialMinSharingRound = config.sched.lsInitialMinSharingRound;
+  const LocalityPlan plan = buildLocalityPlan(
+      workload.graph, sharing, config.mpsoc.coreCount, lsOptions);
+  const PairEligibility eligible = scheduleEligibility(
+      plan.perCore, footprints, workload.arrays.size());
+  // Total dynamic references per array (weights the conflict matrix
+  // toward hot, repeatedly-referenced data).
+  std::vector<std::int64_t> refCounts(workload.arrays.size(), 0);
+  for (const ProcessSpec& p : workload.graph.processes()) {
+    for (const LoopNest& nest : p.nests) {
+      for (const ArrayAccess& access : nest.accesses) {
+        refCounts[access.array] += nest.space.numPoints();
+      }
+    }
+  }
+  const ConflictMatrix conflicts = ConflictMatrix::compute(
+      workload.arrays, footprints, space, config.mpsoc.memory.l1d,
+      refCounts);
+  // Size guard: interleaving confines an array to half the cache sets,
+  // so the *per-process working set* of a transformed array (what one
+  // process keeps hot at a time) must leave slack in that half —
+  // 3/4 of a cache page in practice. The whole array may be far larger;
+  // congruent twin arrays (the paper's K1/K2 of Fig. 4) are exactly
+  // large arrays whose per-process blocks are small.
+  RelayoutLimits limits;
+  limits.maxFootprintBytes = config.mpsoc.memory.l1d.cachePageBytes() * 3 / 4;
+  limits.arrayFootprintBytes.assign(workload.arrays.size(), 0);
+  for (const Footprint& fp : footprints) {
+    for (const auto& [id, elems] : fp.perArray()) {
+      limits.arrayFootprintBytes[id] =
+          std::max(limits.arrayFootprintBytes[id],
+                   elems.cardinality() * workload.arrays.at(id).elemSize);
+    }
+  }
+  const RelayoutPlan relayout =
+      planRelayout(conflicts, config.mpsoc.memory.l1d, eligible,
+                   config.relayoutThreshold, limits);
+  for (ArrayId a = 0; a < relayout.transforms.size(); ++a) {
+    if (!relayout.transforms[a].isIdentity()) {
+      space.setTransform(a, relayout.transforms[a]);
+    }
+  }
+  return relayout;
+}
+
 ExperimentResult runExperiment(const Workload& workload, SchedulerKind kind,
                                const ExperimentConfig& config) {
   // Config before workload: a negative T is rejected before any
@@ -44,53 +97,10 @@ ExperimentResult runExperiment(const Workload& workload, SchedulerKind kind,
   result.kind = kind;
 
   if (kind == SchedulerKind::LocalityMapping) {
-    // LSM pipeline (§3): build the LS plan first — the re-layout
-    // eligibility relation depends on which processes run back-to-back
-    // on a core — then re-layout the conflicting arrays and simulate
+    // LSM pipeline (§3): re-layout the conflicting arrays, then simulate
     // with the transformed address mapping.
-    LocalityOptions lsOptions;
-    lsOptions.initialMinSharingRound = config.sched.lsInitialMinSharingRound;
-    const LocalityPlan plan = buildLocalityPlan(
-        workload.graph, sharing, config.mpsoc.coreCount, lsOptions);
-    const PairEligibility eligible = scheduleEligibility(
-        plan.perCore, footprints, workload.arrays.size());
-    // Total dynamic references per array (weights the conflict matrix
-    // toward hot, repeatedly-referenced data).
-    std::vector<std::int64_t> refCounts(workload.arrays.size(), 0);
-    for (const ProcessSpec& p : workload.graph.processes()) {
-      for (const LoopNest& nest : p.nests) {
-        for (const ArrayAccess& access : nest.accesses) {
-          refCounts[access.array] += nest.space.numPoints();
-        }
-      }
-    }
-    const ConflictMatrix conflicts = ConflictMatrix::compute(
-        workload.arrays, footprints, space, config.mpsoc.memory.l1d,
-        refCounts);
-    // Size guard: interleaving confines an array to half the cache sets,
-    // so the *per-process working set* of a transformed array (what one
-    // process keeps hot at a time) must leave slack in that half —
-    // 3/4 of a cache page in practice. The whole array may be far larger;
-    // congruent twin arrays (the paper's K1/K2 of Fig. 4) are exactly
-    // large arrays whose per-process blocks are small.
-    RelayoutLimits limits;
-    limits.maxFootprintBytes = config.mpsoc.memory.l1d.cachePageBytes() * 3 / 4;
-    limits.arrayFootprintBytes.assign(workload.arrays.size(), 0);
-    for (const Footprint& fp : footprints) {
-      for (const auto& [id, elems] : fp.perArray()) {
-        limits.arrayFootprintBytes[id] =
-            std::max(limits.arrayFootprintBytes[id],
-                     elems.cardinality() * workload.arrays.at(id).elemSize);
-      }
-    }
     const RelayoutPlan relayout =
-        planRelayout(conflicts, config.mpsoc.memory.l1d, eligible,
-                     config.relayoutThreshold, limits);
-    for (ArrayId a = 0; a < relayout.transforms.size(); ++a) {
-      if (!relayout.transforms[a].isIdentity()) {
-        space.setTransform(a, relayout.transforms[a]);
-      }
-    }
+        applyLsmRelayout(workload, footprints, sharing, config, space);
     result.relayoutedArrays = relayout.relayoutCount();
     result.relayoutThreshold = relayout.threshold;
   }

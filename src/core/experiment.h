@@ -53,6 +53,16 @@ struct ExperimentResult {
                                              SchedulerKind kind,
                                              const ExperimentConfig& config = {});
 
+/// LSM's re-layout step (§3, Figs. 4-5), exactly as runExperiment runs
+/// it: builds the LS plan, derives the eligibility relation and the
+/// conflict matrix under \p space, selects the arrays to re-lay out and
+/// installs their transforms into \p space. Returns the selection.
+RelayoutPlan applyLsmRelayout(const Workload& workload,
+                              const std::vector<Footprint>& footprints,
+                              const SharingMatrix& sharing,
+                              const ExperimentConfig& config,
+                              AddressSpace& space);
+
 /// Convenience: runs the same workload under several schedulers.
 [[nodiscard]] std::vector<ExperimentResult> compareSchedulers(
     const Workload& workload, std::span<const SchedulerKind> kinds,

@@ -46,6 +46,7 @@ void AddressSpace::setTransform(ArrayId array, const LayoutTransform& transform)
   check(array < slots_.size(), "AddressSpace::setTransform: unknown array");
   slots_[array].transform = transform;
   repack();
+  ++generation_;
 }
 
 const LayoutTransform& AddressSpace::transformOf(ArrayId array) const {

@@ -38,7 +38,13 @@ class AddressSpace {
 
   /// Installs \p transform for \p array and re-packs all bases
   /// (transformed arrays consume ~2x address span and page alignment).
+  /// Bumps generation().
   void setTransform(ArrayId array, const LayoutTransform& transform);
+
+  /// Layout version: starts at 0 and grows with every setTransform.
+  /// Consumers that snapshot bases and transforms (ProcessTraceCursor)
+  /// record it to detect a layout change behind their back.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   [[nodiscard]] const LayoutTransform& transformOf(ArrayId array) const;
 
@@ -79,6 +85,7 @@ class AddressSpace {
   AddressSpaceOptions options_;
   std::vector<Slot> slots_;  // indexed by ArrayId
   std::uint64_t end_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace laps

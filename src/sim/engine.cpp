@@ -45,6 +45,21 @@ MpsocSimulator::MpsocSimulator(const Workload& workload,
   platform_ = config_.resolvedPlatform();
   platform_.validate(config_.coreCount);
   config_.admission.validate();
+  // Code bodies sit below the data segment; enough tasks would run the
+  // code segment into the lowest array, and a shared L2 would then merge
+  // instruction and data lines.
+  std::uint64_t taskCount = 0;
+  for (const ProcessSpec& p : workload.graph.processes()) {
+    taskCount = std::max<std::uint64_t>(taskCount, std::uint64_t{p.task} + 1);
+  }
+  std::uint64_t lowestBase = std::numeric_limits<std::uint64_t>::max();
+  for (ArrayId a = 0; a < space.arrayCount(); ++a) {
+    lowestBase = std::min(lowestBase, space.baseOf(a));
+  }
+  check(codeSegmentEnd(taskCount) <= lowestBase,
+        "MpsocSimulator: the code bodies of " + std::to_string(taskCount) +
+            " tasks reach the lowest array base (raise "
+            "AddressSpaceOptions::dataBase)");
 }
 
 std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,

@@ -6,6 +6,7 @@
 /// each process executes one or more affine loop nests. The process is
 /// the unit the OS scheduler places on a core.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,12 @@ using ProcessId = std::uint32_t;
 
 /// Task (application) identifier.
 using TaskId = std::uint32_t;
+
+/// Most loop nests one process may have: each nest of a task owns one of
+/// the task's kMaxNestsPerProcess code-body slots (trace/cursor.h), so
+/// a further nest would share instruction lines with the next task's
+/// bodies. validateWorkload rejects processes with more.
+inline constexpr std::size_t kMaxNestsPerProcess = 16;
 
 /// One affine loop nest: every iteration performs the listed array
 /// references plus \p computeCyclesPerIter cycles of pure computation.

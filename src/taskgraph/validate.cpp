@@ -8,6 +8,10 @@ void validateWorkload(const Workload& workload) {
   check(workload.graph.isAcyclic(),
         "validateWorkload: dependence graph has a cycle");
   for (const ProcessSpec& p : workload.graph.processes()) {
+    check(p.nests.size() <= kMaxNestsPerProcess,
+          "validateWorkload: process '" + p.name + "' has " +
+              std::to_string(p.nests.size()) + " loop nests (at most " +
+              std::to_string(kMaxNestsPerProcess) + ")");
     for (const LoopNest& nest : p.nests) {
       for (const ArrayAccess& access : nest.accesses) {
         check(access.array < workload.arrays.size(),

@@ -12,6 +12,8 @@ namespace laps {
 
 /// Throws laps::Error with a descriptive message when \p workload is
 /// inconsistent:
+///  * a process has more than kMaxNestsPerProcess loop nests (its code
+///    bodies would alias the next task's),
 ///  * a process references an array id not in the table,
 ///  * an access's footprint falls outside its array's bounds,
 ///  * the dependence graph has a cycle.

@@ -13,7 +13,16 @@
 /// synthetic loop body in the code segment; every step fetches the next
 /// line of that body, wrapping around. Processes of the same task and
 /// stage therefore share instruction cache lines (they run the same
-/// code), and a context switch naturally cools the I-cache.
+/// code), and a context switch naturally cools the I-cache. Nest n of
+/// task t fetches from kCodeSegmentBase + (kMaxNestsPerProcess·t + n) ·
+/// kCodeBodyStride.
+///
+/// Address plans: the constructor compiles every access of every nest
+/// once against the address space — byte coefficients per loop
+/// dimension, constant byte term, array base, layout transform,
+/// innermost byte stride, store flag — so describing a run is a short
+/// dot product per access plus the Fig. 4 transform arithmetic, with no
+/// table lookups.
 
 #include <cstdint>
 #include <vector>
@@ -25,10 +34,21 @@
 
 namespace laps {
 
+/// One past the code bodies of every task whose id is below
+/// \p taskCount. The data segment must start at or above it, or code
+/// and data lines alias (MpsocSimulator checks at construction).
+[[nodiscard]] constexpr std::uint64_t codeSegmentEnd(std::uint64_t taskCount) {
+  return kCodeSegmentBase + taskCount * kMaxNestsPerProcess * kCodeBodyStride;
+}
+
 /// Generates the reference trace of one process under a given data layout.
 class ProcessTraceCursor {
  public:
   /// \p spec and \p arrays and \p space must outlive the cursor.
+  /// Precondition: \p space is final — the cursor compiles its address
+  /// plans from the bases and transforms \p space holds now, so a
+  /// setTransform after construction would replay a stale layout. Under
+  /// LAPSCHED_AUDIT, peekRun and next check it (auditLayoutUnchanged).
   ProcessTraceCursor(const ProcessSpec& spec, const ArrayTable& arrays,
                      const AddressSpace& space);
 
@@ -59,12 +79,46 @@ class ProcessTraceCursor {
   /// Steps generated so far (for tests and progress accounting).
   [[nodiscard]] std::uint64_t stepsEmitted() const { return stepsEmitted_; }
 
+  /// Audit checker (docs/ARCHITECTURE.md §11): the address space's
+  /// generation is still the one the plans were compiled at. Throws
+  /// laps::AuditError otherwise.
+  void auditLayoutUnchanged() const;
+
  private:
+  /// One access compiled against the address space. Its element's byte
+  /// address at loop point p is
+  ///   base + transform(constantBytes + Σ_d coeffBytes[d] · p[d]).
+  struct AccessPlan {
+    std::uint64_t base = 0;          ///< array base address
+    std::int64_t constantBytes = 0;  ///< natural byte offset, constant term
+    std::int64_t strideBytes = 0;    ///< natural byte step per innermost iteration
+    LayoutTransform transform;       ///< Fig. 4 interleave (half page, phase)
+    bool isWrite = false;
+  };
+
   struct NestState {
-    std::vector<AffineExpr> linear;  ///< linearized exprs, one per access
+    std::vector<AccessPlan> plans;         ///< one per access
+    std::vector<std::int64_t> coeffBytes;  ///< rank per access, access-major
     std::uint64_t codeBase = 0;
     std::int64_t bodyBytes = 0;
   };
+
+  /// Natural (untransformed) byte offset of access \p a of \p state at
+  /// the current point.
+  [[nodiscard]] std::int64_t naturalOffset(const NestState& state,
+                                           std::size_t a) const {
+    const std::int64_t* coeff = state.coeffBytes.data() + a * point_.size();
+    std::int64_t offset = state.plans[a].constantBytes;
+    for (std::size_t d = 0; d < point_.size(); ++d) {
+      offset += coeff[d] * point_[d];
+    }
+    return offset;
+  }
+
+  [[nodiscard]] static std::uint64_t addressOf(const AccessPlan& plan,
+                                               std::int64_t natural) {
+    return plan.base + static_cast<std::uint64_t>(plan.transform.apply(natural));
+  }
 
   /// Positions the cursor at the start of the first non-empty nest at or
   /// after nestIdx_; sets done_ when none remains.
@@ -81,8 +135,8 @@ class ProcessTraceCursor {
   [[nodiscard]] std::uint64_t nextInstrAddr();
 
   const ProcessSpec* spec_;
-  const ArrayTable* arrays_;
   const AddressSpace* space_;
+  std::uint64_t layoutGeneration_;
   std::vector<NestState> nestStates_;
 
   std::size_t nestIdx_ = 0;

@@ -476,5 +476,27 @@ TEST(MpsocSimulator, ConfigValidation) {
       Error);
 }
 
+TEST(MpsocSimulator, RejectsCodeSegmentReachingTheData) {
+  // Nest n of task t fetches from kCodeSegmentBase + (16t + n) * 4096;
+  // the code of tasks [0, 4032) ends exactly at the default data base.
+  FcfsScheduler policy;
+  const auto construct = [&](TaskId task, AddressSpaceOptions options) {
+    Rig rig;
+    rig.addStream(0, 10, task);
+    const AddressSpace space(rig.workload.arrays, options);
+    const SharingMatrix sharing =
+        SharingMatrix::compute(rig.workload.footprints());
+    MpsocSimulator sim(rig.workload, space, sharing, policy, smallConfig(1));
+  };
+  EXPECT_EQ(codeSegmentEnd(4032), AddressSpaceOptions{}.dataBase);
+  EXPECT_NO_THROW(construct(4031, {}));
+  EXPECT_THROW(construct(4032, {}), Error);
+  AddressSpaceOptions low;
+  low.dataBase = codeSegmentEnd(1) - 4096;
+  EXPECT_THROW(construct(0, low), Error);
+  low.dataBase = codeSegmentEnd(1);
+  EXPECT_NO_THROW(construct(0, low));
+}
+
 }  // namespace
 }  // namespace laps

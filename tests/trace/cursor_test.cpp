@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 #include <vector>
 
+#include "core/experiment.h"
+#include "region/sharing.h"
 #include "taskgraph/validate.h"
+#include "util/audit.h"
 #include "util/rng.h"
+#include "workloads/apps.h"
 
 namespace laps {
 namespace {
@@ -260,6 +265,28 @@ TEST(ValidateWorkload, RejectsCycle) {
   EXPECT_THROW(validateWorkload(rig.workload), Error);
 }
 
+TEST(ValidateWorkload, RejectsMoreNestsThanCodeBodySlots) {
+  // Nest n of task t fetches from slot 16t + n: a 17th nest would run
+  // the code of task t + 1.
+  Rig rig;
+  ProcessSpec p;
+  p.name = "many-nests";
+  for (std::size_t n = 0; n < kMaxNestsPerProcess; ++n) {
+    p.nests.push_back(LoopNest{IterationSpace::box({{0, 2}}), {}, 1});
+  }
+  const ProcessSpec atLimit = p;
+  rig.workload.graph.addProcess(ProcessSpec(atLimit));
+  EXPECT_NO_THROW(validateWorkload(rig.workload));
+
+  p.nests.push_back(LoopNest{IterationSpace::box({{0, 2}}), {}, 1});
+  const ProcessId over = rig.workload.graph.addProcess(std::move(p));
+  EXPECT_THROW(validateWorkload(rig.workload), Error);
+  const AddressSpace space(rig.workload.arrays);
+  EXPECT_THROW(ProcessTraceCursor(rig.workload.graph.process(over),
+                                  rig.workload.arrays, space),
+               Error);
+}
+
 /// A mixed-shape process for the run-length equivalence tests: strided
 /// reads, a multi-access nest with a loop-invariant stream and a write,
 /// a reversed sweep and a pure-compute nest.
@@ -315,39 +342,95 @@ std::vector<TraceStep> expandRun(const TraceRun& run, std::int64_t fromStep,
   return steps;
 }
 
+/// Drains \p cursor through peekRun/consume in seeded random bites —
+/// whole runs, arbitrary prefixes and one-to-three-step nibbles that
+/// leave it mid-iteration — and returns the steps the runs encode.
+std::vector<TraceStep> drainRuns(ProcessTraceCursor& cursor, Rng& rng) {
+  std::vector<TraceStep> got;
+  TraceRun run;
+  while (cursor.peekRun(run)) {
+    EXPECT_GE(run.iterations, 1);
+    const std::int64_t steps = run.steps();
+    std::int64_t take = steps;
+    switch (rng.below(3)) {
+      case 0: take = rng.range(1, steps); break;
+      case 1: take = rng.range(1, std::min<std::int64_t>(steps, 3)); break;
+      default: break;
+    }
+    const auto part = expandRun(run, 0, take);
+    got.insert(got.end(), part.begin(), part.end());
+    cursor.consume(take);
+  }
+  return got;
+}
+
+/// The data side of \p spec's trace straight from the definitions —
+/// lexicographic loop points, linearized accesses and
+/// AddressSpace::elementAddress — independent of the cursor's plans.
+std::vector<TraceStep> referenceDataSteps(const ProcessSpec& spec,
+                                          const ArrayTable& arrays,
+                                          const AddressSpace& space) {
+  std::vector<TraceStep> steps;
+  for (const LoopNest& nest : spec.nests) {
+    std::vector<AffineExpr> linear;
+    for (const ArrayAccess& access : nest.accesses) {
+      linear.push_back(linearizeAccess(access, arrays.at(access.array)));
+    }
+    nest.space.forEachPoint([&](std::span<const std::int64_t> point) {
+      if (nest.accesses.empty()) steps.push_back(TraceStep{});
+      for (std::size_t a = 0; a < nest.accesses.size(); ++a) {
+        TraceStep step;
+        step.isRef = true;
+        step.isWrite = nest.accesses[a].kind == AccessKind::Write;
+        step.dataAddr = space.elementAddress(nest.accesses[a].array,
+                                             linear[a].eval(point));
+        steps.push_back(step);
+      }
+    });
+  }
+  return steps;
+}
+
+/// Asserts that next() emits the data references the definitions give,
+/// and that runs drained in random bites reproduce next() step for step,
+/// for every process of \p workload under \p space.
+void expectRunsMatchNext(const Workload& workload, const AddressSpace& space,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  for (const ProcessSpec& spec : workload.graph.processes()) {
+    ProcessTraceCursor reference(spec, workload.arrays, space);
+    const auto expected = drain(reference);
+    const auto defined = referenceDataSteps(spec, workload.arrays, space);
+    ASSERT_EQ(expected.size(), defined.size()) << spec.name;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(expected[i].isRef, defined[i].isRef) << spec.name << " " << i;
+      ASSERT_EQ(expected[i].isWrite, defined[i].isWrite) << spec.name << " " << i;
+      ASSERT_EQ(expected[i].dataAddr, defined[i].dataAddr) << spec.name << " " << i;
+    }
+    ProcessTraceCursor cursor(spec, workload.arrays, space);
+    const auto got = drainRuns(cursor, rng);
+    ASSERT_EQ(got.size(), expected.size()) << spec.name;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].instrAddr, expected[i].instrAddr) << spec.name << " " << i;
+      ASSERT_EQ(got[i].dataAddr, expected[i].dataAddr) << spec.name << " " << i;
+      ASSERT_EQ(got[i].computeCycles, expected[i].computeCycles)
+          << spec.name << " " << i;
+      ASSERT_EQ(got[i].isRef, expected[i].isRef) << spec.name << " " << i;
+      ASSERT_EQ(got[i].isWrite, expected[i].isWrite) << spec.name << " " << i;
+    }
+    EXPECT_TRUE(cursor.done()) << spec.name;
+    EXPECT_EQ(cursor.stepsEmitted(), expected.size()) << spec.name;
+  }
+}
+
 TEST(ProcessTraceCursor, RunsEncodeTheExactStepSequence) {
   // Consuming runs in random-sized bites must visit precisely the steps
   // next() emits, and leave the cursor in the same state.
   Rig rig;
-  const ProcessId id = rig.workload.graph.addProcess(mixedSpec(rig.v));
+  rig.workload.graph.addProcess(mixedSpec(rig.v));
   const AddressSpace space(rig.workload.arrays);
-  ProcessTraceCursor reference(rig.workload.graph.process(id),
-                               rig.workload.arrays, space);
-  const auto expected = drain(reference);
-
   for (const std::uint64_t seed : {11ULL, 222ULL, 3333ULL}) {
-    Rng rng(seed);
-    ProcessTraceCursor cursor(rig.workload.graph.process(id),
-                              rig.workload.arrays, space);
-    std::vector<TraceStep> got;
-    TraceRun run;
-    while (cursor.peekRun(run)) {
-      ASSERT_GE(run.iterations, 1);
-      const std::int64_t take = rng.range(1, run.steps());
-      const auto steps = expandRun(run, 0, take);
-      got.insert(got.end(), steps.begin(), steps.end());
-      cursor.consume(take);
-    }
-    ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].instrAddr, expected[i].instrAddr) << i;
-      EXPECT_EQ(got[i].dataAddr, expected[i].dataAddr) << i;
-      EXPECT_EQ(got[i].computeCycles, expected[i].computeCycles) << i;
-      EXPECT_EQ(got[i].isRef, expected[i].isRef) << i;
-      EXPECT_EQ(got[i].isWrite, expected[i].isWrite) << i;
-    }
-    EXPECT_TRUE(cursor.done());
-    EXPECT_EQ(cursor.stepsEmitted(), expected.size());
+    expectRunsMatchNext(rig.workload, space, seed);
   }
 }
 
@@ -402,6 +485,97 @@ TEST(ProcessTraceCursor, RunsClipAtInterleaveChunkBoundaries) {
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].dataAddr, expected[i].dataAddr) << i;
   }
+}
+
+TEST(ProcessTraceCursor, RunsMatchNextUnderLsmLayout) {
+  // The paper's Fig. 7 mix at |T| = 48, laid out as runExperiment lays
+  // it out for LSM: the compiled address plans must describe exactly
+  // the per-event trace of every process, transformed arrays included.
+  const Workload mix = concurrentScenario(standardSuite(), 48);
+  const std::vector<Footprint> footprints = mix.footprints();
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  const ExperimentConfig config;
+  AddressSpace space(mix.arrays, config.addressSpace);
+  applyLsmRelayout(mix, footprints, sharing, config, space);
+
+  // Real interleave transforms in both phases.
+  bool phaseLow = false;
+  bool phaseHigh = false;
+  for (ArrayId a = 0; a < space.arrayCount(); ++a) {
+    const LayoutTransform& t = space.transformOf(a);
+    if (t.isIdentity()) continue;
+    phaseLow |= t.phase() == 0;
+    phaseHigh |= t.phase() == t.pageBytes() / 2;
+  }
+  ASSERT_TRUE(phaseLow);
+  ASSERT_TRUE(phaseHigh);
+
+  expectRunsMatchNext(mix, space, 48);
+}
+
+TEST(ProcessTraceCursor, RunsMatchNextOnEdgeShapes) {
+  // Rank-0 nests (one iteration, constant addresses), pure-compute nests
+  // of rank 0 and with a non-unit step, and non-unit steps on data
+  // nests, over interleaved arrays in both phases and an identity one.
+  Workload workload;
+  const ArrayId a = workload.arrays.add("A", {64, 64}, 4);
+  const ArrayId b = workload.arrays.add("B", {4096}, 8);
+  const ArrayId c = workload.arrays.add("C", {512}, 2);
+  ProcessSpec p;
+  p.name = "edges";
+  p.nests.push_back(LoopNest{
+      IterationSpace(),
+      {ArrayAccess{a, AffineMap{AffineExpr::constant(3), AffineExpr::constant(5)},
+                   AccessKind::Read},
+       ArrayAccess{b, AffineMap{AffineExpr::constant(77)}, AccessKind::Write}},
+      4});
+  p.nests.push_back(LoopNest{IterationSpace(), {}, 9});
+  p.nests.push_back(LoopNest{
+      IterationSpace({LoopDim{1, 60, 3}, LoopDim{2, 63, 5}}),
+      {ArrayAccess{a, AffineMap{AffineExpr({1, 0}, 0), AffineExpr({0, 1}, 0)},
+                   AccessKind::Read},
+       ArrayAccess{b, AffineMap{AffineExpr({64, -1}, 100)}, AccessKind::Write},
+       ArrayAccess{c, AffineMap{AffineExpr({0, 7}, 1)}, AccessKind::Read}},
+      2});
+  p.nests.push_back(LoopNest{IterationSpace({LoopDim{0, 50, 7}}), {}, 3});
+  p.nests.push_back(LoopNest{
+      IterationSpace({LoopDim{5, 4000, 13}}),
+      {ArrayAccess{b, AffineMap{AffineExpr({1}, 0)}, AccessKind::Read}},
+      1});
+  workload.graph.addProcess(std::move(p));
+  ASSERT_NO_THROW(validateWorkload(workload));
+
+  AddressSpace space(workload.arrays);
+  space.setTransform(a, LayoutTransform::interleave(4096, 0));
+  space.setTransform(b, LayoutTransform::interleave(4096, 2048));
+  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    expectRunsMatchNext(workload, space, seed);
+  }
+}
+
+TEST(ProcessTraceCursor, AuditFiresOnLayoutChangedAfterConstruction) {
+  // The cursor compiles its address plans at construction; a transform
+  // installed afterwards would replay a stale layout.
+  Rig rig;
+  const ProcessId id = rig.addSimpleProcess(0, 100);
+  AddressSpace space(rig.workload.arrays);
+  ProcessTraceCursor cursor(rig.workload.graph.process(id),
+                            rig.workload.arrays, space);
+  EXPECT_NO_THROW(cursor.auditLayoutUnchanged());
+  const std::uint64_t before = space.generation();
+  space.setTransform(rig.v, LayoutTransform::interleave(4096, 0));
+  EXPECT_EQ(space.generation(), before + 1);
+  EXPECT_THROW(cursor.auditLayoutUnchanged(), AuditError);
+  if (audit::enabled()) {
+    TraceRun run;
+    EXPECT_THROW((void)cursor.peekRun(run), AuditError);
+    TraceStep step;
+    EXPECT_THROW((void)cursor.next(step), AuditError);
+  }
+  // A cursor built after the change is current again.
+  ProcessTraceCursor fresh(rig.workload.graph.process(id),
+                           rig.workload.arrays, space);
+  EXPECT_NO_THROW(fresh.auditLayoutUnchanged());
 }
 
 }  // namespace
