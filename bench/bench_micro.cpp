@@ -124,10 +124,12 @@ BENCHMARK(BM_SharingMatrixSuite)->Arg(1)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
 
 void BM_SharingMatrixIncremental(benchmark::State& state) {
   // One open-workload arrival event at steady state: removeProcess +
-  // addProcess of a single row against |T| resident applications. The
-  // comparison point is BM_SharingMatrixSuite at the same Arg — a full
-  // recompute per event; the incremental path must beat it by >= 5x at
-  // Arg(24) (it touches O(n) pairs instead of O(n^2)).
+  // addProcess of a single process against |T| resident applications.
+  // The comparison point is BM_SharingMatrixSuite at the same Arg — a
+  // full recompute per event; the incremental path must beat it by
+  // >= 5x at Arg(24). The process's class cells were intersected by
+  // compute(), so the event only patches counts and the live classes'
+  // sums: O(live classes), no intersection.
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto suite = standardSuite();
   const Workload mix = concurrentScenario(suite, count);
@@ -144,6 +146,62 @@ void BM_SharingMatrixIncremental(benchmark::State& state) {
                           static_cast<std::int64_t>(footprints.size()));
 }
 BENCHMARK(BM_SharingMatrixIncremental)->Arg(12)->Arg(24);
+
+// One open run's sharing upkeep at the saturation sweep's scale: a
+// seeded 2048-request keyed service universe (48 keys) replayed through
+// a seeded arrival/exit order from SharingMatrix::inactive — requests
+// arrive in id order; once 512 are live each arrival follows the exit
+// of a seeded random live request, and the rest exit at the end. The
+// deterministic work counts: intersections (footprint pairs
+// intersected, interning excluded) and table_cells (the class table's
+// size).
+void BM_SharingMatrixChurn(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  ServiceWorkloadParams params;
+  params.requestCount = n;
+  params.keyCount = 48;
+  const std::vector<Footprint> footprints =
+      makeServiceWorkload(params).footprints();
+  struct Event {
+    ProcessId process;
+    bool arrival;
+  };
+  std::vector<Event> events;
+  std::vector<ProcessId> live;
+  Rng rng(0xc4012);
+  const auto exitOne = [&] {
+    const std::size_t i = rng.index(live.size());
+    events.push_back({live[i], false});
+    live[i] = live.back();
+    live.pop_back();
+  };
+  constexpr std::size_t kBacklog = 512;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (live.size() == kBacklog) exitOne();
+    events.push_back({p, true});
+    live.push_back(p);
+  }
+  while (!live.empty()) exitOne();
+  std::uint64_t intersections = 0;
+  std::size_t cells = 0;
+  for (auto _ : state) {
+    SharingMatrix m = SharingMatrix::inactive(n);
+    for (const Event& e : events) {
+      if (e.arrival) {
+        m.addProcess(footprints, e.process);
+      } else {
+        m.removeProcess(e.process);
+      }
+    }
+    intersections = m.intersections();
+    cells = (m.classCount() + 1) * (m.classCount() + 1);
+    benchmark::DoNotOptimize(m.activeCount());
+  }
+  state.SetLabel(std::to_string(n) + " processes");
+  state.counters["intersections"] = static_cast<double>(intersections);
+  state.counters["table_cells"] = static_cast<double>(cells);
+}
+BENCHMARK(BM_SharingMatrixChurn)->Arg(2048);
 
 void BM_WorkloadFootprints(benchmark::State& state) {
   // Per-process footprint construction over a concurrent mix — the

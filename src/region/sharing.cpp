@@ -4,19 +4,51 @@
 #include <string>
 
 #include "util/audit.h"
-#include "util/error.h"
 #include "util/parallel.h"
 
 namespace laps {
 
 SharingMatrix::SharingMatrix(std::size_t n)
-    : n_(n), cells_(n * n, 0), rowSums_(n, 0), active_(n, 1) {}
+    : n_(n), diag_(n, 0), slot_(n), activeCount_(n) {
+  singletonClasses();
+  allocateTable(0);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    slot_[k] = k + 1;
+    count_[k] = 1;
+    liveSlot_[k] = k;
+    live_.push_back(k);
+  }
+}
 
 SharingMatrix SharingMatrix::inactive(std::size_t n) {
-  SharingMatrix m(n);
-  m.active_.assign(n, 0);
+  SharingMatrix m;
+  m.n_ = n;
+  m.diag_.assign(n, 0);
+  m.slot_.assign(n, 0);
+  m.singletonClasses();
   m.internPending_ = true;
   return m;
+}
+
+void SharingMatrix::singletonClasses() {
+  classOf_.resize(n_);
+  classStart_.resize(n_ + 1);
+  classMembers_.resize(n_);
+  for (std::uint32_t p = 0; p < n_; ++p) {
+    classOf_[p] = classStart_[p] = classMembers_[p] = p;
+  }
+  classStart_[n_] = static_cast<std::uint32_t>(n_);
+  count_.assign(n_, 0);
+  classSum_.assign(n_, 0);
+  live_.clear();
+  liveSlot_.assign(n_, kNotLive);
+}
+
+void SharingMatrix::allocateTable(std::int64_t fill) {
+  stride_ = classCount() + 1;
+  cells_.assign(stride_ * stride_, fill);
+  std::fill_n(cells_.begin(), stride_, 0);
+  for (std::size_t s = 0; s < stride_; ++s) cells_[s * stride_] = 0;
 }
 
 namespace {
@@ -45,6 +77,12 @@ int compareShared(const Footprint& a, const Footprint& b,
     ++ia;
     ++ib;
   }
+}
+
+/// The one intersection of a pair, in compute()'s operand order.
+std::int64_t intersectPair(std::span<const Footprint> footprints,
+                           std::uint32_t a, std::uint32_t b) {
+  return footprints[std::min(a, b)].sharedElements(footprints[std::max(a, b)]);
 }
 
 }  // namespace
@@ -94,19 +132,26 @@ void SharingMatrix::internClasses(std::span<const Footprint> footprints) {
   for (std::size_t p = 0; p < n; ++p) {
     classMembers_[next[classOf_[p]]++] = static_cast<std::uint32_t>(p);
   }
-  witness_.assign(classes, kNoWitness);
+  count_.assign(classes, 0);
+  classSum_.assign(classes, 0);
+  live_.clear();
+  liveSlot_.assign(classes, kNotLive);
+  allocateTable(kUnknown);
+  // A lone member has no intra pair; its diagonal cell is never read
+  // with weight, and 0 keeps the table free of unknowns at live slots.
+  for (std::uint32_t k = 0; k < classes; ++k) {
+    if (classStart_[k + 1] - classStart_[k] == 1) cell(k, k) = 0;
+  }
+  interned_ = true;
   internPending_ = false;
 }
 
-std::int64_t SharingMatrix::sumRow(std::size_t p) const {
-  std::int64_t sum = -cell(p, p);
-  for (std::size_t q = 0; q < n_; ++q) sum += cell(p, q);
+std::int64_t SharingMatrix::sumOfClass(std::uint32_t k) const {
+  std::int64_t sum = 0;
+  for (const std::uint32_t l : live_) {
+    if (l != k) sum += count_[l] * cell(k, l);
+  }
   return sum;
-}
-
-std::size_t SharingMatrix::idx(std::size_t p, std::size_t q) const {
-  check(p < n_ && q < n_, "SharingMatrix: index out of range");
-  return p * n_ + q;
 }
 
 void SharingMatrix::addProcess(std::span<const Footprint> footprints,
@@ -114,286 +159,305 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
   check(footprints.size() == n_,
         "SharingMatrix::addProcess: footprint universe size mismatch");
   check(p < n_, "SharingMatrix::addProcess: index out of range");
-  check(!active_[p], "SharingMatrix::addProcess: process already active");
+  check(slot_[p] == 0, "SharingMatrix::addProcess: process already active");
   if (internPending_) internClasses(footprints);
-  active_[p] = 1;
-  cell(p, p) = footprints[p].totalElements();
-  if (classOf_.empty()) {
-    intersectRow(footprints, p);
-    return;
+  const std::uint32_t k = classOf_[p];
+  if (count_[k] == 0) reviveClass(footprints, k);
+  // Every other live class gains one member of k in its sum.
+  for (const std::uint32_t l : live_) {
+    if (l != k) classSum_[l] += cell(l, k);
   }
-  std::uint32_t& witness = witness_[classOf_[p]];
-  if (witness == kNoWitness) {
-    intersectRow(footprints, p);
-    witness = static_cast<std::uint32_t>(p);
-  } else {
-    copyTwin(footprints, p, witness);
-  }
+  ++count_[k];
+  slot_[p] = k + 1;
+  diag_[p] = footprints[p].totalElements();
+  ++activeCount_;
 }
 
-void SharingMatrix::intersectRow(std::span<const Footprint> footprints,
-                                 std::size_t p) {
-  // Only the active processes intersect p; inactive rows stay zero. Each
-  // index q owns cells (p, q) and (q, p) exclusively, so the parallel
-  // update is bit-identical to the serial loop at any thread count. The
-  // operand order mirrors compute()'s upper-triangle evaluation
-  // (footprints[min].sharedElements(footprints[max])), so the values are
-  // the very same calls a from-scratch compute over the active set makes.
-  // rowSums_[q] is owned by index q too, so its update rides along.
-  const auto updateRange = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t q = begin; q < end; ++q) {
-      if (q == p || !active_[q]) continue;
-      const std::size_t lo = std::min(p, q);
-      const std::size_t hi = std::max(p, q);
-      const std::int64_t shared =
-          footprints[lo].sharedElements(footprints[hi]);
-      cell(p, q) = shared;
-      cell(q, p) = shared;
-      rowSums_[q] += shared;
-    }
-  };
-  // A row update is O(n) cheap intersections; below this width the
-  // pool's dispatch+sync overhead exceeds the whole row's work (the
-  // committed BM_SharingMatrixIncremental numbers show the update in
-  // single-digit microseconds even at 660 processes), so small
-  // universes run inline. Same calls, same cells — identical result.
-  constexpr std::size_t kParallelRowCutoff = 256;
-  if (n_ < kParallelRowCutoff) {
-    updateRange(0, n_);
-  } else {
-    parallelChunks(n_, updateRange);
+void SharingMatrix::reviveClass(std::span<const Footprint> footprints,
+                                std::uint32_t k) {
+  // The cells k still needs: its intra value (two smallest members) and
+  // its pairs with the live classes, never intersected on an interned
+  // matrix, always on a singleton one (a dead class's cells are zero
+  // there, as in a dense matrix).
+  if (cell(k, k) == kUnknown) {
+    cell(k, k) = intersectPair(footprints, rep(k),
+                               classMembers_[classStart_[k] + 1]);
+    ++intersections_;
   }
-  rowSums_[p] = sumRow(p);
-}
-
-void SharingMatrix::copyTwin(std::span<const Footprint> footprints,
-                             std::size_t p, std::size_t twin) {
-  // The class contract: M[p][q] == M[twin][q] for q outside {p, twin}.
-  // Row and column p are zero while p is inactive, so a zero cell needs
-  // no write. The intra pair is the one intersection, in compute()'s
-  // operand order.
-  const std::int64_t* twinRow = cells_.data() + twin * n_;
-  std::int64_t* row = cells_.data() + p * n_;
-  std::int64_t sum = 0;
-  for (std::size_t q = 0; q < n_; ++q) {
-    const std::int64_t shared = twinRow[q];
-    if (shared == 0 || q == p || q == twin) continue;
-    row[q] = shared;
-    cell(q, p) = shared;
-    rowSums_[q] += shared;
-    sum += shared;
+  for (const std::uint32_t l : live_) {
+    if (interned_ && cell(k, l) != kUnknown) continue;
+    cell(k, l) = cell(l, k) = intersectPair(footprints, rep(k), rep(l));
+    ++intersections_;
   }
-  const std::int64_t intra = footprints[std::min(p, twin)].sharedElements(
-      footprints[std::max(p, twin)]);
-  row[twin] = intra;
-  cell(twin, p) = intra;
-  rowSums_[twin] += intra;
-  rowSums_[p] = sum + intra;
+  classSum_[k] = sumOfClass(k);
+  liveSlot_[k] = static_cast<std::uint32_t>(live_.size());
+  live_.push_back(k);
 }
 
 void SharingMatrix::removeProcess(std::size_t p) {
   check(p < n_, "SharingMatrix::removeProcess: index out of range");
-  check(active_[p], "SharingMatrix::removeProcess: process not active");
-  active_[p] = 0;
-  // Inactive processes' cells are already zero, so only the active
-  // ones' column cells (strided, one cache line each) need a visit.
-  for (std::size_t q = 0; q < n_; ++q) {
-    if (!active_[q]) continue;
-    rowSums_[q] -= cell(q, p);
-    cell(q, p) = 0;
-  }
-  std::fill_n(cells_.begin() + static_cast<std::ptrdiff_t>(p * n_), n_, 0);
-  rowSums_[p] = 0;
-  if (classOf_.empty() || witness_[classOf_[p]] != p) return;
-  // The witness left: any other active member takes over, or none.
+  check(slot_[p] != 0, "SharingMatrix::removeProcess: process not active");
   const std::uint32_t k = classOf_[p];
-  witness_[k] = kNoWitness;
-  for (std::uint32_t i = classStart_[k]; i < classStart_[k + 1]; ++i) {
-    if (active_[classMembers_[i]]) {
-      witness_[k] = classMembers_[i];
-      break;
-    }
+  slot_[p] = 0;
+  diag_[p] = 0;
+  --activeCount_;
+  --count_[k];
+  for (const std::uint32_t l : live_) {
+    if (l != k) classSum_[l] -= cell(l, k);
+  }
+  if (count_[k] > 0) return;
+  // The class died: swap-remove it from the live list.
+  classSum_[k] = 0;
+  const std::uint32_t pos = liveSlot_[k];
+  live_[pos] = live_.back();
+  liveSlot_[live_[pos]] = pos;
+  live_.pop_back();
+  liveSlot_[k] = kNotLive;
+  if (interned_) return;
+  for (std::uint32_t l = 0; l < classCount(); ++l) {
+    if (l != k) cell(k, l) = cell(l, k) = 0;
   }
 }
 
 std::size_t SharingMatrix::classOf(std::size_t p) const {
   check(p < n_, "SharingMatrix::classOf: index out of range");
-  return classOf_.empty() ? p : classOf_[p];
-}
-
-std::size_t SharingMatrix::classCount() const {
-  return classOf_.empty() ? n_ : witness_.size();
+  return classOf_[p];
 }
 
 bool SharingMatrix::isActive(std::size_t p) const {
   check(p < n_, "SharingMatrix::isActive: index out of range");
-  return active_[p] != 0;
-}
-
-std::size_t SharingMatrix::activeCount() const {
-  std::size_t count = 0;
-  for (const char a : active_) count += static_cast<std::size_t>(a);
-  return count;
+  return slot_[p] != 0;
 }
 
 SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
   const std::size_t n = footprints.size();
-  SharingMatrix m(n);
+  SharingMatrix m = inactive(n);
   m.internClasses(footprints);
-  // Every process is active: each class's smallest member witnesses it.
-  for (std::size_t k = 0; k < m.witness_.size(); ++k) {
-    m.witness_[k] = m.classMembers_[m.classStart_[k]];
+  const auto classes = static_cast<std::uint32_t>(m.classCount());
+  for (std::uint32_t p = 0; p < n; ++p) {
+    m.slot_[p] = m.classOf_[p] + 1;
+    m.diag_[p] = footprints[p].totalElements();
   }
-  for (std::size_t p = 0; p < n; ++p) {
-    m.cell(p, p) = footprints[p].totalElements();
-  }
-  if (n < 2) return m;
-
-  // The upper triangle, flattened so static chunks carry near-equal
-  // work (chunking rows would leave the last thread the short rows).
-  // rowStart[p] is the linear index of pair (p, p+1).
-  std::vector<std::size_t> rowStart(n - 1);
-  std::size_t acc = 0;
-  for (std::size_t p = 0; p + 1 < n; ++p) {
-    rowStart[p] = acc;
-    acc += n - 1 - p;
-  }
-  const std::size_t pairs = acc;
-
-  // Each linear index owns cells (p, q) and (q, p) exclusively, and
-  // sharedElements is a pure function of the two footprints — so the
-  // matrix is bit-identical to the serial loop at any thread count.
-  // Within a chunk (p, q) advances incrementally: the unranking
-  // upper_bound runs once per chunk, not per pair.
-  parallelChunks(pairs, [&](std::size_t begin, std::size_t end) {
-    std::size_t p =
-        static_cast<std::size_t>(
-            std::upper_bound(rowStart.begin(), rowStart.end(), begin) -
-            rowStart.begin()) -
-        1;
-    std::size_t q = p + 1 + (begin - rowStart[p]);
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::int64_t shared = footprints[p].sharedElements(footprints[q]);
-      m.cell(p, q) = shared;
-      m.cell(q, p) = shared;
-      if (++q == n) {
-        ++p;
-        q = p + 1;
-      }
+  m.activeCount_ = n;
+  for (std::uint32_t k = 0; k < classes; ++k) {
+    m.count_[k] = m.classStart_[k + 1] - m.classStart_[k];
+    m.liveSlot_[k] = k;
+    m.live_.push_back(k);
+    if (m.count_[k] > 1) {
+      m.cell(k, k) = intersectPair(footprints, m.rep(k),
+                                   m.classMembers_[m.classStart_[k] + 1]);
+      ++m.intersections_;
     }
-  });
-  // Row sums once the cells are final. Serial: n^2 additions are a few
-  // percent of the intersections above, less than a second pool
-  // dispatch costs at 8 threads.
-  for (std::size_t p = 0; p < n; ++p) m.rowSums_[p] = m.sumRow(p);
+  }
+  if (classes >= 2) {
+    // The upper triangle of class pairs, flattened so static chunks
+    // carry near-equal work (chunking rows would leave the last thread
+    // the short rows). rowStart[k] is the linear index of pair (k, k+1).
+    std::vector<std::size_t> rowStart(classes - 1);
+    std::size_t acc = 0;
+    for (std::size_t k = 0; k + 1 < classes; ++k) {
+      rowStart[k] = acc;
+      acc += classes - 1 - k;
+    }
+    const std::size_t pairs = acc;
+
+    // Each linear index owns cells (k, l) and (l, k) exclusively, and
+    // sharedElements is a pure function of the two footprints — so the
+    // table is bit-identical to the serial loop at any thread count.
+    // Within a chunk (k, l) advances incrementally: the unranking
+    // upper_bound runs once per chunk, not per pair.
+    std::vector<std::uint32_t> reps(classes);
+    for (std::uint32_t k = 0; k < classes; ++k) reps[k] = m.rep(k);
+    parallelChunks(pairs, [&](std::size_t begin, std::size_t end) {
+      auto k = static_cast<std::uint32_t>(
+          std::upper_bound(rowStart.begin(), rowStart.end(), begin) -
+          rowStart.begin() - 1);
+      auto l = static_cast<std::uint32_t>(k + 1 + (begin - rowStart[k]));
+      for (std::size_t i = begin; i < end; ++i) {
+        m.cell(k, l) = m.cell(l, k) =
+            intersectPair(footprints, reps[k], reps[l]);
+        if (++l == classes) {
+          ++k;
+          l = k + 1;
+        }
+      }
+    });
+    m.intersections_ += pairs;
+  }
+  // Class sums once the cells are final, one contiguous pass per class
+  // row (every class is live, so no live-list gather). Serial:
+  // classes² multiply-adds are a few percent of the intersections
+  // above, less than a second pool dispatch costs at 8 threads.
+  for (std::uint32_t k = 0; k < classes; ++k) {
+    const std::int64_t* row = m.slotRow(k + 1) + 1;
+    std::int64_t sum = 0;
+    for (std::uint32_t l = 0; l < classes; ++l) sum += m.count_[l] * row[l];
+    m.classSum_[k] = sum - m.count_[k] * row[k];
+  }
   return m;
 }
 
-std::int64_t SharingMatrix::at(std::size_t p, std::size_t q) const {
-  return cells_[idx(p, q)];
+void SharingMatrix::expandToSingletons() {
+  // Every visible cell, read before the classes change: the active
+  // pairs; a dead singleton's cells are zero.
+  std::vector<std::int64_t> cells((n_ + 1) * (n_ + 1), 0);
+  for (std::size_t p = 0; p < n_; ++p) {
+    if (slot_[p] == 0) continue;
+    for (std::size_t q = 0; q < n_; ++q) {
+      if (q != p) cells[(p + 1) * (n_ + 1) + q + 1] = at(p, q);
+    }
+  }
+  singletonClasses();
+  stride_ = n_ + 1;
+  cells_ = std::move(cells);
+  for (std::uint32_t p = 0; p < n_; ++p) {
+    if (slot_[p] == 0) continue;
+    slot_[p] = p + 1;
+    count_[p] = 1;
+    liveSlot_[p] = static_cast<std::uint32_t>(live_.size());
+    live_.push_back(p);
+  }
+  for (const std::uint32_t k : live_) classSum_[k] = sumOfClass(k);
+  interned_ = false;
+  internPending_ = false;
 }
 
 void SharingMatrix::set(std::size_t p, std::size_t q, std::int64_t value) {
-  std::int64_t& target = cells_[idx(p, q)];
-  if (p != q) rowSums_[p] += value - target;
-  target = value;
+  check(p < n_ && q < n_, "SharingMatrix: index out of range");
   // One written cell can break the class contract: singleton classes.
-  internPending_ = false;
-  classOf_.clear();
-  classStart_.clear();
-  classMembers_.clear();
-  witness_.clear();
+  if (interned_ || internPending_) expandToSingletons();
+  if (p == q) {
+    diag_[p] = value;
+    return;
+  }
+  const auto k = static_cast<std::uint32_t>(p);
+  const auto l = static_cast<std::uint32_t>(q);
+  if (slot_[p] != 0 && slot_[q] != 0) classSum_[k] += value - cell(k, l);
+  cell(k, l) = value;
 }
 
 std::span<const std::int64_t> SharingMatrix::row(std::size_t p) const {
   check(p < n_, "SharingMatrix::row: index out of range");
-  return {cells_.data() + p * n_, n_};
+  rowScratch_.resize(n_);
+  const std::int64_t* cells = slotRow(slot_[p]);
+  for (std::size_t q = 0; q < n_; ++q) rowScratch_[q] = cells[slot_[q]];
+  rowScratch_[p] = diag_[p];
+  return rowScratch_;
 }
 
 std::int64_t SharingMatrix::rowSum(std::size_t p) const {
   check(p < n_, "SharingMatrix::rowSum: index out of range");
-  return rowSums_[p];
+  if (slot_[p] == 0) return 0;
+  const std::uint32_t k = classOf_[p];
+  return classSum_[k] + (count_[k] - std::int64_t{1}) * cell(k, k);
 }
 
 bool SharingMatrix::isDiagonal() const {
-  for (std::size_t p = 0; p < n_; ++p) {
-    for (std::size_t q = 0; q < n_; ++q) {
-      if (p != q && cell(p, q) != 0) return false;
+  for (const std::uint32_t k : live_) {
+    for (const std::uint32_t l : live_) {
+      if ((l != k || count_[k] > 1) && cell(k, l) != 0) return false;
     }
   }
   return true;
 }
 
 void SharingMatrix::auditInvariants() const {
-  if (!classOf_.empty()) auditClasses();
+  auditClasses();
   // Each clause tests first and builds its message only on a violation:
-  // the engine audits after every arrival and exit, n^2 cells a time.
+  // the engine audits after every arrival and exit.
+  for (std::size_t s = 0; s < stride_; ++s) {
+    if (cells_[s] != 0 || cells_[s * stride_] != 0) {
+      audit::require(false, "SharingMatrix: the inactive slot's row or "
+                            "column is nonzero at slot " +
+                                std::to_string(s));
+    }
+  }
+  for (const std::uint32_t k : live_) {
+    for (const std::uint32_t l : live_) {
+      if (cell(k, l) == kUnknown || cell(k, l) != cell(l, k)) {
+        audit::require(false, "SharingMatrix: cells of live classes (" +
+                                  std::to_string(k) + ", " +
+                                  std::to_string(l) +
+                                  ") are unknown or asymmetric");
+      }
+    }
+  }
+  for (std::uint32_t k = 0; k < classCount(); ++k) {
+    const std::int64_t sum = count_[k] > 0 ? sumOfClass(k) : 0;
+    if (sum != classSum_[k]) {
+      audit::require(false, "SharingMatrix: stored sum of class " +
+                                std::to_string(k) + " is " +
+                                std::to_string(classSum_[k]) +
+                                ", its live cells sum to " +
+                                std::to_string(sum));
+    }
+    if (interned_ || internPending_ || count_[k] > 0) continue;
+    for (std::uint32_t l = 0; l < classCount(); ++l) {
+      if (l != k && (cell(k, l) != 0 || cell(l, k) != 0)) {
+        audit::require(false, "SharingMatrix: inactive process " +
+                                  std::to_string(k) +
+                                  " has a nonzero row or column entry at " +
+                                  std::to_string(l));
+      }
+    }
+  }
   for (std::size_t p = 0; p < n_; ++p) {
-    const std::int64_t sum = sumRow(p);
-    if (sum != rowSums_[p]) {
-      audit::require(false, "SharingMatrix: stored row sum of process " +
-                                std::to_string(p) + " is " +
-                                std::to_string(rowSums_[p]) +
-                                ", its row sums to " + std::to_string(sum));
-    }
-    if (!active_[p]) {
-      for (std::size_t q = 0; q < n_; ++q) {
-        if (cell(p, q) != 0 || cell(q, p) != 0) {
-          audit::require(false, "SharingMatrix: inactive process " +
-                                    std::to_string(p) +
-                                    " has a nonzero row or column entry at " +
-                                    std::to_string(q));
-        }
-      }
-      continue;
-    }
-    audit::require(cell(p, p) >= 0,
-                   "SharingMatrix: negative diagonal (footprint size) for "
-                   "process " +
-                       std::to_string(p));
-    for (std::size_t q = p + 1; q < n_; ++q) {
-      if (cell(p, q) != cell(q, p)) {
-        audit::require(false, "SharingMatrix: asymmetric cells (" +
-                                  std::to_string(p) + ", " +
-                                  std::to_string(q) + "): " +
-                                  std::to_string(cell(p, q)) + " vs " +
-                                  std::to_string(cell(q, p)));
-      }
+    if (slot_[p] != 0 ? diag_[p] < 0 : diag_[p] != 0) {
+      audit::require(false, "SharingMatrix: negative diagonal (footprint "
+                            "size) of an active process, or a nonzero one "
+                            "of an inactive process, at process " +
+                                std::to_string(p));
     }
   }
 }
 
 void SharingMatrix::auditClasses() const {
+  std::vector<std::uint32_t> counts(classCount(), 0);
+  std::size_t active = 0;
   for (std::size_t p = 0; p < n_; ++p) {
-    if (!active_[p]) continue;
-    const std::uint32_t w = witness_[classOf_[p]];
-    if (w == kNoWitness || !active_[w] || classOf_[w] != classOf_[p]) {
+    if (slot_[p] == 0) continue;
+    if (slot_[p] != classOf_[p] + 1) {
       audit::require(false, "SharingMatrix: active process " +
                                 std::to_string(p) +
-                                " has no active witness in its class");
+                                " sits in the slot of another class");
     }
-    // Rows agreeing off the pair imply, with the symmetry that
-    // auditInvariants checks, that every intra cell agrees too.
-    bool agrees = true;
-    for (std::size_t r = 0; r < n_ && agrees; ++r) {
-      agrees = r == p || r == w || cell(p, r) == cell(w, r);
-    }
-    if (!agrees) {
-      audit::require(false, "SharingMatrix: process " + std::to_string(p) +
-                                " breaks the contract of sharing class " +
-                                std::to_string(classOf_[p]) +
-                                " (witness " + std::to_string(w) + ")");
-    }
+    ++counts[classOf_[p]];
+    ++active;
   }
+  audit::require(active == activeCount_,
+                 "SharingMatrix: the active counter disagrees with the "
+                 "active flags");
+  std::size_t live = 0;
+  for (std::uint32_t k = 0; k < classCount(); ++k) {
+    for (std::uint32_t i = classStart_[k]; i < classStart_[k + 1]; ++i) {
+      if (classOf_[classMembers_[i]] != k) {
+        audit::require(false, "SharingMatrix: process " +
+                                  std::to_string(classMembers_[i]) +
+                                  " is listed in class " + std::to_string(k) +
+                                  " but records another class");
+      }
+    }
+    const bool listed = liveSlot_[k] < live_.size() && live_[liveSlot_[k]] == k;
+    if (counts[k] != count_[k] || listed != (count_[k] > 0)) {
+      audit::require(false, "SharingMatrix: class " + std::to_string(k) +
+                                " counts " + std::to_string(count_[k]) +
+                                " live members, its active flags " +
+                                std::to_string(counts[k]) +
+                                ", or its live-list entry is stale");
+    }
+    live += listed ? 1 : 0;
+  }
+  audit::require(live == live_.size(),
+                 "SharingMatrix: the live class list holds a dead class");
 }
 
 void SharingMatrix::corruptRowSumForTest(std::size_t p, std::int64_t value) {
   check(p < n_, "SharingMatrix::corruptRowSumForTest: index out of range");
-  rowSums_[p] = value;
+  classSum_[classOf_[p]] += value - rowSum(p);
 }
 
 void SharingMatrix::corruptClassForTest(std::size_t p, std::size_t k) {
-  check(p < n_ && k < witness_.size() && !classOf_.empty(),
+  check(p < n_ && k < classCount() && interned_,
         "SharingMatrix::corruptClassForTest: index out of range");
   classOf_[p] = static_cast<std::uint32_t>(k);
 }
@@ -447,7 +511,7 @@ Table SharingMatrix::toTable() const {
   for (std::size_t p = 0; p < n_; ++p) {
     t.row().cell(processLabel(p));
     for (std::size_t q = 0; q < n_; ++q) {
-      t.cell(cell(p, q));
+      t.cell(at(p, q));
     }
   }
   return t;

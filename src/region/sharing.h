@@ -7,21 +7,14 @@
 #include <vector>
 
 #include "region/footprint.h"
+#include "util/error.h"
 #include "util/table.h"
 
 namespace laps {
 
 /// Symmetric matrix M where M[p][q] = |SS_{p,q}| = number of array
 /// elements processes p and q both touch. Diagonal entries hold each
-/// process's own footprint size.
-///
-/// Two maintenance regimes:
-///  * closed (the paper's): compute() builds every pair once, up front;
-///  * open (in-OS arrivals/exits): inactive(n) starts with every process
-///    absent, and addProcess/removeProcess keep the matrix equal to what
-///    a from-scratch compute over the currently active set would
-///    produce, touching only the affected row and column — O(n) pair
-///    intersections per event instead of O(n^2).
+/// process's own footprint size. M is stored per sharing class.
 ///
 /// Sharing classes. Two processes share a class iff their footprints
 /// agree on every array that some other process of the universe also
@@ -29,14 +22,35 @@ namespace laps {
 /// scratch) cannot enter any pair's intersection. So for same-class
 /// p != q, M[p][r] == M[q][r] for every r outside {p, q}, and M[p][q]
 /// is one intra value per class — exact integers, no approximation.
-/// For inactive processes the contract holds trivially (their cells
-/// are zero), so it binds the active members of a class. compute()
-/// interns the classes, inactive(n) on its first addProcess; a matrix
-/// built by SharingMatrix(n), or touched by set(), has singleton
-/// classes (each process its own). Classes are numbered in order of
-/// their smallest member id. The planner (sched/locality.h,
-/// sched/plan_index.h) treats a class as one candidate, and
-/// addProcess copies a live twin's row instead of intersecting.
+/// compute() interns the classes, inactive(n) on its first addProcess;
+/// a matrix built by SharingMatrix(n), or touched by set(), has
+/// singleton classes (each process its own). Classes are numbered in
+/// order of their smallest member (the class's rep).
+///
+/// Storage. One symmetric (classes + 1)² cell table: cell (k, l) is
+/// the sharing between a member of class k and a member of class l,
+/// the diagonal cell (k, k) the intra value, and an extra all-zero
+/// row and column stand for every inactive process. Besides it: the
+/// per-process diagonal (footprint totals differ inside a class,
+/// because private arrays drop out of the class key), the live member
+/// count of each class and, per live class k, Σ_{l≠k} count[l]·M[k][l].
+/// Memory is O(classes² + n); a service universe of 2048 requests over
+/// 254 classes holds a 0.5 MiB table where n² cells took 32 MiB.
+///
+/// Two maintenance regimes:
+///  * closed (the paper's): compute() intersects every class pair once,
+///    up front;
+///  * open (in-OS arrivals/exits): inactive(n) starts with every process
+///    absent, and addProcess/removeProcess keep the matrix equal to what
+///    a from-scratch compute over the currently active set would
+///    produce. An event updates the live member count and the live
+///    classes' sums, O(live classes). A class pair is intersected once
+///    per matrix, from the reps' footprints, the first time both
+///    classes are live; its cell never changes afterwards.
+///
+/// The planner (sched/locality.h, sched/plan_index.h) reads class
+/// cells directly (slotOf, slotRow) and treats a class as one
+/// candidate.
 class SharingMatrix {
  public:
   SharingMatrix() = default;
@@ -46,35 +60,31 @@ class SharingMatrix {
   explicit SharingMatrix(std::size_t n);
 
   /// n x n matrix with every process inactive — the starting point of
-  /// incremental maintenance under process arrival/exit.
+  /// incremental maintenance under process arrival/exit. It holds no
+  /// cell table until its first addProcess interns the classes.
   [[nodiscard]] static SharingMatrix inactive(std::size_t n);
 
-  /// Computes the full matrix from per-process footprints (exact).
-  /// Pair intersections run on the parallel substrate (util/parallel.h);
-  /// each cell is written by exactly one index, so the result is
-  /// bit-identical to the serial loop at every thread count.
+  /// Computes the full matrix from per-process footprints (exact): one
+  /// intersection per class pair, plus one per class with two or more
+  /// members (its intra value). The pair intersections run on the
+  /// parallel substrate (util/parallel.h); each cell is written by
+  /// exactly one index, so the result is bit-identical to the serial
+  /// loop at every thread count. With singleton classes (the paper's
+  /// concurrent mixes) that is every process pair, as a dense matrix.
   static SharingMatrix compute(std::span<const Footprint> footprints);
 
-  /// Activates process \p p: fills row/column p from \p footprints
-  /// (which must describe the full n-process universe, the same one on
-  /// every call). When another member of p's sharing class is active
-  /// (a live twin), p's row and column are copied from the twin's and
-  /// only the intra pair is intersected — O(n) loads, no per-pair
-  /// intersections. Otherwise p is intersected only against the
-  /// currently active processes. The new row's pair
-  /// intersections run on the parallel substrate; each index writes its
-  /// own (p, q)/(q, p) pair, so the result is bit-identical to a serial
-  /// update at every thread count — and, by construction, to a
-  /// from-scratch compute() over the active set (the same
-  /// Footprint::sharedElements call evaluated in the same operand
-  /// order). Throws laps::Error if \p p is already active or the
-  /// universe size mismatches.
+  /// Activates process \p p (\p footprints must describe the full
+  /// n-process universe, the same one on every call). When p's class
+  /// was empty, its cells with the live classes that were never
+  /// intersected (and its intra value) are intersected, in compute()'s
+  /// operand order (footprints[min rep].sharedElements(footprints[max
+  /// rep])). Then the live count and the live classes' sums are
+  /// patched, O(live classes). Throws laps::Error if \p p is already
+  /// active or the universe size mismatches.
   void addProcess(std::span<const Footprint> footprints, std::size_t p);
 
-  /// Deactivates process \p p, zeroing its row and column (including the
-  /// diagonal). Only the active processes' column cells are visited —
-  /// an inactive process's cells are already zero. Throws laps::Error
-  /// if \p p is not active.
+  /// Deactivates process \p p: its row and column read zero from now
+  /// on. O(live classes). Throws laps::Error if \p p is not active.
   void removeProcess(std::size_t p);
 
   /// \p p's sharing class (see the class comment), in
@@ -82,34 +92,36 @@ class SharingMatrix {
   [[nodiscard]] std::size_t classOf(std::size_t p) const;
 
   /// Number of sharing classes (size() with singleton classes).
-  [[nodiscard]] std::size_t classCount() const;
+  [[nodiscard]] std::size_t classCount() const { return count_.size(); }
 
   /// True when \p p is present (added and not removed).
   [[nodiscard]] bool isActive(std::size_t p) const;
 
-  /// Number of active processes.
-  [[nodiscard]] std::size_t activeCount() const;
+  /// Number of active processes, O(1).
+  [[nodiscard]] std::size_t activeCount() const { return activeCount_; }
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Bounds-checked accessors (throw laps::Error out of range). Internal
-  /// hot loops use the unchecked cell() below instead: the check fired
-  /// n^2 times per compute. set() writes one cell, so it drops the
-  /// matrix to singleton classes (O(1)): the class contract is no
-  /// longer implied by footprints.
-  [[nodiscard]] std::int64_t at(std::size_t p, std::size_t q) const;
+  /// Bounds-checked accessors (throw laps::Error out of range). at() is
+  /// a class lookup plus the diagonal fix-up; it reads 0 whenever p or
+  /// q is inactive. set() writes one cell, so on an interned matrix it
+  /// first expands to singleton classes (O(n²)): the class contract is
+  /// no longer implied by footprints.
+  [[nodiscard]] std::int64_t at(std::size_t p, std::size_t q) const {
+    check(p < n_ && q < n_, "SharingMatrix: index out of range");
+    return p == q ? diag_[p] : cells_[slot_[p] * stride_ + slot_[q]];
+  }
   void set(std::size_t p, std::size_t q, std::int64_t value);
 
-  /// Whole-row view for index hot loops (sched/plan_index.h): bounds are
-  /// checked once here instead of per cell, so scoring |row| candidates
-  /// against process \p p costs |row| loads, not |row| checks. The span
-  /// is invalidated by any mutation of the matrix.
+  /// Row \p p as n cells, for tooling and tests: O(n), filled into a
+  /// per-matrix scratch buffer. The span is invalidated by the next
+  /// row() call and by any mutation, and row() must not be called from
+  /// two threads at once. No hot path in src/ reads it; they read
+  /// class cells (slotRow) instead.
   [[nodiscard]] std::span<const std::int64_t> row(std::size_t p) const;
 
   /// Sum over q != p of M[p][q] (how much p shares with everyone else),
-  /// in O(1): the sum is stored and kept live by every mutation —
-  /// compute() fills it, addProcess/removeProcess patch it with the
-  /// row and column they touch, set() applies the change in value. The
+  /// in O(1): its class's stored sum plus (count − 1) intra values. The
   /// Fig. 3 trim derives each candidate's total from it by complement
   /// (sched/locality.h).
   [[nodiscard]] std::int64_t rowSum(std::size_t p) const;
@@ -120,64 +132,106 @@ class SharingMatrix {
   /// Renders as a table (for examples / debugging), labels P0..Pn-1.
   [[nodiscard]] Table toTable() const;
 
-  /// Audit checker (docs/ARCHITECTURE.md §11): the matrix must be
-  /// symmetric over the active set, every inactive process's row and
-  /// column must be zero, the diagonal of an active process must be
-  /// non-negative (a footprint size), and every stored row sum must
-  /// equal a fresh sum of its row. The class contract too: each class
-  /// with an active member has an active witness, and every active
-  /// member's row equals the witness's off {member, witness} — which,
-  /// with symmetry, makes every intra cell of the class agree.
-  /// Throws laps::AuditError on violation. The engine runs it after
-  /// every incremental arrival/exit update under LAPSCHED_AUDIT; tests
-  /// inject violations through set() (which writes a single cell),
-  /// corruptRowSumForTest and corruptClassForTest to prove it fires.
+  /// Hot-path class table reads (sched/plan_index.h, sched/locality.h),
+  /// unchecked: \p p < size(), \p slot <= classCount(). A process's
+  /// slot is 0 while it is inactive and classOf(p) + 1 while active;
+  /// slotRow(s)[t] is M[p][q] for any p in slot s and q != p in slot t
+  /// (slot 0's row and column are zero). The row of a live slot is
+  /// valid at every live slot and at slot 0.
+  [[nodiscard]] std::uint32_t slotOf(std::size_t p) const { return slot_[p]; }
+  [[nodiscard]] const std::int64_t* slotRow(std::uint32_t slot) const {
+    return cells_.data() + slot * stride_;
+  }
+
+  /// Footprint pair intersections made so far (compute, addProcess): the
+  /// deterministic work count of this layer.
+  [[nodiscard]] std::uint64_t intersections() const { return intersections_; }
+
+  /// Audit checker (docs/ARCHITECTURE.md §11). The class bookkeeping:
+  /// each class's member list names only members of it, every process's
+  /// slot is 0 or its class's, every live count equals a recount of
+  /// the active flags, the live list holds exactly the classes with
+  /// members, and the active counter is their total. The table: the
+  /// inactive row and column are zero, every cell between live classes
+  /// is intersected and symmetric, and every live class's stored sum
+  /// equals a fresh sum (a dead class's is zero). The diagonal of an
+  /// active process is non-negative (a footprint size), an inactive
+  /// one's zero; with singleton classes from SharingMatrix(n) or set(),
+  /// a dead class's cells must be zero too. Throws laps::AuditError on
+  /// violation. The engine runs it after every incremental arrival/exit
+  /// update under LAPSCHED_AUDIT; tests inject violations through set()
+  /// (which writes a single cell), corruptRowSumForTest and
+  /// corruptClassForTest to prove it fires.
   void auditInvariants() const;
 
-  /// Test seam for the audit path: overwrites \p p's stored row sum
-  /// with \p value, bypassing the maintenance.
+  /// Test seam for the audit path: overwrites the stored sum of \p p's
+  /// class so that rowSum(p) would read \p value, bypassing the
+  /// maintenance.
   void corruptRowSumForTest(std::size_t p, std::int64_t value);
 
   /// Test seam for the audit paths: records \p p as a member of class
-  /// \p k (interned classes only) without moving any cell or member
-  /// list entry, so p claims rows its new class does not have.
+  /// \p k (interned classes only) without moving any count, slot or
+  /// member list entry.
   void corruptClassForTest(std::size_t p, std::size_t k);
 
  private:
-  [[nodiscard]] std::size_t idx(std::size_t p, std::size_t q) const;
-  /// Σ_{q≠p} M[p][q] summed fresh from row p (p < n_).
-  [[nodiscard]] std::int64_t sumRow(std::size_t p) const;
+  /// Singleton classes over the current n_ (each process its own).
+  void singletonClasses();
   /// Interns the sharing classes of \p footprints (see the class
-  /// comment): classOf_, the member lists and empty witnesses.
+  /// comment) and allocates their table, every pair not yet
+  /// intersected.
   void internClasses(std::span<const Footprint> footprints);
-  /// The class contract clauses of auditInvariants.
+  /// Allocates a (classCount() + 1)² table filled with \p fill, the
+  /// inactive row and column zero.
+  void allocateTable(std::int64_t fill);
+  /// Rewrites an interned matrix over singleton classes, every visible
+  /// cell kept.
+  void expandToSingletons();
+  /// Makes class \p k live: intersects its missing cells with the live
+  /// classes, fills its sum and appends it to the live list.
+  void reviveClass(std::span<const Footprint> footprints, std::uint32_t k);
+  /// Σ_{l live, l≠k} count[l]·M[k][l], summed fresh.
+  [[nodiscard]] std::int64_t sumOfClass(std::uint32_t k) const;
+  /// The class bookkeeping clauses of auditInvariants.
   void auditClasses() const;
-  /// Activates p by copying live twin \p twin's row and column.
-  void copyTwin(std::span<const Footprint> footprints, std::size_t p,
-                std::size_t twin);
-  /// Activates p by intersecting it with every active process.
-  void intersectRow(std::span<const Footprint> footprints, std::size_t p);
 
-  /// Unchecked cell access for loops whose indices are validated once at
-  /// the boundary (p, q < n_ by construction).
-  [[nodiscard]] std::int64_t& cell(std::size_t p, std::size_t q) {
-    return cells_[p * n_ + q];
+  /// Unchecked class cell (k, l < classCount()).
+  [[nodiscard]] std::int64_t& cell(std::uint32_t k, std::uint32_t l) {
+    return cells_[(k + std::size_t{1}) * stride_ + l + 1];
   }
-  [[nodiscard]] std::int64_t cell(std::size_t p, std::size_t q) const {
-    return cells_[p * n_ + q];
+  [[nodiscard]] std::int64_t cell(std::uint32_t k, std::uint32_t l) const {
+    return cells_[(k + std::size_t{1}) * stride_ + l + 1];
   }
+  [[nodiscard]] std::uint32_t rep(std::uint32_t k) const {
+    return classMembers_[classStart_[k]];
+  }
+
+  /// A class cell never intersected (no footprint pair is that large).
+  static constexpr std::int64_t kUnknown = INT64_MIN;
+  static constexpr std::uint32_t kNotLive = 0xffffffffU;
 
   std::size_t n_ = 0;
-  std::vector<std::int64_t> cells_;  // row-major n x n
-  std::vector<std::int64_t> rowSums_;  // rowSums_[p] = Σ_{q≠p} M[p][q]
-  std::vector<char> active_;         // per-process presence flags
-  // Sharing classes; all empty = singleton classes.
+  // Class table, row-major stride_ x stride_ over slots; 1 x 1 (the
+  // inactive slot alone) until an inactive(n) matrix interns.
+  std::size_t stride_ = 1;
+  std::vector<std::int64_t> cells_{0};
+  std::vector<std::int64_t> diag_;   // per process; 0 while inactive
+  std::vector<std::uint32_t> slot_;  // per process: 0, or class + 1
+  std::size_t activeCount_ = 0;
+  std::uint64_t intersections_ = 0;
+  // Interned from footprints (cells kept across class deaths) vs
+  // singleton classes from SharingMatrix(n)/set() (a dead class's cells
+  // are zero and re-intersected on revival, as a dense matrix would).
+  bool interned_ = false;
   bool internPending_ = false;  // inactive(n): intern on first addProcess
   std::vector<std::uint32_t> classOf_;       // class per process
   std::vector<std::uint32_t> classStart_;    // CSR offsets, classCount()+1
   std::vector<std::uint32_t> classMembers_;  // ascending within a class
-  std::vector<std::uint32_t> witness_;  // an active member, or kNoWitness
-  static constexpr std::uint32_t kNoWitness = 0xffffffffU;
+  std::vector<std::uint32_t> count_;         // live members per class
+  std::vector<std::int64_t> classSum_;       // live classes; 0 when dead
+  std::vector<std::uint32_t> live_;          // live classes, any order
+  std::vector<std::uint32_t> liveSlot_;      // index into live_, kNotLive
+  mutable std::vector<std::int64_t> rowScratch_;  // row()
 };
 
 namespace audit {

@@ -55,10 +55,9 @@ void auditSymmetricOver(const SharingMatrix& sharing,
                         const std::vector<bool>& inSubset) {
   for (std::size_t p = 0; p < inSubset.size(); ++p) {
     if (!inSubset[p]) continue;
-    const std::span<const std::int64_t> row = sharing.row(p);
     for (std::size_t q = p + 1; q < inSubset.size(); ++q) {
       if (!inSubset[q]) continue;
-      audit::require(row[q] == sharing.row(q)[p],
+      audit::require(sharing.at(p, q) == sharing.at(q, p),
                      "buildLocalityPlan: sharing matrix is not symmetric "
                      "over the planned subset");
     }
@@ -89,15 +88,15 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
 /// Fig. 3's initial round: trims IN down to the core count by
 /// repeatedly removing the candidate with the maximum total sharing
 /// with the other candidates — on class groups, whose members share
-/// one total. A group's cells with any other group are those of its
-/// fixed representative (rep, its smallest member); between two of its
-/// members they are its intra value. Reading reps only keeps the trim
-/// on |groups|² cells of the matrix, where removed members' rows would
-/// touch a fresh row per removal.
+/// one total. A group's cells are those of its slot in the class table
+/// (SharingMatrix::slotRow): with any other group the cell between the
+/// two slots, between two of its members the slot's diagonal, its
+/// intra value (an inactive process is a group of its own in the zero
+/// slot). So the trim reads |groups|² cells of the class table.
 ///
 /// Each total is computed once, over the smaller side of the split:
-/// directly as Σ size(h) · row(rep)[rep(h)] over the other groups plus
-/// the intra term, or by complement as rowSum(rep) minus the row over
+/// directly as Σ size(h) · cell(g, h) over the other groups plus the
+/// intra term, or by complement as a member's rowSum minus its cells with
 /// the active processes outside IN (exact: an inactive process's cells
 /// are zero). An OLS rebuild is on the complement side, a closed
 /// plan's roots usually on the direct one. Each removal then takes the
@@ -118,9 +117,8 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
   // fronts, so those are arrays of their own.
   const std::size_t count = groups.count;
   std::vector<std::int64_t> totals(count, 0);
-  std::vector<ProcessId> rep(count);    // smallest member: its row stands
-                                        // for the group
-  std::vector<ProcessId> front(count);  // smallest remaining member
+  std::vector<std::uint32_t> slot(count);  // the group's class-table slot
+  std::vector<ProcessId> front(count);     // smallest remaining member
   struct Rest {
     std::uint32_t next;  // front's index in groups.members
     std::uint32_t end;   // the group's end index in groups.members
@@ -130,37 +128,40 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
   for (std::size_t g = 0; g < count; ++g) {
     rest[g].next = groups.start[g];
     rest[g].end = groups.start[g + 1];
-    rep[g] = front[g] = groups.members[rest[g].next];
+    front[g] = groups.members[rest[g].next];
+    slot[g] = sharing.slotOf(front[g]);
     rest[g].intra = rest[g].end - rest[g].next > 1
-                        ? sharing.row(rep[g])[groups.members[rest[g].next + 1]]
+                        ? sharing.slotRow(slot[g])[slot[g]]
                         : 0;
   }
 
   std::vector<char> isCandidate(sharing.size(), 0);
   for (const ProcessId p : in) isCandidate[p] = 1;
-  // The outside list is only wanted while it stays the smaller side.
-  std::vector<ProcessId> outside;
+  // The outside slots are only wanted while they stay the smaller side.
+  std::vector<std::uint32_t> outside;
   outside.reserve(count);
   for (ProcessId q = 0; q < sharing.size() && outside.size() < count; ++q) {
-    if (!isCandidate[q] && sharing.isActive(q)) outside.push_back(q);
+    if (!isCandidate[q] && sharing.isActive(q)) {
+      outside.push_back(sharing.slotOf(q));
+    }
   }
   const bool byComplement = outside.size() < count;
   std::vector<std::int64_t> sizes(count);
   for (std::size_t g = 0; g < count; ++g) sizes[g] = rest[g].end - rest[g].next;
   for (std::size_t g = 0; g < count; ++g) {
-    const std::int64_t* row = sharing.row(rep[g]).data();
+    const std::int64_t* row = sharing.slotRow(slot[g]);
     std::int64_t total = 0;
     if (byComplement) {
-      total = sharing.rowSum(rep[g]);
-      for (const ProcessId q : outside) total -= row[q];
+      total = sharing.rowSum(front[g]);
+      for (const std::uint32_t s : outside) total -= row[s];
     } else {
-      for (std::size_t h = 0; h < count; ++h) total += sizes[h] * row[rep[h]];
-      total += (sizes[g] - 1) * rest[g].intra - sizes[g] * row[rep[g]];
+      for (std::size_t h = 0; h < count; ++h) total += sizes[h] * row[slot[h]];
+      total += (sizes[g] - 1) * rest[g].intra - sizes[g] * row[slot[g]];
     }
     totals[g] = total;
   }
 
-  // Patches the totals with the removed group's rep row (none: the
+  // Patches the totals with the removed member's slot row (none: the
   // initial pick) and picks the worst group: (total desc, id asc), or
   // the smallest id when no total exceeds the rescan's -1 sentinel.
   const auto patchAndPick = [&](const std::int64_t* removedRow) {
@@ -168,7 +169,7 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
     std::int64_t worstSharing = -1;
     ProcessId worstFront = std::numeric_limits<ProcessId>::max();
     for (std::size_t i = 0; i < totals.size(); ++i) {
-      if (removedRow != nullptr) totals[i] -= removedRow[rep[i]];
+      if (removedRow != nullptr) totals[i] -= removedRow[slot[i]];
       if (totals[i] > worstSharing ||
           (totals[i] == worstSharing && front[i] < worstFront)) {
         worstSharing = totals[i];
@@ -183,30 +184,30 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
   std::size_t worst = patchAndPick(nullptr);
   for (std::size_t remaining = in.size(); remaining > coreCount;
        --remaining) {
-    // The rep's row reads the rescan's at(p, removed) for p outside the
-    // group (class contract plus symmetry, the precondition audited at
-    // entry); the group's own slot loses its intra value instead of the
-    // rep's diagonal.
-    const std::int64_t* removedRow = sharing.row(rep[worst]).data();
+    // The slot row reads the rescan's at(p, removed) for p outside the
+    // group (symmetry, the precondition audited at entry); the group's
+    // own slot loses its intra value, which the slot row holds on its
+    // diagonal, so the patch below nets it out.
+    const std::int64_t* removedRow = sharing.slotRow(slot[worst]);
     if (++rest[worst].next < rest[worst].end) {
       front[worst] = groups.members[rest[worst].next];
-      totals[worst] += removedRow[rep[worst]] - rest[worst].intra;
+      totals[worst] += removedRow[slot[worst]] - rest[worst].intra;
     } else {  // emptied: swap-remove the slot
       totals[worst] = totals.back();
-      rep[worst] = rep.back();
+      slot[worst] = slot.back();
       front[worst] = front.back();
       rest[worst] = rest.back();
       totals.pop_back();
-      rep.pop_back();
+      slot.pop_back();
       front.pop_back();
       rest.pop_back();
     }
     worst = patchAndPick(removedRow);
   }
   in.clear();
-  for (const Rest& slot : rest) {
-    in.insert(in.end(), groups.members.begin() + slot.next,
-              groups.members.begin() + slot.end);
+  for (const Rest& survivors : rest) {
+    in.insert(in.end(), groups.members.begin() + survivors.next,
+              groups.members.begin() + survivors.end);
   }
   std::sort(in.begin(), in.end());
 }

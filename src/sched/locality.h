@@ -80,12 +80,13 @@ struct LocalityOptions {
 ///
 /// Runs on the indexed planner core (sched/plan_index.h), over sharing
 /// classes (SharingMatrix::classOf): processes whose rows agree are one
-/// candidate. The initial trim keeps one total per class, computed
-/// once over the smaller side of the split — directly over the
-/// classes, or by complement from the matrix's live row sums
-/// (SharingMatrix::rowSum) minus the row over the active processes
-/// outside IN (for an OLS rebuild, just the running ones). Each
-/// removal takes the smallest member of the worst class and is one
+/// candidate, and every sharing term is a cell of the class table
+/// (SharingMatrix::slotRow). The initial trim keeps one total per
+/// class, computed once over the smaller side of the split — directly
+/// over the classes, or by complement from the matrix's stored row
+/// sums (SharingMatrix::rowSum) minus the cells with the active
+/// processes outside IN (for an OLS rebuild, just the running ones).
+/// Each removal takes the smallest member of the worst class and is one
 /// O(classes) pass, where Fig. 3's rescan is O(|IN|²). Cached indegree
 /// counters replace the per-candidate predecessor walk, and one argmax
 /// over the ready classes' smallest members serves each placement. The
@@ -97,7 +98,7 @@ struct LocalityOptions {
 /// Precondition: \p sharing is symmetric over the planned subset (every
 /// matrix SharingMatrix::compute or the incremental open-workload
 /// updates produce is). The trim patches its totals by reading the
-/// removed candidate's row, in place of the column Fig. 3's rescan
+/// removed candidate's class row, in place of the column Fig. 3's rescan
 /// reads; on an asymmetric matrix the two plans may differ. Checked at
 /// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError). The complement
 /// also relies on SharingMatrix's own invariants (inactive cells zero,

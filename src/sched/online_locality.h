@@ -30,9 +30,10 @@
 /// an entry is alive iff the map still points at it, so exits and
 /// steals tombstone in O(1) and queues compact when more than half
 /// their entries are dead. The steal argmax is one linear scan over the
-/// index's ready set, read against the live sharing row — O(ready) per
-/// steal. Golden decision digests (tests/sched/online_locality_test.cpp)
-/// and the bench_policy_overhead checksum column pin every decision.
+/// index's ready set, read against the anchor's live class-table row —
+/// O(ready) per steal. Golden decision digests
+/// (tests/sched/online_locality_test.cpp) and the bench_policy_overhead
+/// checksum column pin every decision.
 ///
 /// An optional locality-aware load balancer (load_balancer.h, off by
 /// default) sheds queue tails from overloaded cores to the best-sharing

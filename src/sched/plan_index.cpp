@@ -70,15 +70,9 @@ void PlanIndex::bucketByClass(const std::vector<bool>& pending) {
   }
   bucketStart_ = std::move(groups.start);
   bucketSize_.assign(groups.count, 0);
-  bucketRep_.resize(groups.count);
-  bucketIntra_.resize(groups.count);
+  bucketSlot_.resize(groups.count);
   for (std::size_t b = 0; b < groups.count; ++b) {
-    const std::uint32_t first = bucketStart_[b];
-    bucketRep_[b] = groups.members[first];
-    bucketIntra_[b] = bucketStart_[b + 1] - first > 1
-                          ? sharing_->row(groups.members[first])
-                                [groups.members[first + 1]]
-                          : 0;
+    bucketSlot_[b] = sharing_->slotOf(groups.members[bucketStart_[b]]);
   }
   heap_.assign(ids.size(), 0);
   live_.clear();
@@ -92,7 +86,7 @@ void PlanIndex::pushBucket(ProcessId process) {
   std::push_heap(first, first + ++bucketSize_[b], std::greater<>());
   if (bucketSize_[b] == 1) {
     liveSlot_[b] = static_cast<std::uint32_t>(live_.size());
-    live_.push_back(LiveBucket{process, bucketRep_[b], b});
+    live_.push_back(LiveBucket{process, bucketSlot_[b], b});
   } else {
     live_[liveSlot_[b]].top = *first;
   }
@@ -135,8 +129,7 @@ std::optional<std::size_t> PlanIndex::homeOf(ProcessId process) const {
 }
 
 std::int64_t PlanIndex::keyFor(std::size_t core, ProcessId q,
-                               const std::int64_t* row) const {
-  const std::int64_t sharingTerm = row ? row[q] : 0;
+                               std::int64_t sharingTerm) const {
   if (score_ == nullptr || !score_->distanceAware()) return sharingTerm;
   std::optional<std::size_t> home;
   if (home_[q] >= 0) home = static_cast<std::size_t>(home_[q]);
@@ -209,26 +202,37 @@ bool PlanIndex::isReady(ProcessId process) const {
 std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
                                             std::optional<ProcessId> anchor) {
   check(core < coreCount_, "PlanIndex: unknown core");
+  check(!anchor || *anchor < slot_.size(), "PlanIndex: unknown anchor");
   if (ready_.empty()) return std::nullopt;
   // Anchorless, every sharing term is 0: distance-blind the argmax
   // degenerates to the smallest ready id, distance-aware the nearest
   // home wins. The order is independent of the array order.
-  const std::int64_t* row = anchor ? sharing_->row(*anchor).data() : nullptr;
   ++popCount_;
   LAPS_AUDIT(if (popCount_ % kAuditSampleEvery == 1) auditReadySet());
   if (!bucketOf_.empty() && (score_ == nullptr || !score_->distanceAware()) &&
       !(anchor && slot_[*anchor] != kNotReady)) {
     return popBucketed(anchor);
   }
+  // The anchor's class-table row (anchorless, the zero row of slot 0),
+  // read at each candidate's slot; the anchor itself, when ready, reads
+  // its diagonal (footprint size).
+  const SharingMatrix& sharing = *sharing_;
+  const std::int64_t* row =
+      sharing.slotRow(anchor ? sharing.slotOf(*anchor) : 0);
+  const ProcessId self = anchor ? *anchor : kNotReady;
+  const std::int64_t selfTerm = anchor ? sharing.at(self, self) : 0;
+  const auto termOf = [&](ProcessId q) {
+    return q == self ? selfTerm : row[sharing.slotOf(q)];
+  };
   // The comparison is evaluated without short-circuit branches: the
   // sharing values repeat (ties are the common case on keyed
   // workloads), so a branch on key == bestKey mispredicts. What is left
   // to branch on, a new best, is rare once the scan is under way.
   ProcessId best = ready_.front();
-  std::int64_t bestKey = keyFor(core, best, row);
+  std::int64_t bestKey = keyFor(core, best, termOf(best));
   for (std::size_t i = 1; i < ready_.size(); ++i) {
     const ProcessId q = ready_[i];
-    const std::int64_t key = keyFor(core, q, row);
+    const std::int64_t key = keyFor(core, q, termOf(q));
     const bool better = (key > bestKey) | ((key == bestKey) & (q < best));
     best = better ? q : best;
     bestKey = better ? key : bestKey;
@@ -239,24 +243,12 @@ std::optional<ProcessId> PlanIndex::popBest(std::size_t core,
 
 ProcessId PlanIndex::popBucketed(std::optional<ProcessId> anchor) {
   // One candidate per non-empty bucket, its smallest ready member, keyed
-  // by the raw sharing term: the cell with the bucket's rep, or the
-  // intra value in the anchor's own bucket. A bucketed anchor reads its
-  // rep's row — the rows of |classes| reps in all, where anchors' own
-  // rows would be fresh on every pop.
-  std::uint32_t anchorBucket = kNotReady;
-  const std::int64_t* repRow = nullptr;
-  if (anchor) {
-    anchorBucket = bucketOf_[*anchor];
-    repRow = sharing_
-                 ->row(anchorBucket == kNotReady ? *anchor
-                                                 : bucketRep_[anchorBucket])
-                 .data();
-  }
-  const auto keyOf = [&](const LiveBucket& live) -> std::int64_t {
-    if (repRow == nullptr) return 0;
-    return live.bucket == anchorBucket ? bucketIntra_[live.bucket]
-                                       : repRow[live.rep];
-  };
+  // by the raw sharing term: the anchor's class-table row (anchorless,
+  // the zero row) at the bucket's slot — in the anchor's own class its
+  // diagonal, the intra value. The rows of |classes| slots in all.
+  const std::int64_t* row =
+      sharing_->slotRow(anchor ? sharing_->slotOf(*anchor) : 0);
+  const auto keyOf = [row](const LiveBucket& live) { return row[live.slot]; };
   ProcessId best = live_.front().top;
   std::int64_t bestKey = keyOf(live_.front());
   for (std::size_t i = 1; i < live_.size(); ++i) {
@@ -296,7 +288,7 @@ void PlanIndex::auditReadySet() const {
                  "ready set");
   if (bucketOf_.empty()) return;
   // Each bucket entry is a distinct ready process of that bucket's
-  // class (its rep's), and the entries number readyCount(): every ready
+  // class (its slot's), and the entries number readyCount(): every ready
   // process sits in exactly its class's bucket. classKey is a process's
   // class while active, none (kNotReady) while inactive.
   const auto classKey = [this](ProcessId p) {
@@ -311,11 +303,12 @@ void PlanIndex::auditReadySet() const {
     const auto first = heap_.begin() + bucketStart_[b];
     const auto last = first + bucketSize_[b];
     audit::require(bucketSize_[b] > 0 && live.top == *first &&
-                       live.rep == bucketRep_[b] &&
+                       live.slot == bucketSlot_[b] &&
                        std::is_heap(first, last, std::greater<>()),
                    "plan index: a live class bucket is empty, stale or "
                    "not a min-heap");
-    const std::uint32_t key = classKey(bucketRep_[b]);
+    const std::uint32_t key =
+        bucketSlot_[b] == 0 ? kNotReady : bucketSlot_[b] - 1;
     const bool singleton = bucketStart_[b + 1] - bucketStart_[b] == 1;
     for (auto it = first; it != last; ++it) {
       const ProcessId q = *it;

@@ -22,9 +22,11 @@
 ///   (key > best) || (key == best && id < bestId)
 /// is independent of the array order, and equals Fig. 3's ascending
 /// scan with strict `>` (smallest id among the maximal keys). Keys are
-/// read from the live sharing row at pick time, so open-workload row
-/// rewrites and home changes need no invalidation. Cost: O(ready) per
-/// decision (docs/ARCHITECTURE.md §12).
+/// class cells read at pick time — the anchor's row of the live class
+/// table (SharingMatrix::slotRow) at each candidate's slot, a ready
+/// anchor's own key its diagonal — so arrivals, exits and home changes
+/// need no invalidation. Cost: O(ready) per decision
+/// (docs/ARCHITECTURE.md §12).
 ///
 /// Planner mode buckets the ready set by sharing class
 /// (SharingMatrix::classOf): same-class ready processes have the same
@@ -32,7 +34,9 @@
 /// it (the anchor is placed, never ready). Each bucket keeps its ready
 /// members in a min-heap, so the argmax runs over the non-empty
 /// buckets' smallest members — O(classes) per placement — and reads
-/// the key off the buckets' representatives, |classes|² cells in all.
+/// each key as the anchor's class-table row at the bucket's slot
+/// (in the anchor's own class, the intra value), |classes|² cells in
+/// all.
 /// Differential tests
 /// (tests/sched/plan_index_test.cpp) pin the equality on random DAGs;
 /// under -DLAPSCHED_AUDIT=ON popBest samples a consistency check of the
@@ -140,7 +144,7 @@ class PlanIndex {
   /// back at its slot, and exactly readyCount() processes are flagged
   /// ready, so every flagged process is listed. With class buckets,
   /// every ready process must sit in exactly its class's bucket (the
-  /// one whose rep is in its current SharingMatrix class), each bucket
+  /// one whose slot is its current SharingMatrix class's), each bucket
   /// must be a min-heap, and the buckets must hold readyCount()
   /// processes in all. Throws laps::AuditError on violation. popBest
   /// samples it under LAPS_AUDIT every kAuditSampleEvery pops; tests
@@ -163,10 +167,10 @@ class PlanIndex {
   void reset(const SharingMatrix& sharing, std::size_t n,
              std::size_t coreCount);
   /// The one key function: distance-blind, the raw sharing term
-  /// (row[q], or 0 anchorless); distance-aware, LocalityScore::key over
-  /// it and \p q's home.
+  /// (sharing(anchor, q), or 0 anchorless); distance-aware,
+  /// LocalityScore::key over it and \p q's home.
   [[nodiscard]] std::int64_t keyFor(std::size_t core, ProcessId q,
-                                    const std::int64_t* row) const;
+                                    std::int64_t sharingTerm) const;
   /// Buckets the pending processes by class (beginPlanner), unless
   /// every class is a singleton.
   void bucketByClass(const std::vector<bool>& pending);
@@ -190,18 +194,17 @@ class PlanIndex {
   const LocalityScore* score_ = nullptr;
   std::vector<std::int32_t> home_;  ///< home core per process; -1 = none
   // Planner-mode class buckets over the pending processes; empty = no
-  // bucketing. A bucket's cells with any other process are those of
-  // its rep (smallest member), and between two members its intra value.
+  // bucketing. A bucket's cells are those of its members' class-table
+  // slot (SharingMatrix::slotRow).
   struct LiveBucket {
-    ProcessId top;          ///< smallest ready member
-    ProcessId rep;          ///< smallest member
+    ProcessId top;       ///< smallest ready member
+    std::uint32_t slot;  ///< the members' class-table slot
     std::uint32_t bucket;
   };
   std::vector<std::uint32_t> bucketOf_;     ///< per process; kNotReady = none
   std::vector<std::uint32_t> bucketStart_;  ///< CSR offsets into heap_
   std::vector<std::uint32_t> bucketSize_;   ///< ready members per bucket
-  std::vector<ProcessId> bucketRep_;        ///< smallest member
-  std::vector<std::int64_t> bucketIntra_;   ///< sharing between two members
+  std::vector<std::uint32_t> bucketSlot_;   ///< the members' slot
   std::vector<ProcessId> heap_;  ///< per-bucket min-heaps of ready ids
   std::vector<LiveBucket> live_;            ///< non-empty buckets, any order
   std::vector<std::uint32_t> liveSlot_;     ///< index into live_

@@ -1,0 +1,245 @@
+/// \file sharing_differential_test.cpp
+/// \brief laps::SharingMatrix (class table) vs the dense reference
+/// (tests/region/reference_sharing.h).
+///
+/// Both matrices see the same events. After every one of them, every
+/// read — at, rowSum, isActive, activeCount, classOf, classCount and
+/// row — must agree for every process and pair, at analysis thread
+/// counts {1, 8}. The inputs: seeded arrival/exit churn on keyed
+/// service universes (many processes per class), compute() on suite
+/// mixes (singleton classes), hand-set() matrices and set() on interned
+/// ones, and exited anchors, whose cells must read 0.
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+#include "core/laps.h"
+#include "reference_sharing.h"
+#include "util/parallel.h"
+
+namespace laps {
+namespace {
+
+/// Restores automatic thread-count resolution when a test exits.
+class ThreadCountGuard {
+ public:
+  ~ThreadCountGuard() { setParallelThreadCount(0); }
+};
+
+/// Every read of \p m equals the reference's.
+void expectSameReads(const SharingMatrix& m,
+                     const reference::SharingMatrix& ref,
+                     const std::string& where) {
+  ASSERT_EQ(m.size(), ref.size()) << where;
+  ASSERT_EQ(m.activeCount(), ref.activeCount()) << where;
+  ASSERT_EQ(m.classCount(), ref.classCount()) << where;
+  const std::size_t n = ref.size();
+  for (std::size_t p = 0; p < n; ++p) {
+    ASSERT_EQ(m.isActive(p), ref.isActive(p)) << where << ", process " << p;
+    ASSERT_EQ(m.classOf(p), ref.classOf(p)) << where << ", process " << p;
+    ASSERT_EQ(m.rowSum(p), ref.rowSum(p)) << where << ", process " << p;
+    const std::span<const std::int64_t> expected = ref.row(p);
+    const std::span<const std::int64_t> row = m.row(p);
+    ASSERT_EQ(row.size(), n) << where;
+    for (std::size_t q = 0; q < n; ++q) {
+      ASSERT_EQ(m.at(p, q), expected[q])
+          << where << ", cell (" << p << ", " << q << ")";
+      ASSERT_EQ(row[q], expected[q])
+          << where << ", row " << p << " at " << q;
+    }
+  }
+}
+
+/// Applies one event to both matrices.
+void addBoth(SharingMatrix& m, reference::SharingMatrix& ref,
+             std::span<const Footprint> footprints, std::size_t p) {
+  m.addProcess(footprints, p);
+  ref.addProcess(footprints, p);
+}
+void removeBoth(SharingMatrix& m, reference::SharingMatrix& ref,
+                std::size_t p) {
+  m.removeProcess(p);
+  ref.removeProcess(p);
+}
+void setBoth(SharingMatrix& m, reference::SharingMatrix& ref, std::size_t p,
+             std::size_t q, std::int64_t value) {
+  m.set(p, q, value);
+  ref.set(p, q, value);
+}
+
+/// Seeded churn: arrivals (60%, while anything is inactive) and exits
+/// of uniformly drawn processes, compared after every event. An exited
+/// process's row and column must read 0 at once.
+void churnAndCompare(SharingMatrix& m, reference::SharingMatrix& ref,
+                     std::span<const Footprint> footprints, Rng& rng,
+                     int steps, const std::string& where) {
+  const std::size_t n = footprints.size();
+  std::vector<std::size_t> activeIds;
+  for (std::size_t p = 0; p < n; ++p) {
+    if (ref.isActive(p)) activeIds.push_back(p);
+  }
+  for (int step = 0; step < steps; ++step) {
+    const std::string at = where + ", step " + std::to_string(step);
+    if (activeIds.size() < n && (activeIds.empty() || rng.chance(0.6))) {
+      std::size_t p = rng.index(n);
+      while (ref.isActive(p)) p = (p + 1) % n;
+      activeIds.push_back(p);
+      addBoth(m, ref, footprints, p);
+    } else {
+      const std::size_t i = rng.index(activeIds.size());
+      const std::size_t p = activeIds[i];
+      activeIds.erase(activeIds.begin() + static_cast<std::ptrdiff_t>(i));
+      removeBoth(m, ref, p);
+      for (std::size_t q = 0; q < n; ++q) {
+        ASSERT_EQ(m.at(p, q), 0) << at << ", exited " << p;
+        ASSERT_EQ(m.at(q, p), 0) << at << ", exited " << p;
+      }
+    }
+    expectSameReads(m, ref, at);
+    ASSERT_NO_THROW(m.auditInvariants()) << at;
+  }
+}
+
+std::vector<Footprint> serviceFootprints(std::size_t keys,
+                                         std::size_t requests,
+                                         std::uint64_t seed) {
+  ServiceWorkloadParams params;
+  params.seed = seed;
+  params.requestCount = requests;
+  params.keyCount = keys;
+  params.keysPerRequest = keys > 1 ? 2 : 1;
+  params.hotKeyCount = keys >= 8 ? 4 : 0;
+  return makeServiceWorkload(params).footprints();
+}
+
+TEST(SharingDifferential, ServiceChurnMatchesDenseAfterEveryEvent) {
+  const ThreadCountGuard guard;
+  for (const std::size_t keys : {1u, 2u, 3u, 8u, 48u}) {
+    const auto footprints = serviceFootprints(keys, 160, 11 + keys);
+    for (const std::size_t threads : {1u, 8u}) {
+      setParallelThreadCount(threads);
+      const std::string where = std::to_string(keys) + " keys, " +
+                                std::to_string(threads) + " threads";
+      Rng rng(0xd1ff + keys * 131 + threads);
+      SharingMatrix m = SharingMatrix::inactive(footprints.size());
+      reference::SharingMatrix ref =
+          reference::SharingMatrix::inactive(footprints.size());
+      expectSameReads(m, ref, where + ", before the first arrival");
+      churnAndCompare(m, ref, footprints, rng, 150, where);
+      ASSERT_LT(m.classCount(), footprints.size()) << where;
+    }
+  }
+}
+
+TEST(SharingDifferential, ComputeOnSuiteMixesMatchesDense) {
+  // Suite mixes hold (almost) singleton classes: the class table is
+  // the dense matrix plus the inactive slot. |T| = 12 (330 processes)
+  // puts reference::SharingMatrix::addProcess on its parallel path.
+  const ThreadCountGuard guard;
+  for (const std::size_t apps : {1u, 12u}) {
+    const auto footprints =
+        concurrentScenario(standardSuite(), apps).footprints();
+    for (const std::size_t threads : {1u, 8u}) {
+      setParallelThreadCount(threads);
+      const std::string where = std::to_string(apps) + " apps, " +
+                                std::to_string(threads) + " threads";
+      SharingMatrix m = SharingMatrix::compute(footprints);
+      reference::SharingMatrix ref =
+          reference::SharingMatrix::compute(footprints);
+      expectSameReads(m, ref, where);
+      Rng rng(0xc0de + apps + threads);
+      churnAndCompare(m, ref, footprints, rng, apps == 1 ? 60 : 12, where);
+    }
+  }
+}
+
+TEST(SharingDifferential, HandSetMatricesMatchDense) {
+  // SharingMatrix(n) plus set(): asymmetric cells, diagonal writes and
+  // an overwrite, then exits and re-arrivals (a singleton matrix
+  // re-intersects a returning process, as the dense one does).
+  const auto footprints = serviceFootprints(3, 24, 5);
+  const std::size_t n = footprints.size();
+  SharingMatrix m(n);
+  reference::SharingMatrix ref(n);
+  Rng rng(0x5e7);
+  for (int i = 0; i < 80; ++i) {
+    const std::size_t p = rng.index(n);
+    const std::size_t q = rng.index(n);
+    setBoth(m, ref, p, q, static_cast<std::int64_t>(rng.below(1000)));
+    expectSameReads(m, ref, "set " + std::to_string(i));
+  }
+  for (const std::size_t p : {3u, 7u, 8u}) removeBoth(m, ref, p);
+  expectSameReads(m, ref, "after exits");
+  for (const std::size_t p : {7u, 3u}) addBoth(m, ref, footprints, p);
+  expectSameReads(m, ref, "after re-arrivals");
+  setBoth(m, ref, 3, 9, 77);
+  expectSameReads(m, ref, "set after re-arrivals");
+}
+
+TEST(SharingDifferential, SetOnInternedMatricesExpandsAndStaysDense) {
+  // set() on a computed matrix and on an open one mid-churn: both drop
+  // to singleton classes and must keep every visible cell, then keep
+  // agreeing under further churn.
+  const auto footprints = serviceFootprints(8, 64, 3);
+  {
+    SharingMatrix m = SharingMatrix::compute(footprints);
+    reference::SharingMatrix ref =
+        reference::SharingMatrix::compute(footprints);
+    setBoth(m, ref, 2, 5, m.at(2, 5) + 3);
+    expectSameReads(m, ref, "computed, after one set");
+    setBoth(m, ref, 5, 2, m.at(2, 5));  // symmetric again for the audit
+    EXPECT_EQ(m.classCount(), footprints.size());
+    expectSameReads(m, ref, "computed, after set");
+    Rng rng(0xe1);
+    churnAndCompare(m, ref, footprints, rng, 40, "computed, churn");
+  }
+  {
+    SharingMatrix m = SharingMatrix::inactive(footprints.size());
+    reference::SharingMatrix ref =
+        reference::SharingMatrix::inactive(footprints.size());
+    Rng rng(0xe2);
+    churnAndCompare(m, ref, footprints, rng, 50, "open, churn");
+    std::size_t a = 0;
+    while (!ref.isActive(a)) ++a;
+    setBoth(m, ref, a, a, 12345);
+    expectSameReads(m, ref, "open, after set");
+    churnAndCompare(m, ref, footprints, rng, 40, "open, churn after set");
+  }
+}
+
+TEST(SharingDifferential, ExitedAnchorsReadZero) {
+  // DLS and OLS score against a core's previous process, which may have
+  // exited: every cell of an exited anchor reads 0, including the ones
+  // with its classmates, and a re-arrival restores them exactly.
+  const auto footprints = serviceFootprints(2, 40, 9);
+  const std::size_t n = footprints.size();
+  SharingMatrix m = SharingMatrix::inactive(n);
+  reference::SharingMatrix ref = reference::SharingMatrix::inactive(n);
+  for (std::size_t p = 0; p < n; ++p) addBoth(m, ref, footprints, p);
+  const std::size_t anchor = 6;
+  const std::int64_t before = m.at(anchor, anchor + 1);
+  removeBoth(m, ref, anchor);
+  for (std::size_t q = 0; q < n; ++q) {
+    EXPECT_EQ(m.at(anchor, q), 0) << q;
+    EXPECT_EQ(m.at(q, anchor), 0) << q;
+  }
+  EXPECT_EQ(m.rowSum(anchor), 0);
+  expectSameReads(m, ref, "anchor exited");
+  // Its whole class leaves, then the anchor returns alone.
+  for (std::size_t q = 0; q < n; ++q) {
+    if (q != anchor && m.classOf(q) == m.classOf(anchor)) {
+      removeBoth(m, ref, q);
+    }
+  }
+  expectSameReads(m, ref, "class exited");
+  addBoth(m, ref, footprints, anchor);
+  expectSameReads(m, ref, "anchor back");
+  if (!ref.isActive(anchor + 1)) addBoth(m, ref, footprints, anchor + 1);
+  EXPECT_EQ(m.at(anchor, anchor + 1), before);
+  expectSameReads(m, ref, "neighbour back");
+}
+
+}  // namespace
+}  // namespace laps

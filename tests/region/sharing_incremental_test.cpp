@@ -6,8 +6,7 @@
 /// after ANY interleaved sequence of such events, the matrix is
 /// bit-identical to a from-scratch compute over the surviving (active)
 /// set — i.e. to the full matrix with inactive rows/columns zeroed —
-/// including when the new-row intersections run on the parallel pool
-/// (thread counts {1, 8}).
+/// at analysis thread counts {1, 8} (compute() runs on the pool).
 
 #include <gtest/gtest.h>
 
@@ -157,28 +156,31 @@ TEST(SharingMatrixIncremental,
   }
 }
 
-TEST(SharingMatrixIncremental, ParallelRowPathMatchesAtLargeUniverse) {
-  // addProcess runs the new row inline below a cutoff (~256) — the
-  // interleaving test above covers that path. This one forces the
-  // parallel path: a 330-process universe (|T| = 12), updated at 8
-  // threads, must still match the masked full compute bit-for-bit.
-  const ThreadCountGuard guard;
+TEST(SharingMatrixIncremental, LargeSingletonUniverseMatchesMaskedCompute) {
+  // A 330-process universe (|T| = 12, all singleton classes) filled to
+  // 280 live processes, so each late arrival intersects hundreds of
+  // live classes, then churned: the matrix must still match the masked
+  // full compute bit-for-bit.
   const auto footprints = suiteFootprints(12);
   const std::size_t n = footprints.size();
-  ASSERT_GE(n, 256u);  // keep this test on the parallel path
+  ASSERT_GE(n, 280u);
 
-  setParallelThreadCount(8);
   Rng rng(0xB0B);
   SharingMatrix m = SharingMatrix::inactive(n);
   std::vector<bool> active(n, false);
   std::vector<std::size_t> activeIds;
+  const auto arrive = [&] {
+    std::size_t p = static_cast<std::size_t>(rng.index(n));
+    while (active[p]) p = (p + 1) % n;
+    active[p] = true;
+    activeIds.push_back(p);
+    m.addProcess(footprints, p);
+  };
+  while (activeIds.size() < 280) arrive();
+  ASSERT_EQ(m.classCount(), n);
   for (int step = 0; step < 40; ++step) {
-    if (activeIds.empty() || rng.chance(0.75)) {
-      std::size_t p = static_cast<std::size_t>(rng.index(n));
-      while (active[p]) p = (p + 1) % n;
-      active[p] = true;
-      activeIds.push_back(p);
-      m.addProcess(footprints, p);
+    if (rng.chance(0.5)) {
+      arrive();
     } else {
       const std::size_t i = rng.index(activeIds.size());
       const std::size_t p = activeIds[i];
@@ -191,10 +193,10 @@ TEST(SharingMatrixIncremental, ParallelRowPathMatchesAtLargeUniverse) {
 }
 
 TEST(SharingMatrixIncremental, TwinHeavyChurnMatchesComputeAfterEveryEvent) {
-  // Service workloads over 1-3 keys: nearly every arrival has a live
-  // twin whose row addProcess copies. After every add and remove each
-  // cell and row sum must equal the masked full compute, at thread
-  // counts {1, 8} and on both sides of the parallel-row cutoff.
+  // Service workloads over 1-3 keys: nearly every arrival joins a live
+  // class, so addProcess only patches counts and sums. After every add
+  // and remove each cell and row sum must equal the masked full
+  // compute, at thread counts {1, 8}.
   const ThreadCountGuard guard;
   for (const std::size_t keys : {1u, 2u, 3u}) {
     for (const std::size_t requests : {48u, 300u}) {

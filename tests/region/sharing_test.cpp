@@ -179,10 +179,9 @@ class ThreadCountGuard {
 };
 
 TEST(SharingAudit, IncrementalMaintenanceStaysCleanThroughChurn) {
-  // Inputs: the paper's Prog1 (inline row updates) and a 330-process
-  // suite mix (above addProcess's parallel cutoff), each at thread
-  // counts {1, 8}. After every addProcess, removeProcess and set, each
-  // stored row sum must equal a brute-force sum of its row.
+  // Inputs: the paper's Prog1 and a 330-process suite mix, each at
+  // thread counts {1, 8}. After every addProcess, removeProcess and
+  // set, each stored row sum must equal a brute-force sum of its row.
   const ThreadCountGuard guard;
   const std::vector<std::vector<Footprint>> inputs{
       prog1Footprints(),
@@ -317,14 +316,16 @@ TEST(SharingAudit, BrokenClassContractTrips) {
   const auto fps = classFootprints();
   SharingMatrix m = SharingMatrix::compute(fps);
   EXPECT_NO_THROW(m.auditInvariants());
-  // P4 claims P2's class, whose row it does not have.
+  // P4 claims P2's class, whose member list, count and slot do not
+  // have it.
   m.corruptClassForTest(4, m.classOf(2));
   EXPECT_THROW(m.auditInvariants(), AuditError);
-  // The same on an open matrix, and for a member that left its class's
-  // witness behind.
+  // The same on an open matrix, after the smallest member of
+  // {2, 3, 5} (the rep whose footprint the class's cells came from)
+  // left.
   SharingMatrix open = SharingMatrix::inactive(fps.size());
   for (std::size_t p = 0; p < fps.size(); ++p) open.addProcess(fps, p);
-  open.removeProcess(2);  // the witness of {2, 3, 5} moves on
+  open.removeProcess(2);
   EXPECT_NO_THROW(open.auditInvariants());
   open.corruptClassForTest(3, open.classOf(0));
   EXPECT_THROW(open.auditInvariants(), AuditError);

@@ -202,9 +202,10 @@ TEST(PlanIndexDifferential, MatchesReferenceOnTwinHeavyInputs) {
                      tag, 9);
   };
 
-  // Service workloads grown by addProcess in random order (twins copy
-  // live rows), planned over random subsets of the active requests
-  // plus a few inactive ones (singleton classes, zero rows).
+  // Service workloads grown by addProcess in random order (class cells
+  // intersected as classes go live), planned over random subsets of
+  // the active requests plus a few inactive ones (each its own group,
+  // in the zero slot of the class table).
   for (const std::size_t keys : {1u, 2u, 3u, 8u}) {
     ServiceWorkloadParams params;
     params.seed = 40 + keys;
