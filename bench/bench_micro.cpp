@@ -112,14 +112,20 @@ void BM_SharingMatrixSuite(benchmark::State& state) {
   const auto suite = standardSuite();
   const Workload mix = concurrentScenario(suite, count);
   const auto footprints = mix.footprints();
+  std::uint64_t intersections = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SharingMatrix::compute(footprints));
+    const SharingMatrix m = SharingMatrix::compute(footprints);
+    intersections = m.intersections();
+    benchmark::DoNotOptimize(m.activeCount());
   }
   state.SetLabel(std::to_string(mix.graph.processCount()) + " processes");
+  // The deterministic work count: footprint pairs intersected, only
+  // those that touch a common array.
+  state.counters["intersections"] = static_cast<double>(intersections);
 }
-// Arg(12)/Arg(24) cover the hundreds-of-processes mixes the run-length
-// replay of PR 2 unlocked (|T|=24 is 660 processes, ~217k pair
-// intersections per compute).
+// Arg(12)/Arg(24) cover the hundreds-of-processes mixes (|T|=24 is 660
+// processes, 217,470 pairs, of which compute() intersects the few
+// thousand that touch a common array).
 BENCHMARK(BM_SharingMatrixSuite)->Arg(1)->Arg(3)->Arg(6)->Arg(12)->Arg(24);
 
 void BM_SharingMatrixIncremental(benchmark::State& state) {

@@ -18,26 +18,81 @@ AffineExpr linearizeAccess(const ArrayAccess& access, const ArrayInfo& info) {
   return linear;
 }
 
+namespace {
+
+/// How accessFootprint enumerates an access image: one run along runDim
+/// per point of the other dimensions.
+struct RunPlan {
+  std::size_t runDim;       ///< the space's rank: the address is constant
+  std::int64_t runStep;     ///< address step along runDim
+  std::int64_t outerCombos; ///< points of the other dimensions
+  std::int64_t fragments;   ///< intervals the enumeration emits
+};
+
+/// Picks the run dimension of \p linear over the non-empty \p space
+/// and enforces the enumeration budget, in O(rank): the one place both
+/// accessFootprint and accessFootprintBounds test it.
+RunPlan planRuns(const IterationSpace& space, const AffineExpr& linear,
+                 std::int64_t budget) {
+  // The "run" dimension: the loop whose per-iteration address step is
+  // smallest in magnitude. Its iterations become one strided run per
+  // combination of the remaining dimensions.
+  const std::size_t rank = space.rank();
+  RunPlan plan{rank, 0, 1, 1};
+  for (std::size_t d = 0; d < rank; ++d) {
+    const std::int64_t step = linear.coeff(d) * space.dim(d).step;
+    if (step == 0) continue;
+    if (plan.runDim == rank || std::llabs(step) < std::llabs(plan.runStep)) {
+      plan.runDim = d;
+      plan.runStep = step;
+    }
+  }
+  if (plan.runDim == rank) return plan;  // a single element
+  for (std::size_t d = 0; d < rank; ++d) {
+    if (d != plan.runDim) plan.outerCombos *= space.dim(d).tripCount();
+  }
+  const std::int64_t fragmentsPerRun =
+      std::llabs(plan.runStep) == 1 ? 1 : space.dim(plan.runDim).tripCount();
+  plan.fragments = plan.outerCombos * fragmentsPerRun;
+  check(plan.fragments <= budget,
+        "accessFootprint: enumeration budget exceeded; shrink the space or "
+        "raise the budget");
+  return plan;
+}
+
+}  // namespace
+
+Interval accessFootprintBounds(const IterationSpace& space,
+                               const ArrayAccess& access,
+                               const ArrayInfo& info, std::int64_t budget) {
+  if (space.empty()) return {};
+  const AffineExpr linear = linearizeAccess(access, info);
+  (void)planRuns(space, linear, budget);
+  // A linear function over a box takes its extremes at corners: per
+  // dimension, the smaller and the larger of c·lo and c·last.
+  const std::size_t rank = space.rank();
+  std::vector<std::int64_t> origin(rank);
+  for (std::size_t d = 0; d < rank; ++d) origin[d] = space.dim(d).lo;
+  std::int64_t lo = linear.eval(origin);
+  std::int64_t hi = lo;
+  for (std::size_t d = 0; d < rank; ++d) {
+    const LoopDim& dim = space.dim(d);
+    const std::int64_t span =
+        linear.coeff(d) * (dim.tripCount() - 1) * dim.step;
+    (span < 0 ? lo : hi) += span;
+  }
+  return Interval{lo, hi + 1};
+}
+
 IntervalSet accessFootprint(const IterationSpace& space,
                             const ArrayAccess& access, const ArrayInfo& info,
                             std::int64_t budget) {
   if (space.empty()) return {};
   const AffineExpr linear = linearizeAccess(access, info);
-
-  // Pick the "run" dimension: the loop whose per-iteration address step is
-  // smallest in magnitude. Its iterations become one strided run per
-  // combination of the remaining dimensions.
+  const RunPlan plan = planRuns(space, linear, budget);
   const std::size_t rank = space.rank();
-  std::size_t runDim = rank;  // sentinel: expression constant over the space
-  std::int64_t runStep = 0;
-  for (std::size_t d = 0; d < rank; ++d) {
-    const std::int64_t step = linear.coeff(d) * space.dim(d).step;
-    if (step == 0) continue;
-    if (runDim == rank || std::llabs(step) < std::llabs(runStep)) {
-      runDim = d;
-      runStep = step;
-    }
-  }
+  const std::size_t runDim = plan.runDim;
+  const std::int64_t runStep = plan.runStep;
 
   if (runDim == rank) {
     // Address independent of every loop variable: a single element.
@@ -48,21 +103,12 @@ IntervalSet accessFootprint(const IterationSpace& space,
   }
 
   const std::int64_t runCount = space.dim(runDim).tripCount();
-  std::int64_t outerCombos = 1;
-  for (std::size_t d = 0; d < rank; ++d) {
-    if (d != runDim) outerCombos *= space.dim(d).tripCount();
-  }
-  const std::int64_t fragmentsPerRun =
-      (std::llabs(runStep) == 1) ? 1 : runCount;
-  check(outerCombos * fragmentsPerRun <= budget,
-        "accessFootprint: enumeration budget exceeded; shrink the space or "
-        "raise the budget");
 
   // Enumerate all dimensions except runDim with an odometer, collecting
   // one run start per combination. Every run is the same arithmetic
   // progression shape {lo + k*stride : 0 <= k < runCount}.
   std::vector<std::int64_t> runStarts;
-  runStarts.reserve(static_cast<std::size_t>(outerCombos));
+  runStarts.reserve(static_cast<std::size_t>(plan.outerCombos));
   std::vector<std::int64_t> point(rank);
   for (std::size_t d = 0; d < rank; ++d) point[d] = space.dim(d).lo;
 
@@ -131,8 +177,7 @@ IntervalSet accessFootprint(const IterationSpace& space,
 
   // Mixed residues (outer steps not multiples of the run stride): emit
   // each run in bulk and let normalize sort the interleaved result.
-  IntervalSet::Builder builder(
-      static_cast<std::size_t>(outerCombos * fragmentsPerRun));
+  IntervalSet::Builder builder(static_cast<std::size_t>(plan.fragments));
   for (const std::int64_t lo : runStarts) {
     builder.addStridedRun(lo, stride, runCount);
   }

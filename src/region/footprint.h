@@ -35,6 +35,14 @@ inline constexpr std::int64_t kDefaultFootprintBudget = 1 << 23;
                                           const ArrayInfo& info,
                                           std::int64_t budget = kDefaultFootprintBudget);
 
+/// accessFootprint(space, access, info, budget).bounds() without the
+/// enumeration, in O(rank): a linear address over a rectangular space
+/// takes its extremes at the corners. Runs the same rank and budget
+/// checks, with the same errors; an empty interval for an empty space.
+[[nodiscard]] Interval accessFootprintBounds(
+    const IterationSpace& space, const ArrayAccess& access,
+    const ArrayInfo& info, std::int64_t budget = kDefaultFootprintBudget);
+
 /// Per-array element footprint of one process (union over its accesses).
 class Footprint {
  public:

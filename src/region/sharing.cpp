@@ -87,7 +87,8 @@ std::int64_t intersectPair(std::span<const Footprint> footprints,
 
 }  // namespace
 
-void SharingMatrix::internClasses(std::span<const Footprint> footprints) {
+void SharingMatrix::internClasses(std::span<const Footprint> footprints,
+                                  std::int64_t fill) {
   const std::size_t n = footprints.size();
   std::size_t arrays = 0;
   for (const Footprint& fp : footprints) {
@@ -136,7 +137,7 @@ void SharingMatrix::internClasses(std::span<const Footprint> footprints) {
   classSum_.assign(classes, 0);
   live_.clear();
   liveSlot_.assign(classes, kNotLive);
-  allocateTable(kUnknown);
+  allocateTable(fill);
   // A lone member has no intra pair; its diagonal cell is never read
   // with weight, and 0 keeps the table free of unknowns at live slots.
   for (std::uint32_t k = 0; k < classes; ++k) {
@@ -160,7 +161,7 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
         "SharingMatrix::addProcess: footprint universe size mismatch");
   check(p < n_, "SharingMatrix::addProcess: index out of range");
   check(slot_[p] == 0, "SharingMatrix::addProcess: process already active");
-  if (internPending_) internClasses(footprints);
+  if (internPending_) internClasses(footprints, kUnknown);
   const std::uint32_t k = classOf_[p];
   if (count_[k] == 0) reviveClass(footprints, k);
   // Every other live class gains one member of k in its sum.
@@ -232,7 +233,7 @@ bool SharingMatrix::isActive(std::size_t p) const {
 SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
   const std::size_t n = footprints.size();
   SharingMatrix m = inactive(n);
-  m.internClasses(footprints);
+  m.internClasses(footprints, 0);
   const auto classes = static_cast<std::uint32_t>(m.classCount());
   for (std::uint32_t p = 0; p < n; ++p) {
     m.slot_[p] = m.classOf_[p] + 1;
@@ -249,45 +250,45 @@ SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
       ++m.intersections_;
     }
   }
-  if (classes >= 2) {
-    // The upper triangle of class pairs, flattened so static chunks
-    // carry near-equal work (chunking rows would leave the last thread
-    // the short rows). rowStart[k] is the linear index of pair (k, k+1).
-    std::vector<std::size_t> rowStart(classes - 1);
-    std::size_t acc = 0;
-    for (std::size_t k = 0; k + 1 < classes; ++k) {
-      rowStart[k] = acc;
-      acc += classes - 1 - k;
+  // Two reps that touch no common array share nothing, so only the
+  // co-touching pairs are intersected: index each array to the classes
+  // whose rep touches it (ascending), then walk each class's distinct
+  // partners above it. Listing costs Σ_a touchers(a)², no more than the
+  // intersections of those same pairs; every other cell keeps its zero.
+  std::vector<std::uint32_t> reps(classes);
+  std::vector<std::vector<std::uint32_t>> touchers;
+  for (std::uint32_t k = 0; k < classes; ++k) {
+    reps[k] = m.rep(k);
+    for (const auto& entry : footprints[reps[k]].perArray()) {
+      if (entry.first >= touchers.size()) touchers.resize(entry.first + 1);
+      touchers[entry.first].push_back(k);
     }
-    const std::size_t pairs = acc;
-
-    // Each linear index owns cells (k, l) and (l, k) exclusively, and
-    // sharedElements is a pure function of the two footprints — so the
-    // table is bit-identical to the serial loop at any thread count.
-    // Within a chunk (k, l) advances incrementally: the unranking
-    // upper_bound runs once per chunk, not per pair.
-    std::vector<std::uint32_t> reps(classes);
-    for (std::uint32_t k = 0; k < classes; ++k) reps[k] = m.rep(k);
-    parallelChunks(pairs, [&](std::size_t begin, std::size_t end) {
-      auto k = static_cast<std::uint32_t>(
-          std::upper_bound(rowStart.begin(), rowStart.end(), begin) -
-          rowStart.begin() - 1);
-      auto l = static_cast<std::uint32_t>(k + 1 + (begin - rowStart[k]));
-      for (std::size_t i = begin; i < end; ++i) {
-        m.cell(k, l) = m.cell(l, k) =
-            intersectPair(footprints, reps[k], reps[l]);
-        if (++l == classes) {
-          ++k;
-          l = k + 1;
+  }
+  // Class k owns its pairs (k, l > k) and writes cells (k, l) and
+  // (l, k) and partners[k] only, and sharedElements is a pure function
+  // of the two footprints — so the table is bit-identical to the serial
+  // loop at any thread count.
+  std::vector<std::uint32_t> partners(classes, 0);
+  parallelChunks(classes, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> listedBy(classes, kNotLive);
+    for (auto k = static_cast<std::uint32_t>(begin); k < end; ++k) {
+      for (const auto& entry : footprints[reps[k]].perArray()) {
+        const std::vector<std::uint32_t>& t = touchers[entry.first];
+        for (auto l = std::upper_bound(t.begin(), t.end(), k); l != t.end();
+             ++l) {
+          if (listedBy[*l] == k) continue;
+          listedBy[*l] = k;
+          m.cell(k, *l) = m.cell(*l, k) =
+              intersectPair(footprints, reps[k], reps[*l]);
+          ++partners[k];
         }
       }
-    });
-    m.intersections_ += pairs;
-  }
+    }
+  });
+  for (const std::uint32_t count : partners) m.intersections_ += count;
   // Class sums once the cells are final, one contiguous pass per class
-  // row (every class is live, so no live-list gather). Serial:
-  // classes² multiply-adds are a few percent of the intersections
-  // above, less than a second pool dispatch costs at 8 threads.
+  // row (every class is live, so no live-list gather). Serial: one
+  // streaming pass of classes² multiply-adds over the table.
   for (std::uint32_t k = 0; k < classes; ++k) {
     const std::int64_t* row = m.slotRow(k + 1) + 1;
     std::int64_t sum = 0;

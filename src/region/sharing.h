@@ -38,8 +38,8 @@ namespace laps {
 /// 254 classes holds a 0.5 MiB table where n² cells took 32 MiB.
 ///
 /// Two maintenance regimes:
-///  * closed (the paper's): compute() intersects every class pair once,
-///    up front;
+///  * closed (the paper's): compute() intersects every class pair that
+///    touches a common array once, up front;
 ///  * open (in-OS arrivals/exits): inactive(n) starts with every process
 ///    absent, and addProcess/removeProcess keep the matrix equal to what
 ///    a from-scratch compute over the currently active set would
@@ -65,12 +65,16 @@ class SharingMatrix {
   [[nodiscard]] static SharingMatrix inactive(std::size_t n);
 
   /// Computes the full matrix from per-process footprints (exact): one
-  /// intersection per class pair, plus one per class with two or more
-  /// members (its intra value). The pair intersections run on the
-  /// parallel substrate (util/parallel.h); each cell is written by
-  /// exactly one index, so the result is bit-identical to the serial
-  /// loop at every thread count. With singleton classes (the paper's
-  /// concurrent mixes) that is every process pair, as a dense matrix.
+  /// intersection per class pair whose reps touch a common array, plus
+  /// one per class with two or more members (its intra value). Every
+  /// other cell is zero by definition and stays as allocated. The
+  /// pairs come from an array → toucher index, each class walking its
+  /// distinct partners above it at Σ_a touchers(a)²; the classes run
+  /// on the parallel substrate (util/parallel.h), each writing only the
+  /// cells of its own pairs, so the result is bit-identical to the
+  /// serial loop at every thread count. With singleton classes (the
+  /// paper's concurrent mixes) these are the co-touching process pairs:
+  /// 15,728 of the 870,540 pairs of the Fig. 7 mix at |T| = 48.
   static SharingMatrix compute(std::span<const Footprint> footprints);
 
   /// Activates process \p p (\p footprints must describe the full
@@ -178,9 +182,10 @@ class SharingMatrix {
   /// Singleton classes over the current n_ (each process its own).
   void singletonClasses();
   /// Interns the sharing classes of \p footprints (see the class
-  /// comment) and allocates their table, every pair not yet
-  /// intersected.
-  void internClasses(std::span<const Footprint> footprints);
+  /// comment) and allocates their table, every class pair's cells set
+  /// to \p fill: kUnknown for intersection on demand (addProcess), 0
+  /// where compute() intersects the co-touching pairs.
+  void internClasses(std::span<const Footprint> footprints, std::int64_t fill);
   /// Allocates a (classCount() + 1)² table filled with \p fill, the
   /// inactive row and column zero.
   void allocateTable(std::int64_t fill);

@@ -91,8 +91,9 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
 /// one total. A group's cells are those of its slot in the class table
 /// (SharingMatrix::slotRow): with any other group the cell between the
 /// two slots, between two of its members the slot's diagonal, its
-/// intra value (an inactive process is a group of its own in the zero
-/// slot). So the trim reads |groups|² cells of the class table.
+/// intra value (the inactive processes are one group in the zero slot,
+/// every cell and its intra value 0). So the trim reads |groups|² cells
+/// of the class table.
 ///
 /// Each total is computed once, over the smaller side of the split:
 /// directly as Σ size(h) · cell(g, h) over the other groups plus the

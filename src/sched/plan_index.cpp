@@ -11,18 +11,19 @@ namespace laps {
 ClassGroups groupByClass(const SharingMatrix& sharing,
                          std::span<const ProcessId> ids) {
   constexpr std::uint32_t kNone = 0xffffffffU;
+  check(ids.empty() || ids.back() < sharing.size(),
+        "groupByClass: process id out of range");
   ClassGroups groups;
-  std::vector<std::uint32_t> groupOfClass(sharing.classCount(), kNone);
+  // One group per class-table slot: slot 0 gathers every inactive id.
+  std::vector<std::uint32_t> groupOfSlot(sharing.classCount() + 1, kNone);
   std::vector<std::uint32_t> sizes;
   groups.groupOf.resize(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    auto group = static_cast<std::uint32_t>(sizes.size());
-    if (sharing.isActive(ids[i])) {
-      std::uint32_t& known = groupOfClass[sharing.classOf(ids[i])];
-      if (known == kNone) known = group;
-      group = known;
+    std::uint32_t& group = groupOfSlot[sharing.slotOf(ids[i])];
+    if (group == kNone) {
+      group = static_cast<std::uint32_t>(sizes.size());
+      sizes.push_back(0);
     }
-    if (group == sizes.size()) sizes.push_back(0);
     ++sizes[group];
     groups.groupOf[i] = group;
   }
@@ -57,13 +58,12 @@ void PlanIndex::reset(const SharingMatrix& sharing, std::size_t n,
 
 void PlanIndex::bucketByClass(const std::vector<bool>& pending) {
   const std::size_t n = pending.size();
-  if (sharing_->classCount() == n) return;  // all singletons: the plain scan
   std::vector<ProcessId> ids;
   for (ProcessId p = 0; p < n; ++p) {
     if (pending[p]) ids.push_back(p);
   }
   ClassGroups groups = groupByClass(*sharing_, ids);
-  if (groups.count == ids.size()) return;
+  if (groups.count == ids.size()) return;  // all singletons: the plain scan
   bucketOf_.assign(n, kNotReady);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     bucketOf_[ids[i]] = groups.groupOf[i];
@@ -288,13 +288,14 @@ void PlanIndex::auditReadySet() const {
                  "ready set");
   if (bucketOf_.empty()) return;
   // Each bucket entry is a distinct ready process of that bucket's
-  // class (its slot's), and the entries number readyCount(): every ready
-  // process sits in exactly its class's bucket. classKey is a process's
-  // class while active, none (kNotReady) while inactive.
-  const auto classKey = [this](ProcessId p) {
+  // class-table slot, and the entries number readyCount(): every ready
+  // process sits in exactly its class's bucket. classSlot is the slot a
+  // process's class gives it: the class + 1 while active, the inactive
+  // slot 0 (one bucket for all inactive processes) while inactive.
+  const auto classSlot = [this](ProcessId p) {
     return sharing_->isActive(p)
-               ? static_cast<std::uint32_t>(sharing_->classOf(p))
-               : kNotReady;
+               ? static_cast<std::uint32_t>(sharing_->classOf(p) + 1)
+               : std::uint32_t{0};
   };
   std::vector<char> seen(slot_.size(), 0);
   std::size_t bucketed = 0;
@@ -307,15 +308,11 @@ void PlanIndex::auditReadySet() const {
                        std::is_heap(first, last, std::greater<>()),
                    "plan index: a live class bucket is empty, stale or "
                    "not a min-heap");
-    const std::uint32_t key =
-        bucketSlot_[b] == 0 ? kNotReady : bucketSlot_[b] - 1;
-    const bool singleton = bucketStart_[b + 1] - bucketStart_[b] == 1;
     for (auto it = first; it != last; ++it) {
       const ProcessId q = *it;
       const bool member = q < slot_.size() && slot_[q] != kNotReady &&
                           seen[q] == 0 && bucketOf_[q] == b &&
-                          classKey(q) == key &&
-                          (key != kNotReady || singleton);
+                          classSlot(q) == bucketSlot_[b];
       audit::require(member, "plan index: a class bucket holds a process "
                              "that is not ready, repeated or of another "
                              "class");

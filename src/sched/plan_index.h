@@ -28,12 +28,13 @@
 /// need no invalidation. Cost: O(ready) per decision
 /// (docs/ARCHITECTURE.md §12).
 ///
-/// Planner mode buckets the ready set by sharing class
-/// (SharingMatrix::classOf): same-class ready processes have the same
+/// Planner mode buckets the ready set by class-table slot
+/// (SharingMatrix::slotOf): same-class ready processes have the same
 /// key against any anchor outside the class and against an anchor in
-/// it (the anchor is placed, never ready). Each bucket keeps its ready
-/// members in a min-heap, so the argmax runs over the non-empty
-/// buckets' smallest members — O(classes) per placement — and reads
+/// it (the anchor is placed, never ready), and every inactive process
+/// sits in the zero slot. Each bucket keeps its ready members in a
+/// min-heap, so the argmax runs over the non-empty buckets' smallest
+/// members — O(classes) per placement — and reads
 /// each key as the anchor's class-table row at the bucket's slot
 /// (in the anchor's own class, the intra value), |classes|² cells in
 /// all.
@@ -54,10 +55,12 @@
 namespace laps {
 
 /// The planner's sharing classes over an ascending id list: two ids
-/// share a group iff both are active in one SharingMatrix class. An
-/// inactive process is a group of its own (its cells are all zero,
-/// whatever its class). Groups are numbered in order of their smallest
-/// member.
+/// share a group iff they share a class-table slot
+/// (SharingMatrix::slotOf) — both active in one class, or both
+/// inactive. The inactive group is exact: its members' cells, intra
+/// value and rowSum are all zero, and its front is its smallest id.
+/// Groups are numbered in order of their smallest member; O(|ids|)
+/// plain loads plus one slot → group table.
 struct ClassGroups {
   std::size_t count = 0;               ///< number of groups
   std::vector<std::uint32_t> groupOf;  ///< group of each id, parallel to it
@@ -75,7 +78,8 @@ struct ClassGroups {
 ///  * planner mode (beginPlanner): the index owns DAG readiness —
 ///    cached indegrees over the pending subset, place() releases
 ///    successors — and buckets the ready set by sharing class unless
-///    every class is a singleton. Used by buildLocalityPlan;
+///    every group (groupByClass) is a singleton. Used by
+///    buildLocalityPlan;
 ///  * dispatch mode (beginDispatch): readiness is announced externally
 ///    (markReady), as the simulation engine drives policies. Used by
 ///    LocalityScheduler and OnlineLocalityScheduler at pick time.
@@ -144,9 +148,9 @@ class PlanIndex {
   /// back at its slot, and exactly readyCount() processes are flagged
   /// ready, so every flagged process is listed. With class buckets,
   /// every ready process must sit in exactly its class's bucket (the
-  /// one whose slot is its current SharingMatrix class's), each bucket
-  /// must be a min-heap, and the buckets must hold readyCount()
-  /// processes in all. Throws laps::AuditError on violation. popBest
+  /// one whose slot its current SharingMatrix class gives it, the zero
+  /// slot while inactive), each bucket must be a min-heap, and the
+  /// buckets must hold readyCount() processes in all. Throws laps::AuditError on violation. popBest
   /// samples it under LAPS_AUDIT every kAuditSampleEvery pops; tests
   /// break the position map (corruptSlotForTest) or a class
   /// (SharingMatrix::corruptClassForTest) to prove it fires.
@@ -172,7 +176,7 @@ class PlanIndex {
   [[nodiscard]] std::int64_t keyFor(std::size_t core, ProcessId q,
                                     std::int64_t sharingTerm) const;
   /// Buckets the pending processes by class (beginPlanner), unless
-  /// every class is a singleton.
+  /// every group is a singleton.
   void bucketByClass(const std::vector<bool>& pending);
   /// Class buckets: add a ready process, remove one.
   void pushBucket(ProcessId process);

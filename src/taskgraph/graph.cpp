@@ -1,6 +1,7 @@
 #include "taskgraph/graph.h"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "util/error.h"
@@ -144,14 +145,84 @@ std::vector<std::int64_t> ExtendedProcessGraph::criticalPathCycles() const {
   return longest;
 }
 
+namespace {
+
+/// Everything a process's footprint depends on, up to array renaming:
+/// per nest its dims (lo, hi, step), per access its linearized address
+/// (coefficients and constant) and its array numbered by first
+/// appearance in the process. An empty nest contributes nothing, so
+/// its accesses keep only their array numbers.
+struct ProcessShape {
+  std::vector<std::int64_t> key;
+  std::vector<ArrayId> arrays;  ///< the process's arrays, by local number
+};
+
+ProcessShape shapeOf(const ProcessSpec& process, const ArrayTable& arrays) {
+  ProcessShape shape;
+  std::vector<std::int64_t>& key = shape.key;
+  key.push_back(static_cast<std::int64_t>(process.nests.size()));
+  for (const LoopNest& nest : process.nests) {
+    key.push_back(static_cast<std::int64_t>(nest.space.rank()));
+    for (const LoopDim& dim : nest.space.dims()) {
+      key.insert(key.end(), {dim.lo, dim.hi, dim.step});
+    }
+    key.push_back(static_cast<std::int64_t>(nest.accesses.size()));
+    for (const ArrayAccess& access : nest.accesses) {
+      const ArrayInfo& info = arrays.at(access.array);
+      const auto local = static_cast<std::size_t>(
+          std::find(shape.arrays.begin(), shape.arrays.end(), access.array) -
+          shape.arrays.begin());
+      if (local == shape.arrays.size()) shape.arrays.push_back(access.array);
+      key.push_back(static_cast<std::int64_t>(local));
+      if (nest.space.empty()) continue;
+      const AffineExpr linear = linearizeAccess(access, info);
+      key.push_back(static_cast<std::int64_t>(linear.rank()));
+      for (std::size_t d = 0; d < linear.rank(); ++d) {
+        key.push_back(linear.coeff(d));
+      }
+      key.push_back(linear.constantTerm());
+    }
+  }
+  return shape;
+}
+
+}  // namespace
+
 std::vector<Footprint> ExtendedProcessGraph::footprints(
     const ArrayTable& arrays) const {
-  // Each process's footprint is a pure function of its spec and the
-  // (read-only) array table, and parallelMap collects in index order —
-  // bit-identical to the serial loop at any thread count.
-  return parallelMap<Footprint>(processes_.size(), [&](std::size_t i) {
-    return processes_[i].footprint(arrays);
+  // A footprint is a pure function of its process's shape (shapeOf)
+  // and the array ids it names, so each distinct shape is enumerated
+  // once, by its first process, and every other process of the shape
+  // copies that footprint under its own array ids — exactly what its
+  // own enumeration would produce. Shapes are numbered in an ordered
+  // map, and each index of both parallel regions writes only its own
+  // footprint (the copies read finished reps), so the result is
+  // bit-identical to the serial per-process loop at any thread count.
+  const std::size_t n = processes_.size();
+  const std::vector<ProcessShape> shapes = parallelMap<ProcessShape>(
+      n, [&](std::size_t i) { return shapeOf(processes_[i], arrays); });
+  std::map<std::vector<std::int64_t>, std::size_t> repOfShape;
+  std::vector<std::size_t> rep(n);
+  std::vector<std::size_t> reps;
+  for (std::size_t i = 0; i < n; ++i) {
+    rep[i] = repOfShape.try_emplace(shapes[i].key, i).first->second;
+    if (rep[i] == i) reps.push_back(i);
+  }
+  std::vector<Footprint> out(n);
+  parallelFor(reps.size(), [&](std::size_t s) {
+    out[reps[s]] = processes_[reps[s]].footprint(arrays);
   });
+  parallelFor(n, [&](std::size_t i) {
+    if (rep[i] == i) return;
+    const std::vector<ArrayId>& from = shapes[rep[i]].arrays;
+    const std::vector<ArrayId>& to = shapes[i].arrays;
+    for (const auto& [array, elements] : out[rep[i]].perArray()) {
+      const auto local = static_cast<std::size_t>(
+          std::find(from.begin(), from.end(), array) - from.begin());
+      out[i].add(to[local], elements);
+    }
+  });
+  return out;
 }
 
 std::string ExtendedProcessGraph::toDot() const {

@@ -19,9 +19,8 @@ void validateWorkload(const Workload& workload) {
                   "' references unknown array id " +
                   std::to_string(access.array));
         const ArrayInfo& info = workload.arrays.at(access.array);
-        const IntervalSet fp = accessFootprint(nest.space, access, info);
-        if (fp.empty()) continue;
-        const Interval b = fp.bounds();
+        const Interval b = accessFootprintBounds(nest.space, access, info);
+        if (b.empty()) continue;
         check(b.lo >= 0 && b.hi <= info.numElements(),
               "validateWorkload: process '" + p.name + "' accesses array '" +
                   info.name + "' out of bounds ([" + std::to_string(b.lo) +

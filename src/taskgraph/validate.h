@@ -15,7 +15,10 @@ namespace laps {
 ///  * a process has more than kMaxNestsPerProcess loop nests (its code
 ///    bodies would alias the next task's),
 ///  * a process references an array id not in the table,
-///  * an access's footprint falls outside its array's bounds,
+///  * an access's footprint falls outside its array's bounds (checked
+///    on accessFootprintBounds, O(rank) per access, never enumerating),
+///  * an access's footprint would exceed the enumeration budget
+///    (the error accessFootprint throws),
 ///  * the dependence graph has a cycle.
 void validateWorkload(const Workload& workload);
 

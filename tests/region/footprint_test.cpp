@@ -177,6 +177,64 @@ TEST_P(FootprintProperty, MatchesBruteForceEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FootprintProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
 
+TEST(AccessFootprintBounds, EqualsEnumeratedBoundsOnRandomSpaces) {
+  // Random rank-0..3 spaces with negative starts, non-unit steps and
+  // occasional empty dimensions, under random negative and positive
+  // coefficients over rank-1..3 arrays. The addresses may leave the
+  // array: bounds are about the image, not its validity.
+  Rng rng(0xb0d5);
+  int nonEmpty = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ArrayTable arrays;
+    const auto arrayRank = static_cast<std::size_t>(rng.range(1, 3));
+    std::vector<std::int64_t> extents(arrayRank);
+    for (auto& e : extents) e = rng.range(1, 12);
+    const ArrayId a = arrays.add("A", extents);
+    const auto spaceRank = static_cast<std::size_t>(rng.range(0, 3));
+    std::vector<LoopDim> dims(spaceRank);
+    for (auto& d : dims) {
+      d.lo = rng.range(-6, 6);
+      d.hi = d.lo + rng.range(rng.chance(0.05) ? -2 : 1, 9);
+      d.step = rng.range(1, 4);
+    }
+    const IterationSpace space(dims);
+    std::vector<AffineExpr> exprs;
+    for (std::size_t r = 0; r < arrayRank; ++r) {
+      std::vector<std::int64_t> coeffs(spaceRank);
+      for (auto& c : coeffs) c = rng.range(-5, 5);
+      exprs.emplace_back(std::move(coeffs), rng.range(-20, 20));
+    }
+    const ArrayAccess access{a, AffineMap(std::move(exprs)), AccessKind::Read};
+    const Interval bounds = accessFootprintBounds(space, access, arrays.at(a));
+    const IntervalSet fp = accessFootprint(space, access, arrays.at(a));
+    ASSERT_EQ(bounds.empty(), fp.empty()) << "trial " << trial;
+    if (fp.empty()) continue;
+    ++nonEmpty;
+    EXPECT_EQ(bounds, fp.bounds())
+        << "trial " << trial << " space=" << space.toString()
+        << " map=" << access.map.toString();
+  }
+  EXPECT_GT(nonEmpty, 150);
+}
+
+TEST(AccessFootprintBounds, SharesTheEnumerationBudgetAndRankChecks) {
+  ArrayTable arrays;
+  const ArrayId a = arrays.add("Huge", {1 << 28}, 4);
+  const ArrayAccess stride2{a, AffineMap{AffineExpr({2}, 0)}, AccessKind::Read};
+  const auto space = IterationSpace::box({{0, 1 << 20}});
+  EXPECT_THROW((void)accessFootprintBounds(space, stride2, arrays.at(a), 1000),
+               Error);
+  EXPECT_EQ(accessFootprintBounds(space, stride2, arrays.at(a), 1 << 21),
+            (Interval{0, (2 << 20) - 1}));
+  const ArrayAccess rank2{a, AffineMap{AffineExpr({1}, 0), AffineExpr({1}, 0)},
+                          AccessKind::Read};
+  EXPECT_THROW((void)accessFootprintBounds(space, rank2, arrays.at(a)), Error);
+  // An empty space is accepted before any check, as accessFootprint does.
+  EXPECT_TRUE(accessFootprintBounds(IterationSpace::box({{4, 2}}), rank2,
+                                    arrays.at(a))
+                  .empty());
+}
+
 TEST(FootprintClass, AddUnionsPerArray) {
   Footprint fp;
   fp.add(0, IntervalSet::range(0, 10));

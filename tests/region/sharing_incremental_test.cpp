@@ -34,8 +34,12 @@ void expectMatchesMasked(const SharingMatrix& incremental,
     for (std::size_t q = 0; q < full.size(); ++q) {
       const std::int64_t expected =
           active[p] && active[q] ? full.at(p, q) : 0;
-      ASSERT_EQ(incremental.at(p, q), expected)
-          << "cell (" << p << ", " << q << ")";
+      // Every cell is compared; the assertion machinery runs only on a
+      // mismatch (per cell it dominated the churn tests under TSan).
+      if (incremental.at(p, q) != expected) {
+        ASSERT_EQ(incremental.at(p, q), expected)
+            << "cell (" << p << ", " << q << ")";
+      }
     }
   }
 }

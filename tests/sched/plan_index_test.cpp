@@ -269,6 +269,76 @@ TEST(PlanIndexDifferential, MatchesReferenceOnTwinHeavyInputs) {
   }
 }
 
+TEST(PlanIndexDifferential, MatchesReferenceOnInactiveUniverses) {
+  // Every inactive process sits in the zero slot of the class table, so
+  // they form one planner group: OLS's reset-time plan over an open
+  // universe before any arrival buckets them all and picks in
+  // O(groups), not by scanning the ready set. Mixed universes put the
+  // inactive group beside active classes.
+  const NocTopology mesh(NocTopologyKind::Mesh, 9, 3);
+  const auto check = [&](const ExtendedProcessGraph& graph,
+                         const SharingMatrix& sharing,
+                         const std::vector<ProcessId>& subset,
+                         std::size_t groups, std::uint64_t tag) {
+    ASSERT_EQ(groupByClass(sharing, subset).count, groups) << "case " << tag;
+    for (std::size_t coreCount = 1; coreCount <= 9; coreCount += 2) {
+      for (const bool trim : {true, false}) {
+        LocalityOptions options;
+        options.initialMinSharingRound = trim;
+        expectPlansEqual(
+            buildLocalityPlan(graph, sharing, coreCount, options, subset),
+            reference::buildPlan(graph, sharing, coreCount, options, subset),
+            tag, coreCount);
+      }
+    }
+    LocalityOptions spiral;
+    spiral.topology = &mesh;
+    expectPlansEqual(buildLocalityPlan(graph, sharing, 9, spiral, subset),
+                     reference::buildPlan(graph, sharing, 9, spiral, subset),
+                     tag, 9);
+  };
+
+  // Never-interned inactive(n) matrices (singleton classes) under
+  // random DAGs.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(seed + 0x1d1e);
+    const std::size_t n = 20 + static_cast<std::size_t>(rng.below(60));
+    const ExtendedProcessGraph graph = randomDag(rng, n, rng.below(25));
+    const SharingMatrix open = SharingMatrix::inactive(n);
+    std::vector<ProcessId> all(n);
+    for (ProcessId p = 0; p < n; ++p) all[p] = p;
+    check(graph, open, all, 1, 40000 + seed);
+    check(graph, open, randomSubset(rng, all, 60), 1, 41000 + seed);
+  }
+
+  // Service universes: every request arrived and left again (interned,
+  // all inactive), then every third request back (mixed).
+  for (const std::size_t keys : {1u, 8u}) {
+    ServiceWorkloadParams params;
+    params.seed = 70 + keys;
+    params.requestCount = 120;
+    params.keyCount = keys;
+    params.keysPerRequest = keys > 1 ? 2 : 1;
+    params.hotKeyCount = keys > 2 ? 2 : 0;
+    const Workload service = makeServiceWorkload(params);
+    const std::vector<Footprint> footprints = service.footprints();
+    const std::size_t n = footprints.size();
+    SharingMatrix open = SharingMatrix::inactive(n);
+    for (ProcessId p = 0; p < n; ++p) open.addProcess(footprints, p);
+    for (ProcessId p = 0; p < n; ++p) open.removeProcess(p);
+    std::vector<ProcessId> all(n);
+    for (ProcessId p = 0; p < n; ++p) all[p] = p;
+    check(service.graph, open, all, 1, 42000 + keys);
+    std::vector<ProcessId> active;
+    for (ProcessId p = 0; p < n; p += 3) {
+      open.addProcess(footprints, p);
+      active.push_back(p);
+    }
+    check(service.graph, open, all, classesAmong(open, active) + 1,
+          43000 + keys);
+  }
+}
+
 TEST(PlanIndexDifferential, DispatchPopMatchesReferencePick) {
   // Dispatch mode against the reference argmax: random interleavings of
   // markReady / markUnready / popBest must agree with pickMaxSharing
