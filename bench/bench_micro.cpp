@@ -307,6 +307,17 @@ void BM_FullSimulationShape(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSimulationShape);
 
+// PlanIndex::candidatesRead of one full plan: the planner's
+// deterministic work count (argmax candidates read).
+double planCandidates(const ExtendedProcessGraph& graph,
+                      const SharingMatrix& sharing, std::size_t coreCount,
+                      std::span<const ProcessId> subset = {}) {
+  PlanIndex planner;
+  benchmark::DoNotOptimize(
+      buildLocalityPlan(graph, sharing, coreCount, {}, subset, planner));
+  return static_cast<double>(planner.candidatesRead());
+}
+
 void BM_LocalityPlan(benchmark::State& state) {
   const auto count = static_cast<std::size_t>(state.range(0));
   const auto suite = standardSuite();
@@ -316,6 +327,7 @@ void BM_LocalityPlan(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(buildLocalityPlan(mix.graph, sharing, 8));
   }
+  state.counters["candidates"] = planCandidates(mix.graph, sharing, 8);
   state.SetLabel(std::to_string(mix.graph.processCount()) + " processes");
 }
 BENCHMARK(BM_LocalityPlan)->Arg(1)->Arg(6)->Arg(12)->Arg(24);
@@ -331,16 +343,21 @@ void BM_LocalityPlanLarge(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(buildLocalityPlan(mix.graph, sharing, 8));
   }
+  state.counters["candidates"] = planCandidates(mix.graph, sharing, 8);
   state.SetLabel(std::to_string(n) + " processes, layered");
 }
 BENCHMARK(BM_LocalityPlanLarge)->Arg(1000)->Arg(4000);
 
 // An OLS rebuild's input at service scale: a seeded keyed service
-// workload over 48 keys (the saturation sweep's overload point) on an
-// open matrix grown by addProcess, planned on 4 cores over a
-// dependence-free live subset: every third request active, every
-// seventeenth of those left out as running. live and classes count the
-// planned processes and their sharing classes.
+// workload of n requests over 48 keys (the saturation sweep's overload
+// point) on an open matrix grown by addProcess, planned on 4 cores over
+// a dependence-free live subset: every third of the first min(n, 2048)
+// requests active, every seventeenth of those left out as running. One
+// planner index serves every plan, as in OLS, so /16384 plans the live
+// set of /2048 in an 8x larger universe and should take the same time.
+// live and classes count the planned processes and their sharing
+// classes, candidates the argmax candidates one plan reads
+// (PlanIndex::candidatesRead).
 void BM_LocalityPlanOpenService(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ServiceWorkloadParams params;
@@ -350,13 +367,14 @@ void BM_LocalityPlanOpenService(benchmark::State& state) {
   const std::vector<Footprint> footprints = service.footprints();
   SharingMatrix sharing = SharingMatrix::inactive(n);
   std::vector<ProcessId> live;
-  for (ProcessId p = 0; p < n; p += 3) {
+  for (ProcessId p = 0; p < std::min<std::size_t>(n, 2048); p += 3) {
     sharing.addProcess(footprints, p);
     if (p % 17 != 0) live.push_back(p);
   }
+  PlanIndex planner;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        buildLocalityPlan(service.graph, sharing, 4, {}, live));
+        buildLocalityPlan(service.graph, sharing, 4, {}, live, planner));
   }
   std::vector<bool> seen(sharing.classCount(), false);
   std::size_t classes = 0;
@@ -366,8 +384,10 @@ void BM_LocalityPlanOpenService(benchmark::State& state) {
   }
   state.counters["live"] = static_cast<double>(live.size());
   state.counters["classes"] = static_cast<double>(classes);
+  state.counters["candidates"] =
+      static_cast<double>(planner.candidatesRead());
 }
-BENCHMARK(BM_LocalityPlanOpenService)->Arg(512)->Arg(2048);
+BENCHMARK(BM_LocalityPlanOpenService)->Arg(512)->Arg(2048)->Arg(16384);
 
 // Fig. 5 re-layout selection on a seeded n-array conflict matrix (272
 // is the array count of the |T|=48 concurrent mix) with mean T, a

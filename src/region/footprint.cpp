@@ -8,14 +8,36 @@
 namespace laps {
 
 AffineExpr linearizeAccess(const ArrayAccess& access, const ArrayInfo& info) {
-  check(access.map.results() == info.rank(),
-        "linearizeAccess: access rank does not match array " + info.name);
-  const std::vector<std::int64_t> strides = info.rowMajorStrides();
-  AffineExpr linear = AffineExpr::constant(0);
-  for (std::size_t d = 0; d < info.rank(); ++d) {
-    linear = linear.plus(access.map.expr(d).times(strides[d]));
+  std::vector<std::int64_t> terms;
+  appendLinearized(access, info, terms);
+  const std::int64_t constant = terms.back();
+  terms.pop_back();
+  return AffineExpr(std::move(terms), constant);
+}
+
+std::size_t appendLinearized(const ArrayAccess& access, const ArrayInfo& info,
+                             std::vector<std::int64_t>& out) {
+  if (access.map.results() != info.rank()) {
+    fail("linearizeAccess: access rank does not match array " + info.name);
   }
-  return linear;
+  // Σ_d stride_d · expr_d, the row-major strides accumulated innermost
+  // first; the rank is the largest of the expressions' ranks.
+  std::size_t rank = 0;
+  for (const AffineExpr& expr : access.map.exprs()) {
+    rank = std::max(rank, expr.rank());
+  }
+  const std::size_t at = out.size();
+  out.resize(at + rank + 1, 0);
+  std::int64_t stride = 1;
+  for (std::size_t d = info.rank(); d-- > 0;) {
+    const AffineExpr& expr = access.map.expr(d);
+    for (std::size_t k = 0; k < expr.rank(); ++k) {
+      out[at + k] += expr.coeff(k) * stride;
+    }
+    out[at + rank] += expr.constantTerm() * stride;
+    stride *= info.extents[d];
+  }
+  return rank;
 }
 
 namespace {

@@ -28,6 +28,11 @@ inline constexpr std::int64_t kDefaultFootprintBudget = 1 << 23;
 [[nodiscard]] AffineExpr linearizeAccess(const ArrayAccess& access,
                                          const ArrayInfo& info);
 
+/// linearizeAccess without temporaries: appends its rank() coefficients
+/// and then its constant term to \p out, and returns the rank.
+std::size_t appendLinearized(const ArrayAccess& access, const ArrayInfo& info,
+                             std::vector<std::int64_t>& out);
+
 /// Exact image (as linear element offsets) of \p space under \p access.
 /// Throws laps::Error if the enumeration would exceed \p budget fragments.
 [[nodiscard]] IntervalSet accessFootprint(const IterationSpace& space,

@@ -1,6 +1,7 @@
 #include "sched/locality.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "util/audit.h"
@@ -27,37 +28,39 @@ std::size_t LocalityPlan::processCount() const {
 
 namespace {
 
-/// Validates the planner inputs and expands the subset argument into a
-/// mask. The full-set case keeps every downstream loop byte-identical
-/// to the pre-subset algorithm.
-std::vector<bool> subsetMask(const ExtendedProcessGraph& graph,
-                             const SharingMatrix& sharing,
-                             std::size_t coreCount,
-                             std::span<const ProcessId> subset) {
+/// Validates the planner inputs and returns the planned ids in
+/// ascending order: every process for an empty subset, else the subset
+/// (sorted unless it already is, as the OLS rebuild's live list).
+std::vector<ProcessId> plannedIds(const ExtendedProcessGraph& graph,
+                                  const SharingMatrix& sharing,
+                                  std::size_t coreCount,
+                                  std::span<const ProcessId> subset) {
   check(coreCount >= 1, "buildLocalityPlan: need at least one core");
   check(sharing.size() == graph.processCount(),
         "buildLocalityPlan: sharing matrix size mismatch");
   check(graph.isAcyclic(), "buildLocalityPlan: graph has a cycle");
-  std::vector<bool> inSubset(graph.processCount(), subset.empty());
-  for (const ProcessId p : subset) {
-    check(p < graph.processCount(),
-          "buildLocalityPlan: subset id out of range");
-    check(!inSubset[p], "buildLocalityPlan: duplicate subset id");
-    inSubset[p] = true;
+  std::vector<ProcessId> ids(subset.begin(), subset.end());
+  if (subset.empty()) {
+    ids.resize(graph.processCount());
+    for (ProcessId p = 0; p < ids.size(); ++p) ids[p] = p;
+    return ids;
   }
-  return inSubset;
+  if (!std::is_sorted(ids.begin(), ids.end())) std::sort(ids.begin(), ids.end());
+  check(ids.back() < graph.processCount(),
+        "buildLocalityPlan: subset id out of range");
+  check(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+        "buildLocalityPlan: duplicate subset id");
+  return ids;
 }
 
 /// Audit (buildLocalityPlan's precondition): \p sharing is symmetric
-/// over the subset members, so a row read can stand in for a column
-/// read. Throws laps::AuditError on the first asymmetric pair.
+/// over the planned ids, so a row read can stand in for a column read.
+/// Throws laps::AuditError on the first asymmetric pair.
 void auditSymmetricOver(const SharingMatrix& sharing,
-                        const std::vector<bool>& inSubset) {
-  for (std::size_t p = 0; p < inSubset.size(); ++p) {
-    if (!inSubset[p]) continue;
-    for (std::size_t q = p + 1; q < inSubset.size(); ++q) {
-      if (!inSubset[q]) continue;
-      audit::require(sharing.at(p, q) == sharing.at(q, p),
+                        const std::vector<ProcessId>& ids) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      audit::require(sharing.at(ids[i], ids[j]) == sharing.at(ids[j], ids[i]),
                      "buildLocalityPlan: sharing matrix is not symmetric "
                      "over the planned subset");
     }
@@ -65,22 +68,20 @@ void auditSymmetricOver(const SharingMatrix& sharing,
 }
 
 /// IN = independent processes (EPG roots) — for a subset, the members
-/// with no predecessor inside the subset. Ascending id order.
+/// with no predecessor inside the subset (\p ids, ascending). Ascending
+/// id order.
 std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
-                                         const std::vector<bool>& inSubset,
-                                         std::span<const ProcessId> subset) {
-  if (subset.empty()) return graph.roots();
+                                         const std::vector<ProcessId>& ids,
+                                         bool everyProcess) {
+  if (everyProcess) return graph.roots();
   std::vector<ProcessId> in;
-  for (ProcessId p = 0; p < graph.processCount(); ++p) {
-    if (!inSubset[p]) continue;
-    bool isRoot = true;
-    for (const ProcessId pred : graph.predecessors(p)) {
-      if (inSubset[pred]) {
-        isRoot = false;
-        break;
-      }
+  for (const ProcessId p : ids) {
+    const auto& preds = graph.predecessors(p);
+    if (std::none_of(preds.begin(), preds.end(), [&](ProcessId pred) {
+          return std::binary_search(ids.begin(), ids.end(), pred);
+        })) {
+      in.push_back(p);
     }
-    if (isRoot) in.push_back(p);
   }
   return in;
 }
@@ -95,12 +96,9 @@ std::vector<ProcessId> initialCandidates(const ExtendedProcessGraph& graph,
 /// every cell and its intra value 0). So the trim reads |groups|² cells
 /// of the class table.
 ///
-/// Each total is computed once, over the smaller side of the split:
-/// directly as Σ size(h) · cell(g, h) over the other groups plus the
-/// intra term, or by complement as a member's rowSum minus its cells with
-/// the active processes outside IN (exact: an inactive process's cells
-/// are zero). An OLS rebuild is on the complement side, a closed
-/// plan's roots usually on the direct one. Each removal then takes the
+/// Each total is computed once, directly as Σ size(h) · cell(g, h)
+/// over the other groups plus the intra term: O(|groups|²), no more
+/// than the removal passes below. Each removal then takes the
 /// smallest remaining member of the worst group, and one pass over the
 /// groups subtracts its cell with each group from the total and picks
 /// the next worst. Integer sums, so each patched total equals Fig. 3's
@@ -136,30 +134,13 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
                         : 0;
   }
 
-  std::vector<char> isCandidate(sharing.size(), 0);
-  for (const ProcessId p : in) isCandidate[p] = 1;
-  // The outside slots are only wanted while they stay the smaller side.
-  std::vector<std::uint32_t> outside;
-  outside.reserve(count);
-  for (ProcessId q = 0; q < sharing.size() && outside.size() < count; ++q) {
-    if (!isCandidate[q] && sharing.isActive(q)) {
-      outside.push_back(sharing.slotOf(q));
-    }
-  }
-  const bool byComplement = outside.size() < count;
   std::vector<std::int64_t> sizes(count);
   for (std::size_t g = 0; g < count; ++g) sizes[g] = rest[g].end - rest[g].next;
   for (std::size_t g = 0; g < count; ++g) {
     const std::int64_t* row = sharing.slotRow(slot[g]);
     std::int64_t total = 0;
-    if (byComplement) {
-      total = sharing.rowSum(front[g]);
-      for (const std::uint32_t s : outside) total -= row[s];
-    } else {
-      for (std::size_t h = 0; h < count; ++h) total += sizes[h] * row[slot[h]];
-      total += (sizes[g] - 1) * rest[g].intra - sizes[g] * row[slot[g]];
-    }
-    totals[g] = total;
+    for (std::size_t h = 0; h < count; ++h) total += sizes[h] * row[slot[h]];
+    totals[g] = total + (sizes[g] - 1) * rest[g].intra - sizes[g] * row[slot[g]];
   }
 
   // Patches the totals with the removed member's slot row (none: the
@@ -268,16 +249,25 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                std::size_t coreCount,
                                const LocalityOptions& options,
                                std::span<const ProcessId> subset) {
-  const std::vector<bool> inSubset =
-      subsetMask(graph, sharing, coreCount, subset);
-  LAPS_AUDIT(auditSymmetricOver(sharing, inSubset));
+  PlanIndex planner;
+  return buildLocalityPlan(graph, sharing, coreCount, options, subset, planner);
+}
 
-  const std::size_t n = graph.processCount();
+LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
+                               const SharingMatrix& sharing,
+                               std::size_t coreCount,
+                               const LocalityOptions& options,
+                               std::span<const ProcessId> subset,
+                               PlanIndex& planner) {
+  const std::vector<ProcessId> ids =
+      plannedIds(graph, sharing, coreCount, subset);
+  LAPS_AUDIT(auditSymmetricOver(sharing, ids));
+
   LocalityPlan plan;
   plan.perCore.resize(coreCount);
-  if (n == 0) return plan;
+  if (ids.empty()) return plan;
 
-  std::vector<ProcessId> in = initialCandidates(graph, inSubset, subset);
+  std::vector<ProcessId> in = initialCandidates(graph, ids, subset.empty());
 
   if (options.initialMinSharingRound) {
     trimToCoreCount(in, sharing, coreCount);
@@ -290,32 +280,29 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
   // spiral region-growing walk on NoC platforms — see placeInitialRound).
   placeInitialRound(plan, in, sharing, options.topology, coreCount);
 
-  // Remaining pool: every subset member not yet placed.
-  std::vector<bool> pending = inSubset;
-  for (const ProcessId p : in) pending[p] = false;
-
-  std::size_t remaining = 0;
-  for (std::size_t p = 0; p < n; ++p) {
-    if (pending[p]) ++remaining;
-  }
+  // Remaining pool: every planned id not yet placed (both ascending).
+  std::vector<ProcessId> pending;
+  pending.reserve(ids.size() - in.size());
+  std::set_difference(ids.begin(), ids.end(), in.begin(), in.end(),
+                      std::back_inserter(pending));
+  std::size_t remaining = pending.size();
 
   // --- Main loop on the indexed core: per round, each core pops the
   // ready process with maximum sharing with its previously placed
   // process (smallest id on ties — the argmax order equals an
   // ascending strict-`>` scan over every pending process). place() releases successors
   // through the cached indegree counters.
-  PlanIndex index;
-  index.beginPlanner(graph, sharing, coreCount, pending);
+  planner.beginPlanner(graph, sharing, coreCount, pending);
   while (remaining > 0) {
     bool placedAny = false;
     for (std::size_t c = 0; c < coreCount && remaining > 0; ++c) {
       std::optional<ProcessId> previous;
       if (!plan.perCore[c].empty()) previous = plan.perCore[c].back();
 
-      const std::optional<ProcessId> best = index.popBest(c, previous);
+      const std::optional<ProcessId> best = planner.popBest(c, previous);
       if (best) {
         plan.perCore[c].push_back(*best);
-        index.place(*best);
+        planner.place(*best);
         --remaining;
         placedAny = true;
       }

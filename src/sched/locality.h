@@ -82,14 +82,13 @@ struct LocalityOptions {
 /// classes (SharingMatrix::classOf): processes whose rows agree are one
 /// candidate, and every sharing term is a cell of the class table
 /// (SharingMatrix::slotRow). The initial trim keeps one total per
-/// class, computed once over the smaller side of the split — directly
-/// over the classes, or by complement from the matrix's stored row
-/// sums (SharingMatrix::rowSum) minus the cells with the active
-/// processes outside IN (for an OLS rebuild, just the running ones).
-/// Each removal takes the smallest member of the worst class and is one
-/// O(classes) pass, where Fig. 3's rescan is O(|IN|²). Cached indegree
-/// counters replace the per-candidate predecessor walk, and one argmax
-/// over the ready classes' smallest members serves each placement. The
+/// class, computed once over the classes of IN. Each removal takes the
+/// smallest member of the worst class and is one O(classes) pass, where
+/// Fig. 3's rescan is O(|IN|²). Cached indegree counters replace the
+/// per-candidate predecessor walk, and each placement takes the
+/// anchor's own class when it out-keys every other (PlanIndex), else
+/// one argmax over the ready classes' smallest members. Every step
+/// walks the planned ids, never the universe. The
 /// plan is identical — element for element — to the Fig. 3 loops as
 /// written; the differential tests in tests/sched/plan_index_test.cpp
 /// (against the test-only reference planner) and the equality argument
@@ -100,14 +99,24 @@ struct LocalityOptions {
 /// updates produce is). The trim patches its totals by reading the
 /// removed candidate's class row, in place of the column Fig. 3's rescan
 /// reads; on an asymmetric matrix the two plans may differ. Checked at
-/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError). The complement
-/// also relies on SharingMatrix's own invariants (inactive cells zero,
-/// row sums live), which SharingMatrix::auditInvariants checks.
+/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError).
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,
                                              const LocalityOptions& options = {},
                                              std::span<const ProcessId> subset = {});
+
+/// The same plan, built on the caller's \p planner index. An index
+/// reused across plans over one universe resets only what the previous
+/// plan touched, so a plan over a small subset of a large universe
+/// (the OLS rebuild) costs O(|subset|), not O(n); afterwards
+/// planner.candidatesRead() reports the plan's argmax work.
+[[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
+                                             const SharingMatrix& sharing,
+                                             std::size_t coreCount,
+                                             const LocalityOptions& options,
+                                             std::span<const ProcessId> subset,
+                                             PlanIndex& planner);
 
 /// The paper's LS policy (LSM reuses it after re-layout).
 ///

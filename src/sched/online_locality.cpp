@@ -1,5 +1,8 @@
 #include "sched/online_locality.h"
 
+#include <algorithm>
+
+#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -52,6 +55,7 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   downCount_ = 0;
   seqCounter_ = 0;
   planned_.assign(n, std::nullopt);
+  pendingIds_.clear();
   // Stale queues from a previous reset must not leak into adoptPlan's
   // slot clearing (their entries may reference a different universe).
   queues_.clear();
@@ -59,7 +63,8 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   // index, which must already cover this process universe.
   index_.beginDispatch(*sharing_, n, coreCount_);
   index_.enableDistance(&score_);
-  adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions));
+  adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions, {},
+                              planner_));
   patchesSinceRebuild_ = 0;
   rebuilds_ = 0;
   events_ = 0;
@@ -68,6 +73,25 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
 
 bool OnlineLocalityScheduler::live(ProcessId process) const {
   return (!open_ || arrived_[process]) && !exited_[process];
+}
+
+void OnlineLocalityScheduler::refreshPending(ProcessId process) {
+  const bool member = open_ && live(process) && !dispatched_[process];
+  const auto at =
+      std::lower_bound(pendingIds_.begin(), pendingIds_.end(), process);
+  const bool listed = at != pendingIds_.end() && *at == process;
+  if (member && !listed) pendingIds_.insert(at, process);
+  if (!member && listed) pendingIds_.erase(at);
+}
+
+void OnlineLocalityScheduler::auditPendingIds() const {
+  std::vector<ProcessId> scan;
+  for (ProcessId p = 0; p < exited_.size(); ++p) {
+    if (live(p) && !dispatched_[p]) scan.push_back(p);
+  }
+  audit::require(scan == pendingIds_,
+                 "online locality: the pending list is not the live, "
+                 "undispatched processes in ascending order");
 }
 
 bool OnlineLocalityScheduler::consumePatchBudget() {
@@ -157,12 +181,9 @@ const LocalityPlan& OnlineLocalityScheduler::plan() const {
 void OnlineLocalityScheduler::rebuild() {
   // The plan covers pending work only: dispatched (running) processes
   // keep their core and are excluded from the rebuild.
-  std::vector<ProcessId> liveSet;
-  for (ProcessId p = 0; p < exited_.size(); ++p) {
-    if (live(p) && !dispatched_[p]) liveSet.push_back(p);
-  }
+  LAPS_AUDIT(auditPendingIds());
   LocalityPlan fresh;
-  if (liveSet.empty()) {
+  if (pendingIds_.empty()) {
     // An empty subset span would mean "everything"; an empty live set
     // means an empty plan.
     fresh.perCore.resize(coreCount_);
@@ -171,7 +192,7 @@ void OnlineLocalityScheduler::rebuild() {
     lsOptions.initialMinSharingRound = options_.initialMinSharingRound;
     if (score_.distanceAware()) lsOptions.topology = score_.topology();
     fresh = buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions,
-                              liveSet);
+                              pendingIds_, planner_);
   }
   adoptPlan(std::move(fresh));
   // buildLocalityPlan places over the full core set; work it put on a
@@ -314,6 +335,7 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
   arrived_[process] = true;
   exited_[process] = false;
   dispatched_[process] = false;
+  refreshPending(process);
   if (reentry) {
     // The previous life's warm state died with the crashed core: the
     // retry starts cold, with no home until it runs again.
@@ -333,6 +355,7 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
   check(process < exited_.size(), "OnlineLocalityScheduler: unknown process");
   if (exited_[process]) return;
   exited_[process] = true;
+  refreshPending(process);
   // Defensive: an exit may race a stale readiness.
   if (index_.isReady(process)) index_.markUnready(process);
   if (!open_) return;  // closed workload: completions never replan
@@ -358,6 +381,7 @@ void OnlineLocalityScheduler::onPreempt(ProcessId process) {
   // plan-guided dispatch (not just the steal fallback) can resume it.
   if (dispatched_[process]) {
     dispatched_[process] = false;
+    refreshPending(process);
     patchArrival(process);
   }
   onReady(process);
@@ -374,6 +398,7 @@ std::optional<ProcessId> OnlineLocalityScheduler::pickNext(
 
   const auto take = [&](ProcessId p) {
     dispatched_[p] = true;
+    refreshPending(p);
     // The process runs — and warms up — here: its distance home is this
     // core until it runs somewhere else.
     if (score_.distanceAware()) index_.setHome(p, core);

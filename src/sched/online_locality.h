@@ -25,7 +25,11 @@
 /// Dispatched processes leave the plan — the plan always holds exactly
 /// the pending work.
 ///
-/// Rebuilds run on the PlanIndex planner core. Per-core queues hold
+/// Rebuilds run on the PlanIndex planner core, over an ascending list
+/// of the live, undispatched processes that arrival, exit, dispatch and
+/// preemption keep up to date, with one planner index reused across
+/// rebuilds: a rebuild costs O(live), never a pass over the process
+/// universe. Per-core queues hold
 /// {process, seq} entries with a reverse map planned[p] = (core, seq):
 /// an entry is alive iff the map still points at it, so exits and
 /// steals tombstone in O(1) and queues compact when more than half
@@ -174,6 +178,14 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// Rebuilds the plan over the live set and resets the patch budget.
   void rebuild();
 
+  /// Lists or unlists \p process in pendingIds_ after a change of its
+  /// arrival, exit or dispatch state. O(log live) plus the shift.
+  void refreshPending(ProcessId process);
+
+  /// Audit (rebuild, under LAPS_AUDIT): pendingIds_ equals a scan of
+  /// the universe for live, undispatched processes, ascending.
+  void auditPendingIds() const;
+
   /// Appends \p process to the core with maximum sharing between the
   /// core's last planned process and \p process (ties: lowest core).
   void patchArrival(ProcessId process);
@@ -223,6 +235,10 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   std::vector<bool> arrived_;  // meaningful once open_
   std::vector<bool> exited_;
   std::vector<bool> dispatched_;  // picked and not re-readied
+  /// Once open_: the live, undispatched processes, ascending — the
+  /// rebuild's subset, kept by arrival, exit, dispatch and preemption
+  /// so a rebuild never scans the universe.
+  std::vector<ProcessId> pendingIds_;
   /// Last process dispatched on each core — the sharing anchor for
   /// arrival patches when a core's plan has run dry.
   std::vector<std::optional<ProcessId>> anchor_;
@@ -235,6 +251,9 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// \name Dispatch state
   /// @{
   PlanIndex index_;
+  /// Planner-mode scratch of every (re)build, reused so a rebuild
+  /// resets only what the last one touched.
+  PlanIndex planner_;
   std::vector<std::vector<PlanEntry>> queues_;
   std::vector<std::size_t> deadCount_;  // dead entries per queue
   std::vector<std::optional<PlanSlot>> planned_;

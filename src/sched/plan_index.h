@@ -32,12 +32,26 @@
 /// (SharingMatrix::slotOf): same-class ready processes have the same
 /// key against any anchor outside the class and against an anchor in
 /// it (the anchor is placed, never ready), and every inactive process
-/// sits in the zero slot. Each bucket keeps its ready members in a
-/// min-heap, so the argmax runs over the non-empty buckets' smallest
-/// members — O(classes) per placement — and reads
-/// each key as the anchor's class-table row at the bucket's slot
-/// (in the anchor's own class, the intra value), |classes|² cells in
-/// all.
+/// sits in the zero slot. Each bucket keeps its ready members as an
+/// ascending run in its range of one shared array — a push inserts at
+/// its sorted position (an ascending push appends), a pop advances the
+/// run's start — so the argmax runs over the non-empty buckets'
+/// smallest members, O(classes) per placement, and reads each key as
+/// the anchor's class-table row at the bucket's slot (in the anchor's
+/// own class, the intra value). Most placements skip that scan: a
+/// bucket whose intra value is strictly larger than its row's cell at
+/// every other bucket of the plan is dominant, and when the anchor's
+/// own bucket is live and dominant its smallest member wins outright —
+/// a strictly larger key beats every other candidate whatever the
+/// tie-break, and the flag, computed once per bucket per plan at its
+/// first anchored pick, covers a superset of the live buckets.
+/// candidatesRead() counts the argmax work: a scan adds its length, an
+/// own-class pick 1.
+///
+/// Planner state is sized by the universe but reset by the entries the
+/// previous plan touched (its pending ids and its ready set), so an
+/// index reused across plans (buildLocalityPlan's planner overload, the
+/// OLS rebuild) costs O(pending) per plan, not O(n).
 /// Differential tests
 /// (tests/sched/plan_index_test.cpp) pin the equality on random DAGs;
 /// under -DLAPSCHED_AUDIT=ON popBest samples a consistency check of the
@@ -60,12 +74,15 @@ namespace laps {
 /// inactive. The inactive group is exact: its members' cells, intra
 /// value and rowSum are all zero, and its front is its smallest id.
 /// Groups are numbered in order of their smallest member; O(|ids|)
-/// plain loads plus one slot → group table.
+/// plain loads plus the slot → group table.
 struct ClassGroups {
   std::size_t count = 0;               ///< number of groups
   std::vector<std::uint32_t> groupOf;  ///< group of each id, parallel to it
   std::vector<std::uint32_t> start;    ///< CSR offsets, count + 1
   std::vector<ProcessId> members;      ///< ascending within a group
+  /// Group of each class-table slot (classCount() + 1 entries),
+  /// 0xffffffff where no id sits.
+  std::vector<std::uint32_t> groupOfSlot;
 };
 
 /// Groups \p ids (ascending) by planner class; see ClassGroups.
@@ -87,13 +104,20 @@ class PlanIndex {
  public:
   PlanIndex() = default;
 
-  /// Planner mode over \p pending (the unplaced subset members). A
-  /// pending process waits only on pending predecessors — one outside
-  /// the subset, or already placed, is satisfied — so the cached
-  /// indegrees count pending predecessors only, and every pending
-  /// process with counter zero is ready immediately. This is Fig. 3's
-  /// schedulable() predicate, evaluated once instead of per candidate
-  /// per round.
+  /// Planner mode over \p pending, the unplaced subset members in
+  /// ascending id order. A pending process waits only on pending
+  /// predecessors — one outside the subset, or already placed, is
+  /// satisfied — so the cached indegrees count pending predecessors
+  /// only, and every pending process with counter zero is ready
+  /// immediately. This is Fig. 3's schedulable() predicate, evaluated
+  /// once instead of per candidate per round. O(|pending| + their
+  /// predecessor edges) when the index planned over the same universe
+  /// before.
+  void beginPlanner(const ExtendedProcessGraph& graph,
+                    const SharingMatrix& sharing, std::size_t coreCount,
+                    std::span<const ProcessId> pending);
+
+  /// The same over a pending mask (one flag per process).
   void beginPlanner(const ExtendedProcessGraph& graph,
                     const SharingMatrix& sharing, std::size_t coreCount,
                     const std::vector<bool>& pending);
@@ -137,6 +161,14 @@ class PlanIndex {
   [[nodiscard]] std::optional<ProcessId> popBest(
       std::size_t core, std::optional<ProcessId> anchor);
 
+  /// Argmax candidates read since the last beginPlanner/beginDispatch:
+  /// each scan adds the candidates it compares (ready processes, or
+  /// live buckets), each own-class pick 1. Deterministic, so a plan's
+  /// count can be baselined exactly.
+  [[nodiscard]] std::uint64_t candidatesRead() const {
+    return candidatesRead_;
+  }
+
   /// Planner mode: records \p process as placed — its pending flag
   /// clears and each pending successor's indegree drops; counters
   /// reaching zero mark the successor ready. The caller pops the
@@ -149,8 +181,9 @@ class PlanIndex {
   /// ready, so every flagged process is listed. With class buckets,
   /// every ready process must sit in exactly its class's bucket (the
   /// one whose slot its current SharingMatrix class gives it, the zero
-  /// slot while inactive), each bucket must be a min-heap, and the
-  /// buckets must hold readyCount() processes in all. Throws laps::AuditError on violation. popBest
+  /// slot while inactive), each bucket's run must be strictly
+  /// ascending, and the buckets must hold readyCount() processes in
+  /// all. Throws laps::AuditError on violation. popBest
   /// samples it under LAPS_AUDIT every kAuditSampleEvery pops; tests
   /// break the position map (corruptSlotForTest) or a class
   /// (SharingMatrix::corruptClassForTest) to prove it fires.
@@ -158,7 +191,7 @@ class PlanIndex {
 
   /// Test seam for the audit path: overwrites \p process's position
   /// map entry with \p slot (kNotReady unflags it), bypassing the
-  /// ready-set maintenance.
+  /// ready-set maintenance. beginDispatch clears every entry again.
   void corruptSlotForTest(ProcessId process, std::uint32_t slot);
 
   /// Pops between sampled audit checks in popBest (1 = every pop).
@@ -168,8 +201,10 @@ class PlanIndex {
   static constexpr std::uint32_t kNotReady = 0xffffffffU;
 
  private:
+  /// Clears the previous state: for a \p planner after a plan over the
+  /// same universe, only the entries that plan touched; else all of it.
   void reset(const SharingMatrix& sharing, std::size_t n,
-             std::size_t coreCount);
+             std::size_t coreCount, bool planner);
   /// The one key function: distance-blind, the raw sharing term
   /// (sharing(anchor, q), or 0 anchorless); distance-aware,
   /// LocalityScore::key over it and \p q's home.
@@ -177,10 +212,13 @@ class PlanIndex {
                                     std::int64_t sharingTerm) const;
   /// Buckets the pending processes by class (beginPlanner), unless
   /// every group is a singleton.
-  void bucketByClass(const std::vector<bool>& pending);
+  void bucketByClass();
   /// Class buckets: add a ready process, remove one.
   void pushBucket(ProcessId process);
   void eraseBucket(ProcessId process);
+  /// True when bucket \p b's intra value is strictly larger than its
+  /// slot row's cell at every other bucket's slot (computed once).
+  bool dominant(std::uint32_t b);
   /// popBest over the class buckets (planner mode, raw sharing keys, a
   /// placed anchor). Out of line: inlined, it slowed the plain scan.
   ProcessId popBucketed(std::optional<ProcessId> anchor);
@@ -190,26 +228,33 @@ class PlanIndex {
   std::size_t coreCount_ = 0;
   std::vector<ProcessId> ready_;       ///< dense ready set, any order
   std::vector<std::uint32_t> slot_;    ///< index into ready_, or kNotReady
-  std::vector<bool> pending_;              // planner mode
-  std::vector<std::uint32_t> indegree_;    // planner mode
+  std::vector<char> pending_;              // planner mode, per process
+  std::vector<std::uint32_t> indegree_;    // planner mode, per process
+  std::vector<ProcessId> pendingIds_;      // planner mode, ascending
   std::uint64_t popCount_ = 0;  // audit sampling counter
+  std::uint64_t candidatesRead_ = 0;
   /// Distance hook (enableDistance); null or distance-blind = raw
   /// sharing keys, the pre-NoC arithmetic.
   const LocalityScore* score_ = nullptr;
   std::vector<std::int32_t> home_;  ///< home core per process; -1 = none
-  // Planner-mode class buckets over the pending processes; empty = no
-  // bucketing. A bucket's cells are those of its members' class-table
-  // slot (SharingMatrix::slotRow).
+  // Planner-mode class buckets over the pending processes (bucketed_).
+  // A bucket's cells are those of its members' class-table slot
+  // (SharingMatrix::slotRow); its ready members are the ascending run
+  // run_[head, end) inside its range [start[b], start[b + 1]).
   struct LiveBucket {
     ProcessId top;       ///< smallest ready member
     std::uint32_t slot;  ///< the members' class-table slot
     std::uint32_t bucket;
   };
+  bool bucketed_ = false;
   std::vector<std::uint32_t> bucketOf_;     ///< per process; kNotReady = none
-  std::vector<std::uint32_t> bucketStart_;  ///< CSR offsets into heap_
-  std::vector<std::uint32_t> bucketSize_;   ///< ready members per bucket
+  std::vector<std::uint32_t> bucketOfSlot_; ///< per slot; kNotReady = none
+  std::vector<std::uint32_t> bucketStart_;  ///< CSR ranges in run_
+  std::vector<std::uint32_t> bucketHead_;   ///< run start per bucket
+  std::vector<std::uint32_t> bucketEnd_;    ///< run end per bucket
   std::vector<std::uint32_t> bucketSlot_;   ///< the members' slot
-  std::vector<ProcessId> heap_;  ///< per-bucket min-heaps of ready ids
+  std::vector<std::uint8_t> dominant_;      ///< 0 unknown, 1 no, 2 yes
+  std::vector<ProcessId> run_;              ///< per-bucket ascending runs
   std::vector<LiveBucket> live_;            ///< non-empty buckets, any order
   std::vector<std::uint32_t> liveSlot_;     ///< index into live_
 };

@@ -1,7 +1,7 @@
 #include "taskgraph/graph.h"
 
 #include <algorithm>
-#include <map>
+#include <set>
 #include <sstream>
 
 #include "util/error.h"
@@ -175,12 +175,9 @@ ProcessShape shapeOf(const ProcessSpec& process, const ArrayTable& arrays) {
       if (local == shape.arrays.size()) shape.arrays.push_back(access.array);
       key.push_back(static_cast<std::int64_t>(local));
       if (nest.space.empty()) continue;
-      const AffineExpr linear = linearizeAccess(access, info);
-      key.push_back(static_cast<std::int64_t>(linear.rank()));
-      for (std::size_t d = 0; d < linear.rank(); ++d) {
-        key.push_back(linear.coeff(d));
-      }
-      key.push_back(linear.constantTerm());
+      key.push_back(0);  // the rank, ahead of the terms
+      const std::size_t rankAt = key.size() - 1;
+      key[rankAt] = static_cast<std::int64_t>(appendLinearized(access, info, key));
     }
   }
   return shape;
@@ -201,11 +198,15 @@ std::vector<Footprint> ExtendedProcessGraph::footprints(
   const std::size_t n = processes_.size();
   const std::vector<ProcessShape> shapes = parallelMap<ProcessShape>(
       n, [&](std::size_t i) { return shapeOf(processes_[i], arrays); });
-  std::map<std::vector<std::int64_t>, std::size_t> repOfShape;
+  // The shape set holds process indices, ordered by their keys.
+  const auto byKey = [&shapes](std::size_t a, std::size_t b) {
+    return shapes[a].key < shapes[b].key;
+  };
+  std::set<std::size_t, decltype(byKey)> shapeSet(byKey);
   std::vector<std::size_t> rep(n);
   std::vector<std::size_t> reps;
   for (std::size_t i = 0; i < n; ++i) {
-    rep[i] = repOfShape.try_emplace(shapes[i].key, i).first->second;
+    rep[i] = *shapeSet.insert(i).first;
     if (rep[i] == i) reps.push_back(i);
   }
   std::vector<Footprint> out(n);

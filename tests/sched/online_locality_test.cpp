@@ -449,5 +449,145 @@ TEST(OnlineLocality, StatsCountersAccount) {
   EXPECT_EQ(stats.steals, 2u);   // both of core 1's picks
 }
 
+/// The plan right after a rebuild: buildLocalityPlan over \p pending
+/// (ascending), except that the work it put on the down core \p down
+/// sits at the up cores' tails instead.
+void expectFreshPlan(const OnlineLocalityScheduler& policy,
+                     const ExtendedProcessGraph& graph,
+                     const SharingMatrix& sharing, std::size_t coreCount,
+                     const std::vector<ProcessId>& pending,
+                     std::optional<std::size_t> down, std::uint64_t tag) {
+  const LocalityPlan& plan = policy.plan();
+  ASSERT_EQ(plan.perCore.size(), coreCount) << "case " << tag;
+  if (pending.empty()) {
+    EXPECT_EQ(plan.processCount(), 0u) << "case " << tag;
+    return;
+  }
+  const LocalityPlan fresh =
+      buildLocalityPlan(graph, sharing, coreCount, {}, pending);
+  if (!down) {
+    for (std::size_t c = 0; c < coreCount; ++c) {
+      ASSERT_EQ(plan.perCore[c], fresh.perCore[c])
+          << "case " << tag << " core " << c;
+    }
+    return;
+  }
+  ASSERT_TRUE(plan.perCore[*down].empty()) << "case " << tag;
+  std::vector<ProcessId> moved;
+  for (std::size_t c = 0; c < coreCount; ++c) {
+    if (c == *down) continue;
+    const auto& got = plan.perCore[c];
+    const auto& want = fresh.perCore[c];
+    ASSERT_GE(got.size(), want.size()) << "case " << tag << " core " << c;
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+        << "case " << tag << " core " << c;
+    moved.insert(moved.end(), got.begin() + static_cast<std::ptrdiff_t>(want.size()),
+                 got.end());
+  }
+  std::vector<ProcessId> evacuated = fresh.perCore[*down];
+  std::sort(moved.begin(), moved.end());
+  std::sort(evacuated.begin(), evacuated.end());
+  EXPECT_EQ(moved, evacuated) << "case " << tag;
+}
+
+TEST(OnlineLocality, ThresholdZeroChurnRebuildsOverThePendingSet) {
+  // Rebuild-every-event through dispatch, preemption, a crash re-entry
+  // and a core outage: after every arrival and exit the plan is a fresh
+  // buildLocalityPlan over exactly the live, undispatched processes
+  // (the list OLS maintains; audited against a scan under LAPS_AUDIT),
+  // with a down core's share evacuated to the up cores.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 91);
+    constexpr std::size_t kN = 24;
+    constexpr std::size_t kCores = 3;
+    const ExtendedProcessGraph graph = randomDag(rng, kN, 0);
+    const SharingMatrix sharing = randomSharing(rng, kN, 4);
+    OnlineLocalityOptions options;
+    options.rebuildThreshold = 0;
+    OnlineLocalityScheduler policy(options);
+    policy.reset(SchedContext{&graph, &sharing, kCores});
+
+    std::vector<bool> pending(kN, false);
+    std::vector<ProcessId> running;
+    std::optional<std::size_t> down;
+    std::uint64_t step = seed * 1000;
+    const auto check = [&] {
+      std::vector<ProcessId> ids;
+      for (ProcessId p = 0; p < kN; ++p) {
+        if (pending[p]) ids.push_back(p);
+      }
+      expectFreshPlan(policy, graph, sharing, kCores, ids, down, ++step);
+    };
+    const auto arrive = [&](ProcessId p) {
+      policy.onArrival(p);
+      pending[p] = true;
+      check();
+      policy.onReady(p);
+    };
+    const auto dispatch = [&](std::size_t core) {
+      const std::optional<ProcessId> pick = policy.pickNext(core, std::nullopt);
+      if (!pick) return;
+      ASSERT_TRUE(pending[*pick]);
+      pending[*pick] = false;
+      running.push_back(*pick);
+    };
+    const auto finish = [&](ProcessId p) {
+      policy.onComplete(p);
+      policy.onExit(p);
+      check();
+    };
+
+    ProcessId next = 0;
+    for (; next < 10; ++next) arrive(next);
+    for (std::size_t c = 0; c < kCores; ++c) dispatch(c);
+    ASSERT_EQ(running.size(), kCores);
+    finish(running[0]);
+
+    // Preemption: the suspended process is pending again (patched in),
+    // and the next event's rebuild plans it.
+    policy.onPreempt(running[1]);
+    pending[running[1]] = true;
+    arrive(next++);
+
+    // Crash re-entry: exit of a running process, then its re-arrival.
+    const ProcessId crashed = running[2];
+    policy.onExit(crashed);
+    check();
+    arrive(crashed);
+
+    // Core outage: rebuilds evacuate the down core; an exit of a
+    // planned, never-dispatched process rebuilds too.
+    down = 1;
+    policy.onCoreDown(1);
+    EXPECT_TRUE(policy.plan().perCore[1].empty());
+    EXPECT_FALSE(policy.pickNext(1, std::nullopt).has_value());
+    arrive(next++);
+    ProcessId retired = kN;
+    for (ProcessId p = 0; p < kN; ++p) {
+      if (pending[p] && rng.below(2) == 0) retired = p;
+    }
+    ASSERT_LT(retired, kN);
+    pending[retired] = false;
+    finish(retired);
+    running.clear();
+    dispatch(0);
+    dispatch(2);
+    arrive(next++);
+    down.reset();
+    policy.onCoreUp(1);
+    arrive(next++);
+
+    // Drain: dispatch and finish everything, arrivals in between.
+    while (true) {
+      running.clear();
+      for (std::size_t c = 0; c < kCores; ++c) dispatch(c);
+      if (running.empty()) break;
+      for (const ProcessId p : running) finish(p);
+      if (next < kN) arrive(next++);
+    }
+    EXPECT_EQ(std::count(pending.begin(), pending.end(), true), 0);
+  }
+}
+
 }  // namespace
 }  // namespace laps

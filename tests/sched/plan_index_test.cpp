@@ -339,6 +339,265 @@ TEST(PlanIndexDifferential, MatchesReferenceOnInactiveUniverses) {
   }
 }
 
+/// Restores the default analysis thread count when a test ends.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() = default;
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+  ~ThreadCountGuard() { setParallelThreadCount(0); }
+};
+
+/// \p n processes without dependences.
+ExtendedProcessGraph independentProcesses(std::size_t n) {
+  ExtendedProcessGraph graph;
+  for (std::size_t i = 0; i < n; ++i) {
+    ProcessSpec p;
+    p.name = "I" + std::to_string(i);
+    graph.addProcess(std::move(p));
+  }
+  return graph;
+}
+
+/// Every plan over \p subset at 1..5 cores, trim on and off, equals the
+/// reference plan.
+void expectReferencePlans(const ExtendedProcessGraph& graph,
+                          const SharingMatrix& sharing,
+                          const std::vector<ProcessId>& subset,
+                          std::uint64_t tag) {
+  for (std::size_t coreCount = 1; coreCount <= 5; ++coreCount) {
+    for (const bool trim : {true, false}) {
+      LocalityOptions options;
+      options.initialMinSharingRound = trim;
+      expectPlansEqual(
+          buildLocalityPlan(graph, sharing, coreCount, options, subset),
+          reference::buildPlan(graph, sharing, coreCount, options, subset),
+          tag, coreCount);
+    }
+  }
+}
+
+TEST(PlanIndexOwnClassPick, NestedFootprintsTieTheIntraValue) {
+  // Classes over nested prefixes of one array: a class's intra value
+  // equals its cell with every wider class, so only the widest class
+  // out-keys the rest and every other anchored pick must scan.
+  // Smallest-id tie-breaks between an anchor's own class and a wider
+  // one then decide the plan.
+  const ThreadCountGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    setParallelThreadCount(threads);
+    for (std::uint64_t seed = 0; seed < 16; ++seed) {
+      Rng rng(seed * 0x9e3779b97f4a7c15ULL + 23);
+      const std::size_t n = 30 + static_cast<std::size_t>(rng.below(70));
+      const ExtendedProcessGraph graph = randomDag(rng, n, rng.below(12));
+      const std::size_t widths = 2 + static_cast<std::size_t>(rng.below(4));
+      std::vector<Footprint> footprints(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        const auto width = static_cast<std::int64_t>(
+            8 * (1 + rng.below(widths)));
+        footprints[p].add(0, IntervalSet::range(0, width));
+        footprints[p].add(static_cast<ArrayId>(8 + p),
+                          IntervalSet::range(0, 1 + p % 3));
+      }
+      std::vector<ProcessId> all(n);
+      for (ProcessId p = 0; p < n; ++p) all[p] = p;
+      const SharingMatrix closed = SharingMatrix::compute(footprints);
+      expectReferencePlans(graph, closed, all, 50000 + seed);
+      expectReferencePlans(graph, closed, randomSubset(rng, all, 70),
+                           51000 + seed);
+    }
+  }
+
+  // By hand: {0, 1, 2} share [0, 16) and {3, 4, 5} share [0, 8), so
+  // the narrow class's intra value 8 ties its cell with the wide one.
+  // Anchored in the narrow class (6, never pending), the wide bucket's
+  // front 0 wins the tie; anchored in the wide class (7), its own
+  // bucket wins outright.
+  std::vector<Footprint> footprints(8);
+  for (std::size_t p = 0; p < 8; ++p) {
+    const bool wide = p < 3 || p == 7;
+    footprints[p].add(0, IntervalSet::range(0, wide ? 16 : 8));
+  }
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  ASSERT_EQ(sharing.classCount(), 2u);
+  const ExtendedProcessGraph graph = independentProcesses(8);
+  PlanIndex index;
+  const std::vector<ProcessId> pending{0, 1, 2, 3, 4, 5};
+  index.beginPlanner(graph, sharing, 1, pending);
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{0});
+  EXPECT_EQ(index.candidatesRead(), 2u);  // scanned both buckets
+  EXPECT_EQ(index.popBest(0, ProcessId{7}), ProcessId{1});
+  EXPECT_EQ(index.candidatesRead(), 3u);  // own-class pick
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{2});
+  EXPECT_EQ(index.candidatesRead(), 5u);
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{3});
+  EXPECT_EQ(index.candidatesRead(), 6u);  // the only live bucket
+}
+
+TEST(PlanIndexOwnClassPick, SuccessorsReleasedOutOfIdOrder) {
+  // Gates 0..k-1 (one class) each release one member of a second class
+  // k..2k-1 in descending id order (gate j -> member 2k-1-j), so every
+  // release into that class's run is an insert before its tail, not an
+  // append. Noise processes of a third class compete throughout.
+  const ThreadCountGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    setParallelThreadCount(threads);
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      Rng rng(seed * 0x2545f4914f6cdd1dULL + 5);
+      const std::size_t k = 4 + static_cast<std::size_t>(rng.below(20));
+      const std::size_t noise = static_cast<std::size_t>(rng.below(12));
+      const std::size_t n = 2 * k + noise;
+      ExtendedProcessGraph graph = independentProcesses(n);
+      std::vector<Footprint> footprints(n);
+      for (std::size_t j = 0; j < k; ++j) {
+        graph.addDependence(static_cast<ProcessId>(j),
+                            static_cast<ProcessId>(2 * k - 1 - j));
+        footprints[j].add(0, IntervalSet::range(0, 4));
+        footprints[k + j].add(1, IntervalSet::range(0, 32));
+      }
+      for (std::size_t i = 2 * k; i < n; ++i) {
+        footprints[i].add(1, IntervalSet::range(
+                                 0, 1 + static_cast<std::int64_t>(rng.below(40))));
+      }
+      std::vector<ProcessId> all(n);
+      for (ProcessId p = 0; p < n; ++p) all[p] = p;
+      const SharingMatrix closed = SharingMatrix::compute(footprints);
+      expectReferencePlans(graph, closed, all, 52000 + seed);
+      expectReferencePlans(graph, closed, randomSubset(rng, all, 80),
+                           53000 + seed);
+    }
+  }
+
+  // By hand on one core: placing the gates in id order releases 7, 6,
+  // 5, 4; the member run stays ascending (audited after every step) and
+  // serves its members smallest first.
+  ExtendedProcessGraph graph = independentProcesses(8);
+  std::vector<Footprint> footprints(8);
+  for (ProcessId j = 0; j < 4; ++j) {
+    graph.addDependence(j, 7 - j);
+    footprints[j].add(0, IntervalSet::range(0, 4));
+    footprints[4 + j].add(1, IntervalSet::range(0, 32));
+  }
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  PlanIndex index;
+  index.beginPlanner(graph, sharing, 1, std::vector<bool>(8, true));
+  for (ProcessId gate = 0; gate < 4; ++gate) {
+    ASSERT_EQ(index.popBest(0, std::nullopt), gate);
+    index.place(gate);
+    ASSERT_TRUE(index.isReady(7 - gate));
+    ASSERT_NO_THROW(index.auditReadySet());
+  }
+  for (ProcessId member = 4; member < 8; ++member) {
+    ASSERT_EQ(index.popBest(0, ProcessId{member == 4 ? 0u : member - 1}),
+              member);
+    ASSERT_NO_THROW(index.auditReadySet());
+  }
+}
+
+TEST(PlanIndexOwnClassPick, AnchorsInTheInactiveSlot) {
+  // The lowest ids are inactive, so the initial round places inactive
+  // processes and the first greedy picks are anchored in the zero slot,
+  // whose keys are all 0: the smallest pending id wins, whichever
+  // bucket holds it. Active classes interleave with the inactive ids.
+  const ThreadCountGuard guard;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    setParallelThreadCount(threads);
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      Rng rng(seed * 0x517cc1b727220a95ULL + 41);
+      const std::size_t n = 24 + static_cast<std::size_t>(rng.below(60));
+      const ExtendedProcessGraph graph = randomDag(rng, n, rng.below(8));
+      std::vector<Footprint> footprints(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        footprints[p].add(
+            static_cast<ArrayId>(rng.below(3)),
+            IntervalSet::range(0, 8 * (1 + static_cast<std::int64_t>(
+                                               rng.below(2)))));
+      }
+      SharingMatrix open = SharingMatrix::inactive(n);
+      for (std::size_t p = 0; p < n; ++p) {
+        if (p >= 6 && rng.below(3) != 0) open.addProcess(footprints, p);
+      }
+      std::vector<ProcessId> all(n);
+      for (ProcessId p = 0; p < n; ++p) all[p] = p;
+      expectReferencePlans(graph, open, all, 54000 + seed);
+      expectReferencePlans(graph, open, randomSubset(rng, all, 75),
+                           55000 + seed);
+    }
+  }
+}
+
+TEST(PlanIndexOwnClassPick, MarkUnreadyOfANonFrontMember) {
+  // Twins 0..4 and 6 over [0, 10) and a loner 5 over [5, 8): the twins'
+  // intra value 10 out-keys their cell 3 with the loner, so picks
+  // anchored on 6 (never pending) take the twins' smallest ready member
+  // with one read each.
+  std::vector<Footprint> footprints(7);
+  for (std::size_t p = 0; p < 7; ++p) {
+    footprints[p].add(0, p == 5 ? IntervalSet::range(5, 8)
+                                : IntervalSet::range(0, 10));
+  }
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  const ExtendedProcessGraph graph = independentProcesses(7);
+  PlanIndex index;
+  index.beginPlanner(graph, sharing, 1,
+                     std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
+  ASSERT_EQ(index.popBest(0, ProcessId{6}), ProcessId{0});
+  // Re-readied after its pop: the run already reaches its range's end,
+  // so 0 goes back in front of it.
+  index.markReady(0);
+  EXPECT_NO_THROW(index.auditReadySet());
+  index.markUnready(2);  // from the middle of the run
+  EXPECT_FALSE(index.isReady(2));
+  EXPECT_NO_THROW(index.auditReadySet());
+  index.markUnready(4);  // its tail
+  EXPECT_NO_THROW(index.auditReadySet());
+  EXPECT_EQ(index.readyCount(), 4u);
+  for (const ProcessId expected : {0u, 1u, 3u}) {
+    ASSERT_EQ(index.popBest(0, ProcessId{6}), expected);
+    ASSERT_NO_THROW(index.auditReadySet());
+  }
+  EXPECT_EQ(index.candidatesRead(), 4u);
+  index.markReady(4);
+  index.markReady(2);  // both back, out of order
+  EXPECT_NO_THROW(index.auditReadySet());
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{2});
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{4});
+  EXPECT_EQ(index.popBest(0, ProcessId{6}), ProcessId{5});  // the loner last
+  EXPECT_EQ(index.candidatesRead(), 7u);
+  EXPECT_EQ(index.readyCount(), 0u);
+}
+
+TEST(PlanIndexDifferential, ReusedPlannerMatchesReference) {
+  // One planner index across plans over changing subsets of one
+  // universe, then of another: each plan resets only what the previous
+  // one touched, and every plan still equals the reference.
+  PlanIndex planner;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 77);
+    const std::size_t n = 40 + static_cast<std::size_t>(rng.below(80));
+    const ExtendedProcessGraph graph = randomDag(rng, n, rng.below(15));
+    std::vector<Footprint> footprints(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      footprints[p].add(static_cast<ArrayId>(rng.below(4)),
+                        IntervalSet::range(0, 4 + static_cast<std::int64_t>(
+                                                      rng.below(3))));
+    }
+    const SharingMatrix sharing = SharingMatrix::compute(footprints);
+    std::vector<ProcessId> all(n);
+    for (ProcessId p = 0; p < n; ++p) all[p] = p;
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      const std::vector<ProcessId> subset =
+          round == 0 ? all : randomSubset(rng, all, 20 + 10 * round);
+      if (subset.empty()) continue;
+      const std::size_t coreCount = 1 + static_cast<std::size_t>(rng.below(5));
+      expectPlansEqual(
+          buildLocalityPlan(graph, sharing, coreCount, {}, subset, planner),
+          reference::buildPlan(graph, sharing, coreCount, {}, subset),
+          60000 + seed * 10 + round, coreCount);
+    }
+  }
+}
+
 TEST(PlanIndexDifferential, DispatchPopMatchesReferencePick) {
   // Dispatch mode against the reference argmax: random interleavings of
   // markReady / markUnready / popBest must agree with pickMaxSharing
@@ -520,6 +779,35 @@ TEST(PlanIndexPlanner, PlaceReleasesSuccessors) {
   index.place(*head);
   EXPECT_TRUE(index.isReady(1));
   EXPECT_FALSE(index.isReady(2));
+}
+
+TEST(PlanIndexPlanner, NextPlanForgetsAnAbandonedOne) {
+  // A plan left half done (ready processes listed, pending ones never
+  // placed) must not leak into the next plan over the same universe,
+  // which resets only the entries the previous plan touched.
+  ExtendedProcessGraph graph;
+  for (int i = 0; i < 5; ++i) {
+    ProcessSpec p;
+    p.name = "A" + std::to_string(i);
+    graph.addProcess(std::move(p));
+  }
+  graph.addDependence(0, 3);
+  std::vector<Footprint> footprints(5);
+  for (std::size_t p = 0; p < 5; ++p) footprints[p].add(0, IntervalSet::range(0, 4));
+  const SharingMatrix sharing = SharingMatrix::compute(footprints);
+  PlanIndex index;
+  index.beginPlanner(graph, sharing, 1, std::vector<ProcessId>{0, 1, 2, 4});
+  ASSERT_EQ(index.popBest(0, std::nullopt), ProcessId{0});
+  EXPECT_EQ(index.readyCount(), 3u);
+  // 3's predecessor 0 is not pending in the next plan: 3 is ready at
+  // once, and nothing of the abandoned plan is.
+  index.beginPlanner(graph, sharing, 1, std::vector<ProcessId>{3});
+  EXPECT_EQ(index.readyCount(), 1u);
+  EXPECT_TRUE(index.isReady(3));
+  for (const ProcessId p : {0u, 1u, 2u, 4u}) EXPECT_FALSE(index.isReady(p));
+  EXPECT_NO_THROW(index.auditReadySet());
+  EXPECT_EQ(index.popBest(0, ProcessId{1}), ProcessId{3});
+  EXPECT_FALSE(index.popBest(0, ProcessId{1}).has_value());
 }
 
 }  // namespace
