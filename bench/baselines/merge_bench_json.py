@@ -24,11 +24,19 @@ t8_speedup: it guards that the zero-rate fault path stays within noise
 of the fault-free engine.
 Context carries the google-benchmark host fields plus laps_threads notes.
 
+Repetitions: ci.sh runs bench_micro with --benchmark_repetitions, so a
+run holds several "iteration" rows per benchmark plus aggregate rows
+(mean, median, ...). Rows are folded by run_name before anything else:
+aggregate rows are skipped, and each benchmark keeps the minimum
+cpu_time and the minimum real_time over its iteration rows (the least
+disturbed pass; iterations and user counters come from the fastest-cpu
+row). The repetition count is stamped in the context as "repetitions".
+
 --only REGEX re-records just the benchmarks whose name matches (run
 bench_micro with the same --benchmark_filter) and carries every other
 row over from --previous unchanged, previous context included. The
-re-recorded rows then stamp the run's num_cpus on themselves, since the
-file context still describes the host of the carried-over rows.
+re-recorded rows then stamp the run's num_cpus and repetitions on
+themselves, since the file context still describes the carried-over rows.
 
 Usage:
   merge_bench_json.py T1_JSON [--t8 T8_JSON] [--previous OLD]
@@ -63,6 +71,29 @@ def load(path):
         return json.load(f)
 
 
+def fold_repetitions(benchmarks):
+    """One row per run_name: the minimum cpu_time/real_time over its
+    iteration rows (aggregate rows skipped), in first-seen order."""
+    folded = {}
+    for bench in benchmarks:
+        if bench.get("run_type", "iteration") != "iteration":
+            continue
+        name = bench.get("run_name", bench["name"])
+        best = folded.get(name)
+        if best is None:
+            folded[name] = dict(bench, name=name)
+            continue
+        real_time = min(best["real_time"], bench["real_time"])
+        if bench["cpu_time"] < best["cpu_time"]:
+            best = folded[name] = dict(bench, name=name)
+        best["real_time"] = real_time
+    return list(folded.values())
+
+
+def repetitions_of(benchmarks):
+    return max((b.get("repetitions", 1) for b in benchmarks), default=1)
+
+
 def by_name(benchmarks):
     return {b["name"]: b for b in benchmarks}
 
@@ -79,7 +110,9 @@ def main():
         parser.error("--only needs --previous to carry the other rows over")
 
     t1 = load(args.t1_json)
-    t8 = by_name(load(args.t8)["benchmarks"]) if args.t8 else {}
+    repetitions = repetitions_of(t1["benchmarks"])
+    t1["benchmarks"] = fold_repetitions(t1["benchmarks"])
+    t8 = by_name(fold_repetitions(load(args.t8)["benchmarks"])) if args.t8 else {}
     previous = {}
     previous_file = {}
     if args.previous:
@@ -128,6 +161,7 @@ def main():
         cpus = t1.get("context", {}).get("num_cpus")
         for entry in out:
             entry["num_cpus"] = cpus
+            entry["repetitions"] = repetitions
         fresh = {e["name"]: e for e in out}
         # Carried-over rows keep their order; re-recorded ones replace
         # theirs in place, and new ones append.
@@ -156,6 +190,7 @@ def main():
     else:
         context = dict(t1.get("context", {}))
         context["laps_threads_baseline"] = 1
+        context["repetitions"] = repetitions
         if args.t8:
             context["laps_threads_parallel"] = 8
     result = {"context": context, "benchmarks": out}

@@ -19,8 +19,9 @@
 #   tsan        rebuild the tests under ThreadSanitizer (covers the
 #               parallel analysis substrate of src/util/parallel.h) and
 #               run them;
-#   bench       run bench_micro at 1 and 8 analysis threads
-#               (--benchmark_format=json) and merge the runs into
+#   bench       run bench_micro at 1 and 8 analysis threads, five
+#               repetitions each (--benchmark_format=json; the merge
+#               keeps each row's minimum time), and merge the runs into
 #               BENCH_micro.json at the repo root — the machine-readable
 #               perf baseline future perf PRs diff against (the previous
 #               file's numbers are folded in as previous_* fields);
@@ -206,9 +207,12 @@ if [ "$MODE" = "bench" ] || [ "$MODE" = "bench-gate" ]; then
     echo "ci.sh: bench_micro not built (google-benchmark missing?)" >&2
     exit 1
   fi
+  # Five passes per row: merge_bench_json.py keeps each row's minimum
+  # time, so one disturbed pass cannot move the recorded number.
   LAPS_THREADS=1 ./build/bench_micro --benchmark_format=json \
-    > build/bench_micro_t1.json
+    --benchmark_repetitions=5 > build/bench_micro_t1.json
   LAPS_THREADS=8 ./build/bench_micro --benchmark_format=json \
+    --benchmark_repetitions=5 \
     --benchmark_filter='BM_SharingMatrixSuite|BM_WorkloadFootprints|BM_SharingMatrixIncremental' \
     > build/bench_micro_t8.json
   python3 bench/baselines/merge_bench_json.py \

@@ -143,6 +143,16 @@ class SetAssocCache {
     return find(addr) != kAbsent;
   }
 
+  /// Index of the way holding \p addr's line in set-major order, in
+  /// [0, config().numLines()), or kAbsent when the line is not resident.
+  /// An owner keeping per-line state beside the cache (the shared L2's
+  /// sharer masks) addresses it with this index.
+  [[nodiscard]] std::size_t wayOf(std::uint64_t addr) const {
+    return find(addr);
+  }
+
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
   /// Set index and tag of \p addr from the construction-time shifts;
   /// equal to config().setIndexOf / tagOf, the readable definitions.
   [[nodiscard]] std::uint64_t setIndexOf(std::uint64_t addr) const {
@@ -173,8 +183,6 @@ class SetAssocCache {
     bool valid = false;
     bool dirty = false;
   };
-
-  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
 
   /// Associative search for \p addr's line: the index of its way in
   /// ways_, or kAbsent.

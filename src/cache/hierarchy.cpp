@@ -1,6 +1,7 @@
 #include "cache/hierarchy.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "util/audit.h"
@@ -10,23 +11,37 @@ namespace laps {
 
 void MemoryHierarchy::auditInclusion() const {
   if (!l2_) return;
-  for (std::size_t i = 0; i < l1DataCaches_.size(); ++i) {
-    for (const std::uint64_t lineAddr : l1DataCaches_[i]->residentLineAddrs()) {
+  for (std::size_t c = 0; c < l1DataCaches_.size(); ++c) {
+    if (l1DataCaches_[c] == nullptr) continue;
+    for (const std::uint64_t lineAddr : l1DataCaches_[c]->residentLineAddrs()) {
       audit::require(l2_->probe(lineAddr),
-                     "inclusion violated: L1 data cache " + std::to_string(i) +
+                     "inclusion violated: L1 data cache " + std::to_string(c) +
                          " holds line " + std::to_string(lineAddr) +
                          " that is not L2-resident");
+      if (directory_) {
+        audit::require((l2_->sharersOf(lineAddr) >> c & 1) != 0,
+                       "sharer mask misses a holder: L1 data cache " +
+                           std::to_string(c) + " holds line " +
+                           std::to_string(lineAddr) +
+                           " but its L2 mask lacks bit " + std::to_string(c));
+      }
     }
   }
 }
 
 void MemoryHierarchy::auditLineAbsent(std::uint64_t lineAddr) const {
-  for (std::size_t i = 0; i < l1DataCaches_.size(); ++i) {
-    audit::require(!l1DataCaches_[i]->probe(lineAddr),
+  for (std::size_t c = 0; c < l1DataCaches_.size(); ++c) {
+    audit::require(l1DataCaches_[c] == nullptr ||
+                       !l1DataCaches_[c]->probe(lineAddr),
                    "back-invalidation incomplete: L1 data cache " +
-                       std::to_string(i) + " still holds evicted line " +
+                       std::to_string(c) + " still holds evicted line " +
                        std::to_string(lineAddr));
   }
+}
+
+void MemoryHierarchy::clearSharersForTest(std::uint64_t lineAddr) {
+  check(directory_, "MemoryHierarchy::clearSharersForTest: no directory");
+  l2_->clearSharersForTest(lineAddr);
 }
 
 MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles)
@@ -37,10 +52,13 @@ MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles,
                                  std::size_t coreCount, std::int64_t lineBytes)
     : memLatencyCycles_(memLatencyCycles) {
   platform.validate(coreCount);
+  // Directory coherence keeps its sharer masks in the L2's ways; the
+  // platform check guarantees the L2 and at most 64 cores (mask bits).
+  directory_ = platform.coherence == CoherenceKind::Directory;
   if (platform.sharedL2) {
     check(platform.sharedL2->lineBytes == lineBytes,
           "MemoryHierarchy: shared L2 line size must match the L1s");
-    l2_.emplace(*platform.sharedL2);
+    l2_.emplace(*platform.sharedL2, /*trackSharers=*/directory_);
   }
   if (platform.busEnabled()) {
     bus_.emplace(platform.bus, lineBytes);
@@ -49,23 +67,26 @@ MemoryHierarchy::MemoryHierarchy(std::int64_t memLatencyCycles,
     noc_.emplace(platform.noc, static_cast<std::int64_t>(coreCount),
                  lineBytes, platform.nocKind());
   }
-  if (platform.coherence == CoherenceKind::Directory) {
-    directory_.emplace(coreCount);
-  }
+  if (directory_) l1DataCaches_.resize(coreCount);
 }
 
 std::int64_t MemoryHierarchy::bankHomeNode(std::int64_t bank) const {
   return bank % noc_->topology().nodeCount();
 }
 
-void MemoryHierarchy::registerDataCache(SetAssocCache* l1d) {
-  l1DataCaches_.push_back(l1d);
+void MemoryHierarchy::registerDataCache(SetAssocCache* l1d,
+                                        std::size_t core) {
+  // Directory platforms size the slots to the core count (mask bits).
+  check(!directory_ || core < l1DataCaches_.size(),
+        "MemoryHierarchy: core index out of range for the sharer masks");
+  if (core >= l1DataCaches_.size()) l1DataCaches_.resize(core + 1);
+  check(l1DataCaches_[core] == nullptr,
+        "MemoryHierarchy: core already has a registered L1 data cache");
+  l1DataCaches_[core] = l1d;
 }
 
-void MemoryHierarchy::unregisterDataCache(SetAssocCache* l1d) {
-  l1DataCaches_.erase(
-      std::remove(l1DataCaches_.begin(), l1DataCaches_.end(), l1d),
-      l1DataCaches_.end());
+void MemoryHierarchy::unregisterDataCache(std::size_t core) {
+  if (core < l1DataCaches_.size()) l1DataCaches_[core] = nullptr;
 }
 
 std::int64_t MemoryHierarchy::missLatency(std::uint64_t addr,
@@ -84,31 +105,42 @@ std::int64_t MemoryHierarchy::missLatency(std::uint64_t addr,
       noc_ ? bankHomeNode(l2_->bankOf(addr)) : 0;
   std::int64_t latency = noc_ ? noc_->demandTransfer(node, home, now) : 0;
 
-  const L2AccessResult l2 = l2_->access(addr, now + latency);
+  // A data fill's L1 copy joins the line's sharer mask.
+  std::uint64_t sharer = 0;
+  if (directory_ && dataFill) {
+    check(core < l1DataCaches_.size(),
+          "MemoryHierarchy: core index out of range for the sharer masks");
+    sharer = std::uint64_t{1} << core;
+  }
+  const L2AccessResult l2 = l2_->access(addr, now + latency, sharer);
   latency += l2.bankWaitCycles + l2_->config().hitLatencyCycles;
 
   // Inclusion: the evicted line may live on in L1 data caches — drop
   // those copies before anything else observes the L2 state. With a
-  // directory, only the recorded sharers are probed; the recall rides
+  // directory, only the victim's sharers are probed; the recall rides
   // the NoC as posted invalidations (home tile -> sharer tile).
   bool victimDirty = l2.evictedLineDirty;
   if (l2.evictedLineAddr) {
     bool l1Dirty = false;
     if (directory_) {
-      const std::uint64_t mask = directory_->sharersOf(*l2.evictedLineAddr);
-      for (std::size_t c = 0; c < l1DataCaches_.size() && c < 64; ++c) {
-        if (!(mask >> c & 1)) continue;
-        l1Dirty |= l1DataCaches_[c]->invalidateLine(*l2.evictedLineAddr);
+      std::uint64_t sent = 0;
+      for (std::uint64_t m = l2.evictedSharers; m != 0; m &= m - 1) {
+        const auto c = static_cast<std::size_t>(std::countr_zero(m));
+        SetAssocCache* l1 = l1DataCaches_[c];
+        if (l1 == nullptr) continue;  // that core's L1 is gone
+        l1Dirty |= l1->invalidateLine(*l2.evictedLineAddr);
         if (noc_) {
           noc_->postedTransfer(home, static_cast<std::int64_t>(c),
                                now + latency);
         }
+        ++sent;
       }
-      directory_->noteInvalidationRound(mask, l1DataCaches_.size());
-      directory_->dropLine(*l2.evictedLineAddr);
+      // A broadcast would have probed every core.
+      directoryStats_.invalidationsSent += sent;
+      directoryStats_.invalidationsFiltered += l1DataCaches_.size() - sent;
     } else {
       for (SetAssocCache* l1 : l1DataCaches_) {
-        l1Dirty |= l1->invalidateLine(*l2.evictedLineAddr);
+        if (l1 != nullptr) l1Dirty |= l1->invalidateLine(*l2.evictedLineAddr);
       }
     }
     // A dirty L1 copy whose L2 entry was clean still leaves the chip;
@@ -126,16 +158,6 @@ std::int64_t MemoryHierarchy::missLatency(std::uint64_t addr,
     fill += bus_ ? bus_->demandAccess(now + latency + fill)
                  : memLatencyCycles_;
     latency += fill;
-  }
-
-  // The fill installs the line in the requester's L1 data cache: record
-  // the sharer so a later back-invalidation can find it. Directory-mode
-  // callers flag data fills explicitly; instruction fetches never set
-  // it (icaches are inclusion-exempt and never probed).
-  if (directory_ && dataFill) {
-    const auto lineBytes =
-        static_cast<std::uint64_t>(l2_->config().lineBytes);
-    directory_->recordSharer(addr - addr % lineBytes, core);
   }
 
   // The victim's write-back is posted *after* the demand fill resolves
@@ -165,7 +187,7 @@ void MemoryHierarchy::resetStats() {
   if (l2_) l2_->resetStats();
   if (bus_) bus_->resetStats();
   if (noc_) noc_->resetStats();
-  if (directory_) directory_->resetStats();
+  directoryStats_ = DirectoryStats{};
   inclusionWritebacks_ = 0;
 }
 
@@ -191,12 +213,10 @@ MemorySystem::MemorySystem(const MemoryConfig& config,
   if (config_.classifyMisses) {
     classifier_.emplace(config_.l1d);
   }
-  hierarchy_->registerDataCache(&dcache_);
+  hierarchy_->registerDataCache(&dcache_, coreIndex_);
 }
 
-MemorySystem::~MemorySystem() {
-  hierarchy_->unregisterDataCache(&dcache_);
-}
+MemorySystem::~MemorySystem() { hierarchy_->unregisterDataCache(coreIndex_); }
 
 std::int64_t MemorySystem::missBeyondL1(std::uint64_t addr,
                                         const EvictionInfo& evicted,

@@ -11,10 +11,10 @@
 ///
 ///   MemorySystem (per core: split L1 I/D)
 ///     └─ MemoryHierarchy (shared by all cores)
-///          ├─ SharedL2        (banked, inclusive; optional)
-///          ├─ MemoryBus       (bounded outstanding transactions) — or —
-///          ├─ NocFabric       (mesh/crossbar, per-link calendars)
-///          ├─ SharerDirectory (targeted back-invalidation; optional)
+///          ├─ SharedL2  (banked, inclusive; optional — under Directory
+///          │             coherence its ways also hold the sharer masks)
+///          ├─ MemoryBus (bounded outstanding transactions) — or —
+///          ├─ NocFabric (mesh/crossbar, per-link calendars)
 ///          └─ fixed memLatencyCycles on the flat interconnect
 ///
 /// The shared-level shape is described by a PlatformConfig
@@ -37,7 +37,6 @@
 
 #include "cache/bus.h"
 #include "cache/cache.h"
-#include "cache/directory.h"
 #include "cache/miss_class.h"
 #include "cache/noc.h"
 #include "cache/platform.h"
@@ -54,6 +53,15 @@ struct MemoryConfig {
   bool classifyMisses = false;        ///< enable 3C classification (slower)
 };
 
+/// Counters of Directory coherence's targeted back-invalidations.
+struct DirectoryStats {
+  /// Targeted invalidation probes actually sent.
+  std::uint64_t invalidationsSent = 0;
+  /// Probes the broadcast protocol would have issued that the sharer
+  /// mask filtered out — the protocol's whole point.
+  std::uint64_t invalidationsFiltered = 0;
+};
+
 /// The levels below the private L1s, shared by every core. Composes an
 /// optional SharedL2 and an optional MemoryBus; with neither, a miss
 /// costs the fixed memLatencyCycles (the paper's platform, exactly).
@@ -66,7 +74,8 @@ class MemoryHierarchy {
   /// interconnect {Flat, Bus, Mesh, Xbar} × coherence {Broadcast,
   /// Directory} × optional shared L2. \p coreCount sizes the NoC (one
   /// node per core; the memory controller sits at node 0 and L2 bank b
-  /// is homed at node b % coreCount) and the directory's sharer mask.
+  /// is homed at node b % coreCount) and, under Directory coherence,
+  /// the core bits of the L2's sharer masks.
   MemoryHierarchy(std::int64_t memLatencyCycles,
                   const PlatformConfig& platform, std::size_t coreCount,
                   std::int64_t lineBytes);
@@ -76,8 +85,8 @@ class MemoryHierarchy {
   /// and post write-back bus/NoC traffic. \p core is the requesting
   /// core's index (its NoC node and directory bit); \p dataFill marks
   /// fills that install the line in the requester's L1 *data* cache, so
-  /// the directory can record the sharer — instruction fetches leave it
-  /// false (icaches are inclusion-exempt and never probed). Both extra
+  /// the line's sharer mask can record it — instruction fetches leave
+  /// it false (icaches are inclusion-exempt and never probed). Both extra
   /// arguments are ignored by the flat/bus/broadcast paths, keeping
   /// every legacy two-argument call site exact.
   std::int64_t missLatency(std::uint64_t addr, std::int64_t now,
@@ -98,13 +107,15 @@ class MemoryHierarchy {
   /// @}
 
   /// \name L1 registration (inclusion back-invalidation targets)
-  /// MemorySystem registers its data cache on construction. Instruction
+  /// MemorySystem registers its data cache on construction in the slot
+  /// of its core index (one cache per slot; throws when taken), so mask
+  /// bit c names core c's cache in any construction order. Instruction
   /// caches are exempt: code lines are read-only, so an inclusion
   /// violation on code has no observable effect — and exempting them
   /// keeps the run-length replayer's warm-body fetch claim intact.
   /// @{
-  void registerDataCache(SetAssocCache* l1d);
-  void unregisterDataCache(SetAssocCache* l1d);
+  void registerDataCache(SetAssocCache* l1d, std::size_t core);
+  void unregisterDataCache(std::size_t core);
   /// @}
 
   /// True when at least one contended level (L2, bus, or a NoC with
@@ -124,8 +135,9 @@ class MemoryHierarchy {
   [[nodiscard]] const NocFabric* noc() const {
     return noc_ ? &*noc_ : nullptr;
   }
-  [[nodiscard]] const SharerDirectory* directory() const {
-    return directory_ ? &*directory_ : nullptr;
+  /// Null unless the platform is Directory-coherent.
+  [[nodiscard]] const DirectoryStats* directory() const {
+    return directory_ ? &directoryStats_ : nullptr;
   }
 
   /// Off-chip write-backs of dirty L1 data that no L2 statistic sees:
@@ -151,10 +163,13 @@ class MemoryHierarchy {
   /// (instruction caches are exempt by design, see the registration
   /// notes above). A violation means a back-invalidation was missed and
   /// the L1s are serving hits on data the shared level no longer
-  /// tracks. No-op without an L2. Throws laps::AuditError on violation.
-  /// Tests inject violations by registering an L1 that holds lines the
-  /// L2 never saw.
+  /// tracks; under Directory coherence the line's L2 sharer mask must
+  /// also hold the core's bit (mask ⊇ holders). No-op without an L2.
+  /// Throws laps::AuditError on violation. Tests inject violations by
+  /// registering an L1 that holds lines the L2 never saw, or with
+  /// clearSharersForTest (Directory platforms only).
   void auditInclusion() const;
+  void clearSharersForTest(std::uint64_t lineAddr);
 
  private:
   /// Audit checker: after back-invalidating \p lineAddr, no registered
@@ -169,8 +184,9 @@ class MemoryHierarchy {
   std::optional<SharedL2> l2_;
   std::optional<MemoryBus> bus_;
   std::optional<NocFabric> noc_;
-  std::optional<SharerDirectory> directory_;
-  std::vector<SetAssocCache*> l1DataCaches_;
+  bool directory_ = false;  ///< Directory coherence (L2 sharer masks)
+  DirectoryStats directoryStats_;
+  std::vector<SetAssocCache*> l1DataCaches_;  ///< by core; null = empty
   std::uint64_t inclusionWritebacks_ = 0;
 };
 
@@ -185,9 +201,9 @@ class MemorySystem {
   /// \p shared is the hierarchy below the L1s; when null, a private
   /// flat hierarchy with config.memLatencyCycles is created (the paper
   /// platform). \p coreIndex identifies this core to the shared levels
-  /// (its NoC node and directory sharer bit); irrelevant — and safely
-  /// defaultable — on flat/bus/broadcast platforms. Directory-coherent
-  /// platforms require distinct, in-range indices.
+  /// (its NoC node, its L1 registration slot and its sharer-mask bit):
+  /// MemorySystems sharing one hierarchy need distinct indices, in range
+  /// on NoC and Directory-coherent platforms.
   explicit MemorySystem(const MemoryConfig& config,
                         std::shared_ptr<MemoryHierarchy> shared = nullptr,
                         std::size_t coreIndex = 0);

@@ -18,7 +18,7 @@ void PlatformConfig::validate(std::size_t coreCount) const {
   if (coherence == CoherenceKind::Directory) {
     check(sharedL2.has_value(),
           "PlatformConfig: Directory coherence requires a shared L2 "
-          "(the directory tracks its inclusive residents)");
+          "(its ways hold the sharer masks)");
     check(nocEnabled(),
           "PlatformConfig: Directory coherence requires a Mesh or Xbar "
           "interconnect to route targeted invalidations over");

@@ -34,7 +34,8 @@ enum class InterconnectKind {
 /// How the inclusive shared L2 recalls victim lines from private L1s.
 enum class CoherenceKind {
   Broadcast,  ///< probe every L1 (the pre-directory protocol)
-  Directory,  ///< targeted probes via a sharer bitmask (cache/directory.h)
+  /// targeted probes via a sharer bitmask per L2 way (cache/shared_l2.h)
+  Directory,
 };
 
 [[nodiscard]] constexpr std::string_view interconnectKindName(
@@ -83,9 +84,9 @@ struct PlatformConfig {
 
   /// Validates the whole descriptor eagerly: each enabled component's
   /// own invariants, plus the cross-field rules (Directory coherence
-  /// requires a shared L2 to own the directory and a NoC to route the
-  /// targeted invalidations over, and at most 64 cores for the sharer
-  /// bitmask). Throws laps::Error.
+  /// requires a shared L2 whose ways hold the sharer masks, a NoC to
+  /// route the targeted invalidations over, and at most 64 cores for
+  /// the 64-bit masks). Throws laps::Error.
   void validate(std::size_t coreCount) const;
 };
 

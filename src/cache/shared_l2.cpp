@@ -35,7 +35,8 @@ void SharedL2Config::validate() const {
   bankConfig().validate();
 }
 
-SharedL2::SharedL2(const SharedL2Config& config) : config_(config) {
+SharedL2::SharedL2(const SharedL2Config& config, bool trackSharers)
+    : config_(config) {
   config_.validate();
   const CacheConfig bank = config_.bankConfig();
   banks_.reserve(static_cast<std::size_t>(config_.bankCount));
@@ -43,6 +44,8 @@ SharedL2::SharedL2(const SharedL2Config& config) : config_(config) {
     banks_.emplace_back(bank);
   }
   calendars_.resize(static_cast<std::size_t>(config_.bankCount));
+  waysPerBank_ = static_cast<std::size_t>(bank.numLines());
+  if (trackSharers) sharers_.assign(banks_.size() * waysPerBank_, 0);
 }
 
 std::int64_t SharedL2::bankOf(std::uint64_t addr) const {
@@ -65,7 +68,8 @@ std::uint64_t SharedL2::unfold(std::uint64_t foldedLineAddr,
          line;
 }
 
-L2AccessResult SharedL2::access(std::uint64_t addr, std::int64_t now) {
+L2AccessResult SharedL2::access(std::uint64_t addr, std::int64_t now,
+                                std::uint64_t sharer) {
   const std::int64_t bank = bankOf(addr);
   const auto b = static_cast<std::size_t>(bank);
 
@@ -78,13 +82,43 @@ L2AccessResult SharedL2::access(std::uint64_t addr, std::int64_t now) {
   bankWait_ += static_cast<std::uint64_t>(result.bankWaitCycles);
 
   EvictionInfo evicted;
+  const std::uint64_t folded = fold(addr);
   // Fills arrive clean: dirtiness only flows in through writeback().
-  result.outcome = banks_[b].access(fold(addr), /*isWrite=*/false, &evicted);
+  result.outcome = banks_[b].access(folded, /*isWrite=*/false, &evicted);
   if (evicted.evicted) {
     result.evictedLineAddr = unfold(evicted.lineAddr, bank);
     result.evictedLineDirty = evicted.dirty;
   }
+  if (!sharers_.empty()) {
+    // The line is resident now — a miss filled the victim's way — so
+    // one lookup finds the mask; a miss hands the old one to the recall.
+    std::uint64_t& mask = sharers_[b * waysPerBank_ + banks_[b].wayOf(folded)];
+    if (result.outcome == AccessOutcome::Miss) {
+      result.evictedSharers = mask;
+      mask = 0;
+    }
+    mask |= sharer;
+  }
   return result;
+}
+
+std::size_t SharedL2::sharerSlot(std::uint64_t addr) const {
+  if (sharers_.empty()) return SetAssocCache::kAbsent;
+  const auto b = static_cast<std::size_t>(bankOf(addr));
+  const std::size_t way = banks_[b].wayOf(fold(addr));
+  return way == SetAssocCache::kAbsent ? way : b * waysPerBank_ + way;
+}
+
+std::uint64_t SharedL2::sharersOf(std::uint64_t addr) const {
+  const std::size_t slot = sharerSlot(addr);
+  return slot == SetAssocCache::kAbsent ? 0 : sharers_[slot];
+}
+
+void SharedL2::clearSharersForTest(std::uint64_t addr) {
+  const std::size_t slot = sharerSlot(addr);
+  check(slot != SetAssocCache::kAbsent,
+        "SharedL2::clearSharersForTest: no tracked mask for the line");
+  sharers_[slot] = 0;
 }
 
 bool SharedL2::writeback(std::uint64_t addr) {

@@ -16,6 +16,12 @@
 /// bank evicts a line, the owning MemoryHierarchy back-invalidates that
 /// line in every registered L1 data cache. Code lines are read-only and
 /// are exempt (no coherence to maintain; see ARCHITECTURE.md §7).
+///
+/// Directory coherence keeps its sharer masks here, one core bitmask
+/// per way. Inclusion makes the way their exact home: an L1 can only
+/// hold L2-resident lines, and must drop one exactly when the L2 evicts
+/// it. A miss hands the victim's mask to the recall and restarts the
+/// way at 0; bits clear on nothing else (mask ⊇ holders; §14).
 
 #include <cstdint>
 #include <limits>
@@ -59,6 +65,7 @@ struct L2AccessResult {
   /// in the L1s (inclusion) and writes it back when dirty.
   std::optional<std::uint64_t> evictedLineAddr;
   bool evictedLineDirty = false;
+  std::uint64_t evictedSharers = 0;  ///< the evicted line's sharer mask
 };
 
 /// The shared banked L2 (see file comment). Latency composition and
@@ -66,11 +73,16 @@ struct L2AccessResult {
 /// their calendars and the statistics.
 class SharedL2 {
  public:
-  explicit SharedL2(const SharedL2Config& config);
+  /// \p trackSharers keeps a sharer mask per way (see file comment).
+  explicit SharedL2(const SharedL2Config& config, bool trackSharers = false);
 
   /// One lookup at absolute cycle \p now. Misses allocate (fills arrive
-  /// clean; dirtiness flows in through writeback()).
-  L2AccessResult access(std::uint64_t addr, std::int64_t now);
+  /// clean; dirtiness flows in through writeback()). With sharer
+  /// tracking, \p sharer (a core bit, or 0 for a fill that installs no
+  /// L1 data copy) is ORed into the line's mask, and a miss reports its
+  /// victim's mask in evictedSharers.
+  L2AccessResult access(std::uint64_t addr, std::int64_t now,
+                        std::uint64_t sharer = 0);
 
   /// An L1 evicted a dirty copy of \p addr's line: mark the L2 copy
   /// dirty so its eventual eviction counts as an off-chip write-back.
@@ -80,6 +92,11 @@ class SharedL2 {
 
   /// True when \p addr's line is L2-resident (no side effects).
   [[nodiscard]] bool probe(std::uint64_t addr) const;
+
+  /// Sharer mask of \p addr's line (0 when absent or untracked).
+  [[nodiscard]] std::uint64_t sharersOf(std::uint64_t addr) const;
+  /// Clears \p addr's tracked mask: a mask ⊇ holders violation.
+  void clearSharersForTest(std::uint64_t addr);
 
   /// Bank index of \p addr (line-interleaved).
   [[nodiscard]] std::int64_t bankOf(std::uint64_t addr) const;
@@ -105,8 +122,13 @@ class SharedL2 {
   [[nodiscard]] std::uint64_t unfold(std::uint64_t foldedLineAddr,
                                      std::int64_t bank) const;
 
+  /// Index of \p addr's mask in sharers_, or kAbsent.
+  [[nodiscard]] std::size_t sharerSlot(std::uint64_t addr) const;
+
   SharedL2Config config_;
   std::vector<SetAssocCache> banks_;
+  std::vector<std::uint64_t> sharers_;  ///< per way, bank-major; or empty
+  std::size_t waysPerBank_ = 0;
   std::vector<BusyTimeline> calendars_;
   std::int64_t horizon_ = std::numeric_limits<std::int64_t>::min();
   std::uint64_t bankWait_ = 0;

@@ -45,7 +45,6 @@
 #include "cache/bus.h"
 #include "cache/cache.h"
 #include "cache/config.h"
-#include "cache/directory.h"
 #include "cache/hierarchy.h"
 #include "cache/miss_class.h"
 #include "cache/noc.h"

@@ -479,9 +479,8 @@ SimResult MpsocSimulator::run() {
   cores_.clear();
   for (std::size_t c = 0; c < config_.coreCount; ++c) {
     Core core;
-    // The core index is the MemorySystem's NoC node and directory bit;
-    // constructing in core order also registers the data caches in core
-    // order, which the directory's mask relies on.
+    // The core index is the MemorySystem's NoC node, L1 registration
+    // slot and sharer-mask bit.
     core.memory = std::make_unique<MemorySystem>(config_.memory, hierarchy_, c);
     cores_.push_back(std::move(core));
   }
@@ -823,11 +822,10 @@ SimResult MpsocSimulator::run() {
     result_.nocHopCycles = noc->stats().hopCycles;
     result_.nocLinkWaitCycles = noc->stats().linkWaitCycles;
   }
-  if (const SharerDirectory* dir = hierarchy_->directory()) {
+  if (const DirectoryStats* dir = hierarchy_->directory()) {
     result_.directoryEnabled = true;
-    result_.directoryInvalidationsSent = dir->stats().invalidationsSent;
-    result_.directoryInvalidationsFiltered =
-        dir->stats().invalidationsFiltered;
+    result_.directoryInvalidationsSent = dir->invalidationsSent;
+    result_.directoryInvalidationsFiltered = dir->invalidationsFiltered;
   }
   return result_;
 }

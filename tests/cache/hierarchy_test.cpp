@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/audit.h"
+#include "util/error.h"
 
 namespace laps {
 namespace {
@@ -108,7 +109,7 @@ TEST(MemorySystem, SharedHierarchyStacksL2AndBusLatency) {
 TEST(MemorySystem, TwoCoresContendOnTheSharedBus) {
   auto shared = contendedHierarchy();
   MemorySystem a(paperDefaults(), shared);
-  MemorySystem b(paperDefaults(), shared);
+  MemorySystem b(paperDefaults(), shared, 1);
   // Three simultaneous cold misses to distinct banks: the L2 never
   // queues, but the 2-slot bus serializes the third fill.
   EXPECT_EQ(a.dataAccess(0, false, 0), 2 + 8 + 79);
@@ -123,7 +124,7 @@ TEST(MemorySystem, TwoCoresContendOnTheSharedBus) {
 TEST(MemorySystem, SharedL2KeepsAMissOnChipForTheOtherCore) {
   auto shared = contendedHierarchy();
   MemorySystem a(paperDefaults(), shared);
-  MemorySystem b(paperDefaults(), shared);
+  MemorySystem b(paperDefaults(), shared, 1);
   EXPECT_EQ(a.dataAccess(0, false, 0), 2 + 8 + 79);  // a fills the L2
   // b misses its private L1 but hits the shared L2: no off-chip trip.
   EXPECT_EQ(b.dataAccess(0, false, 500), 2 + 8);
@@ -168,7 +169,7 @@ TEST(MemorySystem, ContendedAccessRunAdvancesTime) {
 TEST(InclusionAudit, CleanHierarchyPasses) {
   auto shared = contendedHierarchy();
   MemorySystem a(paperDefaults(), shared);
-  MemorySystem b(paperDefaults(), shared);
+  MemorySystem b(paperDefaults(), shared, 1);
   // Fill through the front door: every L1-resident line went through
   // the L2, so inclusion holds by construction.
   for (std::uint64_t addr = 0; addr < 4096; addr += 32) {
@@ -184,17 +185,56 @@ TEST(InclusionAudit, L1LineTheL2NeverSawTrips) {
   // exactly the state a missed back-invalidation would leave behind.
   SetAssocCache rogue(CacheConfig{8192, 2, 32, 2});
   rogue.access(0, /*isWrite=*/false);
-  shared->registerDataCache(&rogue);
+  shared->registerDataCache(&rogue, 0);
   EXPECT_THROW(shared->auditInclusion(), AuditError);
-  shared->unregisterDataCache(&rogue);
+  shared->unregisterDataCache(0);
   EXPECT_NO_THROW(shared->auditInclusion());
+}
+
+std::shared_ptr<MemoryHierarchy> directoryHierarchy(std::size_t cores) {
+  PlatformConfig platform;
+  platform.interconnect = InterconnectKind::Mesh;
+  platform.coherence = CoherenceKind::Directory;
+  SharedL2Config& l2 = platform.sharedL2.emplace();
+  l2.sizeBytes = 4096;
+  l2.assoc = 2;
+  l2.lineBytes = 32;
+  l2.bankCount = 4;
+  return std::make_shared<MemoryHierarchy>(75, platform, cores, 32);
+}
+
+TEST(InclusionAudit, SharerMaskMissingAHolderTrips) {
+  // Directory platforms also audit mask ⊇ holders: every L1 copy's core
+  // bit must be set in its L2 way's mask, or a recall would skip it.
+  auto shared = directoryHierarchy(2);
+  MemorySystem a(paperDefaults(), shared, 0);
+  MemorySystem b(paperDefaults(), shared, 1);
+  a.dataAccess(0, false, 0);
+  b.dataAccess(0, false, 100);
+  b.dataAccess(64, false, 200);
+  EXPECT_EQ(shared->l2()->sharersOf(0), 0b11u);
+  EXPECT_NO_THROW(shared->auditInclusion());
+  shared->clearSharersForTest(0);
+  EXPECT_THROW(shared->auditInclusion(), AuditError);
+}
+
+TEST(MemoryHierarchy, RegistersDataCachesByCoreIndex) {
+  auto shared = directoryHierarchy(2);
+  SetAssocCache first(CacheConfig{8192, 2, 32, 2});
+  SetAssocCache second(CacheConfig{8192, 2, 32, 2});
+  shared->registerDataCache(&first, 1);
+  EXPECT_THROW(shared->registerDataCache(&second, 1), Error);  // slot taken
+  EXPECT_THROW(shared->registerDataCache(&second, 2), Error);  // no mask bit
+  shared->unregisterDataCache(1);
+  EXPECT_NO_THROW(shared->registerDataCache(&second, 1));
+  shared->unregisterDataCache(1);
 }
 
 TEST(InclusionAudit, FlatHierarchyIsVacuouslyClean) {
   MemoryHierarchy flat(75);
   SetAssocCache l1(CacheConfig{8192, 2, 32, 2});
   l1.access(0, /*isWrite=*/false);
-  flat.registerDataCache(&l1);
+  flat.registerDataCache(&l1, 0);
   // No L2 means no inclusion obligation.
   EXPECT_NO_THROW(flat.auditInclusion());
 }
@@ -206,13 +246,13 @@ TEST(InclusionAudit, RetireBeforeRunsTheScanInAuditBuilds) {
   auto shared = contendedHierarchy();
   SetAssocCache rogue(CacheConfig{8192, 2, 32, 2});
   rogue.access(0, /*isWrite=*/false);
-  shared->registerDataCache(&rogue);
+  shared->registerDataCache(&rogue, 0);
   if (audit::enabled()) {
     EXPECT_THROW(shared->retireBefore(1000), AuditError);
   } else {
     EXPECT_NO_THROW(shared->retireBefore(1000));
   }
-  shared->unregisterDataCache(&rogue);
+  shared->unregisterDataCache(0);
 }
 
 TEST(MemorySystem, ResetStats) {

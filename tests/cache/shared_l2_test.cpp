@@ -166,7 +166,7 @@ TEST(MemoryHierarchy, InclusionBackInvalidatesL1Copies) {
   const SharedL2Config cfg = smallL2();
   MemoryHierarchy h(75, l2Platform(cfg), kCores, 32);
   SetAssocCache l1(CacheConfig{1024, 2, 32, 2});
-  h.registerDataCache(&l1);
+  h.registerDataCache(&l1, 0);
 
   l1.access(0, /*isWrite=*/false);
   h.missLatency(0, 0);  // line 0 now in L2 too
@@ -181,7 +181,7 @@ TEST(MemoryHierarchy, InclusionBackInvalidatesL1Copies) {
   EXPECT_FALSE(h.l2()->probe(0));
   EXPECT_FALSE(l1.probe(0));
   EXPECT_EQ(l1.stats().invalidations, 1u);
-  h.unregisterDataCache(&l1);
+  h.unregisterDataCache(0);
 }
 
 TEST(MemoryHierarchy, DirtyBackInvalidationPostsABusWriteback) {
@@ -190,7 +190,7 @@ TEST(MemoryHierarchy, DirtyBackInvalidationPostsABusWriteback) {
   bus.maxOutstanding = 4;
   MemoryHierarchy h(75, busPlatform(bus, cfg), kCores, 32);
   SetAssocCache l1(CacheConfig{1024, 2, 32, 2});
-  h.registerDataCache(&l1);
+  h.registerDataCache(&l1, 0);
 
   l1.access(0, /*isWrite=*/true);  // dirty in L1
   h.missLatency(0, 0);
@@ -205,7 +205,7 @@ TEST(MemoryHierarchy, DirtyBackInvalidationPostsABusWriteback) {
   // see (the L2 entry was clean), so it is tallied separately.
   EXPECT_GE(h.bus()->stats().transactions, before + 32 + 1);
   EXPECT_EQ(h.inclusionWritebacks(), 1u);
-  h.unregisterDataCache(&l1);
+  h.unregisterDataCache(0);
 }
 
 TEST(MemoryHierarchy, L1WritebackWithL2IsAbsorbedOnChip) {
