@@ -12,16 +12,19 @@ Output schema (one object per benchmark, times in ns):
   <counter>                                           user counters of the t1 run
   t8_real_time_ns, t8_cpu_time_ns, t8_speedup         when --t8 covers it
   previous_cpu_time_ns, speedup_vs_previous           when --previous has it
-  vs_faultfree_speedup                                when a FaultFree twin ran
+  vs_faultfree_speedup, vs_busytimeline_speedup       when a twin ran (TWINS)
 t8_speedup is wall-time based (t1 real / t8 real): google-benchmark's
 cpu_time counts only the driving thread, which mostly waits while the
 pool works, so a cpu-time ratio would overstate parallel scaling.
-The twin field pairs a benchmark with a reference twin sharing its
+A twin field pairs a benchmark with a reference twin sharing its
 stem (BM_OpenWorkloadFaultPathFaultFree vs BM_OpenWorkloadFaultPath)
 and records twin_cpu / current_cpu on the current entry — a
 within-host ratio, so check_bench_regression.py gates it like
-t8_speedup: it guards that the zero-rate fault path stays within noise
-of the fault-free engine.
+t8_speedup. vs_faultfree_speedup guards that the zero-rate fault path
+stays within noise of the fault-free engine; vs_busytimeline_speedup
+that the NoC link calendar keeps its edge over the interval calendar
+on one-cycle link bookings (BM_LinkCalendarReserveOnBusyTimeline vs
+BM_LinkCalendarReserve).
 Context carries the google-benchmark host fields plus laps_threads notes.
 
 Repetitions: ci.sh runs bench_micro with --benchmark_repetitions, so a
@@ -52,6 +55,7 @@ import sys
 # twin_cpu / current_cpu (see the twin-ratio block below).
 TWINS = [
     ("FaultFree", "vs_faultfree_speedup"),
+    ("OnBusyTimeline", "vs_busytimeline_speedup"),
 ]
 
 
@@ -173,7 +177,8 @@ def main():
     # (reference / current) lands on the *current* entry, where the perf
     # gate picks it up via the *_speedup suffix. "FaultFree" twins guard
     # the inert fault path (ratio ~ 1 — the zero-rate engine must stay
-    # within noise of the fault-free one, docs §13).
+    # within noise of the fault-free one, docs §13); "OnBusyTimeline"
+    # twins replay a link stream on the interval calendar (docs §7).
     entries = {e["name"]: e for e in out}
     for tag, field in TWINS:
         for twin_name, twin in entries.items():

@@ -428,31 +428,77 @@ BENCHMARK(BM_PlanRelayout)->Arg(68)->Arg(272);
 // live intervals. Each iteration replays the same seeded stream on a
 // fresh calendar; bookings and live_intervals (the live span averaged
 // over the horizon steps) are the deterministic work counts.
+constexpr std::uint64_t kLinkStreamSeed = 0x5eedca1e;
+constexpr std::int64_t kLinkStreamBookings = 8192;
+constexpr std::int64_t kLinkStreamPerHorizon = 4;  // bookings per step
+constexpr std::int64_t kLinkStreamHorizonStep = 48;
+constexpr std::int64_t kLinkStreamWindow = 3200;  // issue spread
+
 void BM_BusyTimelineReserve(benchmark::State& state) {
-  constexpr std::int64_t kBookings = 8192;
-  constexpr std::int64_t kPerHorizon = 4;  // bookings per horizon step
   std::int64_t liveSum = 0;
   for (auto _ : state) {
-    Rng rng(0x5eedca1e);
+    Rng rng(kLinkStreamSeed);
     BusyTimeline calendar;
     std::int64_t horizon = 0;
     liveSum = 0;
-    for (std::int64_t i = 0; i < kBookings; ++i) {
-      if (i % kPerHorizon == 0) {
-        horizon += 48;
+    for (std::int64_t i = 0; i < kLinkStreamBookings; ++i) {
+      if (i % kLinkStreamPerHorizon == 0) {
+        horizon += kLinkStreamHorizonStep;
         calendar.retireBefore(horizon);
         liveSum += static_cast<std::int64_t>(calendar.intervalCount());
       }
       benchmark::DoNotOptimize(
-          calendar.reserve(horizon + rng.range(0, 3200), 4));
+          calendar.reserve(horizon + rng.range(0, kLinkStreamWindow), 4));
     }
   }
-  state.SetItemsProcessed(state.iterations() * kBookings);
-  state.counters["bookings"] = static_cast<double>(kBookings);
-  state.counters["live_intervals"] =
-      static_cast<double>(liveSum / (kBookings / kPerHorizon));
+  state.SetItemsProcessed(state.iterations() * kLinkStreamBookings);
+  state.counters["bookings"] = static_cast<double>(kLinkStreamBookings);
+  state.counters["live_intervals"] = static_cast<double>(
+      liveSum / (kLinkStreamBookings / kLinkStreamPerHorizon));
 }
 BENCHMARK(BM_BusyTimelineReserve);
+
+// BM_BusyTimelineReserve's stream at one-cycle bookings (a 32 B line on
+// a 32 B link, the committed meshes' link occupancy), replayed through
+// \p book(calendar, horizon, now) on a fresh calendar per iteration.
+template <typename Calendar, typename Book>
+void replayOneCycleLinkStream(benchmark::State& state, Book book) {
+  for (auto _ : state) {
+    Rng rng(kLinkStreamSeed);
+    Calendar calendar;
+    std::int64_t horizon = 0;
+    for (std::int64_t i = 0; i < kLinkStreamBookings; ++i) {
+      if (i % kLinkStreamPerHorizon == 0) horizon += kLinkStreamHorizonStep;
+      benchmark::DoNotOptimize(
+          book(calendar, horizon, horizon + rng.range(0, kLinkStreamWindow)));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kLinkStreamBookings);
+  state.counters["bookings"] = static_cast<double>(kLinkStreamBookings);
+}
+
+// The NoC link calendar (cache/noc.h) on that stream, and its twin: the
+// same stream on the interval calendar, booked the way the bus and L2
+// owners book (lazy horizon, then reserve). The merge script derives
+// vs_busytimeline_speedup (interval cpu / ring cpu) on the first row and
+// check_bench_regression gates it, so the ring losing its edge on link
+// traffic fails the perf gate.
+void BM_LinkCalendarReserve(benchmark::State& state) {
+  replayOneCycleLinkStream<LinkCalendar>(
+      state, [](LinkCalendar& link, std::int64_t horizon, std::int64_t now) {
+        return link.reserve(now, 1, horizon);
+      });
+}
+BENCHMARK(BM_LinkCalendarReserve);
+
+void BM_LinkCalendarReserveOnBusyTimeline(benchmark::State& state) {
+  replayOneCycleLinkStream<BusyTimeline>(
+      state, [](BusyTimeline& link, std::int64_t horizon, std::int64_t now) {
+        link.retireBefore(horizon);
+        return link.reserve(now, 1);
+      });
+}
+BENCHMARK(BM_LinkCalendarReserveOnBusyTimeline);
 
 // The fault-path overhead guard (docs §13): the same open service run
 // with a FaultPlan attached whose every rate is zero — the plan is

@@ -29,12 +29,14 @@
 /// live span plus a short walk, a booking extends a neighbour in place
 /// (or bridges two) and only an isolated booking inserts, and
 /// retirement advances the cursor, compacting once the dead prefix
-/// passes half the vector. Owners (MemoryBus, SharedL2, NocFabric)
-/// retire lazily: their retireBefore() only records a *horizon*, which
-/// each applies to the one calendar it is about to book. That is exact
-/// because no request is issued before the horizon (audited by
+/// passes half the vector. Owners (MemoryBus, SharedL2) retire lazily:
+/// their retireBefore() only records a *horizon*, which each applies to
+/// the one calendar it is about to book. That is exact because no
+/// request is issued before the horizon (audited by
 /// audit::issuedAtOrAfterHorizon), so an interval ending at or before
-/// it can never delay one.
+/// it can never delay one. NoC links book one-cycle transfers, which
+/// coalesce poorly, and use the occupancy-bitmap LinkCalendar of
+/// cache/noc.h instead (docs/ARCHITECTURE.md §7).
 
 #include <cstdint>
 #include <limits>
@@ -86,8 +88,8 @@ void timelineDisjoint(std::span<const BusyInterval> busy);
 void issuedAtOrAfterHorizon(std::int64_t issue, std::int64_t horizon);
 }  // namespace audit
 
-/// Calendar of busy intervals of one resource (a bus slot, an L2 bank
-/// or a NoC link). Intervals are disjoint and coalesced; reserve() books
+/// Calendar of busy intervals of one resource (a bus slot or an L2
+/// bank). Intervals are disjoint and coalesced; reserve() books
 /// the earliest gap at or after the request cycle.
 class BusyTimeline {
  public:

@@ -1,7 +1,10 @@
 #include "cache/noc.h"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
+#include "cache/bus.h"
 #include "util/audit.h"
 #include "util/error.h"
 
@@ -20,7 +23,135 @@ std::int64_t deriveCols(std::int64_t nodeCount, std::int64_t meshCols) {
   return meshCols > 0 ? meshCols : ceilSqrt(nodeCount);
 }
 
+constexpr int kWordShift = 6;  // 64 cycles per calendar word
+constexpr std::int64_t kWordBits = std::int64_t{1} << kWordShift;
+constexpr std::size_t kSlotMask = LinkCalendar::kSlots - 1;
+static_assert(std::has_single_bit(LinkCalendar::kSlots));
+
+std::size_t slotOf(std::int64_t word) {
+  return static_cast<std::size_t>(word) & kSlotMask;
+}
+
+bool wordBelow(const LinkWord& entry, std::int64_t word) {
+  return entry.word < word;
+}
+
 }  // namespace
+
+namespace audit {
+
+void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon) {
+  const std::int64_t horizonWord = horizon >> kWordShift;
+  const auto ring = link.ring();
+  const auto overflow = link.overflow();
+  require(!ring.empty() || overflow.empty(),
+          "LinkCalendar: overflow words without a ring");
+  std::int64_t prev = std::numeric_limits<std::int64_t>::min();
+  for (std::size_t i = 0; i < overflow.size(); ++i) {
+    const std::int64_t word = overflow[i].word;
+    require(i == 0 || word > prev,
+            "LinkCalendar: overflow word " + std::to_string(word) +
+                " does not ascend past " + std::to_string(prev));
+    prev = word;
+    const std::int64_t occupant = ring[slotOf(word)].word;
+    require(occupant != word, "LinkCalendar: word " + std::to_string(word) +
+                                  " lives in both the ring and the overflow");
+    require(occupant >= horizonWord && occupant > word,
+            "LinkCalendar: overflow word " + std::to_string(word) +
+                " does not collide with a live, larger slot word (slot "
+                "holds " + std::to_string(occupant) + ", horizon word " +
+                std::to_string(horizonWord) + ")");
+  }
+}
+
+}  // namespace audit
+
+std::uint64_t LinkCalendar::bitsOf(std::int64_t word) const {
+  const LinkWord& slot = ring_[slotOf(word)];
+  if (slot.word == word) return slot.bits;
+  // Overflow words sit below their slot's word, so a slot tagged below
+  // \p word (dead, or live and older) rules the overflow out.
+  if (slot.word < word || overflow_.empty()) return 0;
+  const auto it =
+      std::lower_bound(overflow_.begin(), overflow_.end(), word, wordBelow);
+  return it != overflow_.end() && it->word == word ? it->bits : 0;
+}
+
+std::int64_t LinkCalendar::findStart(std::int64_t now,
+                                     std::int64_t duration) const {
+  // Every cycle in [start, cursor) is known free.
+  std::int64_t start = now;
+  std::int64_t cursor = now;
+  for (;;) {
+    const int offset = static_cast<int>(cursor & (kWordBits - 1));
+    const std::uint64_t busy = bitsOf(cursor >> kWordShift) >> offset;
+    if (busy == 0) {
+      cursor += kWordBits - offset;  // free to the end of the word
+      if (cursor - start >= duration) return start;
+      continue;
+    }
+    const int free = std::countr_zero(busy);
+    if (cursor + free - start >= duration) return start;
+    // Too short: restart past the busy run (it may run on into the
+    // next word, whose walk then skips the rest of it).
+    cursor += free + std::countr_one(busy >> free);
+    start = cursor;
+  }
+}
+
+void LinkCalendar::addOverflow(LinkWord entry) {
+  const auto it = std::lower_bound(overflow_.begin(), overflow_.end(),
+                                   entry.word, wordBelow);
+  if (it != overflow_.end() && it->word == entry.word) {
+    it->bits |= entry.bits;
+  } else {
+    overflow_.insert(it, entry);
+  }
+}
+
+void LinkCalendar::setBits(std::int64_t word, std::uint64_t bits,
+                           std::int64_t horizonWord) {
+  LinkWord& slot = ring_[slotOf(word)];
+  if (slot.word == word) {
+    slot.bits |= bits;
+  } else if (slot.word < word) {
+    // The larger word keeps the slot, so every overflow word sits below
+    // its slot's word and stays live only while that word does: a live
+    // occupant moves to the overflow, a dead one is overwritten.
+    if (slot.word >= horizonWord) addOverflow(slot);
+    slot = {word, bits};
+  } else {
+    addOverflow({word, bits});
+  }
+}
+
+std::int64_t LinkCalendar::reserve(std::int64_t now, std::int64_t duration,
+                                   std::int64_t horizon) {
+  check(duration > 0, "LinkCalendar: duration must be positive");
+  if (ring_.empty()) ring_.resize(kSlots);
+  const std::int64_t horizonWord = horizon >> kWordShift;
+  if (!overflow_.empty() && overflow_.front().word < horizonWord) {
+    overflow_.erase(overflow_.begin(),
+                    std::lower_bound(overflow_.begin(), overflow_.end(),
+                                     horizonWord, wordBelow));
+  }
+  const std::int64_t start = findStart(now, duration);
+  for (std::int64_t cycle = start, end = start + duration; cycle < end;) {
+    const std::int64_t offset = cycle & (kWordBits - 1);
+    const std::int64_t span = std::min(end - cycle, kWordBits - offset);
+    const std::uint64_t run =
+        span == kWordBits ? ~std::uint64_t{0}
+                          : ((std::uint64_t{1} << span) - 1) << offset;
+    setBits(cycle >> kWordShift, run, horizonWord);
+    cycle += span;
+  }
+  LAPS_AUDIT(audit::linkCalendarConsistent(*this, horizon));
+  return start;
+}
+
+void LinkCalendar::auditInjectOverflowWordForTest(LinkWord word) {
+  overflow_.push_back(word);
+}
 
 void NocConfig::validate(std::int64_t nodeCount) const {
   check(nodeCount >= 1, "NocConfig: node count must be positive");
@@ -128,9 +259,8 @@ std::int64_t NocFabric::traverseLink(std::size_t linkId, std::int64_t t,
                                      std::int64_t* wait) {
   if (occupancyCycles_ > 0) {
     LAPS_AUDIT(audit::issuedAtOrAfterHorizon(t, horizon_));
-    BusyTimeline& link = links_[linkId];
-    link.retireBefore(horizon_);
-    const std::int64_t start = link.reserve(t, occupancyCycles_);
+    const std::int64_t start =
+        links_[linkId].reserve(t, occupancyCycles_, horizon_);
     *wait += start - t;
     t = start;
   }

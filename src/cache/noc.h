@@ -15,13 +15,24 @@
 ///    order the region-growing initial mapping walks. Stateless and
 ///    integer-only, so the schedulers can consult it at decision time
 ///    without touching simulation state;
-///  * NocFabric — the timed network: one BusyTimeline calendar per
-///    directed link (the bus's gap-filling machinery, reused verbatim),
-///    XY dimension-order routing on the mesh, one output port per
+///  * NocFabric — the timed network: one LinkCalendar per directed
+///    link, XY dimension-order routing on the mesh, one output port per
 ///    destination on the crossbar. A demand transfer books every link
 ///    on its route and returns hop latency plus queueing wait; a posted
 ///    transfer (write-back, invalidation) occupies links without
 ///    stalling its requester — exactly the bus's demand/posted split.
+///
+/// A link calendar answers the same question as the bus's BusyTimeline
+/// (the earliest free gap at or after a request) with the same answers,
+/// but is shaped for link traffic: bookings are ceil(line / link width)
+/// cycles — one cycle on the committed meshes — almost always free at
+/// their issue cycle, and within a few thousand cycles of the retire
+/// horizon. It is a direct-mapped ring of tagged 64-cycle occupancy
+/// words, so such a booking costs one load, one tag compare and one bit
+/// test, and retirement costs nothing: a slot tagged below the
+/// horizon's word is dead and reads as free. Of two live words sharing
+/// a slot, the smaller goes to a small sorted overflow vector
+/// (docs/ARCHITECTURE.md §7, §14).
 ///
 /// Disabled-equivalence: with hopCycles == 0 and linkWidthBytes == 0
 /// (the defaults) every transfer is free and bookless, so a platform
@@ -29,11 +40,11 @@
 /// differential tests in tests/cache/noc_test.cpp pin it, like PR 3's
 /// hierarchy differentials.
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
-
-#include "cache/bus.h"
 
 namespace laps {
 
@@ -106,6 +117,73 @@ class NocTopology {
   std::int64_t rows_ = 1;
 };
 
+/// One 64-cycle word of a link calendar: bit i of \p bits set means
+/// cycle word * 64 + i is busy. A never-used ring slot carries the
+/// lowest word, which every horizon treats as dead.
+struct LinkWord {
+  std::int64_t word = std::numeric_limits<std::int64_t>::min();
+  std::uint64_t bits = 0;
+};
+
+class LinkCalendar;
+
+namespace audit {
+/// Audit checker (docs/ARCHITECTURE.md §11): the overflow of \p link is
+/// strictly ascending, and each of its words collides with a live ring
+/// slot (tagged at or after \p horizon's word) holding a larger word —
+/// so no word lives in both places, and a lookup that finds its slot
+/// tagged at or below the word it wants may skip the overflow. Throws
+/// laps::AuditError on violation. LinkCalendar::reserve runs it after
+/// every booking under LAPSCHED_AUDIT.
+void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon);
+}  // namespace audit
+
+/// Busy calendar of one directed NoC link (see file comment): every
+/// start reserve() returns equals BusyTimeline::reserve's on the same
+/// request stream. Memory is the fixed ring, allocated on the first
+/// booking, plus the live colliding words.
+class LinkCalendar {
+ public:
+  /// Ring slots: 128 words span 8,192 cycles ahead of the horizon.
+  static constexpr std::size_t kSlots = 128;
+
+  /// Books \p duration cycles at the earliest free start >= \p now and
+  /// returns it. \p horizon is the owner's retire horizon: no request
+  /// is issued before it, so every word below its word is dead.
+  std::int64_t reserve(std::int64_t now, std::int64_t duration,
+                       std::int64_t horizon);
+
+  /// The ring (empty before the first booking), indexed by word mod
+  /// kSlots; slots may hold dead words.
+  [[nodiscard]] std::span<const LinkWord> ring() const { return ring_; }
+
+  /// Words whose ring slot holds a live, larger word, ascending.
+  [[nodiscard]] std::span<const LinkWord> overflow() const {
+    return overflow_;
+  }
+
+  /// Audit test hook: appends a raw overflow word, bypassing ordering
+  /// and collision upkeep, so a subsequent audited booking can prove
+  /// the linkCalendarConsistent check fires. Never called by model code.
+  void auditInjectOverflowWordForTest(LinkWord word);
+
+ private:
+  /// Occupancy bits of \p word (0 when it is booked nowhere).
+  [[nodiscard]] std::uint64_t bitsOf(std::int64_t word) const;
+  /// The word walk: earliest start >= \p now with \p duration free
+  /// cycles.
+  [[nodiscard]] std::int64_t findStart(std::int64_t now,
+                                       std::int64_t duration) const;
+  /// ORs \p bits into \p word, claiming or sharing its slot.
+  void setBits(std::int64_t word, std::uint64_t bits,
+               std::int64_t horizonWord);
+  /// Inserts (or merges) \p entry at its sorted overflow position.
+  void addOverflow(LinkWord entry);
+
+  std::vector<LinkWord> ring_;
+  std::vector<LinkWord> overflow_;
+};
+
 /// Counters accumulated by the fabric.
 struct NocStats {
   std::uint64_t transfers = 0;        ///< demand transfers routed
@@ -114,7 +192,7 @@ struct NocStats {
   std::uint64_t linkWaitCycles = 0;   ///< summed link queueing (demand)
 };
 
-/// The timed network: per-directed-link BusyTimeline calendars over a
+/// The timed network: per-directed-link LinkCalendars over a
 /// NocTopology (see file comment).
 class NocFabric {
  public:
@@ -134,7 +212,7 @@ class NocFabric {
   void postedTransfer(std::int64_t src, std::int64_t dst, std::int64_t now);
 
   /// Raises the retire horizon: no later transfer is issued before
-  /// \p cycle. Each link calendar is pruned to it lazily, when booked.
+  /// \p cycle. Calendar words before it read as dead from then on.
   void retireBefore(std::int64_t cycle);
 
   [[nodiscard]] const NocStats& stats() const { return stats_; }
@@ -162,8 +240,8 @@ class NocFabric {
   NocTopology topology_;
   std::int64_t occupancyCycles_ = 0;  ///< per-link cycles of one transfer
   /// Mesh: 4 directed links per node (E, W, S, N); crossbar: one output
-  /// port per destination node. Unused edge links stay empty.
-  std::vector<BusyTimeline> links_;
+  /// port per destination node. Unused edge links allocate no ring.
+  std::vector<LinkCalendar> links_;
   std::int64_t horizon_ = std::numeric_limits<std::int64_t>::min();
   NocStats stats_;
 };

@@ -25,7 +25,8 @@
 ///
 /// Generic checkers (engine event ordering, admission identity,
 /// percentile ordering) live here; checkers needing layer types live
-/// next to their layer (cache/bus.h: timelineDisjoint, region/sharing.h:
+/// next to their layer (cache/bus.h: timelineDisjoint, cache/noc.h:
+/// linkCalendarConsistent, region/sharing.h:
 /// SharingMatrix::auditInvariants + activeSetAgreement, cache/hierarchy.h:
 /// MemoryHierarchy::auditInclusion).
 

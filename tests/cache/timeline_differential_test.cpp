@@ -100,7 +100,7 @@ Coverage runStream(std::uint64_t seed, int steps) {
     if (now < latest) ++cov.outOfOrder;
     if (now > latest) latest = now;
     if (rng.below(2) == 0) {
-      // Lazy horizon-then-book, as MemoryBus/SharedL2/NocFabric do.
+      // Lazy horizon-then-book, as MemoryBus and SharedL2 do.
       flat.retireBefore(horizon);
       oracle.retireBefore(horizon);
     }

@@ -198,5 +198,45 @@ TEST(EngineGolden, CrashStormPinsArrivalsBeforeRetries) {
   EXPECT_EQ(hex(simDigest(sim)), hex(0xf8936229158a2f7aULL));
 }
 
+/// A 4x4 directory mesh whose link bookings reach far past a link
+/// calendar's ring (LinkCalendar::kSlots words of 64 cycles, 8,192
+/// cycles): one process computes 10,000 cycles between accesses, each
+/// to a fresh line, and DLS runs it to completion in one segment, so
+/// its transfers book links up to ~400k cycles past the retire horizon
+/// while 31 streaming processes book the near words those far ones
+/// share ring slots with. Frozen on the interval-calendar links.
+TEST(EngineGolden, MeshRunBooksLinksPastTheCalendarRing) {
+  Workload workload;
+  const ArrayId a = workload.arrays.add("A", {1 << 16}, 4);
+  auto addProcess = [&](std::int64_t lo, std::int64_t iterations,
+                        std::int64_t stride, std::int64_t compute) {
+    ProcessSpec p;
+    p.name = "p" + std::to_string(workload.graph.processCount());
+    p.nests.push_back(LoopNest{
+        IterationSpace::box({{0, iterations}}),
+        {ArrayAccess{a, AffineMap{AffineExpr({stride}, lo)},
+                     AccessKind::Read}},
+        compute});
+    workload.graph.addProcess(std::move(p));
+  };
+  addProcess(0, 40, 8, 10'000);  // one 32 B line per access
+  for (std::int64_t s = 0; s < 31; ++s) {
+    addProcess(512 + s * 2048, 2048, 1, 1);
+  }
+  ExperimentConfig config;
+  config.mpsoc.coreCount = 16;
+  PlatformConfig& platform = config.mpsoc.platform.emplace();
+  platform.interconnect = InterconnectKind::Mesh;
+  platform.coherence = CoherenceKind::Directory;
+  platform.sharedL2.emplace();
+  platform.noc.hopCycles = 2;
+  platform.noc.linkWidthBytes = 8;  // 4 cycles per 32 B line
+  const SimResult sim =
+      runExperiment(workload, SchedulerKind::DynamicLocality, config).sim;
+  EXPECT_GT(sim.makespanCycles, 400'000);
+  EXPECT_GT(sim.nocLinkWaitCycles, 0u);
+  EXPECT_EQ(hex(simDigest(sim)), hex(0xa82000bcbd1ceeb6ULL));
+}
+
 }  // namespace
 }  // namespace laps

@@ -5,9 +5,11 @@ Merges fixtures/bench_two_reps.json (two google-benchmark repetitions
 per benchmark, plus aggregate rows) and checks the folding rule: one
 row per benchmark, aggregates skipped, the minimum cpu_time and the
 minimum real_time over the repetitions (which may come from different
-passes), user counters carried, and the repetition count stamped in
-the context. Then re-records one row with --only and checks that the
-carried-over row is untouched and the fresh one stamps repetitions.
+passes), user counters carried, the repetition count stamped in the
+context, and a twin ratio (vs_busytimeline_speedup) derived from the
+folded minima. Then re-records one row with --only and checks that the
+carried-over rows are untouched, the fresh one stamps repetitions and
+still carries the ratio against its carried-over twin.
 
 Usage: merge_bench_selftest.py
 """
@@ -41,8 +43,9 @@ def main():
         with open(out_path) as f:
             merged = json.load(f)
         rows = {b["name"]: b for b in merged["benchmarks"]}
-        expect(len(merged["benchmarks"]) == 2 and
-               set(rows) == {"BM_Alpha/64", "BM_Beta"},
+        expect(len(merged["benchmarks"]) == 3 and
+               set(rows) == {"BM_Alpha/64", "BM_Beta",
+                             "BM_BetaOnBusyTimeline"},
                f"expected one row per benchmark, got {sorted(rows)}",
                failures)
         alpha, beta = rows.get("BM_Alpha/64", {}), rows.get("BM_Beta", {})
@@ -62,6 +65,14 @@ def main():
         expect(beta.get("cpu_time_ns") == 2900.0 and
                beta.get("real_time_ns") == 3000.0,
                f"BM_Beta minima wrong: {beta}", failures)
+        # Twin over current, each folded to its minimum cpu pass:
+        # 11600 / 2900.
+        expect(beta.get("vs_busytimeline_speedup") == 4.0,
+               f"BM_Beta vs_busytimeline_speedup "
+               f"{beta.get('vs_busytimeline_speedup')} != 4.0", failures)
+        expect("vs_busytimeline_speedup" not in
+               rows.get("BM_BetaOnBusyTimeline", {}),
+               "the twin row itself should carry no ratio", failures)
         expect(merged["context"].get("repetitions") == 2,
                f"context repetitions {merged['context'].get('repetitions')}"
                " != 2", failures)
@@ -78,6 +89,9 @@ def main():
                "--only row lacks its repetitions stamp", failures)
         expect(only_rows.get("BM_Beta", {}).get("speedup_vs_previous") == 1.0,
                "--only row should diff against the folded previous row",
+               failures)
+        expect(only_rows.get("BM_Beta", {}).get("vs_busytimeline_speedup")
+               == 4.0, "--only row lost its ratio to the carried twin",
                failures)
 
     for message in failures:
