@@ -24,8 +24,6 @@ void printFigure6(const laps::AppParams& params, bool csv) {
   const auto suite = standardSuite(params);
   const auto kinds = paperSchedulers();
   ExperimentConfig config;  // Table 2 defaults
-  // Bit-identical to per-event replay (tests/sim/replay_test.cpp), faster.
-  config.mpsoc.replayMode = ReplayMode::RunLength;
 
   Table table({"Application", "RS (ms)", "RRS (ms)", "LS (ms)", "LSM (ms)",
                "LS vs RS %", "LS vs RRS %", "LSM vs LS %"});

@@ -15,10 +15,7 @@
 ///               consumes this to flag paper-shape violations and drift
 ///               against the committed baselines);
 ///   --sweep [N] the large-|T| extension: mixes cycle through the suite
-///               up to N applications (default 24 = 660 processes),
-///               replayed run-length-encoded, then the largest mix is
-///               re-run per-event to log the measured speedup and verify
-///               the two replay modes still agree bit-for-bit.
+///               up to N applications (default 24 = 660 processes).
 
 #include <chrono>
 #include <cstdlib>
@@ -44,9 +41,6 @@ void printFigure7(const laps::AppParams& params, bool csv) {
   const auto kinds = paperSchedulers();
   ExperimentConfig config;  // Table 2 defaults
   config.mpsoc.memory.classifyMisses = true;
-  // Run-length replay is bit-identical to per-event replay
-  // (tests/sim/replay_test.cpp) and several times faster.
-  config.mpsoc.replayMode = ReplayMode::RunLength;
 
   Table table({"|T|", "RS (ms)", "RRS (ms)", "LS (ms)", "LSM (ms)",
                "LS vs RS %", "LSM vs LS %"});
@@ -117,22 +111,20 @@ void printFigure7(const laps::AppParams& params, bool csv) {
   }
 }
 
-/// The large-|T| sweep: what run-length replay buys. Mixes cycle through
-/// the suite (independent application instances), pushing the resident
-/// process count into the hundreds.
+/// The large-|T| sweep. Mixes cycle through the suite (independent
+/// application instances), pushing the resident process count into the
+/// hundreds.
 void sweepLargeT(const laps::AppParams& params, std::size_t maxApps) {
   using namespace laps;
 
   const auto suite = standardSuite(params);
   const auto kinds = paperSchedulers();
-  ExperimentConfig config;
   // Classification's shadow LRU dominates runtime at this scale and the
   // paper-shape detail is covered by the |T| <= 6 tables; keep the sweep
   // about completion times.
-  config.mpsoc.replayMode = ReplayMode::RunLength;
+  ExperimentConfig config;
 
-  // One full-suite step per row, and always a row at maxApps itself so
-  // the shoot-out below matches a tabulated mix.
+  // One full-suite step per row, and always a row at maxApps itself.
   std::vector<std::size_t> points;
   for (std::size_t t = std::min(suite.size(), maxApps); t < maxApps;
        t += suite.size()) {
@@ -179,46 +171,6 @@ void sweepLargeT(const laps::AppParams& params, std::size_t maxApps) {
             << " analysis/sweep threads, total wall "
             << static_cast<std::int64_t>(totalWall) << " ms) ===\n"
             << table.ascii() << '\n';
-
-  // Replay-mode shoot-out at the largest mix: per-event vs run-length on
-  // the simulator proper (the footprint/sharing analysis is identical in
-  // both modes, so it is computed once up front), with a bit-identity
-  // cross-check. FCFS exercises the bulk paths, RRS the quantum-aware
-  // mid-run splitting.
-  const Workload mix = concurrentScenario(suite, maxApps);
-  const SharingMatrix sharing = SharingMatrix::compute(mix.footprints());
-  const AddressSpace space(mix.arrays);
-  for (const bool preemptive : {false, true}) {
-    SimResult results[2];
-    double wall[2];
-    for (int mode = 0; mode < 2; ++mode) {
-      MpsocConfig mpsoc = config.mpsoc;
-      mpsoc.replayMode = mode == 0 ? ReplayMode::PerEvent
-                                   : ReplayMode::RunLength;
-      FcfsScheduler fcfs;
-      RoundRobinScheduler rrs(config.sched.rrsQuantumCycles);
-      SchedulerPolicy& policy =
-          preemptive ? static_cast<SchedulerPolicy&>(rrs) : fcfs;
-      const auto start = Clock::now();
-      MpsocSimulator sim(mix, space, sharing, policy, mpsoc);
-      results[mode] = sim.run();
-      wall[mode] = msSince(start);
-    }
-    if (results[0].makespanCycles != results[1].makespanCycles ||
-        results[0].dcacheTotal.misses != results[1].dcacheTotal.misses ||
-        results[0].preemptions != results[1].preemptions) {
-      std::cerr << "FATAL: replay modes diverged ("
-                << (preemptive ? "RRS" : "FCFS") << ")\n";
-      std::exit(1);
-    }
-    std::cout << "--- replay-mode shoot-out at |T|=" << maxApps << " ("
-              << mix.graph.processCount() << " processes, "
-              << (preemptive ? "RRS" : "FCFS") << ", "
-              << results[0].dcacheTotal.accesses << " data refs) ---\n"
-              << "per-event:  " << wall[0] << " ms\n"
-              << "run-length: " << wall[1] << " ms  (speedup "
-              << wall[0] / wall[1] << "x, results bit-identical)\n";
-  }
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "cache/cache.h"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/stride.h"
@@ -59,38 +58,6 @@ void SetAssocCache::fillMiss(std::uint64_t addr, bool isWrite,
   victim.valid = true;
   victim.dirty = isWrite;  // write-allocate
   victim.lastUse = useClock_;
-}
-
-AccessRunOutcome SetAssocCache::accessRun(std::uint64_t addr,
-                                          std::int64_t strideBytes,
-                                          std::int64_t count, bool isWrite) {
-  AccessRunOutcome outcome;
-  while (count > 0) {
-    const std::int64_t group =
-        std::min(count, lineRunLength(addr, strideBytes, config_.lineBytes));
-    // One associative search resolves the whole group: the first access
-    // hits or misses-and-fills, the remaining group-1 accesses re-touch
-    // the same line (guaranteed hits). The line's final LRU stamp is the
-    // clock of the group's last access, exactly as per-element simulation
-    // would leave it.
-    stats_.accesses += static_cast<std::uint64_t>(group);
-    useClock_ += static_cast<std::uint64_t>(group);
-    const std::size_t w = find(addr);
-    if (w != kAbsent) {
-      stats_.hits += static_cast<std::uint64_t>(group);
-      outcome.hits += group;
-      ways_[w].dirty |= isWrite;
-      ways_[w].lastUse = useClock_;
-    } else {
-      fillMiss(addr, isWrite, nullptr);
-      stats_.hits += static_cast<std::uint64_t>(group - 1);
-      outcome.hits += group - 1;
-      ++outcome.misses;
-    }
-    addr += static_cast<std::uint64_t>(strideBytes * group);
-    count -= group;
-  }
-  return outcome;
 }
 
 void SetAssocCache::bulkHits(std::int64_t count) {

@@ -29,12 +29,6 @@ struct EvictionInfo {
   std::uint64_t lineAddr = 0;  ///< base byte address of the victim line
 };
 
-/// Hit/miss tally of one bulk strided run (see SetAssocCache::accessRun).
-struct AccessRunOutcome {
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
-};
-
 /// Number of consecutive elements of the strided stream addr,
 /// addr + strideBytes, ... that fall in the cache line containing addr
 /// (INT64_MAX for stride 0). The unit of run-length-encoded cache
@@ -97,14 +91,6 @@ class SetAssocCache {
     ++stats_.hits;
     return AccessOutcome::Hit;
   }
-
-  /// Simulates \p count accesses of the strided stream addr,
-  /// addr + strideBytes, ... with final state and statistics identical to
-  /// \p count access() calls, but resolves each cache line's group of
-  /// consecutive accesses with a single tag lookup (one associative
-  /// search per line touched instead of one per element).
-  AccessRunOutcome accessRun(std::uint64_t addr, std::int64_t strideBytes,
-                             std::int64_t count, bool isWrite);
 
   /// LRU clock (the stamp of the most recent access). The run-length
   /// replay path reads it to compute exact per-access stamps for the

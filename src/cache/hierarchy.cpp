@@ -1,6 +1,5 @@
 #include "cache/hierarchy.h"
 
-#include <algorithm>
 #include <bit>
 #include <string>
 
@@ -228,34 +227,6 @@ std::int64_t MemorySystem::missBeyondL1(std::uint64_t addr,
       addr, issueCycle, coreIndex_, /*dataFill=*/true);
   if (dirtyVictim && !absorbed) {
     hierarchy_->postL1Writeback(issueCycle + latency);
-  }
-  return latency;
-}
-
-std::int64_t MemorySystem::accessRun(std::uint64_t addr,
-                                     std::int64_t strideBytes,
-                                     std::int64_t count, bool isWrite,
-                                     std::int64_t nowCycles) {
-  std::int64_t latency = 0;
-  while (count > 0) {
-    const std::int64_t group = std::min(
-        count, lineRunLength(addr, strideBytes, config_.l1d.lineBytes));
-    EvictionInfo evicted;
-    const AccessOutcome head = dcache_.access(addr, isWrite, &evicted);
-    if (classifier_) {
-      classifier_->record(addr, head == AccessOutcome::Miss);
-    }
-    if (group > 1) {
-      dcache_.bulkHits(group - 1);
-      dcache_.touch(addr, isWrite, dcache_.clock());
-    }
-    if (head == AccessOutcome::Miss) {
-      latency += missBeyondL1(
-          addr, evicted, nowCycles + latency + config_.l1d.hitLatencyCycles);
-    }
-    latency += config_.l1d.hitLatencyCycles * group;
-    addr += static_cast<std::uint64_t>(strideBytes * group);
-    count -= group;
   }
   return latency;
 }

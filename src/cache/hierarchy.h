@@ -118,14 +118,6 @@ class MemoryHierarchy {
   void unregisterDataCache(std::size_t core);
   /// @}
 
-  /// True when at least one contended level (L2, bus, or a NoC with
-  /// non-zero timing) is enabled — i.e. when a miss's latency depends
-  /// on \p now. A zero-cost NoC never adds latency, so it deliberately
-  /// does not count: the flat fast paths stay bit-identical.
-  [[nodiscard]] bool contended() const {
-    return l2_.has_value() || bus_.has_value() || (noc_ && noc_->timed());
-  }
-
   [[nodiscard]] const SharedL2* l2() const {
     return l2_ ? &*l2_ : nullptr;
   }
@@ -226,21 +218,6 @@ class MemorySystem {
     return hit + missBeyondL1(addr, evicted, nowCycles + hit);
   }
 
-  /// \p count data references of the strided stream addr,
-  /// addr + strideBytes, ...; returns their summed latency. On the flat
-  /// hierarchy this is exactly equivalent to \p count dataAccess calls
-  /// (cache state, statistics and miss classification included) but
-  /// resolves each cache line's group of consecutive accesses with one
-  /// lookup, and feeds the classifier once per line instead of once per
-  /// element — the skipped accesses re-touch the shadow cache's
-  /// most-recently-used line, which is a no-op for the 3C state and
-  /// counters. On a contended hierarchy each miss issues at \p nowCycles
-  /// advanced by the latency accumulated so far (the run is assumed
-  /// back-to-back, with no interleaved compute).
-  std::int64_t accessRun(std::uint64_t addr, std::int64_t strideBytes,
-                         std::int64_t count, bool isWrite,
-                         std::int64_t nowCycles = 0);
-
   /// One instruction fetch at absolute cycle \p nowCycles; returns its
   /// latency in cycles (0 when instruction modeling is disabled). The
   /// hit path is inline.
@@ -288,10 +265,6 @@ class MemorySystem {
   /// Dirty lines count as write-backs in the L1 statistics; their L2
   /// copies are not dirty-marked (documented approximation, §7).
   void flushAll();
-
-  /// True when the hierarchy below the L1s is contended (shared L2 or
-  /// bus enabled) — i.e. when access latencies depend on nowCycles.
-  [[nodiscard]] bool contended() const { return hierarchy_->contended(); }
 
   [[nodiscard]] const SetAssocCache& dcache() const { return dcache_; }
   [[nodiscard]] const SetAssocCache& icache() const { return icache_; }

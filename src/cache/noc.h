@@ -218,13 +218,6 @@ class NocFabric {
   [[nodiscard]] const NocStats& stats() const { return stats_; }
   void resetStats() { stats_ = NocStats{}; }
 
-  /// True when transfers can cost cycles (non-zero hop latency or
-  /// finite link width) — i.e. when the fabric is not the zero-cost
-  /// bit-identity configuration.
-  [[nodiscard]] bool timed() const {
-    return config_.hopCycles > 0 || occupancyCycles_ > 0;
-  }
-
   [[nodiscard]] const NocTopology& topology() const { return topology_; }
   [[nodiscard]] const NocConfig& config() const { return config_; }
 

@@ -15,7 +15,6 @@
 /// platform).
 
 #include <optional>
-#include <string_view>
 
 #include "cache/bus.h"
 #include "cache/noc.h"
@@ -37,26 +36,6 @@ enum class CoherenceKind {
   /// targeted probes via a sharer bitmask per L2 way (cache/shared_l2.h)
   Directory,
 };
-
-[[nodiscard]] constexpr std::string_view interconnectKindName(
-    InterconnectKind kind) {
-  switch (kind) {
-    case InterconnectKind::Flat: return "flat";
-    case InterconnectKind::Bus: return "bus";
-    case InterconnectKind::Mesh: return "mesh";
-    case InterconnectKind::Xbar: return "xbar";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::string_view coherenceKindName(
-    CoherenceKind kind) {
-  switch (kind) {
-    case CoherenceKind::Broadcast: return "broadcast";
-    case CoherenceKind::Directory: return "directory";
-  }
-  return "?";
-}
 
 /// The platform's shared-level topology (see file comment). The default
 /// descriptor is the paper's platform: flat memory, broadcast recalls,

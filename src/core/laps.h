@@ -33,7 +33,6 @@
 #include "region/interval_set.h"
 #include "region/iteration_space.h"
 #include "region/sharing.h"
-#include "region/strided_interval.h"
 
 // Task and process graphs (paper §3)
 #include "taskgraph/builder.h"

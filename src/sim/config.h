@@ -14,17 +14,6 @@
 
 namespace laps {
 
-/// How the simulator replays process traces.
-enum class ReplayMode {
-  /// One cache-model access per trace step (the original loop).
-  PerEvent,
-  /// Run-length-encoded replay: strided runs are resolved per cache line
-  /// in bulk (sim/replay.h). Bit-identical results to PerEvent, several
-  /// times faster — the default since the differential suite
-  /// (tests/sim/replay_test.cpp) proved the equivalence.
-  RunLength,
-};
-
 /// The simulated platform. Defaults reproduce Table 2 of the paper:
 /// 8 processors, 8 KB 2-way data/instruction caches, 2-cycle cache
 /// access, 75-cycle off-chip access, 200 MHz cores — and the default
@@ -71,7 +60,6 @@ struct MpsocConfig {
   double clockHz = 200e6;
   std::int64_t switchCycles = 400;  ///< context-switch overhead per switch
   bool flushOnSwitch = false;       ///< ablation: cold caches after switch
-  ReplayMode replayMode = ReplayMode::RunLength;  ///< trace replay engine
 
   /// Reporting conversion of a final integer cycle count; never feeds
   /// back into simulation state.

@@ -123,7 +123,6 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
   if (record.firstStartCycle < 0) record.firstStartCycle = now;
 
   std::optional<std::int64_t> quantum = policy_->quantum();
-  const std::int64_t iHit = config_.memory.l1i.hitLatencyCycles;
   MemorySystem& mem = *core.memory;
 
   // Event times are popped in non-decreasing order, so no later segment
@@ -141,24 +140,8 @@ std::int64_t MpsocSimulator::runSegment(std::size_t coreIdx, ProcessId process,
     quantum = quantum ? std::min(*quantum, remain) : remain;
   }
 
-  std::int64_t cycles = 0;
-  if (config_.replayMode == ReplayMode::RunLength) {
-    cycles = replaySegmentRunLength(cursor, mem, quantum, segStart);
-  } else {
-    TraceStep step;
-    while (cursor.next(step)) {
-      // Fetch hits are pipelined (hidden); only the miss penalty stalls.
-      const std::int64_t iLat = mem.instrFetch(step.instrAddr,
-                                               segStart + cycles);
-      if (iLat > iHit) cycles += iLat - iHit;
-      if (step.isRef) {
-        cycles += mem.dataAccess(step.dataAddr, step.isWrite,
-                                 segStart + cycles);
-      }
-      cycles += step.computeCycles;
-      if (quantum && cycles >= *quantum && !cursor.done()) break;
-    }
-  }
+  const std::int64_t cycles =
+      replaySegmentRunLength(cursor, mem, quantum, segStart);
 
   core.current = process;
   core.lastScheduled = process;

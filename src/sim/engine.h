@@ -53,10 +53,10 @@
 ///    backoff — admission control can shed the retry; a process out of
 ///    retry budget is permanently failed (SimResult::faults).
 ///
-/// Traces replay either per event or run-length encoded
-/// (MpsocConfig::replayMode; see sim/replay.h) with bit-identical
-/// results. The simulation is fully deterministic: identical inputs
-/// (workload, layout, policy, config) produce identical results.
+/// Traces replay run-length encoded (sim/replay.h), bit-identical to a
+/// one-step-at-a-time replay. The simulation is fully deterministic:
+/// identical inputs (workload, layout, policy, config) produce identical
+/// results.
 
 #include <array>
 #include <compare>

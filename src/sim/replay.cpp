@@ -22,7 +22,6 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
                                     std::optional<std::int64_t> quantum,
                                     std::int64_t segmentStartCycle) {
   const MemoryConfig& cfg = mem.config();
-  const bool contended = mem.contended();
   const bool modelI = cfg.modelICache;
   const std::int64_t iHit = cfg.l1i.hitLatencyCycles;
   const std::int64_t dHit = cfg.l1d.hitLatencyCycles;
@@ -77,7 +76,7 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
     // One trace step, per-event style: instruction fetch (hits are
     // pipelined; only the miss penalty stalls), data access for stream j
     // (j < 0 = pure-compute step), compute cycles on the iteration's last
-    // step, then the quantum check — exactly MpsocSimulator's loop body.
+    // step, then the quantum check — exactly the per-event oracle's loop.
     const auto doStep = [&](std::int64_t j, std::uint64_t dataAddr,
                             bool isWrite) {
       if (modelI && !fetchDeferred) {
@@ -164,24 +163,6 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       }
       fetchDeferred = modelI && iWarm;
       const std::int64_t chunkStart = consumed;
-
-      // Single-stream runs without a quantum: the whole remainder
-      // resolves with one associative search per cache line
-      // (MemorySystem::accessRun), classification included. On a
-      // contended hierarchy the fuse would mistime misses (it cannot
-      // interleave the per-iteration compute cycles), so data streams
-      // fall through to the chunked path there.
-      if (!quantum && K <= 1 && iWarm && (K == 0 || !contended)) {
-        if (K == 1) {
-          const StreamState& s = pos.front();
-          cycles += mem.accessRun(s.addr, s.stride, itersLeft, s.isWrite);
-        }
-        cycles += itersLeft * compute;
-        consumed += itersLeft;
-        itersLeft = 0;
-        commitFetches(chunkStart);
-        break;
-      }
 
       if (jumper) {
         while (itersLeft > 0 && !overQuantum) doIteration();

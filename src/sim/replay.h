@@ -1,17 +1,18 @@
 #pragma once
 /// \file replay.h
-/// \brief Run-length trace replay (MpsocConfig::replayMode == RunLength).
+/// \brief Run-length trace replay: the simulator's segment loop.
 ///
-/// The per-event simulator loop touches the cache model once per trace
-/// step; with thousands of concurrent processes that is the simulation
-/// bottleneck. replaySegmentRunLength consumes TraceRuns instead
+/// Touching the cache model once per trace step is the simulation
+/// bottleneck with thousands of concurrent processes.
+/// replaySegmentRunLength consumes TraceRuns instead
 /// (ProcessTraceCursor::peekRun/consume) and resolves each cache line's
 /// group of consecutive accesses in bulk. The result is guaranteed
-/// bit-identical to the per-event loop — same cycles, cache statistics,
-/// LRU stamps, miss classification and preemption points — because every
-/// analytical shortcut is guarded by an exact residency check and falls
-/// back to per-event execution when the claim could fail (see
-/// docs/ARCHITECTURE.md §6 for the equivalence argument).
+/// bit-identical to replaying one step at a time — same cycles, cache
+/// statistics, LRU order, miss classification and preemption points —
+/// because every analytical shortcut is guarded by an exact residency
+/// check and falls back to per-step execution when the claim could fail
+/// (see docs/ARCHITECTURE.md §6 for the equivalence argument; the
+/// per-event oracle lives in tests/sim/per_event_replay.h).
 
 #include <cstdint>
 #include <optional>
@@ -25,17 +26,14 @@ namespace laps {
 /// \p mem: replays trace runs until the process finishes or the
 /// accumulated work cycles reach \p quantum (nullopt = non-preemptive).
 /// Returns the segment's work cycles; the cursor is left exactly where
-/// the per-event loop of MpsocSimulator::runSegment would leave it.
+/// a one-step-at-a-time replay would leave it.
 ///
 /// \p segmentStartCycle is the absolute cycle the segment begins at; it
 /// only matters on a contended hierarchy (shared L2 / bus), where every
 /// miss issues at segmentStartCycle + the work cycles accumulated so
-/// far — exactly the per-event loop's timing. Bulk-committed steps are
+/// far — exactly the per-event timing. Bulk-committed steps are
 /// guaranteed L1 hits and never reach the shared levels, so the
-/// bit-identity between replay modes survives contention; the one
-/// shortcut whose timing would drift (the whole-run accessRun fuse,
-/// which cannot interleave compute cycles between misses) is skipped
-/// when the hierarchy is contended.
+/// bit-identity survives contention.
 std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
                                     MemorySystem& mem,
                                     std::optional<std::int64_t> quantum,

@@ -83,15 +83,6 @@ TEST(SetAssocCacheDifferential, RandomOperationsMatchReference) {
         ASSERT_EQ(got.dirty, want.dirty) << describe(c, op);
         ASSERT_EQ(got.lineAddr, want.lineAddr) << describe(c, op);
       } else if (kind < 70) {
-        const std::int64_t stride =
-            rng.range(-2 * c.lineBytes, 2 * c.lineBytes);
-        const std::int64_t count = rng.range(1, 40);
-        const std::uint64_t start = addr + span;  // stays non-negative
-        const AccessRunOutcome got = cache.accessRun(start, stride, count, isWrite);
-        const AccessRunOutcome want = ref.accessRun(start, stride, count, isWrite);
-        ASSERT_EQ(got.hits, want.hits) << describe(c, op);
-        ASSERT_EQ(got.misses, want.misses) << describe(c, op);
-      } else if (kind < 80) {
         ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << describe(c, op);
       } else if (kind < 88) {
         // Touch a resident line (stamped at or before the current

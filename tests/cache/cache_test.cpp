@@ -189,60 +189,6 @@ TEST_P(AssociativityMonotonicity, MoreWaysNeverMoreMisses) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AssociativityMonotonicity,
                          ::testing::Values(3, 14, 159, 2653));
 
-void expectSameState(SetAssocCache& a, SetAssocCache& b, Rng& rng) {
-  EXPECT_EQ(a.stats().accesses, b.stats().accesses);
-  EXPECT_EQ(a.stats().hits, b.stats().hits);
-  EXPECT_EQ(a.stats().misses, b.stats().misses);
-  EXPECT_EQ(a.stats().evictions, b.stats().evictions);
-  EXPECT_EQ(a.stats().dirtyEvictions, b.stats().dirtyEvictions);
-  EXPECT_EQ(a.clock(), b.clock());
-  EXPECT_EQ(a.residentLines(), b.residentLines());
-  // The LRU orders must be behaviorally identical too: a common random
-  // access sequence afterwards must produce identical outcomes.
-  for (int i = 0; i < 2000; ++i) {
-    const std::uint64_t addr = rng.below(4096);
-    const bool write = rng.chance(0.3);
-    EXPECT_EQ(a.access(addr, write), b.access(addr, write)) << "probe " << i;
-  }
-}
-
-class AccessRunEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(AccessRunEquivalence, MatchesPerElementAccesses) {
-  // Random strided runs (forward, backward, sub-line, line-jumping,
-  // stride 0) resolved in bulk must leave the cache bit-identical to
-  // per-element simulation.
-  Rng rng(GetParam());
-  const CacheConfig config{1024, 2, 32, 2};
-  SetAssocCache bulk(config);
-  SetAssocCache ref(config);
-  for (int round = 0; round < 200; ++round) {
-    const std::uint64_t addr = rng.below(2048);
-    const std::int64_t stride = rng.range(-96, 96);
-    const std::int64_t count = rng.range(1, 400);
-    const bool write = rng.chance(0.4);
-    const std::uint64_t base =
-        stride < 0 ? addr + static_cast<std::uint64_t>(-stride * count) : addr;
-    const AccessRunOutcome out = bulk.accessRun(base, stride, count, write);
-    AccessRunOutcome expected;
-    std::uint64_t a = base;
-    for (std::int64_t i = 0; i < count; ++i) {
-      if (ref.access(a, write) == AccessOutcome::Hit) {
-        ++expected.hits;
-      } else {
-        ++expected.misses;
-      }
-      a += static_cast<std::uint64_t>(stride);
-    }
-    EXPECT_EQ(out.hits, expected.hits) << "round " << round;
-    EXPECT_EQ(out.misses, expected.misses) << "round " << round;
-  }
-  expectSameState(bulk, ref, rng);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AccessRunEquivalence,
-                         ::testing::Values(1, 77, 901, 4242));
-
 TEST(SetAssocCache, LineRunLength) {
   EXPECT_EQ(lineRunLength(0, 4, 32), 8);
   EXPECT_EQ(lineRunLength(28, 4, 32), 1);

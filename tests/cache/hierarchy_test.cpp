@@ -90,7 +90,6 @@ std::shared_ptr<MemoryHierarchy> contendedHierarchy() {
 
 TEST(MemorySystem, DefaultHierarchyIsFlatAndUncontended) {
   MemorySystem mem(paperDefaults());
-  EXPECT_FALSE(mem.contended());
   EXPECT_EQ(mem.hierarchy().l2(), nullptr);
   EXPECT_EQ(mem.hierarchy().bus(), nullptr);
 }
@@ -98,7 +97,6 @@ TEST(MemorySystem, DefaultHierarchyIsFlatAndUncontended) {
 TEST(MemorySystem, SharedHierarchyStacksL2AndBusLatency) {
   auto shared = contendedHierarchy();
   MemorySystem mem(paperDefaults(), shared);
-  EXPECT_TRUE(mem.contended());
   // Cold: L1 (2) + L2 lookup (8, miss) + bus (79).
   EXPECT_EQ(mem.dataAccess(0, false, 0), 2 + 8 + 79);
   // L1 hit never leaves the core.
@@ -151,17 +149,6 @@ TEST(MemorySystem, MissNeverStallsBehindItsOwnVictimWriteback) {
   // The posted write-back does occupy the slot: traffic right behind the
   // second fill queues past both.
   EXPECT_EQ(mem.dataAccess(128, false, 10'002), 2 + (79 * 2 - 2) + 79);
-}
-
-TEST(MemorySystem, ContendedAccessRunAdvancesTime) {
-  auto shared = contendedHierarchy();
-  MemorySystem mem(paperDefaults(), shared);
-  // Four lines, one miss each: 4 * (2 * 8 + 8 + 79) with every bus slot
-  // requested only after the previous miss resolved — so no bus wait.
-  const std::int64_t latency =
-      mem.accessRun(0, 4, 32, /*isWrite=*/false, /*nowCycles=*/0);
-  EXPECT_EQ(latency, 4 * (8 * 2 + 8 + 79));
-  EXPECT_EQ(shared->bus()->stats().waitCycles, 0u);
 }
 
 // --- audit layer (docs/ARCHITECTURE.md §11) ------------------------------

@@ -146,7 +146,6 @@ TEST(NocFabric, DemandTransferPaysPerHopLatency) {
   cfg.meshCols = 4;
   cfg.hopCycles = 5;
   NocFabric fabric(cfg, 16, 32, NocTopologyKind::Mesh);
-  EXPECT_TRUE(fabric.timed());
   EXPECT_EQ(fabric.demandTransfer(0, 0, 0), 0);    // same tile: free, uncounted
   EXPECT_EQ(fabric.demandTransfer(0, 3, 0), 15);   // 3 hops
   EXPECT_EQ(fabric.demandTransfer(0, 15, 0), 30);  // diameter
@@ -218,7 +217,6 @@ TEST(NocFabric, ZeroCostFabricIsUntimed) {
   NocConfig cfg;
   cfg.meshCols = 4;
   NocFabric fabric(cfg, 16, 32, NocTopologyKind::Mesh);
-  EXPECT_FALSE(fabric.timed());
   EXPECT_EQ(fabric.demandTransfer(0, 15, 0), 0);
   EXPECT_EQ(fabric.stats().hopCycles, 0u);
 }

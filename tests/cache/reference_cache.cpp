@@ -58,21 +58,6 @@ AccessOutcome SetAssocCache::access(std::uint64_t addr, bool isWrite,
   return AccessOutcome::Miss;
 }
 
-AccessRunOutcome SetAssocCache::accessRun(std::uint64_t addr,
-                                          std::int64_t strideBytes,
-                                          std::int64_t count, bool isWrite) {
-  AccessRunOutcome outcome;
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::uint64_t a = addr + static_cast<std::uint64_t>(strideBytes * i);
-    if (access(a, isWrite) == AccessOutcome::Hit) {
-      ++outcome.hits;
-    } else {
-      ++outcome.misses;
-    }
-  }
-  return outcome;
-}
-
 void SetAssocCache::bulkHits(std::int64_t count) {
   clock_ += static_cast<std::uint64_t>(count);
   stats_.accesses += static_cast<std::uint64_t>(count);

@@ -2,8 +2,8 @@
 /// \file reference_cache.h
 /// \brief Test-only reference set-associative cache: one std::vector of
 /// ways per set, set index and tag derived by division
-/// (CacheConfig::setIndexOf / tagOf), a victim search that rescans the
-/// set, and accessRun as a plain loop of single accesses. It shares no
+/// (CacheConfig::setIndexOf / tagOf) and a victim search that rescans
+/// the set. It shares no
 /// code with src/cache/cache.cpp, so the differential tests compare two
 /// independent implementations of the same true-LRU, write-allocate,
 /// write-back cache.
@@ -23,8 +23,6 @@ class SetAssocCache {
 
   AccessOutcome access(std::uint64_t addr, bool isWrite,
                        EvictionInfo* evicted = nullptr);
-  AccessRunOutcome accessRun(std::uint64_t addr, std::int64_t strideBytes,
-                             std::int64_t count, bool isWrite);
   void bulkHits(std::int64_t count);
   /// Throws laps::Error when the line is not resident.
   void touch(std::uint64_t addr, bool isWrite, std::uint64_t lastUseStamp);

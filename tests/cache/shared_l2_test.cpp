@@ -137,7 +137,6 @@ TEST(SharedL2, WritebackDirtiesTheResidentCopy) {
 
 TEST(MemoryHierarchy, FlatMissLatencyIsTheConstant) {
   MemoryHierarchy flat(75);
-  EXPECT_FALSE(flat.contended());
   EXPECT_EQ(flat.missLatency(0, 0), 75);
   EXPECT_EQ(flat.missLatency(0, 123456), 75);  // time-independent
 }
@@ -148,7 +147,6 @@ TEST(MemoryHierarchy, L2HitAndMissLatencyComposition) {
   bus.latencyCycles = 75;
   bus.widthBytes = 8;  // occupancy 79 on 32 B lines
   MemoryHierarchy h(75, busPlatform(bus, smallL2()), kCores, 32);
-  EXPECT_TRUE(h.contended());
   // Cold: bank (no wait) + L2 hit latency 8 + bus 79.
   EXPECT_EQ(h.missLatency(0, 0), 8 + 79);
   // Warm L2 hit long after: just the L2 latency.

@@ -17,7 +17,7 @@
 #include <bitset>
 #include <vector>
 
-#include "region/strided_interval.h"
+#include "strided_interval.h"
 #include "util/rng.h"
 
 namespace laps {

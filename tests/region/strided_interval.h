@@ -5,6 +5,9 @@
 /// Strided intervals describe the image of a single loop dimension under
 /// an affine access. Intersections are computed exactly via the extended
 /// Euclidean algorithm (a one-dimensional Presburger solve).
+///
+/// Test-only: no analysis in the library uses progressions; they are the
+/// exact second oracle of tests/region/interval_set_property_test.cpp.
 
 #include <cstdint>
 #include <optional>

@@ -1,4 +1,4 @@
-#include "region/strided_interval.h"
+#include "strided_interval.h"
 
 #include <gtest/gtest.h>
 

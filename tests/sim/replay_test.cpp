@@ -1,67 +1,307 @@
 /// \file replay_test.cpp
-/// \brief Differential tests: run-length replay must produce SimResults
-/// bit-identical to per-event replay — same makespan, cache statistics,
-/// miss classification, preemption points and per-process records — on
-/// synthetic stress workloads and on the paper's standard suite under all
-/// four paper schedulers.
+/// \brief Segment-level differential: the engine's run-length replay
+/// (sim/replay.h) against the per-event oracle (per_event_replay.h).
+///
+/// A seeded driver owns two independent memory platforms — one
+/// MemoryHierarchy with one MemorySystem per core each — and plays the
+/// engine's part: it picks the earliest-free core, raises both
+/// hierarchies' retire horizons to that cycle, picks a random unfinished
+/// process (so half-finished processes migrate between cores), flushes
+/// on a switch when asked to, draws a quantum (or runs the segment to
+/// completion) and hands each replay its own copy of the process's
+/// cursor. After every segment the two sides must agree on the segment's
+/// cycles, the cursor position, every L1 I/D counter and LRU clock, the
+/// 3C breakdown, the resident L1 lines and every shared-level counter
+/// (L2, bank waits, bus, NoC links, directory). Platforms: flat, bus +
+/// banked L2 and a timed directory mesh; workloads: the stress shapes
+/// below and the paper's standard suite under its LSM (interleaved)
+/// layout.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/experiment.h"
 #include "layout/transform.h"
-#include "sched/basic.h"
-#include "sim/engine.h"
+#include "per_event_replay.h"
+#include "sim/replay.h"
+#include "trace/cursor.h"
+#include "util/rng.h"
 
 namespace laps {
 namespace {
 
-void expectStatsEqual(const CacheStats& a, const CacheStats& b,
-                      const char* what) {
-  EXPECT_EQ(a.accesses, b.accesses) << what;
-  EXPECT_EQ(a.hits, b.hits) << what;
-  EXPECT_EQ(a.misses, b.misses) << what;
-  EXPECT_EQ(a.evictions, b.evictions) << what;
-  EXPECT_EQ(a.dirtyEvictions, b.dirtyEvictions) << what;
-  EXPECT_EQ(a.invalidations, b.invalidations) << what;
+enum class Shape { Flat, BusL2, TimedMesh };
+
+const char* shapeName(Shape shape) {
+  switch (shape) {
+    case Shape::Flat: return "flat";
+    case Shape::BusL2: return "bus+L2";
+    case Shape::TimedMesh: return "timed mesh";
+  }
+  return "?";
 }
 
-void expectIdentical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.makespanCycles, b.makespanCycles);
-  EXPECT_EQ(a.seconds, b.seconds);
-  expectStatsEqual(a.dcacheTotal, b.dcacheTotal, "dcache");
-  expectStatsEqual(a.icacheTotal, b.icacheTotal, "icache");
-  EXPECT_EQ(a.dataMisses.compulsory, b.dataMisses.compulsory);
-  EXPECT_EQ(a.dataMisses.capacity, b.dataMisses.capacity);
-  EXPECT_EQ(a.dataMisses.conflict, b.dataMisses.conflict);
-  EXPECT_EQ(a.contextSwitches, b.contextSwitches);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.switchOverheadCycles, b.switchOverheadCycles);
-  EXPECT_EQ(a.sharedL2Enabled, b.sharedL2Enabled);
-  expectStatsEqual(a.l2Total, b.l2Total, "l2");
-  EXPECT_EQ(a.l2BankWaitCycles, b.l2BankWaitCycles);
-  EXPECT_EQ(a.inclusionWritebacks, b.inclusionWritebacks);
-  EXPECT_EQ(a.busTransactions, b.busTransactions);
-  EXPECT_EQ(a.busWaitCycles, b.busWaitCycles);
-  EXPECT_EQ(a.coreBusyCycles, b.coreBusyCycles);
-  EXPECT_EQ(a.coreIdleCycles, b.coreIdleCycles);
-  ASSERT_EQ(a.processes.size(), b.processes.size());
-  for (std::size_t p = 0; p < a.processes.size(); ++p) {
-    EXPECT_EQ(a.processes[p].firstStartCycle, b.processes[p].firstStartCycle)
-        << "process " << p;
-    EXPECT_EQ(a.processes[p].completionCycle, b.processes[p].completionCycle)
-        << "process " << p;
-    EXPECT_EQ(a.processes[p].lastCore, b.processes[p].lastCore)
-        << "process " << p;
-    EXPECT_EQ(a.processes[p].segments, b.processes[p].segments)
-        << "process " << p;
+/// The simulated platform of one differential run.
+struct Platform {
+  std::size_t cores = 2;
+  MemoryConfig memory{};
+  PlatformConfig shared{};
+};
+
+/// Small L1s (1 KB, 2-way) with instruction modelling and 3C
+/// classification: conflicts, evictions and cold fetches everywhere.
+MemoryConfig stressMemory() {
+  MemoryConfig memory;
+  memory.l1d = CacheConfig{1024, 2, 32, 2};
+  memory.l1i = CacheConfig{1024, 2, 32, 2};
+  memory.modelICache = true;
+  memory.classifyMisses = true;
+  return memory;
+}
+
+/// \p shape's shared levels under \p memory. The L2 holds four L1 data
+/// caches (4 KB over the stress L1s), so inclusion recalls are frequent.
+Platform platformOf(Shape shape, MemoryConfig memory, std::size_t cores) {
+  Platform p;
+  p.cores = cores;
+  p.memory = memory;
+  if (shape == Shape::Flat) return p;
+  SharedL2Config& l2 = p.shared.sharedL2.emplace();
+  l2.sizeBytes = 4 * memory.l1d.sizeBytes;
+  l2.assoc = 2;
+  l2.lineBytes = memory.l1d.lineBytes;
+  l2.bankCount = 4;
+  if (shape == Shape::BusL2) {
+    p.shared.interconnect = InterconnectKind::Bus;
+    p.shared.bus.maxOutstanding = 2;
+  } else {
+    p.shared.interconnect = InterconnectKind::Mesh;
+    p.shared.coherence = CoherenceKind::Directory;
+    p.shared.noc.hopCycles = 2;
+    p.shared.noc.linkWidthBytes = 8;  // 4 cycles per 32 B line
+  }
+  p.shared.validate(cores);
+  return p;
+}
+
+/// One side of the differential: a hierarchy and its cores' L1s.
+struct Side {
+  std::shared_ptr<MemoryHierarchy> hierarchy;
+  std::vector<std::unique_ptr<MemorySystem>> cores;
+
+  explicit Side(const Platform& p)
+      : hierarchy(std::make_shared<MemoryHierarchy>(
+            p.memory.memLatencyCycles, p.shared, p.cores,
+            p.memory.l1d.lineBytes)) {
+    for (std::size_t c = 0; c < p.cores; ++c) {
+      cores.push_back(std::make_unique<MemorySystem>(p.memory, hierarchy, c));
+    }
+  }
+};
+
+/// One observable counter of a Side (core kShared = the shared levels).
+struct Observed {
+  const char* level;
+  const char* field;
+  std::size_t core;
+  std::uint64_t value;
+};
+constexpr std::size_t kShared = ~std::size_t{0};
+
+void observeStats(std::vector<Observed>& out, const char* level,
+                  std::size_t core, const CacheStats& s) {
+  out.push_back({level, "accesses", core, s.accesses});
+  out.push_back({level, "hits", core, s.hits});
+  out.push_back({level, "misses", core, s.misses});
+  out.push_back({level, "evictions", core, s.evictions});
+  out.push_back({level, "dirtyEvictions", core, s.dirtyEvictions});
+  out.push_back({level, "invalidations", core, s.invalidations});
+}
+
+std::vector<Observed> observe(const Side& side) {
+  std::vector<Observed> out;
+  for (std::size_t c = 0; c < side.cores.size(); ++c) {
+    const MemorySystem& m = *side.cores[c];
+    observeStats(out, "l1d", c, m.dcache().stats());
+    observeStats(out, "l1i", c, m.icache().stats());
+    out.push_back({"l1d", "clock", c, m.dataClock()});
+    out.push_back({"l1i", "clock", c, m.instrClock()});
+    const MissBreakdown misses = m.dataMissBreakdown();
+    out.push_back({"3C", "compulsory", c, misses.compulsory});
+    out.push_back({"3C", "capacity", c, misses.capacity});
+    out.push_back({"3C", "conflict", c, misses.conflict});
+  }
+  const MemoryHierarchy& h = *side.hierarchy;
+  if (const SharedL2* l2 = h.l2()) {
+    observeStats(out, "l2", kShared, l2->stats());
+    out.push_back({"l2", "bankWaitCycles", kShared, l2->bankWaitCycles()});
+  }
+  if (const MemoryBus* bus = h.bus()) {
+    out.push_back({"bus", "transactions", kShared, bus->stats().transactions});
+    out.push_back({"bus", "waitCycles", kShared, bus->stats().waitCycles});
+  }
+  if (const NocFabric* noc = h.noc()) {
+    const NocStats& s = noc->stats();
+    out.push_back({"noc", "transfers", kShared, s.transfers});
+    out.push_back({"noc", "postedTransfers", kShared, s.postedTransfers});
+    out.push_back({"noc", "hopCycles", kShared, s.hopCycles});
+    out.push_back({"noc", "linkWaitCycles", kShared, s.linkWaitCycles});
+  }
+  if (const DirectoryStats* dir = h.directory()) {
+    out.push_back({"dir", "invalidationsSent", kShared, dir->invalidationsSent});
+    out.push_back(
+        {"dir", "invalidationsFiltered", kShared, dir->invalidationsFiltered});
+  }
+  out.push_back(
+      {"mem", "inclusionWritebacks", kShared, h.inclusionWritebacks()});
+  return out;
+}
+
+::testing::AssertionResult sameState(const Side& perEvent,
+                                     const Side& runLength) {
+  const std::vector<Observed> want = observe(perEvent);
+  const std::vector<Observed> got = observe(runLength);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i].value != got[i].value) {
+      auto failure = ::testing::AssertionFailure();
+      failure << want[i].level << '.' << want[i].field;
+      if (want[i].core != kShared) failure << " of core " << want[i].core;
+      return failure << ": per-event " << want[i].value << ", run-length "
+                     << got[i].value;
+    }
+  }
+  for (std::size_t c = 0; c < perEvent.cores.size(); ++c) {
+    const MemorySystem& a = *perEvent.cores[c];
+    const MemorySystem& b = *runLength.cores[c];
+    if (a.dcache().residentLineAddrs() != b.dcache().residentLineAddrs()) {
+      return ::testing::AssertionFailure()
+             << "resident L1 data lines of core " << c << " differ";
+    }
+    if (a.icache().residentLineAddrs() != b.icache().residentLineAddrs()) {
+      return ::testing::AssertionFailure()
+             << "resident L1 instruction lines of core " << c << " differ";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct DriveOptions {
+  std::uint64_t seed = 1;
+  /// Quantum bounds of a preemptive segment (inclusive, drawn uniformly).
+  /// Unset: every segment runs to completion.
+  std::optional<std::pair<std::int64_t, std::int64_t>> quanta{{7, 2040}};
+  /// With quanta, one segment in this many still runs to completion
+  /// (0 = none). A whole-process segment sweeps the classifier's shadow
+  /// LRU, which can erase an earlier divergence of its order before it
+  /// shows in the 3C counts, so some drives keep every segment cut.
+  std::uint64_t runToCompletionOneIn = 8;
+  bool flushOnSwitch = false;
+};
+
+/// Context-switch overhead before a segment of another process (the
+/// engine's default): shifts the issue cycles of contended misses.
+constexpr std::int64_t kSwitchCycles = 400;
+
+/// What a drive exercised, for the coverage assertions.
+struct Coverage {
+  std::size_t segments = 0;
+  std::size_t nonPreemptive = 0;     ///< segments without a quantum
+  std::size_t midIterationCuts = 0;  ///< quantum cuts inside an iteration
+  std::size_t migrations = 0;        ///< resumes on another core
+  std::size_t flushes = 0;
+};
+
+/// Replays every process of \p workload under \p space to completion,
+/// segment by segment, on both sides of the differential (see the file
+/// comment). Fatal failure at the first divergence.
+void drive(const Workload& workload, const AddressSpace& space,
+           const Platform& platform, const DriveOptions& options,
+           Coverage& coverage) {
+  Side perEvent(platform);
+  Side runLength(platform);
+  const std::size_t n = workload.graph.processCount();
+  std::vector<ProcessTraceCursor> cursors;
+  for (ProcessId p = 0; p < n; ++p) {
+    cursors.emplace_back(workload.graph.process(p), workload.arrays, space);
+  }
+  std::vector<ProcessId> live;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (!cursors[p].done()) live.push_back(p);
+  }
+  std::vector<std::optional<std::size_t>> lastCore(n);
+  std::vector<std::optional<ProcessId>> lastOnCore(platform.cores);
+  std::vector<std::int64_t> freeAt(platform.cores, 0);
+  Rng rng(options.seed);
+
+  while (!live.empty()) {
+    // The earliest-free core: segment starts are non-decreasing, as the
+    // engine's event queue makes them.
+    const auto core = static_cast<std::size_t>(
+        std::min_element(freeAt.begin(), freeAt.end()) - freeAt.begin());
+    const std::int64_t now = freeAt[core];
+    perEvent.hierarchy->retireBefore(now);
+    runLength.hierarchy->retireBefore(now);
+
+    const std::size_t slot = rng.below(live.size());
+    const ProcessId process = live[slot];
+    const bool isSwitch = lastOnCore[core] != std::optional{process};
+    if (isSwitch && options.flushOnSwitch) {
+      perEvent.cores[core]->flushAll();
+      runLength.cores[core]->flushAll();
+      ++coverage.flushes;
+    }
+    if (lastCore[process] && *lastCore[process] != core) {
+      ++coverage.migrations;
+    }
+    std::optional<std::int64_t> quantum;
+    if (options.quanta && (options.runToCompletionOneIn == 0 ||
+                           rng.below(options.runToCompletionOneIn) != 0)) {
+      quantum = rng.range(options.quanta->first, options.quanta->second);
+    } else {
+      ++coverage.nonPreemptive;
+    }
+    const std::int64_t segStart = now + (isSwitch ? kSwitchCycles : 0);
+
+    ProcessTraceCursor oracle = cursors[process];
+    ProcessTraceCursor replay = cursors[process];
+    const std::int64_t want = replaySegmentPerEvent(
+        oracle, *perEvent.cores[core], quantum, segStart);
+    const std::int64_t got = replaySegmentRunLength(
+        replay, *runLength.cores[core], quantum, segStart);
+    const auto where = [&] {
+      return "segment " + std::to_string(coverage.segments) + ": process " +
+             std::to_string(process) + " on core " + std::to_string(core) +
+             " at cycle " + std::to_string(segStart) + ", quantum " +
+             (quantum ? std::to_string(*quantum) : std::string("none"));
+    };
+    ASSERT_EQ(want, got) << where();
+    ASSERT_EQ(oracle.stepsEmitted(), replay.stepsEmitted()) << where();
+    ASSERT_EQ(oracle.done(), replay.done()) << where();
+    ASSERT_TRUE(sameState(perEvent, runLength)) << where();
+
+    ++coverage.segments;
+    cursors[process] = replay;
+    lastCore[process] = core;
+    lastOnCore[core] = process;
+    freeAt[core] = segStart + got;
+    if (replay.done()) {
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(slot));
+    } else if (TraceRun run; replay.peekRun(run) && run.partialIteration) {
+      ++coverage.midIterationCuts;
+    }
   }
 }
 
 /// A stress workload exercising every run shape: single-stream sweeps,
 /// multi-access iterations (read + write + loop-invariant scalar),
 /// transposed (line-jumping) strides, reversed (negative-stride) sweeps,
-/// pure-compute nests, multiple nests per process, and dependences.
+/// pure-compute nests and multiple nests per process.
 struct StressRig {
   Workload workload;
   ArrayId a, b, c;
@@ -117,194 +357,161 @@ struct StressRig {
     return workload.graph.addProcess(std::move(p));
   }
 
-  SimResult run(SchedulerPolicy& policy, MpsocConfig cfg, ReplayMode mode,
-                const AddressSpace* spaceOverride = nullptr) {
-    cfg.replayMode = mode;
-    const AddressSpace defaultSpace(workload.arrays);
-    const AddressSpace& space = spaceOverride ? *spaceOverride : defaultSpace;
-    const SharingMatrix sharing = SharingMatrix::compute(workload.footprints());
-    MpsocSimulator sim(workload, space, sharing, policy, cfg);
-    return sim.run();
+  /// The standard mix: one of each shape, two muladds on overlapping
+  /// rows (cross-process reuse). Short processes keep run-to-completion
+  /// segments short: a contended one books calendar slots far past the
+  /// retire horizon, and the audit build checks the whole calendar on
+  /// every booking.
+  StressRig& standardMix() {
+    addStream(0, 200);
+    addMulAdd(0, 8);
+    addMulAdd(4, 12);
+    addReversed();
+    return *this;
   }
 };
 
-MpsocConfig stressConfig(std::size_t cores) {
-  MpsocConfig cfg;
-  cfg.coreCount = cores;
-  cfg.memory.l1d = CacheConfig{1024, 2, 32, 2};
-  cfg.memory.l1i = CacheConfig{1024, 2, 32, 2};
-  cfg.memory.modelICache = true;
-  cfg.memory.classifyMisses = true;
-  cfg.switchCycles = 400;
-  return cfg;
+constexpr Shape kShapes[] = {Shape::Flat, Shape::BusL2, Shape::TimedMesh};
+
+/// Cores per stress platform: two share a bus, a 2×2 mesh has four.
+std::size_t stressCores(Shape shape) {
+  return shape == Shape::TimedMesh ? 4 : 2;
 }
 
-TEST(RunLengthReplay, StressWorkloadNonPreemptive) {
-  StressRig rig;
-  const auto s1 = rig.addStream(0, 200);
-  rig.addMulAdd(0, 16);
-  rig.addMulAdd(16, 32);
-  const auto rev = rig.addReversed();
-  rig.workload.graph.addDependence(s1, rev);
-  FcfsScheduler pe;
-  FcfsScheduler rl;
-  expectIdentical(rig.run(pe, stressConfig(2), ReplayMode::PerEvent),
-                  rig.run(rl, stressConfig(2), ReplayMode::RunLength));
-}
-
-TEST(RunLengthReplay, StressWorkloadSmallQuantum) {
-  // A tiny quantum forces mid-run and mid-iteration splits everywhere.
-  for (const std::int64_t quantum : {7, 100, 1000}) {
-    StressRig rig;
-    rig.addStream(0, 200);
-    rig.addMulAdd(0, 16);
-    rig.addMulAdd(8, 24);  // overlapping rows: cross-process reuse
-    rig.addReversed();
-    RoundRobinScheduler pe(quantum);
-    RoundRobinScheduler rl(quantum);
-    expectIdentical(rig.run(pe, stressConfig(2), ReplayMode::PerEvent),
-                    rig.run(rl, stressConfig(2), ReplayMode::RunLength));
+TEST(SegmentReplay, StressShapesPreemptive) {
+  for (const Shape shape : kShapes) {
+    for (const std::uint64_t seed : {1, 2, 3, 4}) {
+      SCOPED_TRACE(std::string(shapeName(shape)) + ", seed " +
+                   std::to_string(seed));
+      StressRig rig;
+      rig.standardMix();
+      const AddressSpace space(rig.workload.arrays);
+      DriveOptions options;
+      options.seed = seed;
+      options.runToCompletionOneIn = seed % 2 == 0 ? 8 : 0;
+      Coverage coverage;
+      ASSERT_NO_FATAL_FAILURE(drive(
+          rig.workload, space,
+          platformOf(shape, stressMemory(), stressCores(shape)), options,
+          coverage));
+      EXPECT_GT(coverage.midIterationCuts, 0u);
+      EXPECT_GT(coverage.migrations, 0u);
+      EXPECT_EQ(coverage.nonPreemptive > 0, seed % 2 == 0);
+    }
   }
 }
 
-TEST(RunLengthReplay, QuantumScanKeepsMissClassificationIdentical) {
-  // Regression: a quantum that splits a bulk chunk mid-iteration
-  // (takeExtra > 0) must leave the classifier's shadow LRU in the exact
-  // per-event rotation, or later capacity-vs-conflict decisions diverge
-  // once interleaved processes partially evict the shadow's MRU block.
-  // Scan a quantum range dense enough to hit many split phases.
+TEST(SegmentReplay, StressShapesNonPreemptive) {
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(shapeName(shape));
+    StressRig rig;
+    rig.standardMix();
+    rig.addMulAdd(8, 16);
+    const AddressSpace space(rig.workload.arrays);
+    DriveOptions options;
+    options.quanta.reset();
+    Coverage coverage;
+    ASSERT_NO_FATAL_FAILURE(drive(
+        rig.workload, space,
+        platformOf(shape, stressMemory(), stressCores(shape)), options,
+        coverage));
+    EXPECT_EQ(coverage.segments, rig.workload.graph.processCount());
+  }
+}
+
+TEST(SegmentReplay, QuantumScanOnOneCore) {
+  // A quantum that splits a bulk chunk mid-iteration must leave the
+  // classifier's shadow LRU in the exact per-event rotation, or later
+  // capacity-vs-conflict decisions diverge once interleaved processes
+  // partially evict the shadow's MRU block. Scan a quantum range dense
+  // enough to hit many split phases.
   for (std::int64_t quantum = 20; quantum <= 2040; quantum += 101) {
+    SCOPED_TRACE(quantum);
     StressRig rig;
     rig.addMulAdd(0, 16);
     rig.addMulAdd(8, 24);
     rig.addMulAdd(16, 32);
-    RoundRobinScheduler pe(quantum);
-    RoundRobinScheduler rl(quantum);
-    SCOPED_TRACE(quantum);
-    expectIdentical(rig.run(pe, stressConfig(1), ReplayMode::PerEvent),
-                    rig.run(rl, stressConfig(1), ReplayMode::RunLength));
+    const AddressSpace space(rig.workload.arrays);
+    DriveOptions options;
+    options.quanta = {{quantum, quantum}};
+    options.runToCompletionOneIn = 0;
+    Coverage coverage;
+    ASSERT_NO_FATAL_FAILURE(
+        drive(rig.workload, space, platformOf(Shape::Flat, stressMemory(), 1),
+              options, coverage));
   }
 }
 
-TEST(RunLengthReplay, FlushOnSwitch) {
-  StressRig rig;
-  rig.addStream(0, 256);
-  rig.addMulAdd(0, 8);
-  rig.addReversed();
-  MpsocConfig cfg = stressConfig(1);
-  cfg.flushOnSwitch = true;
-  RoundRobinScheduler pe(500);
-  RoundRobinScheduler rl(500);
-  expectIdentical(rig.run(pe, cfg, ReplayMode::PerEvent),
-                  rig.run(rl, cfg, ReplayMode::RunLength));
+TEST(SegmentReplay, FlushOnSwitch) {
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(shapeName(shape));
+    StressRig rig;
+    rig.standardMix();
+    const AddressSpace space(rig.workload.arrays);
+    DriveOptions options;
+    options.flushOnSwitch = true;
+    Coverage coverage;
+    ASSERT_NO_FATAL_FAILURE(drive(
+        rig.workload, space,
+        platformOf(shape, stressMemory(), stressCores(shape)), options,
+        coverage));
+    EXPECT_GT(coverage.flushes, 0u);
+  }
 }
 
-TEST(RunLengthReplay, InterleavedLayoutTransform) {
+TEST(SegmentReplay, InterleavedLayout) {
   // A re-laid-out array's addressing is only piecewise affine; runs must
   // be clipped at the half-page chunk boundaries the transform introduces.
-  StressRig rig;
-  rig.addStream(0, 256);
-  rig.addMulAdd(0, 16);
-  const MpsocConfig cfg = stressConfig(2);
-  AddressSpace space(rig.workload.arrays);
-  const std::int64_t page = cfg.memory.l1d.cachePageBytes();
-  space.setTransform(rig.c, LayoutTransform::interleave(page, 0));
-  space.setTransform(rig.a, LayoutTransform::interleave(page, page / 2));
-  FcfsScheduler pe;
-  FcfsScheduler rl;
-  expectIdentical(rig.run(pe, cfg, ReplayMode::PerEvent, &space),
-                  rig.run(rl, cfg, ReplayMode::RunLength, &space));
-}
-
-MpsocConfig contendedConfig(std::size_t cores) {
-  MpsocConfig cfg = stressConfig(cores);
-  PlatformConfig& platform = cfg.platform.emplace();
-  platform.interconnect = InterconnectKind::Bus;
-  SharedL2Config& l2 = platform.sharedL2.emplace();
-  l2.sizeBytes = 4096;
-  l2.assoc = 2;
-  l2.lineBytes = 32;
-  l2.bankCount = 4;
-  platform.bus.maxOutstanding = 2;
-  return cfg;
-}
-
-TEST(RunLengthReplay, ContendedHierarchyNonPreemptive) {
-  // Bulk-committed steps are guaranteed L1 hits and never touch the
-  // shared levels, so the replay modes must stay bit-identical even when
-  // miss latency depends on the absolute cycle (shared L2 + bounded bus).
-  StressRig rig;
-  const auto s1 = rig.addStream(0, 200);
-  rig.addMulAdd(0, 16);
-  rig.addMulAdd(16, 32);
-  const auto rev = rig.addReversed();
-  rig.workload.graph.addDependence(s1, rev);
-  FcfsScheduler pe;
-  FcfsScheduler rl;
-  expectIdentical(rig.run(pe, contendedConfig(2), ReplayMode::PerEvent),
-                  rig.run(rl, contendedConfig(2), ReplayMode::RunLength));
-}
-
-TEST(RunLengthReplay, ContendedHierarchySmallQuantum) {
-  for (const std::int64_t quantum : {7, 100, 1000}) {
+  for (const Shape shape : kShapes) {
+    SCOPED_TRACE(shapeName(shape));
     StressRig rig;
-    rig.addStream(0, 200);
-    rig.addMulAdd(0, 16);
-    rig.addMulAdd(8, 24);
-    rig.addReversed();
-    RoundRobinScheduler pe(quantum);
-    RoundRobinScheduler rl(quantum);
-    SCOPED_TRACE(quantum);
-    expectIdentical(rig.run(pe, contendedConfig(2), ReplayMode::PerEvent),
-                    rig.run(rl, contendedConfig(2), ReplayMode::RunLength));
+    rig.standardMix();
+    AddressSpace space(rig.workload.arrays);
+    const std::int64_t page = stressMemory().l1d.cachePageBytes();
+    space.setTransform(rig.c, LayoutTransform::interleave(page, 0));
+    space.setTransform(rig.a, LayoutTransform::interleave(page, page / 2));
+    Coverage coverage;
+    ASSERT_NO_FATAL_FAILURE(drive(
+        rig.workload, space,
+        platformOf(shape, stressMemory(), stressCores(shape)), DriveOptions{},
+        coverage));
+    EXPECT_GT(coverage.midIterationCuts, 0u);
   }
 }
 
-TEST(RunLengthReplay, ContendedSuitePaperSchedulers) {
-  // The contention acceptance gate: L2 + bounded bus enabled, every
-  // paper scheduler, both replay modes bit-identical on a suite mix.
+TEST(SegmentReplay, StandardSuiteUnderLsmLayout) {
+  // The paper's applications on the Table 2 caches, laid out by LSM's
+  // re-layout pipeline (interleaved conflict arrays).
   const auto suite = standardSuite(AppParams{0.25});
-  const Workload mix = concurrentScenario(suite, 3);
-  for (const SchedulerKind kind : paperSchedulers()) {
-    ExperimentConfig config;
-    PlatformConfig& platform = config.mpsoc.platform.emplace();
-    platform.interconnect = InterconnectKind::Bus;
-    platform.sharedL2.emplace();
-    config.mpsoc.memory.classifyMisses = true;
-    config.sched.rrsQuantumCycles = 2'000;
-    config.mpsoc.replayMode = ReplayMode::PerEvent;
-    const ExperimentResult perEvent = runExperiment(mix, kind, config);
-    config.mpsoc.replayMode = ReplayMode::RunLength;
-    const ExperimentResult runLength = runExperiment(mix, kind, config);
-    SCOPED_TRACE("scheduler " + perEvent.schedulerName);
-    expectIdentical(perEvent.sim, runLength.sim);
-    EXPECT_EQ(perEvent.energyMj, runLength.energyMj);
-    EXPECT_TRUE(perEvent.sim.sharedL2Enabled);
-    EXPECT_GT(perEvent.sim.l2Total.accesses, 0u);
-  }
-}
-
-TEST(RunLengthReplay, StandardSuitePaperSchedulers) {
-  // The acceptance gate: every paper scheduler (RS, RRS, LS, LSM — the
-  // last including the Fig. 4/5 re-layout pipeline) must produce
-  // bit-identical results in both replay modes on suite mixes.
-  const auto suite = standardSuite(AppParams{0.5});
-  for (const std::size_t t : {std::size_t{1}, std::size_t{3},
-                              std::size_t{6}}) {
+  for (const std::size_t t :
+       {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
     const Workload mix = concurrentScenario(suite, t);
-    for (const SchedulerKind kind : paperSchedulers()) {
-      ExperimentConfig config;
-      config.mpsoc.memory.classifyMisses = true;
-      config.sched.rrsQuantumCycles = 2'000;  // stress mid-run splits
-      config.mpsoc.replayMode = ReplayMode::PerEvent;
-      const ExperimentResult perEvent = runExperiment(mix, kind, config);
-      config.mpsoc.replayMode = ReplayMode::RunLength;
-      const ExperimentResult runLength = runExperiment(mix, kind, config);
-      SCOPED_TRACE("scheduler " + perEvent.schedulerName + " |T|=" +
-                   std::to_string(t));
-      expectIdentical(perEvent.sim, runLength.sim);
-      EXPECT_EQ(perEvent.energyMj, runLength.energyMj);
-      EXPECT_EQ(perEvent.relayoutedArrays, runLength.relayoutedArrays);
+    ExperimentConfig config;
+    config.mpsoc.coreCount = 4;
+    AddressSpace space(mix.arrays, config.addressSpace);
+    const std::vector<Footprint> footprints = mix.footprints();
+    const RelayoutPlan relayout = applyLsmRelayout(
+        mix, footprints, SharingMatrix::compute(footprints), config, space);
+    MemoryConfig memory = config.mpsoc.memory;
+    memory.classifyMisses = true;
+    for (const Shape shape : kShapes) {
+      for (const std::uint64_t oneIn : {0, 8}) {
+        SCOPED_TRACE(std::string(shapeName(shape)) + ", |T|=" +
+                     std::to_string(t) + ", run to completion 1 in " +
+                     std::to_string(oneIn));
+        DriveOptions options;
+        options.seed = t;
+        options.runToCompletionOneIn = oneIn;
+        Coverage coverage;
+        ASSERT_NO_FATAL_FAILURE(drive(mix, space,
+                                      platformOf(shape, memory, 4), options,
+                                      coverage));
+        EXPECT_GT(coverage.midIterationCuts, 0u);
+        EXPECT_GT(coverage.migrations, 0u);
+      }
+    }
+    if (t == 6) {
+      EXPECT_GT(relayout.relayoutCount(), 0u);
     }
   }
 }
