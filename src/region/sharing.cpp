@@ -8,40 +8,24 @@
 
 namespace laps {
 
-SharingMatrix::SharingMatrix(std::size_t n)
-    : n_(n), diag_(n, 0), slot_(n), activeCount_(n) {
-  singletonClasses();
-  allocateTable(0);
-  for (std::uint32_t k = 0; k < n; ++k) {
-    slot_[k] = k + 1;
-    count_[k] = 1;
-    liveSlot_[k] = k;
-    live_.push_back(k);
-  }
-}
-
 SharingMatrix SharingMatrix::inactive(std::size_t n) {
+  // One class per process until the first addProcess interns.
   SharingMatrix m;
   m.n_ = n;
   m.diag_.assign(n, 0);
   m.slot_.assign(n, 0);
-  m.singletonClasses();
+  m.classOf_.resize(n);
+  m.classStart_.resize(n + 1);
+  m.classMembers_.resize(n);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    m.classOf_[p] = m.classStart_[p] = m.classMembers_[p] = p;
+  }
+  m.classStart_[n] = static_cast<std::uint32_t>(n);
+  m.count_.assign(n, 0);
+  m.classSum_.assign(n, 0);
+  m.liveSlot_.assign(n, kNotLive);
   m.internPending_ = true;
   return m;
-}
-
-void SharingMatrix::singletonClasses() {
-  classOf_.resize(n_);
-  classStart_.resize(n_ + 1);
-  classMembers_.resize(n_);
-  for (std::uint32_t p = 0; p < n_; ++p) {
-    classOf_[p] = classStart_[p] = classMembers_[p] = p;
-  }
-  classStart_[n_] = static_cast<std::uint32_t>(n_);
-  count_.assign(n_, 0);
-  classSum_.assign(n_, 0);
-  live_.clear();
-  liveSlot_.assign(n_, kNotLive);
 }
 
 void SharingMatrix::allocateTable(std::int64_t fill) {
@@ -143,7 +127,6 @@ void SharingMatrix::internClasses(std::span<const Footprint> footprints,
   for (std::uint32_t k = 0; k < classes; ++k) {
     if (classStart_[k + 1] - classStart_[k] == 1) cell(k, k) = 0;
   }
-  interned_ = true;
   internPending_ = false;
 }
 
@@ -177,16 +160,15 @@ void SharingMatrix::addProcess(std::span<const Footprint> footprints,
 void SharingMatrix::reviveClass(std::span<const Footprint> footprints,
                                 std::uint32_t k) {
   // The cells k still needs: its intra value (two smallest members) and
-  // its pairs with the live classes, never intersected on an interned
-  // matrix, always on a singleton one (a dead class's cells are zero
-  // there, as in a dense matrix).
+  // its pairs with the live classes never intersected before. Cells
+  // outlive class deaths, so a revived class reuses them.
   if (cell(k, k) == kUnknown) {
     cell(k, k) = intersectPair(footprints, rep(k),
                                classMembers_[classStart_[k] + 1]);
     ++intersections_;
   }
   for (const std::uint32_t l : live_) {
-    if (interned_ && cell(k, l) != kUnknown) continue;
+    if (cell(k, l) != kUnknown) continue;
     cell(k, l) = cell(l, k) = intersectPair(footprints, rep(k), rep(l));
     ++intersections_;
   }
@@ -214,10 +196,6 @@ void SharingMatrix::removeProcess(std::size_t p) {
   liveSlot_[live_[pos]] = pos;
   live_.pop_back();
   liveSlot_[k] = kNotLive;
-  if (interned_) return;
-  for (std::uint32_t l = 0; l < classCount(); ++l) {
-    if (l != k) cell(k, l) = cell(l, k) = 0;
-  }
 }
 
 std::size_t SharingMatrix::classOf(std::size_t p) const {
@@ -298,45 +276,6 @@ SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
   return m;
 }
 
-void SharingMatrix::expandToSingletons() {
-  // Every visible cell, read before the classes change: the active
-  // pairs; a dead singleton's cells are zero.
-  std::vector<std::int64_t> cells((n_ + 1) * (n_ + 1), 0);
-  for (std::size_t p = 0; p < n_; ++p) {
-    if (slot_[p] == 0) continue;
-    for (std::size_t q = 0; q < n_; ++q) {
-      if (q != p) cells[(p + 1) * (n_ + 1) + q + 1] = at(p, q);
-    }
-  }
-  singletonClasses();
-  stride_ = n_ + 1;
-  cells_ = std::move(cells);
-  for (std::uint32_t p = 0; p < n_; ++p) {
-    if (slot_[p] == 0) continue;
-    slot_[p] = p + 1;
-    count_[p] = 1;
-    liveSlot_[p] = static_cast<std::uint32_t>(live_.size());
-    live_.push_back(p);
-  }
-  for (const std::uint32_t k : live_) classSum_[k] = sumOfClass(k);
-  interned_ = false;
-  internPending_ = false;
-}
-
-void SharingMatrix::set(std::size_t p, std::size_t q, std::int64_t value) {
-  check(p < n_ && q < n_, "SharingMatrix: index out of range");
-  // One written cell can break the class contract: singleton classes.
-  if (interned_ || internPending_) expandToSingletons();
-  if (p == q) {
-    diag_[p] = value;
-    return;
-  }
-  const auto k = static_cast<std::uint32_t>(p);
-  const auto l = static_cast<std::uint32_t>(q);
-  if (slot_[p] != 0 && slot_[q] != 0) classSum_[k] += value - cell(k, l);
-  cell(k, l) = value;
-}
-
 std::span<const std::int64_t> SharingMatrix::row(std::size_t p) const {
   check(p < n_, "SharingMatrix::row: index out of range");
   rowScratch_.resize(n_);
@@ -351,15 +290,6 @@ std::int64_t SharingMatrix::rowSum(std::size_t p) const {
   if (slot_[p] == 0) return 0;
   const std::uint32_t k = classOf_[p];
   return classSum_[k] + (count_[k] - std::int64_t{1}) * cell(k, k);
-}
-
-bool SharingMatrix::isDiagonal() const {
-  for (const std::uint32_t k : live_) {
-    for (const std::uint32_t l : live_) {
-      if ((l != k || count_[k] > 1) && cell(k, l) != 0) return false;
-    }
-  }
-  return true;
 }
 
 void SharingMatrix::auditInvariants() const {
@@ -391,15 +321,6 @@ void SharingMatrix::auditInvariants() const {
                                 std::to_string(classSum_[k]) +
                                 ", its live cells sum to " +
                                 std::to_string(sum));
-    }
-    if (interned_ || internPending_ || count_[k] > 0) continue;
-    for (std::uint32_t l = 0; l < classCount(); ++l) {
-      if (l != k && (cell(k, l) != 0 || cell(l, k) != 0)) {
-        audit::require(false, "SharingMatrix: inactive process " +
-                                  std::to_string(k) +
-                                  " has a nonzero row or column entry at " +
-                                  std::to_string(l));
-      }
     }
   }
   for (std::size_t p = 0; p < n_; ++p) {
@@ -457,8 +378,15 @@ void SharingMatrix::corruptRowSumForTest(std::size_t p, std::int64_t value) {
   classSum_[classOf_[p]] += value - rowSum(p);
 }
 
+void SharingMatrix::corruptCellForTest(std::size_t p, std::size_t q,
+                                       std::int64_t value) {
+  check(p < n_ && q < n_,
+        "SharingMatrix::corruptCellForTest: index out of range");
+  (p == q ? diag_[p] : cells_[slot_[p] * stride_ + slot_[q]]) = value;
+}
+
 void SharingMatrix::corruptClassForTest(std::size_t p, std::size_t k) {
-  check(p < n_ && k < classCount() && interned_,
+  check(p < n_ && k < classCount(),
         "SharingMatrix::corruptClassForTest: index out of range");
   classOf_[p] = static_cast<std::uint32_t>(k);
 }

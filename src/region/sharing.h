@@ -22,12 +22,13 @@ namespace laps {
 /// scratch) cannot enter any pair's intersection. So for same-class
 /// p != q, M[p][r] == M[q][r] for every r outside {p, q}, and M[p][q]
 /// is one intra value per class — exact integers, no approximation.
-/// compute() interns the classes, inactive(n) on its first addProcess;
-/// a matrix built by SharingMatrix(n), or touched by set(), has
-/// singleton classes (each process its own). Classes are numbered in
-/// order of their smallest member (the class's rep).
+/// Every matrix is built from footprints: compute() interns the
+/// classes, inactive(n) on its first addProcess (until then each
+/// process is a class of its own). Classes are numbered in order of
+/// their smallest member (the class's rep).
 ///
-/// Storage. One symmetric (classes + 1)² cell table: cell (k, l) is
+/// Storage. One (classes + 1)² cell table, symmetric by construction
+/// (every write sets cells (k, l) and (l, k) together): cell (k, l) is
 /// the sharing between a member of class k and a member of class l,
 /// the diagonal cell (k, k) the intra value, and an extra all-zero
 /// row and column stand for every inactive process. Besides it: the
@@ -54,10 +55,6 @@ namespace laps {
 class SharingMatrix {
  public:
   SharingMatrix() = default;
-
-  /// n x n zero matrix; every process counts as active (so manually
-  /// set() matrices behave as before the open-workload extension).
-  explicit SharingMatrix(std::size_t n);
 
   /// n x n matrix with every process inactive — the starting point of
   /// incremental maintenance under process arrival/exit. It holds no
@@ -106,16 +103,13 @@ class SharingMatrix {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Bounds-checked accessors (throw laps::Error out of range). at() is
-  /// a class lookup plus the diagonal fix-up; it reads 0 whenever p or
-  /// q is inactive. set() writes one cell, so on an interned matrix it
-  /// first expands to singleton classes (O(n²)): the class contract is
-  /// no longer implied by footprints.
+  /// Bounds-checked accessor (throws laps::Error out of range): a class
+  /// lookup plus the diagonal fix-up; it reads 0 whenever p or q is
+  /// inactive.
   [[nodiscard]] std::int64_t at(std::size_t p, std::size_t q) const {
     check(p < n_ && q < n_, "SharingMatrix: index out of range");
     return p == q ? diag_[p] : cells_[slot_[p] * stride_ + slot_[q]];
   }
-  void set(std::size_t p, std::size_t q, std::int64_t value);
 
   /// Row \p p as n cells, for tooling and tests: O(n), filled into a
   /// per-matrix scratch buffer. The span is invalidated by the next
@@ -129,9 +123,6 @@ class SharingMatrix {
   /// Fig. 3 trim derives each candidate's total from it by complement
   /// (sched/locality.h).
   [[nodiscard]] std::int64_t rowSum(std::size_t p) const;
-
-  /// True when no off-diagonal entry is positive.
-  [[nodiscard]] bool isDiagonal() const;
 
   /// Renders as a table (for examples / debugging), labels P0..Pn-1.
   [[nodiscard]] Table toTable() const;
@@ -160,13 +151,17 @@ class SharingMatrix {
   /// is intersected and symmetric, and every live class's stored sum
   /// equals a fresh sum (a dead class's is zero). The diagonal of an
   /// active process is non-negative (a footprint size), an inactive
-  /// one's zero; with singleton classes from SharingMatrix(n) or set(),
-  /// a dead class's cells must be zero too. Throws laps::AuditError on
-  /// violation. The engine runs it after every incremental arrival/exit
-  /// update under LAPSCHED_AUDIT; tests inject violations through set()
-  /// (which writes a single cell), corruptRowSumForTest and
-  /// corruptClassForTest to prove it fires.
+  /// one's zero. Throws laps::AuditError on violation. The engine runs
+  /// it after every incremental arrival/exit update under
+  /// LAPSCHED_AUDIT; tests inject violations through
+  /// corruptCellForTest, corruptRowSumForTest and corruptClassForTest
+  /// to prove it fires.
   void auditInvariants() const;
+
+  /// Test seam for the audit paths: overwrites the one cell at(p, q)
+  /// reads (the diagonal when p == q) with \p value, without its mirror
+  /// or any stored sum.
+  void corruptCellForTest(std::size_t p, std::size_t q, std::int64_t value);
 
   /// Test seam for the audit path: overwrites the stored sum of \p p's
   /// class so that rowSum(p) would read \p value, bypassing the
@@ -174,13 +169,10 @@ class SharingMatrix {
   void corruptRowSumForTest(std::size_t p, std::int64_t value);
 
   /// Test seam for the audit paths: records \p p as a member of class
-  /// \p k (interned classes only) without moving any count, slot or
-  /// member list entry.
+  /// \p k without moving any count, slot or member list entry.
   void corruptClassForTest(std::size_t p, std::size_t k);
 
  private:
-  /// Singleton classes over the current n_ (each process its own).
-  void singletonClasses();
   /// Interns the sharing classes of \p footprints (see the class
   /// comment) and allocates their table, every class pair's cells set
   /// to \p fill: kUnknown for intersection on demand (addProcess), 0
@@ -189,9 +181,6 @@ class SharingMatrix {
   /// Allocates a (classCount() + 1)² table filled with \p fill, the
   /// inactive row and column zero.
   void allocateTable(std::int64_t fill);
-  /// Rewrites an interned matrix over singleton classes, every visible
-  /// cell kept.
-  void expandToSingletons();
   /// Makes class \p k live: intersects its missing cells with the live
   /// classes, fills its sum and appends it to the live list.
   void reviveClass(std::span<const Footprint> footprints, std::uint32_t k);
@@ -224,10 +213,6 @@ class SharingMatrix {
   std::vector<std::uint32_t> slot_;  // per process: 0, or class + 1
   std::size_t activeCount_ = 0;
   std::uint64_t intersections_ = 0;
-  // Interned from footprints (cells kept across class deaths) vs
-  // singleton classes from SharingMatrix(n)/set() (a dead class's cells
-  // are zero and re-intersected on revival, as a dense matrix would).
-  bool interned_ = false;
   bool internPending_ = false;  // inactive(n): intern on first addProcess
   std::vector<std::uint32_t> classOf_;       // class per process
   std::vector<std::uint32_t> classStart_;    // CSR offsets, classCount()+1

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <limits>
 
-#include "util/audit.h"
 #include "util/error.h"
 
 namespace laps {
@@ -51,20 +50,6 @@ std::vector<ProcessId> plannedIds(const ExtendedProcessGraph& graph,
   check(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
         "buildLocalityPlan: duplicate subset id");
   return ids;
-}
-
-/// Audit (buildLocalityPlan's precondition): \p sharing is symmetric
-/// over the planned ids, so a row read can stand in for a column read.
-/// Throws laps::AuditError on the first asymmetric pair.
-void auditSymmetricOver(const SharingMatrix& sharing,
-                        const std::vector<ProcessId>& ids) {
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    for (std::size_t j = i + 1; j < ids.size(); ++j) {
-      audit::require(sharing.at(ids[i], ids[j]) == sharing.at(ids[j], ids[i]),
-                     "buildLocalityPlan: sharing matrix is not symmetric "
-                     "over the planned subset");
-    }
-  }
 }
 
 /// IN = independent processes (EPG roots) — for a subset, the members
@@ -167,7 +152,7 @@ void trimToCoreCount(std::vector<ProcessId>& in, const SharingMatrix& sharing,
   for (std::size_t remaining = in.size(); remaining > coreCount;
        --remaining) {
     // The slot row reads the rescan's at(p, removed) for p outside the
-    // group (symmetry, the precondition audited at entry); the group's
+    // group (the class table is symmetric by construction); the group's
     // own slot loses its intra value, which the slot row holds on its
     // diagonal, so the patch below nets it out.
     const std::int64_t* removedRow = sharing.slotRow(slot[worst]);
@@ -261,7 +246,6 @@ LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                PlanIndex& planner) {
   const std::vector<ProcessId> ids =
       plannedIds(graph, sharing, coreCount, subset);
-  LAPS_AUDIT(auditSymmetricOver(sharing, ids));
 
   LocalityPlan plan;
   plan.perCore.resize(coreCount);

@@ -92,14 +92,10 @@ struct LocalityOptions {
 /// plan is identical — element for element — to the Fig. 3 loops as
 /// written; the differential tests in tests/sched/plan_index_test.cpp
 /// (against the test-only reference planner) and the equality argument
-/// in docs/ARCHITECTURE.md §12 pin it.
-///
-/// Precondition: \p sharing is symmetric over the planned subset (every
-/// matrix SharingMatrix::compute or the incremental open-workload
-/// updates produce is). The trim patches its totals by reading the
-/// removed candidate's class row, in place of the column Fig. 3's rescan
-/// reads; on an asymmetric matrix the two plans may differ. Checked at
-/// entry under -DLAPSCHED_AUDIT=ON (laps::AuditError).
+/// in docs/ARCHITECTURE.md §12 pin it. The trim patches its totals by
+/// reading the removed candidate's class row in place of the column
+/// Fig. 3's rescan reads, which is the same cell: every SharingMatrix is
+/// built from footprints and symmetric by construction.
 [[nodiscard]] LocalityPlan buildLocalityPlan(const ExtendedProcessGraph& graph,
                                              const SharingMatrix& sharing,
                                              std::size_t coreCount,

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/laps.h"
+#include "reference_sharing.h"
 #include "util/parallel.h"
 
 namespace laps {
@@ -24,9 +25,11 @@ class ThreadCountGuard {
   ~ThreadCountGuard() { setParallelThreadCount(0); }
 };
 
-/// The serial reference: the textbook O(n^2) pairwise loop.
-SharingMatrix serialSharingMatrix(std::span<const Footprint> footprints) {
-  SharingMatrix m(footprints.size());
+/// The serial reference: the textbook O(n^2) pairwise loop, written
+/// into the dense test-only matrix.
+reference::SharingMatrix serialSharingMatrix(
+    std::span<const Footprint> footprints) {
+  reference::SharingMatrix m(footprints.size());
   for (std::size_t p = 0; p < footprints.size(); ++p) {
     m.set(p, p, footprints[p].totalElements());
     for (std::size_t q = p + 1; q < footprints.size(); ++q) {
@@ -38,7 +41,8 @@ SharingMatrix serialSharingMatrix(std::span<const Footprint> footprints) {
   return m;
 }
 
-void expectMatricesIdentical(const SharingMatrix& a, const SharingMatrix& b) {
+void expectMatricesIdentical(const SharingMatrix& a,
+                             const reference::SharingMatrix& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t p = 0; p < a.size(); ++p) {
     for (std::size_t q = 0; q < a.size(); ++q) {
@@ -52,11 +56,11 @@ TEST(ParallelAnalysisTest, SharingMatrixBitIdenticalAcrossThreadCounts) {
   const auto suite = standardSuite();
   const Workload mix = concurrentScenario(suite, 4);
   const auto footprints = mix.footprints();
-  const SharingMatrix reference = serialSharingMatrix(footprints);
+  const reference::SharingMatrix serial = serialSharingMatrix(footprints);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     setParallelThreadCount(threads);
     const SharingMatrix m = SharingMatrix::compute(footprints);
-    expectMatricesIdentical(m, reference);
+    expectMatricesIdentical(m, serial);
   }
 }
 
@@ -90,10 +94,10 @@ TEST(ParallelAnalysisTest, SharingMatrixSmallSizes) {
   for (const std::size_t n : {0u, 1u, 2u, 3u, 5u}) {
     if (n > footprints.size()) continue;
     const std::span<const Footprint> slice(footprints.data(), n);
-    const SharingMatrix reference = serialSharingMatrix(slice);
+    const reference::SharingMatrix serial = serialSharingMatrix(slice);
     for (const std::size_t threads : {1u, 8u}) {
       setParallelThreadCount(threads);
-      expectMatricesIdentical(SharingMatrix::compute(slice), reference);
+      expectMatricesIdentical(SharingMatrix::compute(slice), serial);
     }
   }
 }

@@ -1,9 +1,7 @@
 #include "reference_sharing.h"
 
 #include <algorithm>
-#include <string>
 
-#include "util/audit.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -313,115 +311,6 @@ std::span<const std::int64_t> SharingMatrix::row(std::size_t p) const {
 std::int64_t SharingMatrix::rowSum(std::size_t p) const {
   check(p < n_, "SharingMatrix::rowSum: index out of range");
   return rowSums_[p];
-}
-
-bool SharingMatrix::isDiagonal() const {
-  for (std::size_t p = 0; p < n_; ++p) {
-    for (std::size_t q = 0; q < n_; ++q) {
-      if (p != q && cell(p, q) != 0) return false;
-    }
-  }
-  return true;
-}
-
-void SharingMatrix::auditInvariants() const {
-  if (!classOf_.empty()) auditClasses();
-  // Each clause tests first and builds its message only on a violation:
-  // the engine audits after every arrival and exit, n^2 cells a time.
-  for (std::size_t p = 0; p < n_; ++p) {
-    const std::int64_t sum = sumRow(p);
-    if (sum != rowSums_[p]) {
-      audit::require(false, "SharingMatrix: stored row sum of process " +
-                                std::to_string(p) + " is " +
-                                std::to_string(rowSums_[p]) +
-                                ", its row sums to " + std::to_string(sum));
-    }
-    if (!active_[p]) {
-      for (std::size_t q = 0; q < n_; ++q) {
-        if (cell(p, q) != 0 || cell(q, p) != 0) {
-          audit::require(false, "SharingMatrix: inactive process " +
-                                    std::to_string(p) +
-                                    " has a nonzero row or column entry at " +
-                                    std::to_string(q));
-        }
-      }
-      continue;
-    }
-    audit::require(cell(p, p) >= 0,
-                   "SharingMatrix: negative diagonal (footprint size) for "
-                   "process " +
-                       std::to_string(p));
-    for (std::size_t q = p + 1; q < n_; ++q) {
-      if (cell(p, q) != cell(q, p)) {
-        audit::require(false, "SharingMatrix: asymmetric cells (" +
-                                  std::to_string(p) + ", " +
-                                  std::to_string(q) + "): " +
-                                  std::to_string(cell(p, q)) + " vs " +
-                                  std::to_string(cell(q, p)));
-      }
-    }
-  }
-}
-
-void SharingMatrix::auditClasses() const {
-  for (std::size_t p = 0; p < n_; ++p) {
-    if (!active_[p]) continue;
-    const std::uint32_t w = witness_[classOf_[p]];
-    if (w == kNoWitness || !active_[w] || classOf_[w] != classOf_[p]) {
-      audit::require(false, "SharingMatrix: active process " +
-                                std::to_string(p) +
-                                " has no active witness in its class");
-    }
-    // Rows agreeing off the pair imply, with the symmetry that
-    // auditInvariants checks, that every intra cell agrees too.
-    bool agrees = true;
-    for (std::size_t r = 0; r < n_ && agrees; ++r) {
-      agrees = r == p || r == w || cell(p, r) == cell(w, r);
-    }
-    if (!agrees) {
-      audit::require(false, "SharingMatrix: process " + std::to_string(p) +
-                                " breaks the contract of sharing class " +
-                                std::to_string(classOf_[p]) +
-                                " (witness " + std::to_string(w) + ")");
-    }
-  }
-}
-
-void SharingMatrix::corruptRowSumForTest(std::size_t p, std::int64_t value) {
-  check(p < n_, "SharingMatrix::corruptRowSumForTest: index out of range");
-  rowSums_[p] = value;
-}
-
-void SharingMatrix::corruptClassForTest(std::size_t p, std::size_t k) {
-  check(p < n_ && k < witness_.size() && !classOf_.empty(),
-        "SharingMatrix::corruptClassForTest: index out of range");
-  classOf_[p] = static_cast<std::uint32_t>(k);
-}
-
-namespace {
-
-// Built with += rather than "P" + to_string(): gcc 12's -Wrestrict
-// false-fires on operator+(const char*, string&&) at -O2 depending on
-// inlining context, and this TU builds -Werror.
-std::string processLabel(std::size_t p) {
-  std::string label = "P";
-  label += std::to_string(p);
-  return label;
-}
-
-}  // namespace
-
-Table SharingMatrix::toTable() const {
-  std::vector<std::string> headers{""};
-  for (std::size_t q = 0; q < n_; ++q) headers.push_back(processLabel(q));
-  Table t(std::move(headers));
-  for (std::size_t p = 0; p < n_; ++p) {
-    t.row().cell(processLabel(p));
-    for (std::size_t q = 0; q < n_; ++q) {
-      t.cell(cell(p, q));
-    }
-  }
-  return t;
 }
 
 }  // namespace laps::reference

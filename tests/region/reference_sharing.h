@@ -2,17 +2,18 @@
 /// \file reference_sharing.h
 /// \brief Test-only reference sharing matrix: the dense n x n
 /// implementation laps::SharingMatrix used before it stored one cell per
-/// pair of sharing classes, kept verbatim as the differential oracle of
+/// pair of sharing classes, kept as the differential oracle of
 /// tests/region/sharing_differential_test.cpp. Every read of the class
 /// table (at, rowSum, isActive, activeCount, classOf, row) must agree
-/// with it after every addProcess, removeProcess and set.
+/// with it after every addProcess and removeProcess. Its hand-written
+/// surface, SharingMatrix(n) plus set(), is the textbook serial loop of
+/// tests/region/parallel_analysis_test.cpp.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "region/footprint.h"
-#include "util/table.h"
 
 namespace laps::reference {
 
@@ -119,35 +120,6 @@ class SharingMatrix {
   /// (sched/locality.h).
   [[nodiscard]] std::int64_t rowSum(std::size_t p) const;
 
-  /// True when no off-diagonal entry is positive.
-  [[nodiscard]] bool isDiagonal() const;
-
-  /// Renders as a table (for examples / debugging), labels P0..Pn-1.
-  [[nodiscard]] Table toTable() const;
-
-  /// Audit checker (docs/ARCHITECTURE.md §11): the matrix must be
-  /// symmetric over the active set, every inactive process's row and
-  /// column must be zero, the diagonal of an active process must be
-  /// non-negative (a footprint size), and every stored row sum must
-  /// equal a fresh sum of its row. The class contract too: each class
-  /// with an active member has an active witness, and every active
-  /// member's row equals the witness's off {member, witness} — which,
-  /// with symmetry, makes every intra cell of the class agree.
-  /// Throws laps::AuditError on violation. The engine runs it after
-  /// every incremental arrival/exit update under LAPSCHED_AUDIT; tests
-  /// inject violations through set() (which writes a single cell),
-  /// corruptRowSumForTest and corruptClassForTest to prove it fires.
-  void auditInvariants() const;
-
-  /// Test seam for the audit path: overwrites \p p's stored row sum
-  /// with \p value, bypassing the maintenance.
-  void corruptRowSumForTest(std::size_t p, std::int64_t value);
-
-  /// Test seam for the audit paths: records \p p as a member of class
-  /// \p k (interned classes only) without moving any cell or member
-  /// list entry, so p claims rows its new class does not have.
-  void corruptClassForTest(std::size_t p, std::size_t k);
-
  private:
   [[nodiscard]] std::size_t idx(std::size_t p, std::size_t q) const;
   /// Σ_{q≠p} M[p][q] summed fresh from row p (p < n_).
@@ -155,8 +127,6 @@ class SharingMatrix {
   /// Interns the sharing classes of \p footprints (see the class
   /// comment): classOf_, the member lists and empty witnesses.
   void internClasses(std::span<const Footprint> footprints);
-  /// The class contract clauses of auditInvariants.
-  void auditClasses() const;
   /// Activates p by copying live twin \p twin's row and column.
   void copyTwin(std::span<const Footprint> footprints, std::size_t p,
                 std::size_t twin);

@@ -7,12 +7,11 @@
 /// row — must agree for every process and pair, at analysis thread
 /// counts {1, 8}. The inputs: seeded arrival/exit churn on keyed
 /// service universes (many processes per class), compute() on suite
-/// mixes (singleton classes) and service universes, hand-set()
-/// matrices and set() on interned ones, and exited anchors, whose
-/// cells must read 0. compute() intersects only the class pairs that
-/// touch a common array; its work count is pinned on the Fig. 7 mix at
-/// |T| = 48, and edge cases cover co-touching pairs with disjoint
-/// elements and arrays one process touches alone.
+/// mixes (singleton classes) and service universes, and exited
+/// anchors, whose cells must read 0. compute() intersects only the
+/// class pairs that touch a common array; its work count is pinned on
+/// the Fig. 7 mix at |T| = 48, and edge cases cover co-touching pairs
+/// with disjoint elements and arrays one process touches alone.
 
 #include <gtest/gtest.h>
 
@@ -72,11 +71,6 @@ void removeBoth(SharingMatrix& m, reference::SharingMatrix& ref,
                 std::size_t p) {
   m.removeProcess(p);
   ref.removeProcess(p);
-}
-void setBoth(SharingMatrix& m, reference::SharingMatrix& ref, std::size_t p,
-             std::size_t q, std::int64_t value) {
-  m.set(p, q, value);
-  ref.set(p, q, value);
 }
 
 /// Seeded churn: arrivals (60%, while anything is inactive) and exits
@@ -268,60 +262,6 @@ TEST(SharingDifferential, ComputeEdgeCases) {
     EXPECT_EQ(m.at(0, 0), 15);
     // Three co-touching pairs plus the intra value of {p3, p4}.
     EXPECT_EQ(m.intersections(), 4u);
-  }
-}
-
-TEST(SharingDifferential, HandSetMatricesMatchDense) {
-  // SharingMatrix(n) plus set(): asymmetric cells, diagonal writes and
-  // an overwrite, then exits and re-arrivals (a singleton matrix
-  // re-intersects a returning process, as the dense one does).
-  const auto footprints = serviceFootprints(3, 24, 5);
-  const std::size_t n = footprints.size();
-  SharingMatrix m(n);
-  reference::SharingMatrix ref(n);
-  Rng rng(0x5e7);
-  for (int i = 0; i < 80; ++i) {
-    const std::size_t p = rng.index(n);
-    const std::size_t q = rng.index(n);
-    setBoth(m, ref, p, q, static_cast<std::int64_t>(rng.below(1000)));
-    expectSameReads(m, ref, "set " + std::to_string(i));
-  }
-  for (const std::size_t p : {3u, 7u, 8u}) removeBoth(m, ref, p);
-  expectSameReads(m, ref, "after exits");
-  for (const std::size_t p : {7u, 3u}) addBoth(m, ref, footprints, p);
-  expectSameReads(m, ref, "after re-arrivals");
-  setBoth(m, ref, 3, 9, 77);
-  expectSameReads(m, ref, "set after re-arrivals");
-}
-
-TEST(SharingDifferential, SetOnInternedMatricesExpandsAndStaysDense) {
-  // set() on a computed matrix and on an open one mid-churn: both drop
-  // to singleton classes and must keep every visible cell, then keep
-  // agreeing under further churn.
-  const auto footprints = serviceFootprints(8, 64, 3);
-  {
-    SharingMatrix m = SharingMatrix::compute(footprints);
-    reference::SharingMatrix ref =
-        reference::SharingMatrix::compute(footprints);
-    setBoth(m, ref, 2, 5, m.at(2, 5) + 3);
-    expectSameReads(m, ref, "computed, after one set");
-    setBoth(m, ref, 5, 2, m.at(2, 5));  // symmetric again for the audit
-    EXPECT_EQ(m.classCount(), footprints.size());
-    expectSameReads(m, ref, "computed, after set");
-    Rng rng(0xe1);
-    churnAndCompare(m, ref, footprints, rng, 40, "computed, churn");
-  }
-  {
-    SharingMatrix m = SharingMatrix::inactive(footprints.size());
-    reference::SharingMatrix ref =
-        reference::SharingMatrix::inactive(footprints.size());
-    Rng rng(0xe2);
-    churnAndCompare(m, ref, footprints, rng, 50, "open, churn");
-    std::size_t a = 0;
-    while (!ref.isActive(a)) ++a;
-    setBoth(m, ref, a, a, 12345);
-    expectSameReads(m, ref, "open, after set");
-    churnAndCompare(m, ref, footprints, rng, 40, "open, churn after set");
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/laps.h"
+#include "../region/sharing_builder.h"
 #include "golden_digest.h"
 
 namespace laps {
@@ -40,15 +41,13 @@ TEST(LoadBalancer, OffloadsTailToBestSharingTarget) {
   // Core 0 holds all six pending processes; cores 1 and 2 are empty
   // with anchors 6 and 7. Tail entries must migrate to whichever
   // underloaded core shares the most with them.
-  SharingMatrix sharing(8);
-  const auto link = [&](std::size_t a, std::size_t b, std::int64_t s) {
-    sharing.set(a, b, s);
-    sharing.set(b, a, s);
-  };
-  link(6, 5, 10);
-  link(7, 5, 50);  // process 5 belongs with core 2's anchor
-  link(5, 4, 90);  // ...and process 4 with the freshly moved 5
-  link(6, 3, 10);  // process 3 with core 1's anchor
+  const SharingMatrix sharing =
+      test::SharingBuilder(8)
+          .pair(6, 5, 10)
+          .pair(7, 5, 50)  // process 5 belongs with core 2's anchor
+          .pair(5, 4, 90)  // ...and process 4 with the freshly moved 5
+          .pair(6, 3, 10)  // process 3 with core 1's anchor
+          .build();
 
   const std::vector<std::vector<ProcessId>> queues{
       {0, 1, 2, 3, 4, 5}, {}, {}};
@@ -70,7 +69,7 @@ TEST(LoadBalancer, OffloadsTailToBestSharingTarget) {
 }
 
 TEST(LoadBalancer, NoMovesWhenBalanced) {
-  SharingMatrix sharing(8);
+  const SharingMatrix sharing = test::SharingBuilder(8).build();
   const std::vector<std::optional<ProcessId>> anchors(3, std::nullopt);
   LoadBalancerOptions options;
   // Perfectly even, slightly uneven, and degenerate single-core cases.
@@ -95,14 +94,13 @@ TEST(LoadBalancer, PureDeterministicAndBounded) {
     Rng rng(seed * 0x2545f4914f6cdd1dULL + 11);
     const std::size_t cores = 2 + static_cast<std::size_t>(rng.below(6));
     const std::size_t n = 32;
-    SharingMatrix sharing(n);
+    test::SharingBuilder builder(n);
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = 0; q < p; ++q) {
-        const auto s = static_cast<std::int64_t>(rng.below(20));
-        sharing.set(p, q, s);
-        sharing.set(q, p, s);
+        builder.pair(p, q, static_cast<std::int64_t>(rng.below(20)));
       }
     }
+    const SharingMatrix sharing = builder.build();
     std::vector<ProcessId> ids;
     for (ProcessId p = 0; p < n; ++p) ids.push_back(p);
     rng.shuffle(ids);
@@ -219,24 +217,22 @@ std::vector<std::pair<std::size_t, ProcessId>> driveOls(
 
 /// Layered DAG (4-wide) whose sharing makes core 0 win every arrival
 /// patch: the burst piles onto one queue unless the balancer sheds it.
+/// Every process touches the same 100 elements, so every pair shares
+/// 100.
 struct SkewRig {
   ExtendedProcessGraph graph;
-  SharingMatrix sharing{16};
+  SharingMatrix sharing;
 
   SkewRig() {
+    std::vector<Footprint> footprints(16);
     for (int i = 0; i < 16; ++i) {
       ProcessSpec p;
       p.name = "S" + std::to_string(i);
       graph.addProcess(std::move(p));
     }
     for (ProcessId p = 4; p < 16; ++p) graph.addDependence(p - 4, p);
-    for (std::size_t p = 0; p < 16; ++p) {
-      for (std::size_t q = 0; q < p; ++q) {
-        sharing.set(p, q, 100);
-        sharing.set(q, p, 100);
-      }
-      sharing.set(p, p, 10);
-    }
+    for (Footprint& fp : footprints) fp.add(0, IntervalSet::range(0, 100));
+    sharing = SharingMatrix::compute(footprints);
   }
 };
 

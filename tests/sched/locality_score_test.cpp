@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "../region/sharing_builder.h"
 #include "core/laps.h"
 #include "reference_planner.h"
 #include "util/audit.h"
@@ -19,9 +20,9 @@
 namespace laps {
 namespace {
 
+/// n processes that share nothing.
 SharingMatrix diagonalFree(std::size_t n) {
-  SharingMatrix sharing(n);
-  return sharing;
+  return test::SharingBuilder(n).build();
 }
 
 // --- LocalityScore arithmetic --------------------------------------------
@@ -68,9 +69,7 @@ TEST(LocalityScore, AwareKeyOrdersBySharingThenDistance) {
 }
 
 TEST(LocalityScore, SharingHelperMatchesLegacyAnchorArithmetic) {
-  SharingMatrix sharing(3);
-  sharing.set(0, 2, 9);
-  sharing.set(2, 0, 9);
+  const SharingMatrix sharing = test::SharingBuilder(3).pair(0, 2, 9).build();
   LocalityScore score;
   score.configure(&sharing);
   EXPECT_EQ(score.sharing(std::nullopt, 2), 0);  // anchorless: 0, as DLS
@@ -109,14 +108,13 @@ TEST(SpiralMapping, PlannerMatchesReferenceUnderTopology) {
     Rng rng(seed * 0x2545f4914f6cdd1dULL + 11);
     const std::size_t n = 4 + static_cast<std::size_t>(rng.below(20));
     const ExtendedProcessGraph graph = independentProcesses(n);
-    SharingMatrix sharing(n);
+    test::SharingBuilder builder(n);
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = 0; q < p; ++q) {
-        const auto s = static_cast<std::int64_t>(rng.below(8));
-        sharing.set(p, q, s);
-        sharing.set(q, p, s);
+        builder.pair(p, q, static_cast<std::int64_t>(rng.below(8)));
       }
     }
+    const SharingMatrix sharing = builder.build();
     const LocalityPlan a = buildLocalityPlan(graph, sharing, 4, options);
     const LocalityPlan b = reference::buildPlan(graph, sharing, 4, options);
     ASSERT_EQ(a.perCore.size(), b.perCore.size()) << "seed " << seed;
@@ -131,9 +129,8 @@ TEST(SpiralMapping, HeavySharersLandOnAdjacentTiles) {
   // rest share nothing. The region-growing walk must put 0 and 1 on
   // adjacent tiles (1 hop), never on the diagonal (2 hops).
   const ExtendedProcessGraph graph = independentProcesses(4);
-  SharingMatrix sharing(4);
-  sharing.set(0, 1, 100);
-  sharing.set(1, 0, 100);
+  const SharingMatrix sharing =
+      test::SharingBuilder(4).pair(0, 1, 100).build();
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityOptions options;
   options.topology = &mesh;
@@ -156,9 +153,8 @@ TEST(SpiralMapping, NullTopologyKeepsTheIdOrderInitialRound) {
   // round: process c on core c — bit-identical to every committed
   // baseline.
   const ExtendedProcessGraph graph = independentProcesses(4);
-  SharingMatrix sharing(4);
-  sharing.set(0, 1, 100);
-  sharing.set(1, 0, 100);
+  const SharingMatrix sharing =
+      test::SharingBuilder(4).pair(0, 1, 100).build();
   const LocalityPlan plan = buildLocalityPlan(graph, sharing, 4);
   for (std::size_t c = 0; c < 4; ++c) {
     ASSERT_EQ(plan.perCore[c].size(), 1u);
@@ -182,11 +178,8 @@ TEST(PlanIndexDistance, EqualSharingPrefersTheNearerHome) {
   // corner, process 2's the anchor core itself. Distance-blind the
   // smaller id (1) wins the tie; distance-aware the nearer home (2)
   // must win.
-  SharingMatrix sharing(3);
-  sharing.set(0, 1, 10);
-  sharing.set(1, 0, 10);
-  sharing.set(0, 2, 10);
-  sharing.set(2, 0, 10);
+  const SharingMatrix sharing =
+      test::SharingBuilder(3).pair(0, 1, 10).pair(0, 2, 10).build();
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityScore score;
   score.configure(&sharing, &mesh, 2);
@@ -210,11 +203,8 @@ TEST(PlanIndexDistance, EqualSharingPrefersTheNearerHome) {
 TEST(PlanIndexDistance, SharingStillDominatesDistance) {
   // kSharingScale guarantees one unit of sharing outweighs any on-die
   // hop penalty: the far-but-better-sharing candidate must still win.
-  SharingMatrix sharing(3);
-  sharing.set(0, 1, 11);
-  sharing.set(1, 0, 11);
-  sharing.set(0, 2, 10);
-  sharing.set(2, 0, 10);
+  const SharingMatrix sharing =
+      test::SharingBuilder(3).pair(0, 1, 11).pair(0, 2, 10).build();
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityScore score;
   score.configure(&sharing, &mesh, 2);
@@ -252,11 +242,8 @@ TEST(PlanIndexDistance, SetHomeInvalidatesCachedKeys) {
   // A home change between picks must not serve stale distance terms:
   // moving process 1's home onto the core flips the equal-sharing tie
   // its way.
-  SharingMatrix sharing(3);
-  sharing.set(0, 1, 10);
-  sharing.set(1, 0, 10);
-  sharing.set(0, 2, 10);
-  sharing.set(2, 0, 10);
+  const SharingMatrix sharing =
+      test::SharingBuilder(3).pair(0, 1, 10).pair(0, 2, 10).build();
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityScore score;
   score.configure(&sharing, &mesh, 2);
@@ -277,11 +264,11 @@ TEST(PlanIndexDistance, SetHomeInvalidatesCachedKeys) {
 TEST(PlanIndexDistance, HopWeightedPopPrefersHigherSharing) {
   // Under hop-weighted keys the sharing term still dominates: process 3
   // shares the most with the anchor and wins from two hops away.
-  SharingMatrix sharing(4);
+  test::SharingBuilder builder(4);
   for (std::size_t q = 1; q < 4; ++q) {
-    sharing.set(0, q, static_cast<std::int64_t>(10 * q));
-    sharing.set(q, 0, static_cast<std::int64_t>(10 * q));
+    builder.pair(0, q, static_cast<std::int64_t>(10 * q));
   }
+  const SharingMatrix sharing = builder.build();
   const NocTopology mesh(NocTopologyKind::Mesh, 4, 2);
   LocalityScore score;
   score.configure(&sharing, &mesh, 2);

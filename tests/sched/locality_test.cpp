@@ -5,24 +5,22 @@
 #include <numeric>
 #include <set>
 
+#include "../region/sharing_builder.h"
 #include "util/error.h"
 
 namespace laps {
 namespace {
 
 /// Sharing matrix of the paper's running example (Prog1, 8 processes):
-/// M[k][p] = 2000 at distance 1, 1000 at distance 2, 0 beyond.
+/// process k touches the sliding window [1000k, 1000k + 3000) of one
+/// array, so M[k][p] = 2000 at distance 1, 1000 at distance 2, 0 beyond.
 SharingMatrix prog1Sharing() {
-  SharingMatrix m(8);
-  for (std::size_t k = 0; k < 8; ++k) {
-    m.set(k, k, 3000);
-    for (std::size_t p = 0; p < 8; ++p) {
-      const auto d = k > p ? k - p : p - k;
-      if (d == 1) m.set(k, p, 2000);
-      if (d == 2) m.set(k, p, 1000);
-    }
+  std::vector<Footprint> fps(8);
+  for (std::int64_t k = 0; k < 8; ++k) {
+    fps[static_cast<std::size_t>(k)].add(
+        0, IntervalSet::range(1000 * k, 1000 * k + 3000));
   }
-  return m;
+  return SharingMatrix::compute(fps);
 }
 
 ExtendedProcessGraph independentProcesses(std::size_t n) {
@@ -114,11 +112,8 @@ TEST(BuildLocalityPlan, RespectsDependences) {
   ExtendedProcessGraph g = independentProcesses(5);
   g.addDependence(0, 1);
   g.addDependence(1, 2);
-  SharingMatrix m(5);
-  m.set(0, 1, 100);
-  m.set(1, 0, 100);
-  m.set(1, 2, 100);
-  m.set(2, 1, 100);
+  const SharingMatrix m =
+      test::SharingBuilder(5).pair(0, 1, 100).pair(1, 2, 100).build();
   const LocalityPlan plan = buildLocalityPlan(g, m, 2);
   expectValidPlacement(plan, 5);
   // Placement index of a process must come after its predecessors
@@ -136,7 +131,7 @@ TEST(BuildLocalityPlan, RespectsDependences) {
 
 TEST(BuildLocalityPlan, MoreCoresThanProcesses) {
   const auto g = independentProcesses(3);
-  SharingMatrix m(3);
+  const SharingMatrix m = test::SharingBuilder(3).build();
   const LocalityPlan plan = buildLocalityPlan(g, m, 8);
   expectValidPlacement(plan, 3);
   EXPECT_EQ(plan.processCount(), 3u);
@@ -144,7 +139,7 @@ TEST(BuildLocalityPlan, MoreCoresThanProcesses) {
 
 TEST(BuildLocalityPlan, SingleCoreGetsEverything) {
   const auto g = independentProcesses(6);
-  const auto m = SharingMatrix(6);
+  const auto m = test::SharingBuilder(6).build();
   const LocalityPlan plan = buildLocalityPlan(g, m, 1);
   ASSERT_EQ(plan.perCore.size(), 1u);
   EXPECT_EQ(plan.perCore[0].size(), 6u);
@@ -152,19 +147,21 @@ TEST(BuildLocalityPlan, SingleCoreGetsEverything) {
 
 TEST(BuildLocalityPlan, EmptyGraph) {
   const ExtendedProcessGraph g;
-  const SharingMatrix m(0);
+  const SharingMatrix m = test::SharingBuilder(0).build();
   const LocalityPlan plan = buildLocalityPlan(g, m, 4);
   EXPECT_EQ(plan.processCount(), 0u);
 }
 
 TEST(BuildLocalityPlan, Validation) {
   const auto g = independentProcesses(3);
-  EXPECT_THROW((void)buildLocalityPlan(g, SharingMatrix(2), 2), Error);
-  EXPECT_THROW((void)buildLocalityPlan(g, SharingMatrix(3), 0), Error);
+  const SharingMatrix two = test::SharingBuilder(2).build();
+  const SharingMatrix three = test::SharingBuilder(3).build();
+  EXPECT_THROW((void)buildLocalityPlan(g, two, 2), Error);
+  EXPECT_THROW((void)buildLocalityPlan(g, three, 0), Error);
   ExtendedProcessGraph cyclic = independentProcesses(2);
   cyclic.addDependence(0, 1);
   cyclic.addDependence(1, 0);
-  EXPECT_THROW((void)buildLocalityPlan(cyclic, SharingMatrix(2), 2), Error);
+  EXPECT_THROW((void)buildLocalityPlan(cyclic, two, 2), Error);
 }
 
 TEST(BuildLocalityPlan, AblationDisablesInitialRound) {
@@ -201,9 +198,7 @@ TEST(LocalityScheduler, FollowsPlanAndStallsOnDependences) {
   // 0 -> 2; core plans will be built by reset().
   ExtendedProcessGraph g = independentProcesses(3);
   g.addDependence(0, 2);
-  SharingMatrix m(3);
-  m.set(0, 2, 50);
-  m.set(2, 0, 50);
+  const SharingMatrix m = test::SharingBuilder(3).pair(0, 2, 50).build();
   LocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 2});
 

@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "../region/sharing_builder.h"
 #include "core/laps.h"
 #include "golden_digest.h"
 
@@ -72,22 +73,20 @@ TEST(OnlineLocality, ClosedWorkloadSimulationCompletes) {
 /// range, P2/P3 share a disjoint range, and nothing crosses the pairs.
 struct PatchRig {
   ExtendedProcessGraph graph;
-  SharingMatrix sharing{4};
+  SharingMatrix sharing;
 
   PatchRig() {
+    std::vector<Footprint> footprints(4);
     for (int i = 0; i < 4; ++i) {
       ProcessSpec p;
       p.name = "P" + std::to_string(i);
       p.nests.push_back(LoopNest{IterationSpace::box({{0, 10}}), {}, 1});
       graph.addProcess(std::move(p));
+      const std::int64_t lo = i < 2 ? 0 : 100;
+      footprints[static_cast<std::size_t>(i)].add(
+          0, IntervalSet::range(lo, lo + 100));
     }
-    const auto link = [&](std::size_t a, std::size_t b, std::int64_t s) {
-      sharing.set(a, b, s);
-      sharing.set(b, a, s);
-    };
-    link(0, 1, 100);
-    link(2, 3, 100);
-    for (int i = 0; i < 4; ++i) sharing.set(i, i, 10);
+    sharing = SharingMatrix::compute(footprints);
   }
 };
 
@@ -247,16 +246,14 @@ ExtendedProcessGraph randomDag(Rng& rng, std::size_t n,
 
 SharingMatrix randomSharing(Rng& rng, std::size_t n,
                             std::uint64_t levels = 8, std::int64_t unit = 1) {
-  SharingMatrix sharing(n);
+  test::SharingBuilder builder(n);
   for (std::size_t p = 0; p < n; ++p) {
-    sharing.set(p, p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
+    builder.pad(p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
     for (std::size_t q = 0; q < p; ++q) {
-      const auto s = static_cast<std::int64_t>(rng.below(levels)) * unit;
-      sharing.set(p, q, s);
-      sharing.set(q, p, s);
+      builder.pair(p, q, static_cast<std::int64_t>(rng.below(levels)) * unit);
     }
   }
-  return sharing;
+  return builder.build();
 }
 
 /// Drives one OLS through seed \p seed's random open workload: arrivals

@@ -5,8 +5,8 @@
 /// reference_planner.h) on random DAGs across subset spans and core
 /// counts, and dispatch-mode popBest must match the reference
 /// pickMaxSharing decision for decision. The audit seams
-/// (auditReadySet / corruptSlotForTest, and the planner's symmetry
-/// precondition) are proven to fire on injected violations.
+/// (auditReadySet / corruptSlotForTest / corruptClassForTest) are
+/// proven to fire on injected violations.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "../region/sharing_builder.h"
 #include "core/laps.h"
 #include "reference_planner.h"
 #include "util/audit.h"
@@ -45,21 +46,20 @@ ExtendedProcessGraph randomDag(Rng& rng, std::size_t n,
   return graph;
 }
 
-/// Random symmetric sharing matrix with a small value range so ties are
-/// common — the tie-break (smallest id) is the part most worth pinning.
-/// Off-diagonal cells are drawn from {0, unit, ..., (levels-1)·unit}.
+/// Random sharing matrix with a small value range so ties are common —
+/// the tie-break (smallest id) is the part most worth pinning.
+/// Off-diagonal cells are drawn from {0, unit, ..., (levels-1)·unit};
+/// each process also gets a drawn amount of private elements.
 SharingMatrix randomSharing(Rng& rng, std::size_t n,
                             std::uint64_t levels = 8, std::int64_t unit = 1) {
-  SharingMatrix sharing(n);
+  test::SharingBuilder builder(n);
   for (std::size_t p = 0; p < n; ++p) {
-    sharing.set(p, p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
+    builder.pad(p, static_cast<std::int64_t>(rng.below(2 * levels)) * unit);
     for (std::size_t q = 0; q < p; ++q) {
-      const auto s = static_cast<std::int64_t>(rng.below(levels)) * unit;
-      sharing.set(p, q, s);
-      sharing.set(q, p, s);
+      builder.pair(p, q, static_cast<std::int64_t>(rng.below(levels)) * unit);
     }
   }
-  return sharing;
+  return builder.build();
 }
 
 void expectPlansEqual(const LocalityPlan& a, const LocalityPlan& b,
@@ -640,11 +640,11 @@ TEST(PlanIndexDifferential, DispatchPopMatchesReferencePick) {
 }
 
 TEST(PlanIndexAudit, CleanStateAgrees) {
-  SharingMatrix sharing(6);
+  test::SharingBuilder builder(6);
   for (std::size_t q = 1; q < 6; ++q) {
-    sharing.set(0, q, static_cast<std::int64_t>(10 * q));
-    sharing.set(q, 0, static_cast<std::int64_t>(10 * q));
+    builder.pair(0, q, static_cast<std::int64_t>(10 * q));
   }
+  const SharingMatrix sharing = builder.build();
   PlanIndex index;
   index.beginDispatch(sharing, 6, 2);
   for (ProcessId p = 1; p < 6; ++p) index.markReady(p);
@@ -660,7 +660,7 @@ TEST(PlanIndexAudit, CleanStateAgrees) {
 }
 
 TEST(PlanIndexAudit, BrokenPositionMapFiresChecker) {
-  SharingMatrix sharing(6);
+  const SharingMatrix sharing = test::SharingBuilder(6).build();
   const auto readyOneToFour = [&](PlanIndex& index) {
     index.beginDispatch(sharing, 6, 1);
     for (ProcessId p = 1; p < 5; ++p) index.markReady(p);
@@ -686,12 +686,11 @@ TEST(PlanIndexAudit, SampledPopDetectsBrokenReadySet) {
   // under LAPS_AUDIT the sampled check must throw; without it, the ghost
   // passes silently — isReady() says yes while no pick ever serves it.
   constexpr std::size_t kN = 30;
-  SharingMatrix sharing(kN);
+  test::SharingBuilder builder(kN);
   for (std::size_t q = 1; q < kN; ++q) {
-    const auto s = static_cast<std::int64_t>(1000 - q);
-    sharing.set(0, q, s);
-    sharing.set(q, 0, s);
+    builder.pair(0, q, static_cast<std::int64_t>(1000 - q));
   }
+  const SharingMatrix sharing = builder.build();
   PlanIndex index;
   index.beginDispatch(sharing, kN, 1);
   for (ProcessId p = 1; p < 26; ++p) index.markReady(p);
@@ -707,29 +706,6 @@ TEST(PlanIndexAudit, SampledPopDetectsBrokenReadySet) {
   } else {
     EXPECT_EQ(index.popBest(0, ProcessId{0}), ProcessId{17});
     EXPECT_TRUE(index.isReady(27));
-  }
-}
-
-TEST(PlanIndexAudit, AsymmetricSharingFiresPlannerPrecondition) {
-  // buildLocalityPlan's trim reads rows where the Fig. 3 loop reads
-  // columns, so it requires a matrix symmetric over the planned subset.
-  ExtendedProcessGraph graph;
-  for (int i = 0; i < 4; ++i) {
-    ProcessSpec p;
-    p.name = "A" + std::to_string(i);
-    graph.addProcess(std::move(p));
-  }
-  SharingMatrix sharing(4);
-  sharing.set(0, 1, 5);  // (1, 0) stays 0
-  sharing.set(2, 3, 7);
-  sharing.set(3, 2, 7);
-  const std::vector<ProcessId> symmetricPart{2, 3};
-  EXPECT_NO_THROW((void)buildLocalityPlan(graph, sharing, 1, {},
-                                          symmetricPart));
-  if (audit::enabled()) {
-    EXPECT_THROW((void)buildLocalityPlan(graph, sharing, 2), AuditError);
-  } else {
-    EXPECT_NO_THROW((void)buildLocalityPlan(graph, sharing, 2));
   }
 }
 
@@ -768,7 +744,7 @@ TEST(PlanIndexPlanner, PlaceReleasesSuccessors) {
   }
   graph.addDependence(0, 1);
   graph.addDependence(1, 2);
-  SharingMatrix sharing(3);
+  const SharingMatrix sharing = test::SharingBuilder(3).build();
   PlanIndex index;
   index.beginPlanner(graph, sharing, 1, std::vector<bool>(3, true));
   EXPECT_EQ(index.readyCount(), 1u);

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "../region/sharing_builder.h"
 #include "layout/address_space.h"
 #include "sched/basic.h"
 #include "sched/dynamic_locality.h"
@@ -224,11 +225,8 @@ TEST(CriticalPathScheduler, PrefersLongChains) {
 
 TEST(DynamicLocalityScheduler, PicksMaxSharingWithPrevious) {
   const auto g = nProcesses(4);
-  SharingMatrix m(4);
-  m.set(0, 2, 500);
-  m.set(2, 0, 500);
-  m.set(0, 1, 100);
-  m.set(1, 0, 100);
+  const SharingMatrix m =
+      test::SharingBuilder(4).pair(0, 2, 500).pair(0, 1, 100).build();
   DynamicLocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 2});
   policy.onReady(1);
@@ -243,7 +241,7 @@ TEST(DynamicLocalityScheduler, PicksMaxSharingWithPrevious) {
 
 TEST(DynamicLocalityScheduler, NoPreviousFallsBackToFifo) {
   const auto g = nProcesses(3);
-  SharingMatrix m(3);
+  const SharingMatrix m = test::SharingBuilder(3).build();
   DynamicLocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 1});
   policy.onReady(2);
@@ -262,11 +260,11 @@ TEST(DynamicLocalityScheduler, ArrivalStampsBreakTiesByArrivalOrder) {
   // arrival stamps, the tie falls to the earliest arrival, not to ready
   // order.
   const auto g = nProcesses(4);
-  SharingMatrix m(4);
-  for (const std::size_t q : {1u, 2u, 3u}) {
-    m.set(0, q, 50);
-    m.set(q, 0, 50);
-  }
+  const SharingMatrix m = test::SharingBuilder(4)
+                              .pair(0, 1, 50)
+                              .pair(0, 2, 50)
+                              .pair(0, 3, 50)
+                              .build();
   DynamicLocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 2});
   policy.onArrival(3);
@@ -282,7 +280,7 @@ TEST(DynamicLocalityScheduler, ArrivalStampsBreakTiesByArrivalOrder) {
 
 TEST(DynamicLocalityScheduler, ClosedModeKeepsFifoTiesWithoutArrivals) {
   const auto g = nProcesses(4);
-  SharingMatrix m(4);
+  const SharingMatrix m = test::SharingBuilder(4).build();
   DynamicLocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 2});
   policy.onReady(3);
@@ -292,7 +290,7 @@ TEST(DynamicLocalityScheduler, ClosedModeKeepsFifoTiesWithoutArrivals) {
 
 TEST(DynamicLocalityScheduler, ExitDropsStaleReadyEntry) {
   const auto g = nProcesses(3);
-  SharingMatrix m(3);
+  const SharingMatrix m = test::SharingBuilder(3).build();
   DynamicLocalityScheduler policy;
   policy.reset(SchedContext{&g, &m, 1});
   policy.onReady(0);
@@ -334,7 +332,7 @@ struct ContentionRig {
   ContentionRig()
       : workload(build()),
         space(workload.arrays, AddressSpaceOptions{0x1000'0000, 32}),
-        sharing(workload.graph.processCount()),
+        sharing(SharingMatrix::compute(workload.footprints())),
         context{&workload.graph, &sharing, 2, &workload, &space} {}
 
   static L2ContentionOptions options(double weight) {

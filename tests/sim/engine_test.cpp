@@ -366,7 +366,7 @@ TEST(MpsocSimulator, EmptyWorkloadCompletesAtZero) {
   workload.arrays.add("V", {16}, 4);
   FcfsScheduler policy;
   const AddressSpace space(workload.arrays);
-  const SharingMatrix sharing(0);
+  const SharingMatrix sharing = SharingMatrix::inactive(0);
   MpsocSimulator sim(workload, space, sharing, policy, smallConfig(2));
   const SimResult r = sim.run();
   EXPECT_EQ(r.makespanCycles, 0);
@@ -470,7 +470,7 @@ TEST(MpsocSimulator, ConfigValidation) {
   badCache.memory.l1d.lineBytes = 33;
   EXPECT_THROW(MpsocSimulator(rig.workload, space, sharing, policy, badCache),
                Error);
-  const SharingMatrix wrongSize(5);
+  const SharingMatrix wrongSize = SharingMatrix::inactive(5);
   EXPECT_THROW(
       MpsocSimulator(rig.workload, space, wrongSize, policy, smallConfig(1)),
       Error);
