@@ -1,7 +1,6 @@
 #include "sched/dynamic_locality.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "layout/address_space.h"
 #include "layout/conflict.h"
@@ -9,11 +8,7 @@
 
 namespace laps {
 
-void L2ContentionOptions::validate() const {
-  check(std::isfinite(conflictWeight) && conflictWeight >= 0.0,
-        "L2ContentionOptions: conflictWeight must be finite and >= 0");
-  l2Geometry.validate();
-}
+void L2ContentionOptions::validate() const { l2Geometry.validate(); }
 
 void DynamicLocalityScheduler::reset(const SchedContext& context) {
   check(context.sharing != nullptr, "DynamicLocalityScheduler: sharing required");
@@ -127,15 +122,8 @@ std::optional<ProcessId> L2ContentionAwareScheduler::pickNext(
     std::size_t core, std::optional<ProcessId> previous) {
   check(core < runningOn_.size(), "L2ContentionAwareScheduler: unknown core");
   if (ready_.empty()) return std::nullopt;
-  // Scoring in double is exact, hence platform-identical: every operand
-  // is an integer count far below 2^53 (converted exactly), and with the
-  // default conflictWeight of 1.0 every product and difference stays
-  // integer-valued. A non-default weight keeps determinism as long as
-  // each operation is a single correctly-rounded IEEE op, which it is —
-  // the conflict counts are summed exactly in integers first, then
-  // combined once by LocalityScore::contendedScore.
   std::size_t bestIdx = 0;
-  double bestScore = 0.0;  // LINT-ALLOW(no-float): exact integer-valued score, see note above
+  std::int64_t bestScore = 0;
   std::int64_t bestSeq = -1;
   bool haveBest = false;
   for (std::size_t i = 0; i < ready_.size(); ++i) {
@@ -145,10 +133,8 @@ std::optional<ProcessId> L2ContentionAwareScheduler::pickNext(
       if (c == core || !runningOn_[c]) continue;
       conflicts += conflictBetween(candidate, *runningOn_[c]);
     }
-    // LINT-ALLOW(no-float): exact integer-valued score, see note above
-    const double score = LocalityScore::contendedScore(
-        score_.sharing(previous, candidate), options_.conflictWeight,
-        conflicts);
+    // One co-mapped line pair costs one shared element.
+    const std::int64_t score = score_.sharing(previous, candidate) - conflicts;
     const std::int64_t seq = aging_.seqOf(candidate);
     // Equal score: ArrivalAging decides (earliest arrival in open
     // workloads, plain ready-order FIFO in closed ones).

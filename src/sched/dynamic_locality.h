@@ -10,6 +10,10 @@
 /// min-sharing round and no global plan, so it adapts to actual
 /// completion order at the cost of a weaker global view — the ablation
 /// bench quantifies the difference against static LS.
+///
+/// Both policies here decide in integers, as kernel code would: DLS
+/// ranks by shared elements, its contention-aware variant CALS by shared
+/// elements minus co-mapped L2 line pairs, both in std::int64_t.
 
 #include <cstdint>
 #include <unordered_map>
@@ -85,16 +89,10 @@ struct L2ContentionOptions {
   /// Set space the conflict analysis indexes footprints into — the
   /// shared L2 viewed as one cache (SharedL2Config::aggregateConfig()).
   CacheConfig l2Geometry{256 * 1024, 8, 32, 8};
-  /// Weight of a conflicting co-mapped line pair against one shared
-  /// element when scoring a candidate (>= 0; 0 degenerates to DLS).
-  /// The default 1.0 keeps every score exactly integer-valued (see the
-  /// scoring note in dynamic_locality.cpp).
-  // LINT-ALLOW(no-float): validated finite config knob; scoring stays exact, see pickNext
-  double conflictWeight = 1.0;
 
-  /// Throws laps::Error on a non-finite or negative weight or an
-  /// inconsistent geometry. The single source of these constraints:
-  /// both the scheduler's constructor and makeScheduler enforce it.
+  /// Throws laps::Error on an inconsistent geometry. The single source
+  /// of this constraint: both the scheduler's constructor and
+  /// makeScheduler enforce it.
   void validate() const;
 };
 
@@ -105,7 +103,9 @@ struct L2ContentionOptions {
 /// their footprints co-map into the same L2 sets (the per-process analogue
 /// of layout/conflict.h's array matrix): co-scheduling them thrashes the
 /// shared cache even though they share nothing, which is exactly the
-/// regime the contention ablation (bench_ablation) measures.
+/// regime the contention ablation (bench_ablation) measures. A candidate
+/// scores sharing − conflicts in int64: one co-mapped L2 line pair costs
+/// exactly one shared element.
 ///
 /// Requires SchedContext::workload and ::space (footprints are indexed
 /// through the live address layout, so LSM re-layouts shift the
@@ -136,7 +136,7 @@ class L2ContentionAwareScheduler final : public SchedulerPolicy {
   void stopRunning(ProcessId process);
 
   L2ContentionOptions options_;
-  LocalityScore score_;  ///< the one scoring arithmetic (sharing+conflict)
+  LocalityScore score_;  ///< the sharing term
   std::vector<ProcessId> ready_;
   /// Per-process line occupancy of the L2 set space (n x numSets).
   std::vector<std::vector<std::int64_t>> occupancy_;

@@ -15,13 +15,13 @@ struct SchedulerParams {
   std::int64_t rrsQuantumCycles = 8'000;  ///< RRS time slice
   std::uint64_t randomSeed = 1;            ///< RS seed
   bool lsInitialMinSharingRound = true;    ///< LS ablation switch
-  L2ContentionOptions l2Contention{};      ///< CALS geometry and weight
+  L2ContentionOptions l2Contention{};      ///< CALS L2 geometry
   OnlineLocalityOptions onlineLocality{};  ///< OLS rebuild threshold
 };
 
 /// Throws laps::Error when a parameter the policy implementing \p kind
-/// consumes is invalid (non-positive RRS quantum, negative conflict
-/// weight, inconsistent L2 geometry). makeScheduler calls this first, so
+/// consumes is invalid (non-positive RRS quantum, inconsistent L2
+/// geometry, negative OLS threshold). makeScheduler calls this first, so
 /// a bad configuration fails at construction — not deep inside
 /// MpsocSimulator::run().
 void validateSchedulerParams(SchedulerKind kind, const SchedulerParams& params);

@@ -11,19 +11,19 @@
 /// exposed on SchedulerPolicy (SchedulerPolicy::localityScore()):
 ///
 ///   sharing term    sharing(anchor, candidate)   — every policy
-///   conflict term   - weight × L2 set conflicts  — CALS only
 ///   distance term   - hopWeight × hops(core, home)
 ///                                                — NoC platforms only
+///
+/// (CALS subtracts its L2 conflict count from the sharing term itself,
+/// in the same integers; see L2ContentionAwareScheduler::pickNext.)
 ///
 /// Distance-blind (hopWeight == 0 or no topology — every pre-NoC
 /// configuration) each helper degenerates to exactly the legacy
 /// arithmetic, so refactoring the policies through this class changes
-/// no decision: the PR 8 checksum baseline (bench_policy_overhead) and
-/// tests/sched/locality_score_test.cpp pin it.
+/// no decision: the committed decision checksums of
+/// bench_policy_overhead and tests/sched/locality_score_test.cpp pin it.
 ///
-/// All integer except the CALS combiner, which keeps that policy's
-/// documented double-but-integer-exact contract (operands stay below
-/// 2^53; see dynamic_locality.h).
+/// All integer: every score is an int64 element or line-pair count.
 
 #include <cstdint>
 #include <optional>
@@ -82,16 +82,6 @@ class LocalityScore {
     }
     return sharingTerm * kSharingScale - penalty;
   }
-
-  /// The CALS combiner: sharing − conflictWeight × conflicts, in the
-  /// double-but-integer-exact arithmetic that policy documents
-  /// (dynamic_locality.h) — operands below 2^53, so every value and
-  /// comparison is exact.
-  // LINT-ALLOW(no-float): CALS's documented double-but-integer-exact combiner
-  [[nodiscard]] static double contendedScore(
-      std::int64_t sharingTerm,
-      // LINT-ALLOW(no-float): CALS's validated finite weight knob
-      double conflictWeight, std::int64_t conflicts);
 
  private:
   const SharingMatrix* sharing_ = nullptr;

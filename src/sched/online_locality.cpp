@@ -66,8 +66,6 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions, {},
                               planner_));
   patchesSinceRebuild_ = 0;
-  rebuilds_ = 0;
-  events_ = 0;
   stats_ = PolicyStats{};
 }
 
@@ -203,7 +201,7 @@ void OnlineLocalityScheduler::rebuild() {
     }
   }
   patchesSinceRebuild_ = 0;
-  ++rebuilds_;
+  ++stats_.rebuilds;
 }
 
 void OnlineLocalityScheduler::patchArrival(ProcessId process) {
@@ -341,7 +339,6 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
     // retry starts cold, with no home until it runs again.
     if (score_.distanceAware()) index_.setHome(process, std::nullopt);
   }
-  ++events_;
   if (consumePatchBudget()) {
     rebuild();
   } else {
@@ -359,7 +356,6 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
   // Defensive: an exit may race a stale readiness.
   if (index_.isReady(process)) index_.markUnready(process);
   if (!open_) return;  // closed workload: completions never replan
-  ++events_;
   if (consumePatchBudget()) {
     rebuild();
   } else {
@@ -430,12 +426,6 @@ std::optional<ProcessId> OnlineLocalityScheduler::pickNext(
   unplan(*best);
   ++stats_.steals;
   return take(*best);
-}
-
-PolicyStats OnlineLocalityScheduler::stats() const {
-  PolicyStats out = stats_;
-  out.rebuilds = rebuilds_;
-  return out;
 }
 
 }  // namespace laps

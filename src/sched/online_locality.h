@@ -145,14 +145,9 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// tombstone queues (cached until the next plan mutation).
   [[nodiscard]] const LocalityPlan& plan() const;
 
-  /// Full rebuilds performed since reset().
-  [[nodiscard]] std::size_t rebuildCount() const { return rebuilds_; }
-
-  /// Arrival/exit events absorbed since reset() (patched or not).
-  [[nodiscard]] std::size_t eventCount() const { return events_; }
-
-  /// Decision-work counters (PolicyStats in scheduler.h).
-  [[nodiscard]] PolicyStats stats() const override;
+  /// Decision-work counters (PolicyStats in scheduler.h). Each open-mode
+  /// arrival or exit counts exactly one patch or one rebuild.
+  [[nodiscard]] PolicyStats stats() const override { return stats_; }
 
   [[nodiscard]] const LocalityScore* localityScore() const override {
     return &score_;
@@ -261,8 +256,6 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// @}
 
   std::int64_t patchesSinceRebuild_ = 0;
-  std::size_t rebuilds_ = 0;
-  std::size_t events_ = 0;
   PolicyStats stats_;
 };
 

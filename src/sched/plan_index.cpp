@@ -206,19 +206,6 @@ void PlanIndex::beginPlanner(const ExtendedProcessGraph& graph,
   }
 }
 
-void PlanIndex::beginPlanner(const ExtendedProcessGraph& graph,
-                             const SharingMatrix& sharing,
-                             std::size_t coreCount,
-                             const std::vector<bool>& pending) {
-  check(pending.size() == graph.processCount(),
-        "PlanIndex::beginPlanner: pending mask size mismatch");
-  std::vector<ProcessId> ids;
-  for (ProcessId p = 0; p < pending.size(); ++p) {
-    if (pending[p]) ids.push_back(p);
-  }
-  beginPlanner(graph, sharing, coreCount, ids);
-}
-
 void PlanIndex::beginDispatch(const SharingMatrix& sharing, std::size_t n,
                               std::size_t coreCount) {
   reset(sharing, n, coreCount, false);

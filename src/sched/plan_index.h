@@ -117,11 +117,6 @@ class PlanIndex {
                     const SharingMatrix& sharing, std::size_t coreCount,
                     std::span<const ProcessId> pending);
 
-  /// The same over a pending mask (one flag per process).
-  void beginPlanner(const ExtendedProcessGraph& graph,
-                    const SharingMatrix& sharing, std::size_t coreCount,
-                    const std::vector<bool>& pending);
-
   /// Dispatch mode: \p n processes, nothing ready until markReady.
   void beginDispatch(const SharingMatrix& sharing, std::size_t n,
                      std::size_t coreCount);

@@ -58,24 +58,6 @@ std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(below(span));
 }
 
-// The two floating-point draws below are bit-deterministic: the 53-bit
-// integer converts exactly, and scaling by a power of two only adjusts
-// the exponent. Model code should still prefer the integer samplers
-// above; these exist for probability-shaped call sites.
-// LINT-ALLOW(no-float): exact 53-bit conversion + power-of-two scale; bit-deterministic
-double Rng::uniform01() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  // LINT-ALLOW(no-float): exact 53-bit conversion + power-of-two scale; bit-deterministic
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-// LINT-ALLOW(no-float): single IEEE comparison of bit-deterministic values
-bool Rng::chance(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01() < p;
-}
-
 std::size_t Rng::index(std::size_t n) {
   check(n > 0, "Rng::index requires a non-empty container");
   return static_cast<std::size_t>(below(n));

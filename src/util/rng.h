@@ -37,16 +37,6 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform double in [0, 1). Bit-deterministic (exact 53-bit
-  /// conversion, power-of-two scale) — but prefer the integer samplers
-  /// for model inputs.
-  // LINT-ALLOW(no-float): exact 53-bit conversion + power-of-two scale; bit-deterministic
-  double uniform01();
-
-  /// Bernoulli trial with probability \p p of returning true.
-  // LINT-ALLOW(no-float): single IEEE comparison of bit-deterministic values
-  bool chance(double p);
-
   /// Fisher-Yates shuffle of \p items.
   template <typename T>
   void shuffle(std::vector<T>& items) {

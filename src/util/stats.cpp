@@ -1,71 +1,10 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.h"
 
 namespace laps {
-
-void RunningStats::add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double percentImprovement(double baseline, double optimized) {
-  if (baseline == 0.0) return 0.0;
-  return (baseline - optimized) / baseline * 100.0;
-}
-
-double geometricMean(const std::vector<double>& values) {
-  if (values.empty()) return 0.0;
-  double logSum = 0.0;
-  for (const double v : values) {
-    check(v > 0.0, "geometricMean requires strictly positive values");
-    logSum += std::log(v);
-  }
-  return std::exp(logSum / static_cast<double>(values.size()));
-}
-
-double percentile(std::vector<double> values, double p) {
-  check(!values.empty(), "percentile of empty set");
-  check(p >= 0.0 && p <= 100.0, "percentile p must be in [0,100]");
-  std::sort(values.begin(), values.end());
-  if (p == 0.0) return values.front();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(rank, values.size()) - 1];
-}
 
 std::int64_t percentileNearestRank(std::vector<std::int64_t> values, int p) {
   check(!values.empty(), "percentileNearestRank of empty set");

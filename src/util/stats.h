@@ -1,52 +1,11 @@
 #pragma once
 /// \file stats.h
-/// \brief Streaming statistics helpers used by metrics and benchmarks.
+/// \brief Order statistics over integer samples.
 
-#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace laps {
-
-/// Single-pass running statistics (Welford's algorithm): count, mean,
-/// variance, min, max. Numerically stable for long streams.
-class RunningStats {
- public:
-  /// Adds one observation.
-  void add(double x);
-
-  /// Merges another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
-
-  [[nodiscard]] std::size_t count() const { return count_; }
-  [[nodiscard]] double mean() const { return count_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when fewer than 2 samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Percentage improvement of \p optimized over \p baseline
-/// (e.g. 25.0 means optimized is 25% faster / smaller).
-/// Returns 0 when baseline is 0.
-[[nodiscard]] double percentImprovement(double baseline, double optimized);
-
-/// Geometric mean of strictly positive values; returns 0 for empty input.
-[[nodiscard]] double geometricMean(const std::vector<double>& values);
-
-/// Exact percentile (nearest-rank) of a copy of \p values; p in [0,100].
-[[nodiscard]] double percentile(std::vector<double> values, double p);
 
 /// Exact nearest-rank percentile of integer samples: the value at sorted
 /// rank ceil(p/100 * n) (1-based; rank 1 for p == 0). Pure integer

@@ -10,6 +10,11 @@
 
 namespace laps {
 
+double percentImprovement(double baseline, double optimized) {
+  if (baseline == 0.0) return 0.0;
+  return (baseline - optimized) / baseline * 100.0;
+}
+
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   check(!headers_.empty(), "Table requires at least one column");
 }

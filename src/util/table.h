@@ -1,6 +1,7 @@
 #pragma once
 /// \file table.h
-/// \brief ASCII / CSV table rendering for benchmark and example output.
+/// \brief ASCII / CSV table rendering for benchmark and example output,
+/// and the percent-improvement figure the tables print.
 ///
 /// Every bench binary prints the rows of the paper table/figure it
 /// regenerates through this writer, so outputs are uniform and easy to
@@ -54,5 +55,10 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Percentage improvement of \p optimized over \p baseline
+/// (e.g. 25.0 means optimized is 25% faster / smaller).
+/// Returns 0 when baseline is 0.
+[[nodiscard]] double percentImprovement(double baseline, double optimized);
 
 }  // namespace laps

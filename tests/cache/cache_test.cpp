@@ -169,7 +169,7 @@ TEST_P(AssociativityMonotonicity, MoreWaysNeverMoreMisses) {
   std::vector<std::uint64_t> stream;
   for (int i = 0; i < 20000; ++i) {
     // Zipf-ish mixture of a hot region and a cold sweep.
-    if (rng.chance(0.7)) {
+    if (rng.below(10) < 7) {
       stream.push_back(static_cast<std::uint64_t>(rng.below(2048)));
     } else {
       stream.push_back(static_cast<std::uint64_t>(rng.below(1 << 20)));

@@ -6,7 +6,7 @@
 
 #include "core/experiment.h"
 #include "sched/locality.h"
-#include "util/stats.h"
+#include "util/table.h"
 
 namespace laps {
 namespace {

@@ -86,7 +86,7 @@ void churnAndCompare(SharingMatrix& m, reference::SharingMatrix& ref,
   }
   for (int step = 0; step < steps; ++step) {
     const std::string at = where + ", step " + std::to_string(step);
-    if (activeIds.size() < n && (activeIds.empty() || rng.chance(0.6))) {
+    if (activeIds.size() < n && (activeIds.empty() || rng.below(10) < 6)) {
       std::size_t p = rng.index(n);
       while (ref.isActive(p)) p = (p + 1) % n;
       activeIds.push_back(p);

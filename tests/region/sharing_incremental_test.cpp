@@ -134,7 +134,7 @@ TEST(SharingMatrixIncremental,
     for (int step = 0; step < 200; ++step) {
       // 60% arrivals while anything is inactive, else exits.
       const bool add =
-          !inactiveIds.empty() && (activeIds.empty() || rng.chance(0.6));
+          !inactiveIds.empty() && (activeIds.empty() || rng.below(10) < 6);
       if (add) {
         const std::size_t i = rng.index(inactiveIds.size());
         const std::size_t p = inactiveIds[i];
@@ -183,7 +183,7 @@ TEST(SharingMatrixIncremental, LargeSingletonUniverseMatchesMaskedCompute) {
   while (activeIds.size() < 280) arrive();
   ASSERT_EQ(m.classCount(), n);
   for (int step = 0; step < 40; ++step) {
-    if (rng.chance(0.5)) {
+    if (rng.below(2) == 0) {
       arrive();
     } else {
       const std::size_t i = rng.index(activeIds.size());
@@ -221,7 +221,8 @@ TEST(SharingMatrixIncremental, TwinHeavyChurnMatchesComputeAfterEveryEvent) {
         std::vector<bool> active(n, false);
         std::vector<std::size_t> activeIds;
         for (int step = 0; step < 120; ++step) {
-          if (activeIds.size() < n && (activeIds.empty() || rng.chance(0.6))) {
+          if (activeIds.size() < n &&
+              (activeIds.empty() || rng.below(10) < 6)) {
             std::size_t p = static_cast<std::size_t>(rng.index(n));
             while (active[p]) p = (p + 1) % n;
             active[p] = true;

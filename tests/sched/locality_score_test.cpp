@@ -1,9 +1,8 @@
 /// \file locality_score_test.cpp
 /// \brief The unified locality-score hook and its distance-aware
 /// consumers: LocalityScore arithmetic (blind degeneracy, hop-weighted
-/// key order, the CALS combiner), the
-/// spiral initial mapping of buildLocalityPlan under a topology, and
-/// PlanIndex's hop-weighted heap keys (enableDistance / setHome).
+/// key order), the spiral initial mapping of buildLocalityPlan under a
+/// topology, and PlanIndex's hop-weighted heap keys (enableDistance / setHome).
 
 #include "sched/locality_score.h"
 
@@ -74,16 +73,6 @@ TEST(LocalityScore, SharingHelperMatchesLegacyAnchorArithmetic) {
   score.configure(&sharing);
   EXPECT_EQ(score.sharing(std::nullopt, 2), 0);  // anchorless: 0, as DLS
   EXPECT_EQ(score.sharing(ProcessId{0}, 2), 9);
-}
-
-TEST(LocalityScore, ContendedScoreMatchesCalsArithmetic) {
-  // The double-but-integer-exact CALS combiner: with integral weights
-  // every value is exactly representable, so comparisons are exact.
-  EXPECT_EQ(LocalityScore::contendedScore(100, 1.0, 30), 70.0);
-  EXPECT_EQ(LocalityScore::contendedScore(0, 2.0, 5), -10.0);
-  EXPECT_EQ(LocalityScore::contendedScore(42, 0.0, 1000), 42.0);
-  // Fractional weights follow IEEE double arithmetic deterministically.
-  EXPECT_EQ(LocalityScore::contendedScore(10, 0.5, 4), 8.0);
 }
 
 // --- Spiral initial mapping ----------------------------------------------

@@ -126,8 +126,8 @@ TEST(OnlineLocality, ArrivalPatchAppendsToMaxSharingCore) {
     if (hasP2 && hasP3) p3FollowsP2 = true;
   }
   EXPECT_TRUE(p3FollowsP2);
-  EXPECT_EQ(policy.eventCount(), 4u);
-  EXPECT_EQ(policy.rebuildCount(), 0u);  // below threshold: only patches
+  EXPECT_EQ(policy.stats().patches, 4u);
+  EXPECT_EQ(policy.stats().rebuilds, 0u);  // below threshold: only patches
 }
 
 TEST(OnlineLocality, ThresholdZeroRebuildsEveryEventToFreshPlan) {
@@ -148,7 +148,7 @@ TEST(OnlineLocality, ThresholdZeroRebuildsEveryEventToFreshPlan) {
         buildLocalityPlan(rig.graph, rig.sharing, 2, {}, live);
     expectPlansEqual(policy.plan(), reference);
   }
-  EXPECT_EQ(policy.rebuildCount(), 4u);
+  EXPECT_EQ(policy.stats().rebuilds, 4u);
 
   // Exits rebuild too.
   policy.onExit(0);
@@ -156,7 +156,7 @@ TEST(OnlineLocality, ThresholdZeroRebuildsEveryEventToFreshPlan) {
   const LocalityPlan reference =
       buildLocalityPlan(rig.graph, rig.sharing, 2, {}, live);
   expectPlansEqual(policy.plan(), reference);
-  EXPECT_EQ(policy.rebuildCount(), 5u);
+  EXPECT_EQ(policy.stats().rebuilds, 5u);
 }
 
 TEST(OnlineLocality, ExitPatchRemovesFromPlan) {
@@ -182,11 +182,11 @@ TEST(OnlineLocality, RebuildAfterThresholdPatches) {
   policy.reset(SchedContext{&rig.graph, &rig.sharing, 2});
   policy.onArrival(0);  // patch 1
   policy.onArrival(1);  // patch 2
-  EXPECT_EQ(policy.rebuildCount(), 0u);
+  EXPECT_EQ(policy.stats().rebuilds, 0u);
   policy.onArrival(2);  // patch 3 > threshold -> rebuild
-  EXPECT_EQ(policy.rebuildCount(), 1u);
+  EXPECT_EQ(policy.stats().rebuilds, 1u);
   policy.onArrival(3);  // budget restarted: patch again
-  EXPECT_EQ(policy.rebuildCount(), 1u);
+  EXPECT_EQ(policy.stats().rebuilds, 1u);
 }
 
 TEST(OnlineLocality, PlanGuidedDispatchThenSteal) {

@@ -480,7 +480,8 @@ TEST(PlanIndexOwnClassPick, SuccessorsReleasedOutOfIdOrder) {
   }
   const SharingMatrix sharing = SharingMatrix::compute(footprints);
   PlanIndex index;
-  index.beginPlanner(graph, sharing, 1, std::vector<bool>(8, true));
+  index.beginPlanner(graph, sharing, 1,
+                     std::vector<ProcessId>{0, 1, 2, 3, 4, 5, 6, 7});
   for (ProcessId gate = 0; gate < 4; ++gate) {
     ASSERT_EQ(index.popBest(0, std::nullopt), gate);
     index.place(gate);
@@ -725,7 +726,7 @@ TEST(PlanIndexAudit, ProcessOutsideItsClassBucketFiresChecker) {
   SharingMatrix sharing = SharingMatrix::compute(footprints);
   ASSERT_EQ(sharing.classCount(), 2u);
   PlanIndex index;
-  index.beginPlanner(graph, sharing, 2, std::vector<bool>(5, true));
+  index.beginPlanner(graph, sharing, 2, std::vector<ProcessId>{0, 1, 2, 3, 4});
   EXPECT_NO_THROW(index.auditReadySet());
   EXPECT_EQ(index.popBest(0, std::nullopt), ProcessId{0});
   EXPECT_NO_THROW(index.auditReadySet());
@@ -746,7 +747,7 @@ TEST(PlanIndexPlanner, PlaceReleasesSuccessors) {
   graph.addDependence(1, 2);
   const SharingMatrix sharing = test::SharingBuilder(3).build();
   PlanIndex index;
-  index.beginPlanner(graph, sharing, 1, std::vector<bool>(3, true));
+  index.beginPlanner(graph, sharing, 1, std::vector<ProcessId>{0, 1, 2});
   EXPECT_EQ(index.readyCount(), 1u);
   EXPECT_TRUE(index.isReady(0));
   const auto head = index.popBest(0, std::nullopt);

@@ -79,9 +79,6 @@ TEST(Factory, ValidatesParamsEagerly) {
   EXPECT_NE(makeScheduler(SchedulerKind::Fcfs, params), nullptr);
 
   params = SchedulerParams{};
-  params.l2Contention.conflictWeight = -1.0;
-  EXPECT_THROW(makeScheduler(SchedulerKind::L2ContentionAware, params), Error);
-  params = SchedulerParams{};
   params.l2Contention.l2Geometry.sizeBytes = 1000;  // not a set multiple
   EXPECT_THROW(makeScheduler(SchedulerKind::L2ContentionAware, params), Error);
   EXPECT_NE(makeScheduler(SchedulerKind::Locality, params), nullptr);
@@ -335,17 +332,16 @@ struct ContentionRig {
         sharing(SharingMatrix::compute(workload.footprints())),
         context{&workload.graph, &sharing, 2, &workload, &space} {}
 
-  static L2ContentionOptions options(double weight) {
+  static L2ContentionOptions options() {
     L2ContentionOptions o;
     o.l2Geometry = CacheConfig{1024, 1, 32, 8};  // 32 sets
-    o.conflictWeight = weight;
     return o;
   }
 };
 
 TEST(L2ContentionAwareScheduler, ConflictMatrixFollowsTheLayout) {
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
   EXPECT_GT(policy.conflictBetween(0, 2), 0);  // X and Z co-map
   EXPECT_EQ(policy.conflictBetween(0, 1), 0);  // X and Y are disjoint sets
@@ -354,7 +350,7 @@ TEST(L2ContentionAwareScheduler, ConflictMatrixFollowsTheLayout) {
 
 TEST(L2ContentionAwareScheduler, AvoidsCoSchedulingConflictingFootprints) {
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
   policy.onReady(0);
   ASSERT_EQ(policy.pickNext(0, std::nullopt), 0u);  // P0 runs on core 0
@@ -367,20 +363,124 @@ TEST(L2ContentionAwareScheduler, AvoidsCoSchedulingConflictingFootprints) {
   EXPECT_EQ(policy.pickNext(0, std::nullopt), 2u);
 }
 
-TEST(L2ContentionAwareScheduler, ZeroWeightDegeneratesToFifoTies) {
-  ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(0.0));
+/// CALS candidates that both share data with the anchor and conflict
+/// with a process running on the other core, each with known integer
+/// terms. Arrays A and S are 256 4-byte elements (1024 B, one period of
+/// the 32-set L2 view) laid out back to back from set 0:
+///  * P0, the anchor, reads S[0, 64) — sets 0..7;
+///  * P1, the co-runner, reads A[128, 192) — one line in each of sets
+///    16..23;
+///  * candidate i reads S[0, share) — sharing(P0, i) = share elements,
+///    all in sets 0..7, clear of P1 — and A[128, 128 + 8 * lines) —
+///    one line in each of sets 16.., so conflict(i, P1) = lines.
+struct IntegerScoreRig {
+  struct Candidate {
+    std::int64_t share;
+    std::int64_t lines;
+  };
+
+  Workload workload;
+  AddressSpace space;
+  SharingMatrix sharing;
+  SchedContext context;
+
+  static void addReader(ProcessSpec& p, ArrayId array, std::int64_t lo,
+                        std::int64_t hi) {
+    if (hi <= lo) return;
+    p.nests.push_back(LoopNest{
+        IterationSpace::box({{lo, hi}}),
+        {ArrayAccess{array, AffineMap{AffineExpr({1}, 0)}, AccessKind::Read}},
+        1});
+  }
+
+  static Workload build(const std::vector<Candidate>& candidates) {
+    Workload w;
+    const ArrayId a = w.arrays.add("A", {256}, 4);
+    const ArrayId s = w.arrays.add("S", {256}, 4);
+    ProcessSpec anchor;
+    anchor.name = "anchor";
+    addReader(anchor, s, 0, 64);
+    w.graph.addProcess(std::move(anchor));
+    ProcessSpec runner;
+    runner.name = "runner";
+    addReader(runner, a, 128, 192);
+    w.graph.addProcess(std::move(runner));
+    for (const Candidate& c : candidates) {
+      ProcessSpec p;
+      p.name = "C" + std::to_string(w.graph.processCount());
+      addReader(p, s, 0, c.share);
+      addReader(p, a, 128, 128 + 8 * c.lines);
+      w.graph.addProcess(std::move(p));
+    }
+    return w;
+  }
+
+  explicit IntegerScoreRig(const std::vector<Candidate>& candidates)
+      : workload(build(candidates)),
+        space(workload.arrays, AddressSpaceOptions{0x1000'0000, 32}),
+        sharing(SharingMatrix::compute(workload.footprints())),
+        context{&workload.graph, &sharing, 2, &workload, &space} {}
+
+  /// Runs the anchor to completion on core 0 while the runner keeps
+  /// core 1 busy, then readies \p ready in that order.
+  static void stage(L2ContentionAwareScheduler& policy,
+                    const std::vector<ProcessId>& ready) {
+    policy.onReady(0);
+    ASSERT_EQ(policy.pickNext(0, std::nullopt), 0u);
+    policy.onReady(1);
+    ASSERT_EQ(policy.pickNext(1, std::nullopt), 1u);
+    policy.onComplete(0);
+    for (const ProcessId p : ready) policy.onReady(p);
+  }
+};
+
+TEST(L2ContentionAwareScheduler, ScoresSharingMinusConflictsInIntegers) {
+  // Candidates 2..4: s - c = 40 - 8 = 32, 10 - 0 = 10, 36 - 2 = 34.
+  // Pure sharing would pick 2, pure conflict avoidance 3; s - c picks 4.
+  const std::vector<IntegerScoreRig::Candidate> candidates{
+      {40, 8}, {10, 0}, {36, 2}};
+  IntegerScoreRig rig(candidates);
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
-  policy.onReady(0);
-  ASSERT_EQ(policy.pickNext(0, std::nullopt), 0u);
-  policy.onReady(2);
-  policy.onReady(1);
-  EXPECT_EQ(policy.pickNext(1, std::nullopt), 2u);  // plain FIFO again
+  for (ProcessId p = 2; p < 5; ++p) {
+    EXPECT_EQ(rig.sharing.at(0, p), candidates[p - 2].share) << "P" << p;
+    EXPECT_EQ(policy.conflictBetween(p, 1), candidates[p - 2].lines)
+        << "P" << p;
+  }
+  IntegerScoreRig::stage(policy, {2, 3, 4});
+  EXPECT_EQ(policy.pickNext(0, ProcessId{0}), 4u);
+}
+
+TEST(L2ContentionAwareScheduler, OneLinePairCostsExactlyOneSharedElement) {
+  // Candidates 2..4: 36 - 2 = 34, 38 - 4 = 34 (two more elements buy
+  // exactly two more line pairs), 38 - 5 = 33 (one pair more: loses).
+  const std::vector<IntegerScoreRig::Candidate> candidates{
+      {36, 2}, {38, 4}, {38, 5}};
+  for (const std::vector<ProcessId>& order :
+       {std::vector<ProcessId>{2, 3, 4}, std::vector<ProcessId>{4, 3, 2}}) {
+    // Closed workload: equal scores fall to ready-order FIFO.
+    IntegerScoreRig rig(candidates);
+    L2ContentionAwareScheduler policy(ContentionRig::options());
+    policy.reset(rig.context);
+    IntegerScoreRig::stage(policy, order);
+    const ProcessId first = order[0] == 4 ? 3u : 2u;
+    EXPECT_EQ(policy.pickNext(0, ProcessId{0}), first);
+    EXPECT_EQ(policy.pickNext(0, ProcessId{0}), first == 2u ? 3u : 2u);
+    EXPECT_EQ(policy.pickNext(0, ProcessId{0}), 4u);
+  }
+  // Open workload: the earlier arrival wins the tie against ready order.
+  IntegerScoreRig rig(candidates);
+  L2ContentionAwareScheduler policy(ContentionRig::options());
+  policy.reset(rig.context);
+  policy.onArrival(3);
+  policy.onArrival(2);
+  IntegerScoreRig::stage(policy, {2, 3});
+  EXPECT_EQ(policy.pickNext(0, ProcessId{0}), 3u);
 }
 
 TEST(L2ContentionAwareScheduler, PreemptionReleasesThePenalty) {
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
   policy.onReady(0);
   ASSERT_EQ(policy.pickNext(0, std::nullopt), 0u);
@@ -396,7 +496,7 @@ TEST(L2ContentionAwareScheduler, ExitOfARunningProcessReleasesThePenalty) {
   // A retirement fires onExit without onComplete: the retired process
   // must stop penalizing co-runners all the same.
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
   policy.onReady(0);
   ASSERT_EQ(policy.pickNext(0, std::nullopt), 0u);  // P0 occupies the L2
@@ -409,7 +509,7 @@ TEST(L2ContentionAwareScheduler, ExitOfARunningProcessReleasesThePenalty) {
 
 TEST(L2ContentionAwareScheduler, ExitDropsStaleReadyEntry) {
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   policy.reset(rig.context);
   policy.onReady(0);
   policy.onReady(1);
@@ -420,7 +520,7 @@ TEST(L2ContentionAwareScheduler, ExitDropsStaleReadyEntry) {
 
 TEST(L2ContentionAwareScheduler, RequiresWorkloadAndSpace) {
   ContentionRig rig;
-  L2ContentionAwareScheduler policy(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler policy(ContentionRig::options());
   SchedContext incomplete = rig.context;
   incomplete.workload = nullptr;
   EXPECT_THROW(policy.reset(incomplete), Error);
@@ -440,8 +540,8 @@ TEST(L2ContentionAwareScheduler, ConflictMemoOrderInsensitive) {
   // and never changes once memoized — so hash order cannot reach any
   // scheduling decision.
   ContentionRig rig;
-  L2ContentionAwareScheduler forward(ContentionRig::options(1.0));
-  L2ContentionAwareScheduler backward(ContentionRig::options(1.0));
+  L2ContentionAwareScheduler forward(ContentionRig::options());
+  L2ContentionAwareScheduler backward(ContentionRig::options());
   forward.reset(rig.context);
   backward.reset(rig.context);
   const std::size_t n = rig.workload.graph.processCount();

@@ -2,9 +2,10 @@
 """Self-test for tools/determinism_lint.py.
 
 Proves every rule is live (fires on a dedicated bad fixture), that the
-comment/string stripper does not produce false positives, and that the
+comment/string stripper does not produce false positives, that the
 suppression machinery accepts justified LINT-ALLOWs while reporting
-stale or unjustified ones. Run via CTest (lint_selftest) or directly:
+stale or unjustified ones, and that a whole-root scan reports a policy
+exemption that excuses nothing. Run via CTest (lint_selftest) or directly:
 
     python3 tests/tools/lint_selftest.py
 """
@@ -40,17 +41,38 @@ EXPECTATIONS = {
 FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[a-z-]+)\]")
 
 
-def run_lint(fixture: pathlib.Path) -> tuple[int, dict[str, int]]:
+def run_lint(*args: str) -> tuple[int, dict[str, int], str]:
     proc = subprocess.run(
-        [sys.executable, str(LINT), "--no-policy", "--engine", "token",
-         str(fixture)],
+        [sys.executable, str(LINT), "--engine", "token", *args],
         capture_output=True, text=True, check=False)
     counts: dict[str, int] = {}
     for line in proc.stdout.splitlines():
         m = FINDING_RE.match(line)
         if m:
             counts[m.group("rule")] = counts.get(m.group("rule"), 0) + 1
-    return proc.returncode, counts
+    return proc.returncode, counts, proc.stdout
+
+
+def check_stale_exemption(failures: list[str]) -> None:
+    """A whole-root scan under the fixture policy reports exactly the
+    exemption that excused nothing ('model'); the one that excused a
+    finding ('report') stays silent. Linting one file is no whole-root
+    scan, so it reports no exemption."""
+    tree = FIXTURES / "exempt_tree"
+    policy = str(tree / "policy.toml")
+    rc, counts, out = run_lint("--policy", policy, "--root", str(tree / "tree"))
+    ok = (rc == 1 and counts == {"stale-exemption": 1}
+          and "'model'" in out and "'report'" not in out)
+    if not ok:
+        failures.append(f"exempt_tree: rc={rc} findings={counts}: {out!r}")
+    rc_one, counts_one, _ = run_lint(
+        "--policy", policy, "--root", str(tree / "tree"),
+        str(tree / "tree" / "report" / "format.cpp"))
+    if rc_one != 0 or counts_one:
+        ok = False
+        failures.append(f"exempt_tree (one file): rc={rc_one} "
+                        f"findings={counts_one}")
+    print(f"  {'ok' if ok else 'FAIL'}  exempt_tree: rc={rc} findings={counts}")
 
 
 def main() -> int:
@@ -60,7 +82,7 @@ def main() -> int:
         if not fixture.exists():
             failures.append(f"{name}: fixture missing")
             continue
-        rc, counts = run_lint(fixture)
+        rc, counts, _ = run_lint("--no-policy", str(fixture))
         if rc != expected_rc:
             failures.append(f"{name}: exit {rc}, expected {expected_rc} "
                             f"(findings: {counts})")
@@ -74,6 +96,8 @@ def main() -> int:
                             f"{sorted(unexpected)}")
         status = "FAIL" if any(f.startswith(name) for f in failures) else "ok"
         print(f"  {status}  {name}: rc={rc} findings={counts}")
+
+    check_stale_exemption(failures)
 
     # --list-rules must enumerate every rule the fixtures exercise, so a
     # renamed rule cannot silently orphan its fixture.
@@ -90,7 +114,8 @@ def main() -> int:
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"lint_selftest: all {len(EXPECTATIONS)} fixtures behaved")
+    print(f"lint_selftest: all {len(EXPECTATIONS)} fixtures and the "
+          "exemption tree behaved")
     return 0
 
 

@@ -88,43 +88,6 @@ TEST(Rng, RangeBadArgsThrow) {
   EXPECT_THROW(r.range(2, 1), Error);
 }
 
-TEST(Rng, Uniform01InHalfOpenUnitInterval) {
-  Rng r(13);
-  for (int i = 0; i < 10000; ++i) {
-    const double v = r.uniform01();
-    EXPECT_GE(v, 0.0);
-    EXPECT_LT(v, 1.0);
-  }
-}
-
-TEST(Rng, Uniform01MeanIsHalf) {
-  Rng r(17);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += r.uniform01();
-  EXPECT_NEAR(sum / n, 0.5, 0.01);
-}
-
-TEST(Rng, ChanceExtremes) {
-  Rng r(19);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(r.chance(0.0));
-    EXPECT_TRUE(r.chance(1.0));
-    EXPECT_FALSE(r.chance(-0.5));
-    EXPECT_TRUE(r.chance(1.5));
-  }
-}
-
-TEST(Rng, ChanceApproximatesProbability) {
-  Rng r(23);
-  int hits = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    if (r.chance(0.3)) ++hits;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng r(29);
   std::vector<int> v(100);

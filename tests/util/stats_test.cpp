@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -12,97 +11,6 @@
 
 namespace laps {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(RunningStats, KnownValues) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, SingleSampleVarianceZero) {
-  RunningStats s;
-  s.add(3.5);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-  EXPECT_EQ(s.mean(), 3.5);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  Rng rng(7);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform01() * 100 - 50;
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-7);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
-
-TEST(PercentImprovement, Basic) {
-  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 75.0), 25.0);
-  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 125.0), -25.0);
-  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 100.0), 0.0);
-  EXPECT_DOUBLE_EQ(percentImprovement(0.0, 10.0), 0.0);
-}
-
-TEST(GeometricMean, Basic) {
-  EXPECT_DOUBLE_EQ(geometricMean({4.0, 9.0}), 6.0);
-  EXPECT_DOUBLE_EQ(geometricMean({5.0}), 5.0);
-  EXPECT_DOUBLE_EQ(geometricMean({}), 0.0);
-}
-
-TEST(GeometricMean, RejectsNonPositive) {
-  EXPECT_THROW((void)geometricMean({1.0, 0.0}), Error);
-  EXPECT_THROW((void)geometricMean({-2.0}), Error);
-}
-
-TEST(Percentile, NearestRank) {
-  std::vector<double> v{15, 20, 35, 40, 50};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 15);
-  EXPECT_DOUBLE_EQ(percentile(v, 30), 20);
-  EXPECT_DOUBLE_EQ(percentile(v, 40), 20);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 35);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 50);
-}
-
-TEST(Percentile, Errors) {
-  EXPECT_THROW((void)percentile({}, 50), Error);
-  EXPECT_THROW((void)percentile({1.0}, -1), Error);
-  EXPECT_THROW((void)percentile({1.0}, 101), Error);
-}
 
 /// Count-based oracle for the integer nearest-rank percentile: the
 /// smallest value whose cumulative sample count covers p percent.
@@ -146,7 +54,7 @@ TEST(PercentileNearestRank, EdgeCases) {
   EXPECT_EQ(percentileNearestRank(v, 1), 15);
   EXPECT_EQ(percentileNearestRank(v, 50), 35);
   EXPECT_EQ(percentileNearestRank(v, 100), 50);
-  // Matches the double-based percentile() on the same data.
+  // p40 of five samples: rank ceil(2.0) = 2, no rounding up past it.
   EXPECT_EQ(percentileNearestRank(v, 40), 20);
 }
 

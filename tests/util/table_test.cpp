@@ -78,5 +78,12 @@ TEST(Table, RowCount) {
   EXPECT_EQ(t.rowCount(), 2u);
 }
 
+TEST(PercentImprovement, Basic) {
+  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 75.0), 25.0);
+  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 125.0), -25.0);
+  EXPECT_DOUBLE_EQ(percentImprovement(100.0, 100.0), 0.0);
+  EXPECT_DOUBLE_EQ(percentImprovement(0.0, 10.0), 0.0);
+}
+
 }  // namespace
 }  // namespace laps

@@ -32,7 +32,9 @@ characters). A suppression that no longer matches any finding is itself
 reported (stale-suppression) so the annotations cannot rot.
 
 Policy: tools/lint_policy.toml exempts reporting-only layers from
-specific rules, with a written reason per entry (see that file).
+specific rules, with a written reason per entry (see that file). A scan
+of the whole root reports an exemption that excused no finding
+(stale-exemption), so a layer that lost its hazard loses its exemption.
 
 Engines: token-level scanning with a hand-rolled comment/string stripper
 by default; when the libclang Python bindings are importable
@@ -281,24 +283,39 @@ def collect_suppressions(raw_lines: list[str]) -> tuple[list[Suppression], list[
 @dataclasses.dataclass
 class Policy:
     root: str = "src"
-    # (path-prefix, rule or '*', why)
-    exemptions: list[tuple[str, str, str]] = dataclasses.field(
+    source: pathlib.Path | None = None  # the policy file, for reports
+    # (path-prefix, rule or '*', why, line of the entry in source)
+    exemptions: list[tuple[str, str, str, int]] = dataclasses.field(
         default_factory=list)
+    # indices into exemptions that excused at least one finding
+    used: set[int] = dataclasses.field(default_factory=set)
 
-    def exempt(self, rel: str, rule: str) -> bool:
-        for prefix, exempt_rule, _why in self.exemptions:
+    def exempt(self, rel: str, rule: str, excuses: bool = False) -> bool:
+        for i, (prefix, exempt_rule, _why, _line) in enumerate(self.exemptions):
             if rel.startswith(prefix) and exempt_rule in ("*", rule):
+                if excuses:
+                    self.used.add(i)
                 return True
         return False
+
+    def stale_exemptions(self) -> list[Finding]:
+        """Exemptions that excused no finding over a whole-root scan:
+        the directory-level twin of stale-suppression."""
+        return [
+            Finding(self.source, line, "stale-exemption",
+                    f"exemption '{prefix}' [{rule}] excuses no finding; "
+                    "delete it from the policy")
+            for i, (prefix, rule, _why, line) in enumerate(self.exemptions)
+            if i not in self.used]
 
 
 def load_policy(path: pathlib.Path) -> Policy:
     if tomllib is None:
         raise SystemExit("determinism_lint: python >= 3.11 (tomllib) required "
                          "to read the policy file")
-    with path.open("rb") as fh:
-        data = tomllib.load(fh)
-    policy = Policy()
+    text = path.read_text(encoding="utf-8")
+    data = tomllib.loads(text)
+    policy = Policy(source=path)
     policy.root = data.get("lint", {}).get("root", "src")
     for entry in data.get("exempt", []):
         prefix = entry.get("path")
@@ -310,12 +327,16 @@ def load_policy(path: pathlib.Path) -> Policy:
             raise SystemExit(
                 f"determinism_lint: policy exemption for '{prefix}' needs a "
                 "written 'why'")
+        # The entry's line, located by its path key, for stale reports.
+        line = next((idx for idx, raw in enumerate(text.split("\n"), start=1)
+                     if re.match(rf'\s*path\s*=\s*"{re.escape(prefix)}"', raw)),
+                    0)
         for rule in rules:
             if rule != "*" and rule not in RULE_NAMES:
                 raise SystemExit(
                     f"determinism_lint: policy exemption for '{prefix}' names "
                     f"unknown rule '{rule}'")
-            policy.exemptions.append((prefix, rule, why))
+            policy.exemptions.append((prefix, rule, why, line))
     return policy
 
 
@@ -345,7 +366,7 @@ def lint_file(path: pathlib.Path, rel: str, policy: Policy,
         for rule in RULES:
             if not rule.pattern.search(code):
                 continue
-            if policy.exempt(rel, rule.name):
+            if policy.exempt(rel, rule.name, excuses=True):
                 continue
             if allowed(rule.name, idx):
                 continue
@@ -433,6 +454,8 @@ def main(argv: list[str]) -> int:
         except ValueError:
             rel = path.name
         all_findings.extend(lint_file(path, rel, policy, engine))
+    if not args.files:
+        all_findings.extend(policy.stale_exemptions())
 
     for finding in sorted(all_findings,
                           key=lambda f: (str(f.path), f.line, f.rule)):
