@@ -94,14 +94,16 @@ std::int64_t SetAssocCache::residentLines() const {
   return count;
 }
 
-std::vector<std::uint64_t> SetAssocCache::residentLineAddrs() const {
-  std::vector<std::uint64_t> addrs;
+std::vector<SetAssocCache::ResidentLine> SetAssocCache::residentLineStates()
+    const {
+  std::vector<ResidentLine> lines;
   for (std::size_t w = 0; w < ways_.size(); ++w) {
     if (!ways_[w].valid) continue;
     const auto set = static_cast<std::uint64_t>(w / assoc_);
-    addrs.push_back(ways_[w].tag << tagShift_ | set << lineShift_);
+    lines.push_back({ways_[w].tag << tagShift_ | set << lineShift_,
+                     ways_[w].lastUse, ways_[w].dirty});
   }
-  return addrs;
+  return lines;
 }
 
 }  // namespace laps

@@ -151,11 +151,19 @@ class SetAssocCache {
   /// Number of valid lines currently resident.
   [[nodiscard]] std::int64_t residentLines() const;
 
-  /// Base byte addresses of every resident line, in set-major way order
-  /// (deterministic). Audit/diagnostics only — the inclusion audit
-  /// (MemoryHierarchy::auditInclusion) enumerates L1 contents with it;
+  /// One resident line's replacement state.
+  struct ResidentLine {
+    std::uint64_t addr = 0;     ///< base byte address
+    std::uint64_t lastUse = 0;  ///< LRU stamp
+    bool dirty = false;
+    friend bool operator==(const ResidentLine&, const ResidentLine&) = default;
+  };
+  /// Every resident line with its LRU stamp and dirty bit, in set-major
+  /// way order (deterministic). Audit/diagnostics only — the inclusion
+  /// audit (MemoryHierarchy::auditInclusion) enumerates L1 contents and
+  /// the replay differential compares each set's recency order with it;
   /// never called on a model hot path.
-  [[nodiscard]] std::vector<std::uint64_t> residentLineAddrs() const;
+  [[nodiscard]] std::vector<ResidentLine> residentLineStates() const;
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   void resetStats() { stats_ = CacheStats{}; }

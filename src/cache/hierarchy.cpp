@@ -12,16 +12,17 @@ void MemoryHierarchy::auditInclusion() const {
   if (!l2_) return;
   for (std::size_t c = 0; c < l1DataCaches_.size(); ++c) {
     if (l1DataCaches_[c] == nullptr) continue;
-    for (const std::uint64_t lineAddr : l1DataCaches_[c]->residentLineAddrs()) {
-      audit::require(l2_->probe(lineAddr),
+    for (const SetAssocCache::ResidentLine& line :
+         l1DataCaches_[c]->residentLineStates()) {
+      audit::require(l2_->probe(line.addr),
                      "inclusion violated: L1 data cache " + std::to_string(c) +
-                         " holds line " + std::to_string(lineAddr) +
+                         " holds line " + std::to_string(line.addr) +
                          " that is not L2-resident");
       if (directory_) {
-        audit::require((l2_->sharersOf(lineAddr) >> c & 1) != 0,
+        audit::require((l2_->sharersOf(line.addr) >> c & 1) != 0,
                        "sharer mask misses a holder: L1 data cache " +
                            std::to_string(c) + " holds line " +
-                           std::to_string(lineAddr) +
+                           std::to_string(line.addr) +
                            " but its L2 mask lacks bit " + std::to_string(c));
       }
     }
@@ -243,6 +244,7 @@ MissBreakdown MemorySystem::dataMissBreakdown() const {
 
 void MemorySystem::resetStats() {
   dcache_.resetStats();
+  replay_ = ReplayPathStats{};
   icache_.resetStats();
   if (classifier_) classifier_->resetStats();
 }

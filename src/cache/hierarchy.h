@@ -62,6 +62,25 @@ struct DirectoryStats {
   std::uint64_t invalidationsFiltered = 0;
 };
 
+/// How the trace replay (sim/replay.h) committed one core's data steps:
+/// a deterministic count of simulator work, not of simulated behaviour.
+struct ReplayPathStats {
+  std::uint64_t perEventSteps = 0;  ///< through MemorySystem::dataAccess
+  std::uint64_t bulkSteps = 0;      ///< as known hits, through dataBulkHits
+  /// Chunks with a line-jumping stream whose other streams were
+  /// committed in bulk, and how many of them a jumper miss sent back to
+  /// per-event replay.
+  std::uint64_t jumperChunks = 0;
+  std::uint64_t jumperFallbacks = 0;
+
+  void accumulate(const ReplayPathStats& other) {
+    perEventSteps += other.perEventSteps;
+    bulkSteps += other.bulkSteps;
+    jumperChunks += other.jumperChunks;
+    jumperFallbacks += other.jumperFallbacks;
+  }
+};
+
 /// The levels below the private L1s, shared by every core. Composes an
 /// optional SharedL2 and an optional MemoryBus; with neither, a miss
 /// costs the fixed memLatencyCycles (the paper's platform, exactly).
@@ -236,23 +255,33 @@ class MemorySystem {
   /// The run-length replay path (sim/replay.cpp) accounts the guaranteed
   /// hits it skips directly on the caches: bulkHits for the counters and
   /// LRU clock, touch for the exact final stamps of the lines involved.
-  /// Bypassing the miss classifier here is exact — every skipped access
-  /// re-touches shadow-cache lines that are already the most recently
-  /// used, in an order that provably leaves the shadow state unchanged —
-  /// see docs/ARCHITECTURE.md §6. Guaranteed hits never leave the L1,
-  /// so none of these touch the shared levels.
+  /// Bypassing the miss classifier here is exact: a skipped access only
+  /// re-touches a shadow-cache line that stays resident there, and the
+  /// replay restores the shadow's recency order with dataShadowTouch
+  /// wherever the skipped accesses would have changed it — see
+  /// docs/ARCHITECTURE.md §6. Guaranteed hits never leave the L1, so
+  /// none of these touch the shared levels.
   /// @{
   [[nodiscard]] std::uint64_t dataClock() const { return dcache_.clock(); }
-  void dataBulkHits(std::int64_t count) { dcache_.bulkHits(count); }
+  void dataBulkHits(std::int64_t count) {
+    dcache_.bulkHits(count);
+    replay_.bulkSteps += static_cast<std::uint64_t>(count);
+  }
   void dataTouch(std::uint64_t addr, bool isWrite, std::uint64_t stamp) {
     dcache_.touch(addr, isWrite, stamp);
   }
   /// Replays one skipped (guaranteed-hit) access into the miss
   /// classifier's shadow LRU only. Needed when a bulk commit ends
-  /// mid-iteration: the partial iteration's accesses rotate the shadow's
-  /// most-recently-used block, which complete cycles do not.
+  /// mid-iteration (the partial iteration's accesses rotate the shadow's
+  /// most-recently-used block, which complete cycles do not) and after a
+  /// chunk whose line-jumping accesses reached the shadow between the
+  /// skipped ones.
   void dataShadowTouch(std::uint64_t addr) {
     if (classifier_) classifier_->record(addr, /*realMiss=*/false);
+  }
+  /// Lines of the classifier's shadow LRU; 0 without a classifier.
+  [[nodiscard]] std::int64_t dataShadowLines() const {
+    return classifier_ ? classifier_->capacityLines() : 0;
   }
   [[nodiscard]] std::uint64_t instrClock() const { return icache_.clock(); }
   void instrBulkHits(std::int64_t count) { icache_.bulkHits(count); }
@@ -276,6 +305,19 @@ class MemorySystem {
   /// Data-miss classification; zeros unless classifyMisses was set.
   [[nodiscard]] MissBreakdown dataMissBreakdown() const;
 
+  /// The replay's work since the last resetStats; every data access
+  /// that did not come through dataBulkHits was a per-event step.
+  [[nodiscard]] ReplayPathStats replayPathStats() const {
+    ReplayPathStats stats = replay_;
+    stats.perEventSteps = dcache_.stats().accesses - replay_.bulkSteps;
+    return stats;
+  }
+  /// Called by the replay once per jumper chunk it commits.
+  void countJumperChunk(bool fellBack) {
+    ++replay_.jumperChunks;
+    if (fellBack) ++replay_.jumperFallbacks;
+  }
+
   void resetStats();
 
  private:
@@ -294,6 +336,7 @@ class MemorySystem {
   SetAssocCache dcache_;
   SetAssocCache icache_;
   std::optional<MissClassifier> classifier_;
+  ReplayPathStats replay_;  ///< perEventSteps derived on read
 };
 
 }  // namespace laps

@@ -61,6 +61,11 @@ class MissClassifier {
   [[nodiscard]] const MissBreakdown& breakdown() const { return breakdown_; }
   void resetStats() { breakdown_ = MissBreakdown{}; }
 
+  /// Lines the shadow holds (the modeled cache's capacity).
+  [[nodiscard]] std::int64_t capacityLines() const {
+    return static_cast<std::int64_t>(capacityLines_);
+  }
+
  private:
   /// Accesses the fully-associative shadow; returns true on shadow hit.
   bool shadowAccess(std::uint64_t line);

@@ -787,6 +787,7 @@ SimResult MpsocSimulator::run() {
     result_.dcacheTotal.accumulate(cores_[c].memory->dcache().stats());
     result_.icacheTotal.accumulate(cores_[c].memory->icache().stats());
     result_.dataMisses.accumulate(cores_[c].memory->dataMissBreakdown());
+    result_.replayPath.accumulate(cores_[c].memory->replayPathStats());
   }
   if (const SharedL2* l2 = hierarchy_->l2()) {
     result_.sharedL2Enabled = true;

@@ -13,6 +13,9 @@ struct StreamState {
   std::uint64_t addr = 0;
   std::int64_t stride = 0;
   bool isWrite = false;
+  bool jumps = false;           ///< |stride| >= line: a new line per iteration
+  std::uint64_t chunkBase = 0;  ///< address in the chunk's first iteration
+  std::uint64_t set = 0;        ///< L1 set of the chunk's line
 };
 
 }  // namespace
@@ -26,6 +29,7 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
   const std::int64_t iHit = cfg.l1i.hitLatencyCycles;
   const std::int64_t dHit = cfg.l1d.hitLatencyCycles;
   const std::int64_t dLine = cfg.l1d.lineBytes;
+  const std::int64_t shadowLines = mem.dataShadowLines();  // 0: no shadow
 
   std::int64_t cycles = 0;
   bool overQuantum = false;
@@ -34,8 +38,35 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
   // Nest whose code body is verified fully resident in the I-cache; while
   // it stays the current nest, every fetch is a guaranteed hit (only this
   // process's fetches touch the I-cache within a segment), so fetch
-  // accounting can be deferred and committed arithmetically per chunk.
+  // accounting can be deferred and committed arithmetically.
   std::optional<std::size_t> warmNest;
+
+  // Deferred instruction fetches: `deferred` consecutive fetches of the
+  // warm body at deferBase, the first one at slot deferSlot. They stay
+  // off the I-cache until a real fetch, another body's deferral or the
+  // segment's end, since nothing else reads the I-cache meanwhile.
+  std::int64_t deferred = 0;
+  std::uint64_t deferBase = 0;
+  std::int64_t deferSlots = 0;
+  std::int64_t deferSlot = 0;
+
+  // Commits the deferred fetches: all hits, with exact per-event stamps.
+  // The fetch stream cycles through the body's slots, so the last
+  // min(deferred, slots) fetches carry every slot's final stamp.
+  const auto commitFetches = [&]() {
+    if (deferred == 0) return;
+    const std::uint64_t iclock0 = mem.instrClock();
+    const std::int64_t touched = std::min(deferred, deferSlots);
+    std::int64_t slot = (deferSlot + deferred - touched) % deferSlots;
+    for (std::int64_t t = deferred - touched; t < deferred; ++t) {
+      mem.instrTouch(deferBase + static_cast<std::uint64_t>(slot) *
+                                     kInstrFetchBytes,
+                     iclock0 + static_cast<std::uint64_t>(t) + 1);
+      if (++slot == deferSlots) slot = 0;
+    }
+    mem.instrBulkHits(deferred);
+    deferred = 0;
+  };
 
   while (!overQuantum && cursor.peekRun(run)) {
     const auto K = static_cast<std::int64_t>(run.streams.size());
@@ -43,34 +74,22 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
     std::int64_t consumed = 0;  // trace steps consumed of this run
 
     // When fetchDeferred (warm body), doStep skips its instruction fetch
-    // — a known hit with zero stall — and commitFetches accounts the
-    // chunk's fetches in bulk instead.
+    // — a known hit with zero stall — and deferFetches accounts it later.
     bool fetchDeferred = false;
 
-    // Commits the deferred instruction fetches of steps
-    // [fromStep, consumed) of this run: all hits (warm body), with exact
-    // per-event stamps. The fetch stream cycles through the body's P
-    // slots, so the last min(S, P) fetches carry every slot's final
-    // stamp.
-    const auto commitFetches = [&](std::int64_t fromStep) {
-      if (!fetchDeferred) return;
-      const std::int64_t steps = consumed - fromStep;
-      if (steps <= 0) return;
-      const std::uint64_t iclock0 = mem.instrClock();
-      const auto slots = static_cast<std::int64_t>(
-          static_cast<std::uint64_t>(run.bodyBytes) / kInstrFetchBytes);
-      const std::uint64_t phase =
-          (run.bodyCursor +
-           static_cast<std::uint64_t>(fromStep) * kInstrFetchBytes) %
-          static_cast<std::uint64_t>(run.bodyBytes) / kInstrFetchBytes;
-      const std::int64_t touched = std::min(steps, slots);
-      for (std::int64_t t = steps - touched; t < steps; ++t) {
-        const std::uint64_t slot = (phase + static_cast<std::uint64_t>(t)) %
-                                   static_cast<std::uint64_t>(slots);
-        mem.instrTouch(run.bodyBase + slot * kInstrFetchBytes,
-                       iclock0 + static_cast<std::uint64_t>(t) + 1);
+    // Adds steps [fromStep, consumed) of this run to the deferred fetches.
+    const auto deferFetches = [&](std::int64_t fromStep) {
+      if (!fetchDeferred || consumed == fromStep) return;
+      if (deferred == 0) {
+        deferBase = run.bodyBase;
+        deferSlots =
+            run.bodyBytes / static_cast<std::int64_t>(kInstrFetchBytes);
+        deferSlot = static_cast<std::int64_t>(
+            (run.bodyCursor +
+             static_cast<std::uint64_t>(fromStep) * kInstrFetchBytes) %
+            static_cast<std::uint64_t>(run.bodyBytes) / kInstrFetchBytes);
       }
-      mem.instrBulkHits(steps);
+      deferred += consumed - fromStep;
     };
 
     // One trace step, per-event style: instruction fetch (hits are
@@ -80,6 +99,7 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
     const auto doStep = [&](std::int64_t j, std::uint64_t dataAddr,
                             bool isWrite) {
       if (modelI && !fetchDeferred) {
+        commitFetches();
         const std::uint64_t fetchAddr =
             run.bodyBase +
             (run.bodyCursor +
@@ -106,9 +126,15 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       continue;
     }
 
+    // A stream whose |stride| reaches the line size ("jumper") moves to a
+    // new line every iteration; the others ("co-streams") stay in theirs
+    // for a while and set the chunk length.
     pos.clear();
+    std::int64_t jumpers = 0;
     for (const RunStream& s : run.streams) {
-      pos.push_back(StreamState{s.baseAddr, s.strideBytes, s.isWrite});
+      const bool jumps = s.strideBytes >= dLine || s.strideBytes <= -dLine;
+      pos.emplace_back(s.baseAddr, s.strideBytes, s.isWrite, jumps);
+      jumpers += jumps ? 1 : 0;
     }
     std::int64_t itersLeft = run.iterations;
 
@@ -129,17 +155,98 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       }
     };
 
-    // If any stream jumps to a new line every iteration, it caps every
-    // chunk at one iteration and the chunk machinery is pure overhead:
-    // run the whole run per-event in a tight loop instead (with fetch
-    // accounting still deferred once the body is warm).
-    bool jumper = false;
-    for (const StreamState& s : pos) {
-      if (s.stride >= dLine || s.stride <= -dLine) {
-        jumper = true;
-        break;
+    // True when every co-stream's line of the current chunk is resident.
+    const auto coStreamsResident = [&]() {
+      for (const StreamState& s : pos) {
+        if (!s.jumps && !mem.dcache().probe(s.chunkBase)) return false;
       }
-    }
+      return true;
+    };
+
+    // Iterations 1..chunk-1 of a chunk with jumpers, after its first
+    // iteration ran per event (docs/ARCHITECTURE.md §6). Jumper accesses
+    // go through dataAccess at their exact clock and cycle; a co-stream
+    // access is a known hit that adds dHit cycles and one clock tick.
+    // Step (q, j) — iteration q of the chunk, stream j — is data access
+    // dclock0 + q*K + j + 1, so a co-stream's stamp follows from its
+    // index; its line is re-stamped only where a stamp can be read: in
+    // the jumper's set before a jumper access, and when the chunk ends.
+    const auto jumperChunk = [&](std::int64_t chunkStart, std::int64_t chunk,
+                                 std::uint64_t dclock0) {
+      // Re-stamps the co-stream lines \p wanted selects with their last
+      // access before step (q, j) (touch keeps a newer stamp).
+      const auto restamp = [&](std::int64_t q, std::int64_t j, auto&& wanted) {
+        for (std::int64_t c = 0; c < K; ++c) {
+          const StreamState& s = pos[static_cast<std::size_t>(c)];
+          if (s.jumps || !wanted(s)) continue;
+          const std::int64_t iter = c < j ? q : q - 1;
+          mem.dataTouch(s.chunkBase, s.isWrite,
+                        dclock0 + static_cast<std::uint64_t>(iter * K + c) + 1);
+        }
+      };
+      const auto addrOf = [&](const StreamState& s, std::int64_t q) {
+        return s.chunkBase + static_cast<std::uint64_t>(s.stride * q);
+      };
+      for (StreamState& s : pos) s.set = mem.dcache().setIndexOf(s.chunkBase);
+
+      std::int64_t ticked = K;  // steps whose clock ticks the L1 holds
+      bool fellBack = false;    // a jumper miss removed a co-stream line
+      std::int64_t q = 1;       // the next step is (q, j)
+      std::int64_t j = 0;
+      while (q < chunk && !overQuantum && !fellBack) {
+        const StreamState& s = pos[static_cast<std::size_t>(j)];
+        if (!s.jumps) {
+          cycles += dHit;
+          if (j == K - 1) cycles += compute;
+          ++consumed;
+          if (quantum && cycles >= *quantum) overQuantum = true;
+        } else {
+          const std::int64_t t = q * K + j;
+          const std::uint64_t addr = addrOf(s, q);
+          mem.dataBulkHits(t - ticked);
+          ticked = t + 1;
+          // A miss picks its victim by the LRU order of its set.
+          const std::uint64_t set = mem.dcache().setIndexOf(addr);
+          restamp(q, j, [&](const StreamState& c) { return c.set == set; });
+          const std::uint64_t misses = mem.dcache().stats().misses;
+          cycles += mem.dataAccess(addr, s.isWrite, segmentStartCycle + cycles);
+          if (j == K - 1) cycles += compute;
+          ++consumed;
+          if (quantum && cycles >= *quantum) overQuantum = true;
+          // A fill or an inclusion recall may have taken a co-stream line.
+          fellBack = mem.dcache().stats().misses != misses &&
+                     !coStreamsResident();
+        }
+        if (++j == K) {
+          j = 0;
+          ++q;
+        }
+      }
+      mem.countJumperChunk(fellBack);
+      mem.dataBulkHits(q * K + j - ticked);
+      restamp(q, j, [&](const StreamState& c) {
+        return !fellBack || mem.dcache().probe(c.chunkBase);
+      });
+      if (shadowLines > 0) {
+        // The K steps before (q, j) hold every stream's last access:
+        // replay them into the shadow LRU in per-event order.
+        for (std::int64_t u = j; u < K + j; ++u) {
+          const bool inQ = u >= K;  // step (q, u - K), else (q - 1, u)
+          const StreamState& s = pos[static_cast<std::size_t>(inQ ? u - K : u)];
+          mem.dataShadowTouch(addrOf(s, inQ ? q : q - 1));
+        }
+      }
+      // After a fallback the iteration finishes per event.
+      for (; fellBack && j > 0 && j < K && !overQuantum; ++j) {
+        const StreamState& s = pos[static_cast<std::size_t>(j)];
+        doStep(j, addrOf(s, q), s.isWrite);
+      }
+      const std::int64_t iters = (consumed - chunkStart) / K - 1;
+      itersLeft -= iters;  // complete iterations beyond the first
+      for (StreamState& s : pos) {
+        s.addr += static_cast<std::uint64_t>(s.stride * iters);
+      }
+    };
 
     while (itersLeft > 0 && !overQuantum) {
       // Is this nest's body warm in the I-cache? (Probe once; fetches
@@ -162,53 +269,58 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
         }
       }
       fetchDeferred = modelI && iWarm;
+      // Deferred fetches of another body are committed first.
+      if (fetchDeferred && deferred > 0 && deferBase != run.bodyBase) {
+        commitFetches();
+      }
       const std::int64_t chunkStart = consumed;
 
-      if (jumper) {
-        while (itersLeft > 0 && !overQuantum) doIteration();
-        commitFetches(chunkStart);
-        break;
-      }
-
-      // Chunk: the iterations whose accesses all stay in their current
-      // cache lines. After the first (per-event) iteration establishes
-      // those lines, the rest of the chunk cannot miss or evict.
+      // Chunk: the iterations whose co-stream accesses all stay in their
+      // current cache lines. After the first (per-event) iteration
+      // establishes those lines, no co-stream access of the rest can miss.
       std::int64_t chunk = itersLeft;
       for (const StreamState& s : pos) {
-        chunk = std::min(chunk, lineRunLength(s.addr, s.stride, dLine));
+        if (!s.jumps) {
+          chunk = std::min(chunk, lineRunLength(s.addr, s.stride, dLine));
+        }
       }
+      if (jumpers > 0 && shadowLines > 0 &&
+          (chunk - 1) * jumpers > shadowLines - K) {
+        // The classifier's shadow LRU must keep every co-stream line while
+        // only jumper accesses reach it: at most shadowLines - K of them.
+        chunk = 1 + std::max<std::int64_t>(shadowLines - K, 0) / jumpers;
+      }
+      for (StreamState& s : pos) s.chunkBase = s.addr;
 
+      const std::uint64_t dclock0 = mem.dataClock();
       const std::uint64_t missesBefore = mem.dcache().stats().misses;
       doIteration();
       if (overQuantum) {
-        commitFetches(chunkStart);
+        deferFetches(chunkStart);
         break;
       }
       std::int64_t rest = chunk - 1;
       if (rest == 0) {
-        commitFetches(chunkStart);
+        deferFetches(chunkStart);
         continue;
       }
 
       // The bulk shortcut needs every fetch to hit (warm body) and every
-      // stream's line to have survived the first iteration. A hit leaves
-      // its line resident and a miss fills it, so only a first-iteration
-      // miss — which may have evicted another stream's line from a shared
-      // set — makes the probes necessary.
-      bool resident = iWarm;
-      if (resident && K > 1 &&
-          mem.dcache().stats().misses != missesBefore) {
-        for (const StreamState& s : pos) {
-          if (!mem.dcache().probe(s.addr -
-                                  static_cast<std::uint64_t>(s.stride))) {
-            resident = false;
-            break;
-          }
-        }
-      }
+      // co-stream's line to have survived the first iteration. A hit
+      // leaves its line resident and a miss fills it, so only a
+      // first-iteration miss — which may have evicted another stream's
+      // line from a shared set — makes the probes necessary.
+      const bool resident =
+          iWarm && (K == 1 || mem.dcache().stats().misses == missesBefore ||
+                    coStreamsResident());
       if (!resident) {
         while (rest-- > 0 && !overQuantum) doIteration();
-        commitFetches(chunkStart);
+        deferFetches(chunkStart);
+        continue;
+      }
+      if (jumpers > 0) {
+        jumperChunk(chunkStart, chunk, dclock0);
+        deferFetches(chunkStart);
         continue;
       }
 
@@ -251,15 +363,15 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
             // current clock. A partial final iteration (takeExtra) can
             // reorder streams' final stamps, so each line is re-stamped
             // explicitly.
-            const std::uint64_t dclock0 = mem.dataClock();
+            const std::uint64_t dclock = mem.dataClock();
             for (std::int64_t j = 0; j < K; ++j) {
               const std::int64_t lastIter =
                   j < takeExtra ? takeIters : takeIters - 1;
               if (lastIter < 0) continue;  // stream has no bulk access
               const StreamState& s = pos[static_cast<std::size_t>(j)];
               mem.dataTouch(
-                  s.addr - static_cast<std::uint64_t>(s.stride), s.isWrite,
-                  dclock0 + static_cast<std::uint64_t>(lastIter * K + j + 1));
+                  s.chunkBase, s.isWrite,
+                  dclock + static_cast<std::uint64_t>(lastIter * K + j + 1));
             }
           }
           // Without a quantum the chunk commits whole iterations, so the
@@ -276,8 +388,7 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
           // exactly those accesses into the shadow to leave it in the
           // per-event order (they are shadow hits — nothing is counted).
           for (std::int64_t j = 0; j < takeExtra; ++j) {
-            const StreamState& s = pos[static_cast<std::size_t>(j)];
-            mem.dataShadowTouch(s.addr - static_cast<std::uint64_t>(s.stride));
+            mem.dataShadowTouch(pos[static_cast<std::size_t>(j)].chunkBase);
           }
         }
 
@@ -287,11 +398,12 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
           s.addr += static_cast<std::uint64_t>(s.stride * takeIters);
         }
       }
-      commitFetches(chunkStart);
+      deferFetches(chunkStart);
     }
 
     cursor.consume(consumed);
   }
+  commitFetches();
   return cycles;
 }
 

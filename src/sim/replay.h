@@ -6,13 +6,19 @@
 /// bottleneck with thousands of concurrent processes.
 /// replaySegmentRunLength consumes TraceRuns instead
 /// (ProcessTraceCursor::peekRun/consume) and resolves each cache line's
-/// group of consecutive accesses in bulk. The result is guaranteed
-/// bit-identical to replaying one step at a time — same cycles, cache
-/// statistics, LRU order, miss classification and preemption points —
-/// because every analytical shortcut is guarded by an exact residency
-/// check and falls back to per-step execution when the claim could fail
-/// (see docs/ARCHITECTURE.md §6 for the equivalence argument; the
-/// per-event oracle lives in tests/sim/per_event_replay.h).
+/// group of consecutive accesses in bulk. A stream that jumps a line
+/// every iteration (a transposed read) is replayed per event inside
+/// chunks cut on the other streams, whose hits are still committed in
+/// bulk: their stamps are restored where a jumper miss could read them,
+/// a jumper miss that removes one of their lines sends the chunk back
+/// to per-event replay, and the miss classifier's shadow LRU is replayed
+/// and kept within capacity. The result is guaranteed bit-identical to
+/// replaying one step at a time — same cycles, cache statistics, LRU
+/// order, miss classification and preemption points — because every
+/// analytical shortcut is guarded by an exact residency check and falls
+/// back to per-step execution when the claim could fail (see
+/// docs/ARCHITECTURE.md §6 for the equivalence argument; the per-event
+/// oracle lives in tests/sim/per_event_replay.h).
 
 #include <cstdint>
 #include <optional>

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "cache/hierarchy.h"
 #include "cache/miss_class.h"
 #include "sched/scheduler.h"
 #include "taskgraph/process.h"
@@ -184,6 +185,10 @@ struct SimResult {
   std::vector<std::int64_t> coreIdleCycles;  ///< per core (until makespan)
 
   std::vector<ProcessRunRecord> processes;  ///< indexed by ProcessId
+
+  /// Data steps the trace replay committed per event and in bulk,
+  /// summed over cores (simulator work, not simulated behaviour).
+  ReplayPathStats replayPath;
 
   /// The policy's own decision-work counters (scheduling overhead, not
   /// simulated time): rebuilds/patches/steals for replanning policies,

@@ -102,18 +102,20 @@ bool SetAssocCache::probe(std::uint64_t addr) const {
   });
 }
 
-std::vector<std::uint64_t> SetAssocCache::residentLineAddrs() const {
-  std::vector<std::uint64_t> addrs;
+std::vector<laps::SetAssocCache::ResidentLine>
+SetAssocCache::residentLineStates() const {
+  std::vector<laps::SetAssocCache::ResidentLine> lines;
   const auto numSets = static_cast<std::uint64_t>(config_.numSets());
   for (std::uint64_t s = 0; s < sets_.size(); ++s) {
     for (const Way& way : sets_[s]) {
       if (way.valid) {
-        addrs.push_back((way.tag * numSets + s) *
-                        static_cast<std::uint64_t>(config_.lineBytes));
+        lines.push_back({(way.tag * numSets + s) *
+                             static_cast<std::uint64_t>(config_.lineBytes),
+                         way.lastUse, way.dirty});
       }
     }
   }
-  return addrs;
+  return lines;
 }
 
 }  // namespace laps::reference

@@ -16,7 +16,8 @@
 namespace laps::reference {
 
 /// Element-identical to laps::SetAssocCache: same outcomes, eviction
-/// reports, statistics, LRU clock and resident lines.
+/// reports, statistics, LRU clock and resident lines with their stamps
+/// and dirty bits.
 class SetAssocCache {
  public:
   explicit SetAssocCache(const CacheConfig& config);
@@ -29,8 +30,10 @@ class SetAssocCache {
   void flush();
   bool invalidateLine(std::uint64_t addr);
   [[nodiscard]] bool probe(std::uint64_t addr) const;
-  /// Base byte addresses of every resident line, set-major way order.
-  [[nodiscard]] std::vector<std::uint64_t> residentLineAddrs() const;
+  /// Every resident line with its stamp and dirty bit, set-major way
+  /// order.
+  [[nodiscard]] std::vector<laps::SetAssocCache::ResidentLine>
+  residentLineStates() const;
 
   [[nodiscard]] std::uint64_t clock() const { return clock_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }

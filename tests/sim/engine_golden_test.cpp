@@ -143,6 +143,26 @@ TEST(EngineGolden, ClosedPaperRun) {
   EXPECT_EQ(hex(simDigest(sim)), hex(0x9386cffb2174364bULL));
 }
 
+/// The replay's work split on the same closed LSM mix, whose nests
+/// include line-jumping (transposed) streams: data steps committed per
+/// event and in bulk, and the jumper chunks with their fallbacks. These
+/// are simulator work counts, outside simDigest; pinning them makes a
+/// regression in the replay's path choice fail here, on any runner,
+/// while every simulated figure stays byte-identical.
+TEST(EngineGolden, ReplayPathCountsOnClosedLsmMix) {
+  AppParams params;
+  params.scale = 0.5;
+  const Workload workload = concurrentScenario(standardSuite(params), 3);
+  const SimResult sim =
+      runExperiment(workload, SchedulerKind::LocalityMapping).sim;
+  const ReplayPathStats& paths = sim.replayPath;
+  EXPECT_EQ(paths.perEventSteps + paths.bulkSteps, sim.dataReferences());
+  EXPECT_EQ(paths.perEventSteps, 146'496u);
+  EXPECT_EQ(paths.bulkSteps, 251'744u);
+  EXPECT_EQ(paths.jumperChunks, 17'693u);
+  EXPECT_EQ(paths.jumperFallbacks, 224u);
+}
+
 /// Tie storms: every gap of one fault class is exactly one cycle (a
 /// geometric gap of mean 1), so events of different sources share
 /// cycles all the time and the equal-cycle drain order decides the

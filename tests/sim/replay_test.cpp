@@ -11,7 +11,8 @@
 /// completion) and hands each replay its own copy of the process's
 /// cursor. After every segment the two sides must agree on the segment's
 /// cycles, the cursor position, every L1 I/D counter and LRU clock, the
-/// 3C breakdown, the resident L1 lines and every shared-level counter
+/// 3C breakdown, the resident L1 lines with each set's LRU order and the
+/// dirty bits, and every shared-level counter
 /// (L2, bank waits, bus, NoC links, directory). Platforms: flat, bus +
 /// banked L2 and a timed directory mesh; workloads: the stress shapes
 /// below and the paper's standard suite under its LSM (interleaved)
@@ -24,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiment.h"
@@ -163,6 +165,33 @@ std::vector<Observed> observe(const Side& side) {
   return out;
 }
 
+/// \p cache's resident lines as (address, recency rank, dirty): the
+/// rank counts the lines of the same set with an older LRU stamp. The
+/// run-length replay keeps stamps exact only up to their order within a
+/// set (a whole-iteration bulk commit advances the clock alone), and
+/// that order is all a replacement decision reads.
+std::vector<std::tuple<std::uint64_t, std::size_t, bool>> recencyOrder(
+    const SetAssocCache& cache) {
+  const std::vector<SetAssocCache::ResidentLine> lines =
+      cache.residentLineStates();
+  std::vector<std::tuple<std::uint64_t, std::size_t, bool>> order;
+  // The lines come set-major: each set's lines are one contiguous group.
+  for (std::size_t first = 0, last = 0; first < lines.size(); first = last) {
+    const std::uint64_t set = cache.setIndexOf(lines[first].addr);
+    while (last < lines.size() && cache.setIndexOf(lines[last].addr) == set) {
+      ++last;
+    }
+    for (std::size_t i = first; i < last; ++i) {
+      std::size_t rank = 0;
+      for (std::size_t k = first; k < last; ++k) {
+        rank += lines[k].lastUse < lines[i].lastUse ? 1 : 0;
+      }
+      order.emplace_back(lines[i].addr, rank, lines[i].dirty);
+    }
+  }
+  return order;
+}
+
 ::testing::AssertionResult sameState(const Side& perEvent,
                                      const Side& runLength) {
   const std::vector<Observed> want = observe(perEvent);
@@ -179,13 +208,17 @@ std::vector<Observed> observe(const Side& side) {
   for (std::size_t c = 0; c < perEvent.cores.size(); ++c) {
     const MemorySystem& a = *perEvent.cores[c];
     const MemorySystem& b = *runLength.cores[c];
-    if (a.dcache().residentLineAddrs() != b.dcache().residentLineAddrs()) {
+    if (recencyOrder(a.dcache()) != recencyOrder(b.dcache())) {
       return ::testing::AssertionFailure()
-             << "resident L1 data lines of core " << c << " differ";
+             << "resident L1 data lines, their LRU order or dirty bits "
+                "differ on core "
+             << c;
     }
-    if (a.icache().residentLineAddrs() != b.icache().residentLineAddrs()) {
+    if (recencyOrder(a.icache()) != recencyOrder(b.icache())) {
       return ::testing::AssertionFailure()
-             << "resident L1 instruction lines of core " << c << " differ";
+             << "resident L1 instruction lines or their LRU order differ on "
+                "core "
+             << c;
     }
   }
   return ::testing::AssertionSuccess();
@@ -215,6 +248,10 @@ struct Coverage {
   std::size_t midIterationCuts = 0;  ///< quantum cuts inside an iteration
   std::size_t migrations = 0;        ///< resumes on another core
   std::size_t flushes = 0;
+  /// Run-length side: chunks committed around a line-jumping stream, and
+  /// those a jumper miss sent back to per-event replay.
+  std::uint64_t jumperChunks = 0;
+  std::uint64_t jumperFallbacks = 0;
 };
 
 /// Replays every process of \p workload under \p space to completion,
@@ -296,6 +333,11 @@ void drive(const Workload& workload, const AddressSpace& space,
       ++coverage.midIterationCuts;
     }
   }
+  for (const auto& core : runLength.cores) {
+    const ReplayPathStats paths = core->replayPathStats();
+    coverage.jumperChunks += paths.jumperChunks;
+    coverage.jumperFallbacks += paths.jumperFallbacks;
+  }
 }
 
 /// A stress workload exercising every run shape: single-stream sweeps,
@@ -304,12 +346,76 @@ void drive(const Workload& workload, const AddressSpace& space,
 /// pure-compute nests and multiple nests per process.
 struct StressRig {
   Workload workload;
-  ArrayId a, b, c;
+  ArrayId a, b, c, d;
 
   StressRig() {
     a = workload.arrays.add("A", {64, 64}, 4);
     b = workload.arrays.add("B", {64, 64}, 4);
     c = workload.arrays.add("C", {256}, 4);
+    d = workload.arrays.add("D", {64, 64}, 4);
+  }
+
+  /// Rows [lo, hi) of one two-deep nest (i, j), j innermost over 64.
+  ProcessId addNest(const char* name, std::int64_t lo, std::int64_t hi,
+                    std::vector<ArrayAccess> accesses) {
+    ProcessSpec p;
+    p.name = name;
+    p.nests.push_back(LoopNest{IterationSpace::box({{lo, hi}, {0, 64}}),
+                               std::move(accesses), 1});
+    return workload.graph.addProcess(std::move(p));
+  }
+
+  static ArrayAccess rowMajor(ArrayId array, AccessKind kind) {
+    return ArrayAccess{
+        array, AffineMap{AffineExpr({1, 0}, 0), AffineExpr({0, 1}, 0)}, kind};
+  }
+  static ArrayAccess transposed(ArrayId array) {
+    return ArrayAccess{
+        array, AffineMap{AffineExpr({0, 1}, 0), AffineExpr({1, 0}, 0)},
+        AccessKind::Read};
+  }
+
+  /// B[i][j] = A[i][j] + D[j][i]: row-major read and write co-streams
+  /// around a transposed (256-byte jumper) read of a third array. Every
+  /// array spans many 512-byte cache pages of the 2-way stress L1, so
+  /// jumper fills land in the co-streams' sets.
+  ProcessId addTransposeMix(std::int64_t lo, std::int64_t hi) {
+    return addNest("transpose-mix", lo, hi,
+                   {rowMajor(a, AccessKind::Read), transposed(d),
+                    rowMajor(b, AccessKind::Write)});
+  }
+
+  /// C[i] = sum over j of A[j][i]: the jumper's only co-stream is
+  /// loop-invariant (stride 0), so a chunk spans the whole 64-iteration
+  /// run but for the shadow-capacity cap (32 - K lines of jumper fills).
+  ProcessId addColumnSum(std::int64_t lo, std::int64_t hi) {
+    return addNest("column-sum", lo, hi,
+                   {transposed(a),
+                    ArrayAccess{c, AffineMap{AffineExpr({1, 0}, 0)},
+                                AccessKind::Write}});
+  }
+
+  /// C[i] += A[j][i] * A[63 - j][i]: two jumpers, one forward and one
+  /// backward, around the stride-0 co-stream. The backward one reaches
+  /// the forward one's oldest lines just as they leave the shadow LRU,
+  /// so a co-stream line pushed out of it by jumper fills would change
+  /// the 3C class of those misses.
+  ProcessId addColumnFold(std::int64_t lo, std::int64_t hi) {
+    return addNest(
+        "column-fold", lo, hi,
+        {transposed(a),
+         ArrayAccess{a,
+                     AffineMap{AffineExpr({0, -1}, 63), AffineExpr({1, 0}, 0)},
+                     AccessKind::Read},
+         ArrayAccess{c, AffineMap{AffineExpr({1, 0}, 0)}, AccessKind::Write}});
+  }
+
+  /// A[i][j] += A[j][i]: near the diagonal the jumper reads the very
+  /// line the two co-streams (read and write of A[i][j]) are in.
+  ProcessId addSymmetrize(std::int64_t lo, std::int64_t hi) {
+    return addNest("symmetrize", lo, hi,
+                   {rowMajor(a, AccessKind::Read), transposed(a),
+                    rowMajor(a, AccessKind::Write)});
   }
 
   ProcessId addStream(std::int64_t lo, std::int64_t hi) {
@@ -477,6 +583,66 @@ TEST(SegmentReplay, InterleavedLayout) {
         coverage));
     EXPECT_GT(coverage.midIterationCuts, 0u);
   }
+}
+
+/// Drives \p rig on every platform shape, once with quanta (every
+/// segment cut) and once run to completion, and the run to completion
+/// once more without the miss classifier (no shadow LRU, so no
+/// shadow-capacity cap on the chunks); returns the summed coverage.
+Coverage driveJumperRig(const StressRig& rig) {
+  Coverage total;
+  const AddressSpace space(rig.workload.arrays);
+  for (const Shape shape : kShapes) {
+    for (const int mode : {0, 1, 2}) {
+      const bool preemptive = mode == 0;
+      MemoryConfig memory = stressMemory();
+      memory.classifyMisses = mode != 2;
+      SCOPED_TRACE(std::string(shapeName(shape)) +
+                   (preemptive ? ", quanta" : ", run to completion") +
+                   (memory.classifyMisses ? "" : ", no 3C classifier"));
+      DriveOptions options;
+      options.runToCompletionOneIn = 0;
+      if (!preemptive) options.quanta.reset();
+      Coverage coverage;
+      drive(rig.workload, space,
+            platformOf(shape, memory, stressCores(shape)), options,
+            coverage);
+      if (::testing::Test::HasFatalFailure()) return total;
+      EXPECT_GT(coverage.jumperChunks, 0u);
+      total.jumperChunks += coverage.jumperChunks;
+      total.jumperFallbacks += coverage.jumperFallbacks;
+      total.midIterationCuts += coverage.midIterationCuts;
+    }
+  }
+  return total;
+}
+
+TEST(SegmentReplay, JumperAmongCollidingCoStreams) {
+  StressRig rig;
+  rig.addTransposeMix(0, 3);
+  rig.addTransposeMix(2, 5);
+  rig.addStream(0, 200);
+  const Coverage coverage = driveJumperRig(rig);
+  EXPECT_GT(coverage.jumperFallbacks, 0u);
+  EXPECT_GT(coverage.midIterationCuts, 0u);
+}
+
+TEST(SegmentReplay, JumperWithLoopInvariantCoStream) {
+  StressRig rig;
+  rig.addColumnSum(0, 3);
+  rig.addColumnSum(3, 6);
+  rig.addColumnFold(0, 2);
+  const Coverage coverage = driveJumperRig(rig);
+  // A 64-iteration run needs at least three chunks under the 30-fill cap.
+  EXPECT_GE(coverage.jumperChunks, 6u * 3u);
+  EXPECT_GT(coverage.jumperFallbacks, 0u);
+}
+
+TEST(SegmentReplay, JumperCrossesCoStreamLine) {
+  StressRig rig;
+  rig.addSymmetrize(0, 4);
+  rig.addSymmetrize(4, 8);
+  driveJumperRig(rig);
 }
 
 TEST(SegmentReplay, StandardSuiteUnderLsmLayout) {
