@@ -265,8 +265,13 @@ fi
 if [ "$MODE" = "perfbench" ]; then
   # perfbench/run.py builds its own tree (.bench_build/perfbench), runs
   # one workload and prints a context line and a result line; a build or
-  # run failure exits non-zero and stops this script (set -e).
-  for workload in service-ols-overload noc-mesh8x8 closed-lsm faults-bus; do
+  # run failure exits non-zero and stops this script (set -e). The
+  # workloads are BENCHMARK.json's, so a new one is covered here at once.
+  workloads=$(python3 -c '
+import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))
+')
+  for workload in $workloads; do
     output=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
       --seconds 1 --trace 0)
     python3 -c '
@@ -276,7 +281,13 @@ import sys
 workload, output = sys.argv[1], sys.argv[2]
 result = json.loads(output.splitlines()[-1])
 correct, failed = result.get("correct"), result.get("failed")
-print(f"ci.sh: perfbench {workload}: correct={correct} failed={failed}")
+metrics = result.get("metrics", {})
+figures = []
+for name in ("peak_rss_mb", "wall_s"):
+    value = metrics.get(name, {}).get("value")
+    figures.append(f"{name}={value:.4g}" if value is not None else f"{name}=n/a")
+print(f"ci.sh: perfbench {workload}: correct={correct} failed={failed}",
+      *figures)
 sys.exit(0 if correct is True and failed == 0 else 1)
 ' "$workload" "$output"
   done

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "util/audit.h"
 #include "util/parallel.h"
@@ -30,9 +31,11 @@ SharingMatrix SharingMatrix::inactive(std::size_t n) {
 
 void SharingMatrix::allocateTable(std::int64_t fill) {
   stride_ = classCount() + 1;
-  cells_.assign(stride_ * stride_, fill);
-  std::fill_n(cells_.begin(), stride_, 0);
-  for (std::size_t s = 0; s < stride_; ++s) cells_[s * stride_] = 0;
+  cells_ = decltype(cells_)(stride_ * stride_);  // zero, nothing written
+  if (fill == 0) return;
+  std::fill(cells_.begin() + static_cast<std::ptrdiff_t>(stride_),
+            cells_.end(), fill);
+  for (std::size_t s = stride_; s < cells_.size(); s += stride_) cells_[s] = 0;
 }
 
 namespace {
@@ -124,7 +127,7 @@ void SharingMatrix::internClasses(std::span<const Footprint> footprints,
   allocateTable(fill);
   // A lone member has no intra pair; its diagonal cell is never read
   // with weight, and 0 keeps the table free of unknowns at live slots.
-  for (std::uint32_t k = 0; k < classes; ++k) {
+  for (std::uint32_t k = 0; k < classes && fill != 0; ++k) {
     if (classStart_[k + 1] - classStart_[k] == 1) cell(k, k) = 0;
   }
   internPending_ = false;
@@ -232,7 +235,8 @@ SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
   // co-touching pairs are intersected: index each array to the classes
   // whose rep touches it (ascending), then walk each class's distinct
   // partners above it. Listing costs Σ_a touchers(a)², no more than the
-  // intersections of those same pairs; every other cell keeps its zero.
+  // intersections of those same pairs. Only non-zero cells are written:
+  // every other one keeps the table's unwritten zero (allocateTable).
   std::vector<std::uint32_t> reps(classes);
   std::vector<std::vector<std::uint32_t>> touchers;
   for (std::uint32_t k = 0; k < classes; ++k) {
@@ -254,25 +258,31 @@ SharingMatrix SharingMatrix::compute(std::span<const Footprint> footprints) {
         const std::vector<std::uint32_t>& t = touchers[entry.first];
         for (auto l = std::upper_bound(t.begin(), t.end(), k); l != t.end();
              ++l) {
-          if (listedBy[*l] == k) continue;
-          listedBy[*l] = k;
-          m.cell(k, *l) = m.cell(*l, k) =
+          if (std::exchange(listedBy[*l], k) == k) continue;
+          const std::int64_t shared =
               intersectPair(footprints, reps[k], reps[*l]);
+          if (shared != 0) m.cell(k, *l) = m.cell(*l, k) = shared;
           ++partners[k];
         }
       }
     }
   });
   for (const std::uint32_t count : partners) m.intersections_ += count;
-  // Class sums once the cells are final, one contiguous pass per class
-  // row (every class is live, so no live-list gather). Serial: one
-  // streaming pass of classes² multiply-adds over the table.
-  for (std::uint32_t k = 0; k < classes; ++k) {
-    const std::int64_t* row = m.slotRow(k + 1) + 1;
-    std::int64_t sum = 0;
-    for (std::uint32_t l = 0; l < classes; ++l) sum += m.count_[l] * row[l];
-    m.classSum_[k] = sum - m.count_[k] * row[k];
-  }
+  // Class sums once the cells are final, over each class's co-touching
+  // partners above and below it (every other cell is zero). Class k
+  // writes classSum_[k] only.
+  parallelChunks(classes, [&](std::size_t begin, std::size_t end) {
+    std::vector<std::uint32_t> listedBy(classes, kNotLive);
+    for (auto k = static_cast<std::uint32_t>(begin); k < end; ++k) {
+      listedBy[k] = k;
+      for (const auto& entry : footprints[reps[k]].perArray()) {
+        for (const std::uint32_t l : touchers[entry.first]) {
+          if (std::exchange(listedBy[l], k) == k) continue;
+          m.classSum_[k] += m.count_[l] * m.cell(k, l);
+        }
+      }
+    }
+  });
   return m;
 }
 

@@ -3,6 +3,8 @@
 /// \brief The inter-process sharing matrix (paper §2, Fig. 2(a)).
 
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -11,6 +13,21 @@
 #include "util/table.h"
 
 namespace laps {
+
+/// Allocator of calloc'd storage whose value-initialising construct
+/// writes nothing: a vector sized with it reads zero, and a page
+/// becomes resident only when a cell on it is written.
+template <typename T>
+struct ZeroedAllocator {
+  using value_type = T;
+  T* allocate(std::size_t count) {
+    if (void* p = std::calloc(count, sizeof(T))) return static_cast<T*>(p);
+    throw std::bad_alloc();
+  }
+  void deallocate(T* p, std::size_t /*count*/) noexcept { std::free(p); }
+  void construct(T* /*p*/) noexcept {}
+  friend bool operator==(ZeroedAllocator, ZeroedAllocator) { return true; }
+};
 
 /// Symmetric matrix M where M[p][q] = |SS_{p,q}| = number of array
 /// elements processes p and q both touch. Diagonal entries hold each
@@ -35,8 +52,14 @@ namespace laps {
 /// per-process diagonal (footprint totals differ inside a class,
 /// because private arrays drop out of the class key), the live member
 /// count of each class and, per live class k, Σ_{l≠k} count[l]·M[k][l].
-/// Memory is O(classes² + n); a service universe of 2048 requests over
-/// 254 classes holds a 0.5 MiB table where n² cells took 32 MiB.
+/// Memory is O(classes² + n) reserved, but the table is calloc'd
+/// (ZeroedAllocator) and only pages holding a written cell become
+/// resident. compute() writes the non-zero cells alone: on the Fig. 7
+/// mix at |T| = 48 (1320 singleton classes) 5.35 of 13.3 MiB. It needs
+/// glibc's mmap path for the block (perfbench pins its threshold at
+/// 128 KiB) and transparent huge pages at madvise or never (under
+/// always, 2 MB write faults shrink the saving). inactive(n)'s kUnknown
+/// fill backs every page.
 ///
 /// Two maintenance regimes:
 ///  * closed (the paper's): compute() intersects every class pair that
@@ -64,14 +87,16 @@ class SharingMatrix {
   /// Computes the full matrix from per-process footprints (exact): one
   /// intersection per class pair whose reps touch a common array, plus
   /// one per class with two or more members (its intra value). Every
-  /// other cell is zero by definition and stays as allocated. The
-  /// pairs come from an array → toucher index, each class walking its
-  /// distinct partners above it at Σ_a touchers(a)²; the classes run
-  /// on the parallel substrate (util/parallel.h), each writing only the
-  /// cells of its own pairs, so the result is bit-identical to the
-  /// serial loop at every thread count. With singleton classes (the
-  /// paper's concurrent mixes) these are the co-touching process pairs:
-  /// 15,728 of the 870,540 pairs of the Fig. 7 mix at |T| = 48.
+  /// other cell, and every pair that shares nothing, stays unwritten
+  /// zero. The pairs come from an array → toucher index, each class
+  /// walking its distinct partners above it at Σ_a touchers(a)², and a
+  /// second walk of all its partners gives its class sum; the classes
+  /// run on the parallel substrate (util/parallel.h), each writing only
+  /// its own pairs' cells and its own sum, so the result is
+  /// bit-identical to the serial loop at every thread count. With
+  /// singleton classes (the paper's concurrent mixes) these are the
+  /// co-touching process pairs: 15,728 of the 870,540 pairs of the
+  /// Fig. 7 mix at |T| = 48.
   static SharingMatrix compute(std::span<const Footprint> footprints);
 
   /// Activates process \p p (\p footprints must describe the full
@@ -176,10 +201,10 @@ class SharingMatrix {
   /// Interns the sharing classes of \p footprints (see the class
   /// comment) and allocates their table, every class pair's cells set
   /// to \p fill: kUnknown for intersection on demand (addProcess), 0
-  /// where compute() intersects the co-touching pairs.
+  /// (nothing written) where compute() intersects the co-touching pairs.
   void internClasses(std::span<const Footprint> footprints, std::int64_t fill);
   /// Allocates a (classCount() + 1)² table filled with \p fill, the
-  /// inactive row and column zero.
+  /// inactive row and column zero. A zero fill writes no cell.
   void allocateTable(std::int64_t fill);
   /// Makes class \p k live: intersects its missing cells with the live
   /// classes, fills its sum and appends it to the live list.
@@ -208,7 +233,7 @@ class SharingMatrix {
   // Class table, row-major stride_ x stride_ over slots; 1 x 1 (the
   // inactive slot alone) until an inactive(n) matrix interns.
   std::size_t stride_ = 1;
-  std::vector<std::int64_t> cells_{0};
+  std::vector<std::int64_t, ZeroedAllocator<std::int64_t>> cells_{0};
   std::vector<std::int64_t> diag_;   // per process; 0 while inactive
   std::vector<std::uint32_t> slot_;  // per process: 0, or class + 1
   std::size_t activeCount_ = 0;

@@ -208,17 +208,24 @@ TEST(SharingDifferential, ComputeMatchesDenseOnMixesAndServiceUniverses) {
 TEST(SharingDifferential, ComputeIntersectsOnlyCoTouchingPairs) {
   // The closed-lsm input: 1320 singleton classes, 870,540 pairs. 15,728
   // of them touch a common array and are intersected; 8,984 share
-  // elements. Every pair that touches no common array reads 0.
+  // elements. Every pair that touches no common array reads 0, and
+  // every rowSum (summed over the intersected pairs alone) equals the
+  // sum of its row's cells, at threads {1, 8}.
+  const ThreadCountGuard guard;
   const std::vector<Footprint> footprints = shuffledMixFootprints(48, 1);
   const std::size_t n = footprints.size();
-  const SharingMatrix m = SharingMatrix::compute(footprints);
   ASSERT_EQ(n, 1320u);
-  ASSERT_EQ(m.classCount(), n);
-  EXPECT_EQ(m.intersections(), 15728u);
+  std::vector<SharingMatrix> matrices;
+  for (const std::size_t threads : {1u, 8u}) {
+    setParallelThreadCount(threads);
+    matrices.push_back(SharingMatrix::compute(footprints));
+  }
   std::vector<std::vector<ArrayId>> arrays(n);
   for (std::size_t p = 0; p < n; ++p) arrays[p] = footprints[p].arrays();
   std::uint64_t coTouching = 0;
-  std::uint64_t nonzero = 0;
+  std::vector<std::uint64_t> nonzero(matrices.size(), 0);
+  std::vector<std::vector<std::int64_t>> sums(
+      matrices.size(), std::vector<std::int64_t>(n, 0));
   for (std::size_t p = 0; p < n; ++p) {
     for (std::size_t q = p + 1; q < n; ++q) {
       bool common = false;
@@ -227,14 +234,59 @@ TEST(SharingDifferential, ComputeIntersectsOnlyCoTouchingPairs) {
                                               arrays[q].end(), a);
       }
       coTouching += common ? 1 : 0;
-      nonzero += m.at(p, q) != 0 ? 1 : 0;
-      ASSERT_EQ(m.at(p, q),
-                common ? footprints[p].sharedElements(footprints[q]) : 0)
-          << "pair (" << p << ", " << q << ")";
+      const std::int64_t expected =
+          common ? footprints[p].sharedElements(footprints[q]) : 0;
+      for (std::size_t i = 0; i < matrices.size(); ++i) {
+        const SharingMatrix& m = matrices[i];
+        nonzero[i] += m.at(p, q) != 0 ? 1 : 0;
+        ASSERT_EQ(m.at(p, q), expected)
+            << "matrix " << i << ", pair (" << p << ", " << q << ")";
+        sums[i][p] += m.at(p, q);
+        sums[i][q] += m.at(q, p);
+      }
     }
   }
-  EXPECT_EQ(coTouching, m.intersections());
-  EXPECT_EQ(nonzero, 8984u);
+  for (std::size_t i = 0; i < matrices.size(); ++i) {
+    const SharingMatrix& m = matrices[i];
+    ASSERT_EQ(m.classCount(), n) << "matrix " << i;
+    EXPECT_EQ(m.intersections(), 15728u) << "matrix " << i;
+    EXPECT_EQ(coTouching, m.intersections()) << "matrix " << i;
+    EXPECT_EQ(nonzero[i], 8984u) << "matrix " << i;
+    for (std::size_t p = 0; p < n; ++p) {
+      ASSERT_EQ(m.rowSum(p), sums[i][p]) << "matrix " << i << ", row " << p;
+    }
+    ASSERT_NO_THROW(m.auditInvariants()) << "matrix " << i;
+  }
+}
+
+TEST(SharingDifferential, CopiesAndMovesReadLikeTheOriginal) {
+  // The class table's unwritten cells read zero without being stored
+  // (calloc'd storage); a copy or a move must read every cell, written
+  // or not, like the original.
+  const auto mix = shuffledMixFootprints(6, 1);
+  const reference::SharingMatrix ref = reference::SharingMatrix::compute(mix);
+  const SharingMatrix computed = SharingMatrix::compute(mix);
+  const SharingMatrix copied(computed);
+  expectSameReads(copied, ref, "copy of compute()");
+  expectSameReads(computed, ref, "compute() after its copy");
+  SharingMatrix source = SharingMatrix::compute(mix);
+  const SharingMatrix moved(std::move(source));
+  expectSameReads(moved, ref, "move of compute()");
+  ASSERT_NO_THROW(moved.auditInvariants());
+
+  // An interned inactive(n) matrix (kUnknown cells not yet intersected)
+  // copied mid-churn keeps maintaining like the original.
+  const auto footprints = serviceFootprints(8, 80, 5);
+  SharingMatrix open = SharingMatrix::inactive(footprints.size());
+  reference::SharingMatrix openRef =
+      reference::SharingMatrix::inactive(footprints.size());
+  for (std::size_t p = 0; p < footprints.size(); p += 3) {
+    addBoth(open, openRef, footprints, p);
+  }
+  SharingMatrix openCopy(open);
+  expectSameReads(openCopy, openRef, "copy of inactive(n)");
+  Rng rng(0xc0b1);
+  churnAndCompare(openCopy, openRef, footprints, rng, 40, "copy churned");
 }
 
 TEST(SharingDifferential, ComputeEdgeCases) {
