@@ -91,8 +91,8 @@ std::unique_ptr<SchedulerPolicy> makeScheduler(SchedulerKind kind,
     case SchedulerKind::L2ContentionAware:
       return std::make_unique<L2ContentionAwareScheduler>(params.l2Contention);
     case SchedulerKind::OnlineLocality:
-      // OLS carries its own initialMinSharingRound inside
-      // OnlineLocalityOptions; lsInitialMinSharingRound stays LS/LSM-only.
+      // OLS always runs the Fig. 3 initial round; lsInitialMinSharingRound
+      // stays LS/LSM-only.
       return std::make_unique<OnlineLocalityScheduler>(params.onlineLocality);
   }
   fail("makeScheduler: unknown SchedulerKind");

@@ -13,7 +13,6 @@ void OnlineLocalityOptions::validate() const {
   check(hopWeight >= 0, "OnlineLocalityOptions: hopWeight must be >= 0");
   check(quantumCycles >= 0,
         "OnlineLocalityOptions: quantumCycles must be >= 0");
-  balancer.validate();
 }
 
 OnlineLocalityScheduler::OnlineLocalityScheduler(OnlineLocalityOptions options)
@@ -42,10 +41,6 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   // downstream gate reads score_.distanceAware().
   score_.configure(sharing_, context.topology, options_.hopWeight);
 
-  LocalityOptions lsOptions;
-  lsOptions.initialMinSharingRound = options_.initialMinSharingRound;
-  if (score_.distanceAware()) lsOptions.topology = score_.topology();
-
   open_ = false;
   arrived_.assign(n, false);
   exited_.assign(n, false);
@@ -63,8 +58,7 @@ void OnlineLocalityScheduler::reset(const SchedContext& context) {
   // index, which must already cover this process universe.
   index_.beginDispatch(*sharing_, n, coreCount_);
   index_.enableDistance(&score_);
-  adoptPlan(buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions, {},
-                              planner_));
+  adoptPlan(buildPlan({}));
   patchesSinceRebuild_ = 0;
   stats_ = PolicyStats{};
 }
@@ -113,7 +107,6 @@ void OnlineLocalityScheduler::pushPlanned(std::size_t core,
   ++seqCounter_;
   queues_[core].push_back(PlanEntry{process, seqCounter_});
   planned_[process] = PlanSlot{core, seqCounter_};
-  planDirty_ = true;
 }
 
 void OnlineLocalityScheduler::unplan(ProcessId process) {
@@ -122,7 +115,6 @@ void OnlineLocalityScheduler::unplan(ProcessId process) {
   planned_[process] = std::nullopt;
   ++deadCount_[core];
   maybeCompact(core);
-  planDirty_ = true;
 }
 
 void OnlineLocalityScheduler::dropTrailingDead(std::size_t core) {
@@ -142,9 +134,7 @@ void OnlineLocalityScheduler::maybeCompact(std::size_t core) {
   deadCount_[core] = 0;
 }
 
-void OnlineLocalityScheduler::adoptPlan(LocalityPlan&& fresh) {
-  plan_ = std::move(fresh);
-  planDirty_ = false;
+void OnlineLocalityScheduler::adoptPlan(const LocalityPlan& fresh) {
   // Clear only the slots the outgoing queues still hold — O(entries)
   // per rebuild, not O(n) (at |T| in the thousands with a small live
   // window, the O(n) fill would dominate the rebuild).
@@ -155,44 +145,39 @@ void OnlineLocalityScheduler::adoptPlan(LocalityPlan&& fresh) {
   }
   queues_.assign(coreCount_, {});
   deadCount_.assign(coreCount_, 0);
-  for (std::size_t c = 0; c < plan_.perCore.size(); ++c) {
-    for (const ProcessId p : plan_.perCore[c]) pushPlanned(c, p);
+  for (std::size_t c = 0; c < fresh.perCore.size(); ++c) {
+    for (const ProcessId p : fresh.perCore[c]) pushPlanned(c, p);
   }
-  planDirty_ = false;  // plan_ is exactly the adopted queues
 }
 
-const LocalityPlan& OnlineLocalityScheduler::plan() const {
-  if (planDirty_) {
-    plan_.perCore.assign(coreCount_, {});
-    for (std::size_t c = 0; c < coreCount_; ++c) {
-      for (const PlanEntry& entry : queues_[c]) {
-        if (aliveEntry(c, entry)) plan_.perCore[c].push_back(entry.process);
-      }
+LocalityPlan OnlineLocalityScheduler::plan() const {
+  LocalityPlan live;
+  live.perCore.resize(coreCount_);
+  for (std::size_t c = 0; c < coreCount_; ++c) {
+    for (const PlanEntry& entry : queues_[c]) {
+      if (aliveEntry(c, entry)) live.perCore[c].push_back(entry.process);
     }
-    planDirty_ = false;
   }
-  return plan_;
+  return live;
 }
 
 // --- Replanning ------------------------------------------------------
+
+LocalityPlan OnlineLocalityScheduler::buildPlan(
+    std::span<const ProcessId> subset) {
+  LocalityOptions lsOptions;
+  if (score_.distanceAware()) lsOptions.topology = score_.topology();
+  return buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions, subset,
+                           planner_);
+}
 
 void OnlineLocalityScheduler::rebuild() {
   // The plan covers pending work only: dispatched (running) processes
   // keep their core and are excluded from the rebuild.
   LAPS_AUDIT(auditPendingIds());
-  LocalityPlan fresh;
-  if (pendingIds_.empty()) {
-    // An empty subset span would mean "everything"; an empty live set
-    // means an empty plan.
-    fresh.perCore.resize(coreCount_);
-  } else {
-    LocalityOptions lsOptions;
-    lsOptions.initialMinSharingRound = options_.initialMinSharingRound;
-    if (score_.distanceAware()) lsOptions.topology = score_.topology();
-    fresh = buildLocalityPlan(*graph_, *sharing_, coreCount_, lsOptions,
-                              pendingIds_, planner_);
-  }
-  adoptPlan(std::move(fresh));
+  // An empty subset span would mean "everything"; an empty live set
+  // means an empty plan.
+  adoptPlan(pendingIds_.empty() ? LocalityPlan{} : buildPlan(pendingIds_));
   // buildLocalityPlan places over the full core set; work it put on a
   // down core is orphaned right back to the up cores.
   if (downCount_ > 0 && downCount_ < coreCount_) {
@@ -205,23 +190,28 @@ void OnlineLocalityScheduler::rebuild() {
 }
 
 void OnlineLocalityScheduler::patchArrival(ProcessId process) {
+  // On NoC platforms the patch is discounted by each core's hops from
+  // the process's home (the core it last ran on, where its warm state
+  // sits; a never-ran process has none and pays no penalty anywhere —
+  // its first dispatch charges no migration). Sharing still dominates;
+  // among comparable cores the patch lands the process close to its
+  // warm tile, which is precisely the distance the migration penalty
+  // charges at resume.
+  placeByPatch(process,
+               score_.distanceAware() ? index_.homeOf(process) : std::nullopt);
+}
+
+void OnlineLocalityScheduler::placeByPatch(ProcessId process,
+                                           std::optional<std::size_t> home) {
   // Fig. 3's greedy append, applied to one process: the core whose most
   // recently planned — or, when its plan ran dry, last dispatched —
   // process shares the most data with it (an idle-and-empty core scores
   // 0; ties fall to the lowest core index). Down cores are skipped —
   // unless every core is down, in which case the work parks anywhere
-  // (dispatch is gated by the engine, not the plan).
+  // (dispatch is gated by the engine, not the plan). Without a home
+  // LocalityScore::key is the sharing term, scaled or not: the argmax
+  // is the raw-sharing one.
   const bool skipDown = downCount_ > 0 && downCount_ < coreCount_;
-  // Each core's sharing term runs through LocalityScore::key:
-  // distance-blind the key is the raw sharing term, while on NoC
-  // platforms it is discounted by the core's hops from the process's
-  // home (the core it last ran on, where its warm state sits; a never-ran
-  // process has none and pays no penalty anywhere — its first dispatch
-  // charges no migration). Sharing still dominates; among comparable
-  // cores the patch lands the process close to its warm tile, which is
-  // precisely the distance the migration penalty charges at resume.
-  const std::optional<std::size_t> home =
-      score_.distanceAware() ? index_.homeOf(process) : std::nullopt;
   std::optional<std::size_t> bestCore;
   std::int64_t bestKey = 0;
   for (std::size_t c = 0; c < coreCount_; ++c) {
@@ -242,50 +232,18 @@ void OnlineLocalityScheduler::patchArrival(ProcessId process) {
   pushPlanned(*bestCore, process);
 }
 
-void OnlineLocalityScheduler::maybeBalance() {
-  if (!options_.balancer.enabled) return;
-  // planBalanceMoves simulates against a materialized snapshot; the
-  // apply loop below replays its pops and pushes in planning order, so
-  // each move's source tail is exactly the process the plan named. With
-  // cores down, the mask keeps moves inside the up set (an empty mask
-  // is the exact fault-free behavior).
-  std::vector<bool> upMask;
-  if (downCount_ > 0) {
-    upMask.resize(coreCount_);
-    for (std::size_t c = 0; c < coreCount_; ++c) upMask[c] = !coreDown_[c];
-  }
-  const std::vector<std::vector<ProcessId>>& snapshot = plan().perCore;
-  const std::vector<BalanceMove> moves = planBalanceMoves(
-      snapshot, *sharing_, anchor_, options_.balancer, upMask, &score_);
-  for (const BalanceMove& move : moves) {
-    unplan(move.process);
-    pushPlanned(move.to, move.process);
-  }
-  stats_.offloads += moves.size();
-}
-
 void OnlineLocalityScheduler::evacuateCore(std::size_t core) {
-  // Orphan the core's pending queue...
   std::vector<ProcessId> orphans;
   for (const PlanEntry& entry : queues_[core]) {
     if (aliveEntry(core, entry)) orphans.push_back(entry.process);
   }
-  if (!queues_[core].empty()) {
-    for (const ProcessId p : orphans) planned_[p] = std::nullopt;
-    queues_[core].clear();
-    deadCount_[core] = 0;
-    planDirty_ = true;
-  }
-  if (orphans.empty()) return;
-  // ...and re-home every orphan onto the best-sharing up core (pure
-  // planning in load_balancer.h; the apply loop mirrors maybeBalance's).
-  std::vector<bool> upMask(coreCount_);
-  for (std::size_t c = 0; c < coreCount_; ++c) upMask[c] = !coreDown_[c];
-  const std::vector<std::size_t> targets = planOrphanReassignment(
-      orphans, plan().perCore, *sharing_, anchor_, upMask);
-  for (std::size_t i = 0; i < orphans.size(); ++i) {
-    pushPlanned(targets[i], orphans[i]);
-  }
+  for (const ProcessId p : orphans) planned_[p] = std::nullopt;
+  queues_[core].clear();
+  deadCount_[core] = 0;
+  // The downed core's caches are gone, so an orphan has no warm tile to
+  // stay near: it is placed with no home, and each placed orphan is the
+  // tail the next one scores against.
+  for (const ProcessId p : orphans) placeByPatch(p, std::nullopt);
   stats_.offloads += orphans.size();
 }
 
@@ -319,9 +277,7 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
     // plan assumed everybody was resident — drop it and plan over what
     // has actually arrived.
     open_ = true;
-    LocalityPlan empty;
-    empty.perCore.resize(coreCount_);
-    adoptPlan(std::move(empty));
+    adoptPlan(LocalityPlan{});
     patchesSinceRebuild_ = 0;
   }
   // A crashed process re-enters as a fresh arrival after its onExit
@@ -345,7 +301,6 @@ void OnlineLocalityScheduler::onArrival(ProcessId process) {
     patchArrival(process);
     ++stats_.patches;
   }
-  maybeBalance();
 }
 
 void OnlineLocalityScheduler::onExit(ProcessId process) {
@@ -362,7 +317,6 @@ void OnlineLocalityScheduler::onExit(ProcessId process) {
     unplan(process);
     ++stats_.patches;
   }
-  maybeBalance();
 }
 
 void OnlineLocalityScheduler::onReady(ProcessId process) {

@@ -39,29 +39,27 @@
 /// (tests/sched/online_locality_test.cpp) and the bench_policy_overhead
 /// checksum column pin every decision.
 ///
-/// An optional locality-aware load balancer (load_balancer.h, off by
-/// default) sheds queue tails from overloaded cores to the best-sharing
-/// underloaded core after each absorbed event.
-///
-/// On NoC platforms (OnlineLocalityOptions::hopWeight > 0) every
-/// decision becomes hop-weighted through the shared LocalityScore:
+/// On NoC platforms (OnlineLocalityOptions::hopWeight > 0) decisions
+/// become hop-weighted through the shared LocalityScore:
 /// rebuilds take the spiral initial mapping, arrival patches and
 /// steals score candidates by the hop-weighted key against each
 /// process's home — the core it last ran on, where its warm state
 /// sits; a never-ran process has no home and pays no distance penalty,
-/// because its first dispatch charges no migration — and balance moves
-/// discount candidate targets by the hops the moved process's warm
-/// state would travel. hopWeight == 0 — the default — keeps every
-/// decision bit-identical to the distance-blind policy.
+/// because its first dispatch charges no migration. hopWeight == 0 —
+/// the default — keeps every decision bit-identical to the
+/// distance-blind policy.
 ///
 /// Under fault injection (docs §13) the engine reports core outages and
 /// failures through onCoreDown/onCoreUp. A downed core's pending queue
-/// is orphaned on the spot and re-homed by planOrphanReassignment (the
-/// same greedy max-sharing rule as the arrival patch, restricted to up
-/// cores); arrival patches, rebuild placement and balance moves avoid
-/// down cores until they recover. A crashed process re-enters through
-/// onArrival after its onExit — the one case where exit-then-arrival of
-/// the same id is legal (scheduler.h).
+/// is orphaned on the spot and each orphan, in queue order, re-placed
+/// by the arrival patch with no home: the downed core's caches are
+/// gone, so raw sharing with each up core's tail is the whole signal,
+/// and every placed orphan is the tail the next one scores against.
+/// Arrival patches and rebuild placement avoid down cores until they
+/// recover (with every core down, the work parks anywhere: dispatch is
+/// gated by the engine, not the plan). A crashed process re-enters
+/// through onArrival after its onExit — the one case where
+/// exit-then-arrival of the same id is legal (scheduler.h).
 ///
 /// On a closed workload no arrival event ever fires, so the reset()-
 /// time plan is byte-identical to buildLocalityPlan — i.e. to the
@@ -70,9 +68,10 @@
 /// from-scratch rebuild over the live set after every event.
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
-#include "sched/load_balancer.h"
 #include "sched/locality.h"
 #include "sched/plan_index.h"
 #include "sched/scheduler.h"
@@ -85,20 +84,13 @@ struct OnlineLocalityOptions {
   /// scratch over the live set (>= 0; 0 rebuilds on every event).
   std::int64_t rebuildThreshold = 8;
 
-  /// Apply the Fig. 3 initial min-sharing round in every (re)build.
-  bool initialMinSharingRound = true;
-
-  /// Locality-aware load shedding over the per-core plan queues
-  /// (disabled by default; enabling it changes dispatch).
-  LoadBalancerOptions balancer;
-
   /// NoC platforms: hop penalty per unit of distance in every scoring
   /// decision, in 1/LocalityScore::kSharingScale sharing units (>= 0).
   /// 0 — the default, and the only meaningful value off-NoC — keeps
   /// every decision bit-identical to the distance-blind policy. > 0 (on
   /// a platform with a topology) the scheduler becomes distance-aware
   /// end to end: spiral initial mapping in rebuilds, home-anchored
-  /// arrival patches, steals and balance targets discounted by NoC hops.
+  /// arrival patches and steals discounted by NoC hops.
   std::int64_t hopWeight = 0;
 
   /// Preemption quantum in cycles (>= 0). 0 — the default — keeps OLS
@@ -110,10 +102,9 @@ struct OnlineLocalityOptions {
   /// hop-weighted scoring exists to shrink.
   std::int64_t quantumCycles = 0;
 
-  /// Throws laps::Error on a negative rebuild threshold, a negative
-  /// hop weight or quantum, or invalid balancer tunables. The single
-  /// source of these constraints: the scheduler's constructor and
-  /// makeScheduler both enforce it.
+  /// Throws laps::Error on a negative rebuild threshold, hop weight or
+  /// quantum. The single source of these constraints: the scheduler's
+  /// constructor and makeScheduler both enforce it.
   void validate() const;
 };
 
@@ -142,8 +133,8 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// The current (patched or rebuilt) plan — the pending, undispatched
   /// work per core. Right after reset() on a closed workload this is
   /// the full static LS plan. Materializes the live entries of the
-  /// tombstone queues (cached until the next plan mutation).
-  [[nodiscard]] const LocalityPlan& plan() const;
+  /// tombstone queues (for tests and inspection; O(queued entries)).
+  [[nodiscard]] LocalityPlan plan() const;
 
   /// Decision-work counters (PolicyStats in scheduler.h). Each open-mode
   /// arrival or exit counts exactly one patch or one rebuild.
@@ -170,6 +161,10 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// True when \p process is in the system and unfinished.
   [[nodiscard]] bool live(ProcessId process) const;
 
+  /// The Fig. 3 plan over \p subset (empty = every process), on the
+  /// reused planner index; spiral initial mapping iff distance-aware.
+  [[nodiscard]] LocalityPlan buildPlan(std::span<const ProcessId> subset);
+
   /// Rebuilds the plan over the live set and resets the patch budget.
   void rebuild();
 
@@ -181,27 +176,31 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// the universe for live, undispatched processes, ascending.
   void auditPendingIds() const;
 
-  /// Appends \p process to the core with maximum sharing between the
-  /// core's last planned process and \p process (ties: lowest core).
+  /// placeByPatch from \p process's distance home (none when
+  /// distance-blind).
   void patchArrival(ProcessId process);
+
+  /// Appends \p process to the up core whose last planned — or, when
+  /// its queue ran dry, last dispatched — process scores the highest
+  /// LocalityScore::key against \p process from \p home (ties: lowest
+  /// core). With every core down, every core is eligible.
+  void placeByPatch(ProcessId process, std::optional<std::size_t> home);
 
   /// Counts one event against the patch budget; returns true when the
   /// caller should rebuild instead of patching.
   [[nodiscard]] bool consumePatchBudget();
 
-  /// Applies the load balancer after an absorbed event (no-op unless
-  /// options_.balancer.enabled).
-  void maybeBalance();
-
-  /// Orphans core \p core's pending queue and re-homes every entry via
-  /// planOrphanReassignment. Called when the core goes down, and after
-  /// a rebuild placed work on a core that is (still) down.
+  /// Orphans core \p core's pending queue and re-homes every entry, in
+  /// queue order, with placeByPatch and no home. Called when the core
+  /// goes down, and after a rebuild placed work on a core that is
+  /// (still) down.
   void evacuateCore(std::size_t core);
 
   /// \name Tombstone-queue primitives
   /// @{
-  /// Adopts a freshly built plan as the queue state.
-  void adoptPlan(LocalityPlan&& fresh);
+  /// Adopts a freshly built plan as the queue state (an empty
+  /// LocalityPlan{} empties every queue).
+  void adoptPlan(const LocalityPlan& fresh);
   /// Appends \p process to core \p core's queue (must be unplanned).
   void pushPlanned(std::size_t core, ProcessId process);
   /// Kills \p process's queue entry, wherever it is. Idempotent.
@@ -221,9 +220,6 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// Distance-aware iff options_.hopWeight > 0 and the platform handed
   /// a topology through SchedContext; also the PlanIndex distance hook.
   LocalityScore score_;
-  /// The plan() materialization cache, stale while planDirty_.
-  mutable LocalityPlan plan_;
-  mutable bool planDirty_ = false;
   /// False until the first onArrival: a closed workload never opens, so
   /// the reset()-time full plan stands (it equals the static LS plan).
   bool open_ = false;

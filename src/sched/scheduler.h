@@ -157,7 +157,7 @@ struct PolicyStats {
   std::uint64_t rebuilds = 0;   ///< full plan rebuilds (replanning policies)
   std::uint64_t patches = 0;    ///< incremental plan patches
   std::uint64_t steals = 0;     ///< picks outside the core's own plan
-  std::uint64_t offloads = 0;   ///< load-balancer queue migrations
+  std::uint64_t offloads = 0;   ///< orphans re-homed off a downed core
 };
 
 /// Dynamic scheduling policy; implementations must be deterministic.

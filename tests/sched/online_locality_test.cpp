@@ -262,8 +262,8 @@ SharingMatrix randomSharing(Rng& rng, std::size_t n,
 /// process completed. Seeds 25 and 26 are a deep backlog at the default
 /// rebuild threshold: hundreds of dependence-free processes, sharing
 /// drawn from {0, 256, 512} (ties everywhere), all live before the
-/// first dispatch on a few cores. The seed draws the rebuild threshold
-/// and the balancer switch; \p options supplies everything else.
+/// first dispatch on a few cores. The seed draws the rebuild threshold;
+/// \p options supplies everything else.
 /// Returns the FNV-1a digest of every plan state, every pick and the
 /// final PolicyStats.
 std::uint64_t randomOpenWorkloadDigest(std::uint64_t seed,
@@ -280,7 +280,6 @@ std::uint64_t randomOpenWorkloadDigest(std::uint64_t seed,
   options.rebuildThreshold =
       deep ? OnlineLocalityOptions{}.rebuildThreshold
            : static_cast<std::int64_t>(rng.below(3)) * 5;  // 0, 5 or 10
-  options.balancer.enabled = (seed % 3 == 0);
 
   OnlineLocalityScheduler policy(options);
   policy.reset(SchedContext{&graph, &sharing, coreCount});
@@ -369,18 +368,18 @@ TEST(OnlineLocality, GoldenDigestsOnRandomOpenWorkloads) {
   // Frozen decision digests, one per seed, recorded while a second,
   // pre-index OLS implementation still ran in lockstep and agreed on
   // every plan state and pick — the constants pin both. Covers every
-  // rebuild threshold, the balancer, and exits of planned-but-never-
-  // dispatched processes.
+  // rebuild threshold and exits of planned-but-never-dispatched
+  // processes.
   static constexpr std::uint64_t kGolden[27] = {
-      0xa4191d5238fa38feULL, 0x777813a5efeb57c1ULL, 0x39ba698e7cddec16ULL,
+      0xa02fce6345facbdaULL, 0x777813a5efeb57c1ULL, 0x39ba698e7cddec16ULL,
       0xe50bc0a69717c37cULL, 0x64d2fa529084237fULL, 0x62eb126cfd4320fdULL,
-      0x826c4ccf8aba8726ULL, 0x0cbc72c530f76f38ULL, 0x82bc7facc708cd6fULL,
+      0xc7da79e9c20bb5b8ULL, 0x0cbc72c530f76f38ULL, 0x82bc7facc708cd6fULL,
       0x4af6c5e561076ebfULL, 0x190f69337408e95aULL, 0xe4f94d98549e0530ULL,
-      0xaf00671180c80e8bULL, 0xf6b9b12a37b63ef6ULL, 0x62e5bd6b208537f6ULL,
-      0x98d842eea74b5826ULL, 0xbd4446c7a6b63689ULL, 0x3bceea0a6c8a0172ULL,
-      0x135890889b917950ULL, 0x6d175c00c11e7f05ULL, 0x5a581b8479b13926ULL,
+      0x1dc2e531c0a4170eULL, 0xf6b9b12a37b63ef6ULL, 0x62e5bd6b208537f6ULL,
+      0xc12bbaee4666f0aeULL, 0xbd4446c7a6b63689ULL, 0x3bceea0a6c8a0172ULL,
+      0x45c42973e4d07075ULL, 0x6d175c00c11e7f05ULL, 0x5a581b8479b13926ULL,
       0xa2e26df7aadff249ULL, 0x73ac37d2883dd7b1ULL, 0x9506fa5bdfce19d3ULL,
-      0xf4c4dd339bcca1beULL, 0x4bd1d2aaa42e3443ULL, 0x6170b4e846063d84ULL,
+      0xc76efcfd1e782227ULL, 0x4bd1d2aaa42e3443ULL, 0x6170b4e846063d84ULL,
   };
   for (std::uint64_t seed = 0; seed < 27; ++seed) {
     EXPECT_EQ(randomOpenWorkloadDigest(seed, {}), kGolden[seed])
@@ -442,7 +441,7 @@ TEST(OnlineLocality, StatsCountersAccount) {
   EXPECT_EQ(stats.decisions, 4u);
   EXPECT_EQ(stats.patches, 4u);  // one per arrival, none rebuilt
   EXPECT_EQ(stats.rebuilds, 0u);
-  EXPECT_EQ(stats.offloads, 0u);  // balancer disabled
+  EXPECT_EQ(stats.offloads, 0u);  // no core went down
   EXPECT_EQ(stats.steals, 2u);   // both of core 1's picks
 }
 
@@ -454,7 +453,7 @@ void expectFreshPlan(const OnlineLocalityScheduler& policy,
                      const SharingMatrix& sharing, std::size_t coreCount,
                      const std::vector<ProcessId>& pending,
                      std::optional<std::size_t> down, std::uint64_t tag) {
-  const LocalityPlan& plan = policy.plan();
+  const LocalityPlan plan = policy.plan();
   ASSERT_EQ(plan.perCore.size(), coreCount) << "case " << tag;
   if (pending.empty()) {
     EXPECT_EQ(plan.processCount(), 0u) << "case " << tag;
@@ -583,6 +582,156 @@ TEST(OnlineLocality, ThresholdZeroChurnRebuildsOverThePendingSet) {
       if (next < kN) arrive(next++);
     }
     EXPECT_EQ(std::count(pending.begin(), pending.end(), true), 0);
+  }
+}
+
+/// Independent processes under chosen sharing cells, driven through one
+/// OLS in pure-patch mode: the harness for where a downed core's
+/// orphans land.
+struct OrphanRig {
+  ExtendedProcessGraph graph;
+  SharingMatrix sharing;
+  std::optional<NocTopology> mesh;
+  OnlineLocalityScheduler policy;
+
+  OrphanRig(const test::SharingBuilder& cells, std::size_t n,
+            std::size_t cores, std::int64_t hopWeight = 0)
+      : sharing(cells.build()),
+        policy(OnlineLocalityOptions{.rebuildThreshold = 100,
+                                     .hopWeight = hopWeight}) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ProcessSpec p;
+      p.name = "R" + std::to_string(i);
+      graph.addProcess(std::move(p));
+    }
+    if (hopWeight > 0) {
+      mesh.emplace(NocTopologyKind::Mesh, static_cast<std::int64_t>(cores),
+                   2);
+    }
+    SchedContext context{&graph, &sharing, cores};
+    if (mesh) context.topology = &*mesh;
+    policy.reset(context);
+  }
+
+  /// Arrives \p p and runs it on \p core: p becomes the core's dispatch
+  /// anchor (and, distance-aware, p's home). Only p is ready, so the
+  /// pick cannot be anything else.
+  void runOn(ProcessId p, std::size_t core) {
+    policy.onArrival(p);
+    policy.onReady(p);
+    ASSERT_EQ(policy.pickNext(core, std::nullopt), std::optional{p});
+  }
+
+  [[nodiscard]] std::optional<std::size_t> coreOf(ProcessId p) const {
+    const LocalityPlan plan = policy.plan();
+    for (std::size_t c = 0; c < plan.perCore.size(); ++c) {
+      const auto& order = plan.perCore[c];
+      if (std::find(order.begin(), order.end(), p) != order.end()) return c;
+    }
+    return std::nullopt;
+  }
+};
+
+TEST(OnlineLocality, CoreDownReHomesOrphansByTheArrivalRule) {
+  {
+    // The max-sharing tail wins, and a core's tail — not its anchor —
+    // is what the orphan is scored against.
+    enum : ProcessId { a0, a1, a2, t1, t2, o, kN };
+    OrphanRig rig(test::SharingBuilder(kN)
+                      .pair(a1, t1, 4)
+                      .pair(a2, t2, 4)
+                      .pair(a0, o, 10)
+                      .pair(a1, o, 9)
+                      .pair(t1, o, 3)
+                      .pair(t2, o, 5),
+                  kN, 3);
+    rig.runOn(a0, 0);
+    rig.runOn(a1, 1);
+    rig.runOn(a2, 2);
+    rig.policy.onArrival(t1);
+    rig.policy.onArrival(t2);
+    rig.policy.onArrival(o);
+    ASSERT_EQ(rig.coreOf(t1), 1u);
+    ASSERT_EQ(rig.coreOf(t2), 2u);
+    ASSERT_EQ(rig.coreOf(o), 0u);
+    rig.policy.onCoreDown(0);
+    EXPECT_EQ(rig.policy.plan().perCore[2], (std::vector<ProcessId>{t2, o}));
+    EXPECT_EQ(rig.policy.stats().offloads, 1u);
+  }
+  {
+    // An empty queue scores its core's last dispatch: the anchored
+    // core 2 beats the empty, anchorless core 1.
+    enum : ProcessId { a0, a2, o, kN };
+    OrphanRig rig(test::SharingBuilder(kN).pair(a0, o, 10).pair(a2, o, 2),
+                  kN, 3);
+    rig.runOn(a0, 0);
+    rig.runOn(a2, 2);
+    rig.policy.onArrival(o);
+    ASSERT_EQ(rig.coreOf(o), 0u);
+    rig.policy.onCoreDown(0);
+    EXPECT_EQ(rig.coreOf(o), 2u);
+  }
+  {
+    // Ties go to the lowest *up* core: with core 1 down, cores 2 and 3
+    // tie at 0 and core 2 takes the orphan.
+    enum : ProcessId { a0, o, kN };
+    OrphanRig rig(test::SharingBuilder(kN).pair(a0, o, 10), kN, 4);
+    rig.runOn(a0, 0);
+    rig.policy.onCoreDown(1);
+    rig.policy.onArrival(o);
+    ASSERT_EQ(rig.coreOf(o), 0u);
+    rig.policy.onCoreDown(0);
+    EXPECT_EQ(rig.coreOf(o), 2u);
+  }
+  {
+    // Chaining: the first orphan becomes the tail the second one is
+    // scored against. Against core 1's anchor alone, o2 would pick
+    // core 2 (7 > 6); behind o1 it scores 8 and follows o1.
+    enum : ProcessId { a0, a1, a2, o1, o2, kN };
+    OrphanRig rig(test::SharingBuilder(kN)
+                      .pair(a0, o1, 10)
+                      .pair(a1, o1, 5)
+                      .pair(o1, o2, 8)
+                      .pair(a1, o2, 6)
+                      .pair(a2, o2, 7),
+                  kN, 3);
+    rig.runOn(a0, 0);
+    rig.runOn(a1, 1);
+    rig.runOn(a2, 2);
+    rig.policy.onArrival(o1);
+    rig.policy.onArrival(o2);
+    ASSERT_EQ(rig.policy.plan().perCore[0], (std::vector<ProcessId>{o1, o2}));
+    rig.policy.onCoreDown(0);
+    EXPECT_EQ(rig.policy.plan().perCore[1], (std::vector<ProcessId>{o1, o2}));
+    EXPECT_EQ(rig.policy.stats().offloads, 2u);
+  }
+  {
+    // Every core down: the orphans park anyway (every core is
+    // eligible again, none anchored: the lowest index), in queue order.
+    enum : ProcessId { t, o, kN };
+    OrphanRig rig(test::SharingBuilder(kN).pair(t, o, 3), kN, 2);
+    rig.policy.onArrival(t);
+    rig.policy.onCoreDown(1);
+    rig.policy.onArrival(o);
+    rig.policy.onCoreDown(0);
+    EXPECT_EQ(rig.policy.plan().perCore[0], (std::vector<ProcessId>{t, o}));
+    EXPECT_TRUE(rig.policy.plan().perCore[1].empty());
+  }
+  {
+    // 2x2 mesh, hop-weighted: o ran on core 2 (its home) and was
+    // replanned there. When core 2 goes down, cores 1 and 3 share 1
+    // with o; the home would pull o to core 3 (one hop, not two), but
+    // the downed core's caches are gone and the tie falls to core 1.
+    enum : ProcessId { a1, a3, o, kN };
+    OrphanRig rig(test::SharingBuilder(kN).pair(a1, o, 1).pair(a3, o, 1),
+                  kN, 4, 64);
+    rig.runOn(a1, 1);
+    rig.runOn(a3, 3);
+    rig.runOn(o, 2);
+    rig.policy.onPreempt(o);
+    ASSERT_EQ(rig.coreOf(o), 2u);
+    rig.policy.onCoreDown(2);
+    EXPECT_EQ(rig.coreOf(o), 1u);
   }
 }
 
