@@ -99,9 +99,14 @@ void BusyTimeline::place(std::size_t next, std::int64_t lo, std::int64_t hi) {
   } else {
     busy_.insert(busy_.begin() + static_cast<std::ptrdiff_t>(next), {lo, hi});
   }
-  // Every booking funnels through here (reserve and bookAt), so this
-  // one call site audits the whole calendar discipline.
-  LAPS_AUDIT(audit::timelineDisjoint(intervals()));
+  // Every booking funnels through here (reserve and bookAt) and changes
+  // one interval: audit it with its two neighbours. The owners audit
+  // whole calendars once per segment start (retireBefore).
+  const std::size_t at = joinsPrev ? next - 1 : next;
+  const std::size_t from = at > head_ ? at - 1 : at;
+  const std::size_t to = std::min(at + 2, busy_.size());
+  LAPS_AUDIT(audit::timelineDisjoint(
+      std::span<const BusyInterval>(busy_).subspan(from, to - from)));
 }
 
 void BusyTimeline::retireLive(std::int64_t cycle) {
@@ -165,6 +170,9 @@ void MemoryBus::postedAccess(std::int64_t now) {
 
 void MemoryBus::retireBefore(std::int64_t cycle) {
   horizon_ = std::max(horizon_, cycle);
+  LAPS_AUDIT(for (const BusyTimeline& slot : slots_) {
+    audit::timelineDisjoint(slot.intervals());
+  });
 }
 
 }  // namespace laps

@@ -74,9 +74,12 @@ namespace audit {
 /// strictly ordered, non-overlapping, coalesced intervals with positive
 /// extent — overlap would mean two transactions occupy one resource
 /// slot at once and every latency derived from the calendar is wrong.
-/// Throws laps::AuditError on violation. BusyTimeline runs it on its
-/// live intervals after every booking under LAPSCHED_AUDIT; tests call
-/// it directly with violating interval sets to prove it fires.
+/// Throws laps::AuditError on violation. Under LAPSCHED_AUDIT,
+/// BusyTimeline runs it after every booking on the booked interval and
+/// its two neighbours, and the owners (MemoryBus, SharedL2) on every
+/// live interval of their calendars at each retireBefore, once per
+/// segment start; tests call it directly with violating interval sets
+/// to prove it fires.
 void timelineDisjoint(std::span<const BusyInterval> busy);
 
 /// Audit checker (docs/ARCHITECTURE.md §11): a calendar booking

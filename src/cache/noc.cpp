@@ -40,19 +40,25 @@ bool wordBelow(const LinkWord& entry, std::int64_t word) {
 
 namespace audit {
 
-void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon) {
+void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon,
+                            std::int64_t fromWord, std::int64_t toWord) {
   const std::int64_t horizonWord = horizon >> kWordShift;
   const auto ring = link.ring();
   const auto overflow = link.overflow();
   require(!ring.empty() || overflow.empty(),
           "LinkCalendar: overflow words without a ring");
-  std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-  for (std::size_t i = 0; i < overflow.size(); ++i) {
+  // The overflow words in [fromWord, toWord] and one neighbour each side.
+  const auto first = static_cast<std::size_t>(
+      std::lower_bound(overflow.begin(), overflow.end(), fromWord, wordBelow) -
+      overflow.begin());
+  for (std::size_t i = first > 0 ? first - 1 : 0; i < overflow.size(); ++i) {
     const std::int64_t word = overflow[i].word;
-    require(i == 0 || word > prev,
-            "LinkCalendar: overflow word " + std::to_string(word) +
-                " does not ascend past " + std::to_string(prev));
-    prev = word;
+    if (i > 0) {
+      require(word > overflow[i - 1].word,
+              "LinkCalendar: overflow word " + std::to_string(word) +
+                  " does not ascend past " +
+                  std::to_string(overflow[i - 1].word));
+    }
     const std::int64_t occupant = ring[slotOf(word)].word;
     require(occupant != word, "LinkCalendar: word " + std::to_string(word) +
                                   " lives in both the ring and the overflow");
@@ -61,6 +67,7 @@ void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon) {
                 " does not collide with a live, larger slot word (slot "
                 "holds " + std::to_string(occupant) + ", horizon word " +
                 std::to_string(horizonWord) + ")");
+    if (word > toWord) break;
   }
 }
 
@@ -109,8 +116,8 @@ void LinkCalendar::addOverflow(LinkWord entry) {
   }
 }
 
-void LinkCalendar::setBits(std::int64_t word, std::uint64_t bits,
-                           std::int64_t horizonWord) {
+std::int64_t LinkCalendar::setBits(std::int64_t word, std::uint64_t bits,
+                                   std::int64_t horizonWord) {
   LinkWord& slot = ring_[slotOf(word)];
   if (slot.word == word) {
     slot.bits |= bits;
@@ -118,11 +125,16 @@ void LinkCalendar::setBits(std::int64_t word, std::uint64_t bits,
     // The larger word keeps the slot, so every overflow word sits below
     // its slot's word and stays live only while that word does: a live
     // occupant moves to the overflow, a dead one is overwritten.
-    if (slot.word >= horizonWord) addOverflow(slot);
+    const LinkWord occupant = slot;
     slot = {word, bits};
+    if (occupant.word >= horizonWord) {
+      addOverflow(occupant);
+      return occupant.word;
+    }
   } else {
     addOverflow({word, bits});
   }
+  return word;
 }
 
 std::int64_t LinkCalendar::reserve(std::int64_t now, std::int64_t duration,
@@ -142,10 +154,17 @@ std::int64_t LinkCalendar::reserve(std::int64_t now, std::int64_t duration,
     const std::uint64_t run =
         span == kWordBits ? ~std::uint64_t{0}
                           : ((std::uint64_t{1} << span) - 1) << offset;
-    setBits(cycle >> kWordShift, run, horizonWord);
+    const std::int64_t word = cycle >> kWordShift;
+    const std::int64_t moved = setBits(word, run, horizonWord);
+    // The booked word and the occupant it moved to the overflow, if
+    // any, each with its overflow neighbours; the owner audits the
+    // whole calendar once per segment start (NocFabric::retireBefore).
+    LAPS_AUDIT(audit::linkCalendarConsistent(*this, horizon, word, word);
+               if (moved != word) {
+                 audit::linkCalendarConsistent(*this, horizon, moved, moved);
+               });
     cycle += span;
   }
-  LAPS_AUDIT(audit::linkCalendarConsistent(*this, horizon));
   return start;
 }
 
@@ -321,6 +340,13 @@ void NocFabric::postedTransfer(std::int64_t src, std::int64_t dst,
 }
 
 void NocFabric::retireBefore(std::int64_t cycle) {
+  // Every calendar, once per segment start. Overflow words whose slot
+  // word died wait for the link's next booking to drop them, so the
+  // check runs without a horizon: order and collisions only.
+  LAPS_AUDIT(for (const LinkCalendar& link : links_) {
+    audit::linkCalendarConsistent(link,
+                                  std::numeric_limits<std::int64_t>::min());
+  });
   horizon_ = std::max(horizon_, cycle);
 }
 

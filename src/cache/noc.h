@@ -132,10 +132,16 @@ namespace audit {
 /// strictly ascending, and each of its words collides with a live ring
 /// slot (tagged at or after \p horizon's word) holding a larger word —
 /// so no word lives in both places, and a lookup that finds its slot
-/// tagged at or below the word it wants may skip the overflow. Throws
-/// laps::AuditError on violation. LinkCalendar::reserve runs it after
-/// every booking under LAPSCHED_AUDIT.
-void linkCalendarConsistent(const LinkCalendar& link, std::int64_t horizon);
+/// tagged at or below the word it wants may skip the overflow. Checks
+/// the overflow words in [\p fromWord, \p toWord] and one neighbour on
+/// each side (default: the whole overflow). Throws laps::AuditError on
+/// violation. Under LAPSCHED_AUDIT, LinkCalendar::reserve runs it on
+/// every word a booking writes, and NocFabric::retireBefore on every
+/// link's whole overflow once per segment start.
+void linkCalendarConsistent(
+    const LinkCalendar& link, std::int64_t horizon,
+    std::int64_t fromWord = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t toWord = std::numeric_limits<std::int64_t>::max());
 }  // namespace audit
 
 /// Busy calendar of one directed NoC link (see file comment): every
@@ -174,9 +180,10 @@ class LinkCalendar {
   /// cycles.
   [[nodiscard]] std::int64_t findStart(std::int64_t now,
                                        std::int64_t duration) const;
-  /// ORs \p bits into \p word, claiming or sharing its slot.
-  void setBits(std::int64_t word, std::uint64_t bits,
-               std::int64_t horizonWord);
+  /// ORs \p bits into \p word, claiming or sharing its slot. Returns
+  /// the live occupant it moved to the overflow, else \p word.
+  std::int64_t setBits(std::int64_t word, std::uint64_t bits,
+                       std::int64_t horizonWord);
   /// Inserts (or merges) \p entry at its sorted overflow position.
   void addOverflow(LinkWord entry);
 

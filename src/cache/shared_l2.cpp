@@ -149,6 +149,9 @@ void SharedL2::resetStats() {
 
 void SharedL2::retireBefore(std::int64_t cycle) {
   horizon_ = std::max(horizon_, cycle);
+  LAPS_AUDIT(for (const BusyTimeline& calendar : calendars_) {
+    audit::timelineDisjoint(calendar.intervals());
+  });
 }
 
 }  // namespace laps

@@ -210,7 +210,9 @@ void OnlineLocalityScheduler::placeByPatch(ProcessId process,
   // unless every core is down, in which case the work parks anywhere
   // (dispatch is gated by the engine, not the plan). Without a home
   // LocalityScore::key is the sharing term, scaled or not: the argmax
-  // is the raw-sharing one.
+  // is the raw-sharing one. A core whose anchor is \p process itself (it
+  // was preempted there and the queue ran dry) scores its whole
+  // footprint: no pair cell exceeds the diagonal.
   const bool skipDown = downCount_ > 0 && downCount_ < coreCount_;
   std::optional<std::size_t> bestCore;
   std::int64_t bestKey = 0;
@@ -329,6 +331,10 @@ void OnlineLocalityScheduler::onPreempt(ProcessId process) {
   check(process < exited_.size(), "OnlineLocalityScheduler: unknown process");
   // A suspended process is pending again: plan it back onto a core so
   // plan-guided dispatch (not just the steal fallback) can resume it.
+  // It is still the anchor of the core it was preempted on, so when that
+  // core's queue ran dry the patch scores it against itself — its whole
+  // footprint — and it resumes there unless another core's tail shares
+  // all of it (placeByPatch).
   if (dispatched_[process]) {
     dispatched_[process] = false;
     refreshPending(process);

@@ -183,7 +183,11 @@ class OnlineLocalityScheduler final : public SchedulerPolicy {
   /// Appends \p process to the up core whose last planned — or, when
   /// its queue ran dry, last dispatched — process scores the highest
   /// LocalityScore::key against \p process from \p home (ties: lowest
-  /// core). With every core down, every core is eligible.
+  /// core). With every core down, every core is eligible. A preempted
+  /// process is still the anchor of the core it ran on: if that core's
+  /// queue ran dry, the core scores sharing.at(p, p), p's whole
+  /// footprint, so p stays there unless another core's tail shares all
+  /// of it, and the hop term never decides.
   void placeByPatch(ProcessId process, std::optional<std::size_t> home);
 
   /// Counts one event against the patch budget; returns true when the

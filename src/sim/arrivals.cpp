@@ -26,13 +26,13 @@ std::uint64_t isqrt128(U128 v) {
   return x;
 }
 
-/// 2^(-alphaHalves/2) in Q0.64: an exact shift for whole alphas, an
-/// integer square root (2^63.5 = sqrt(2^127)) for the half steps.
-std::uint64_t octaveDecayQ64(int alphaHalves) {
-  if (alphaHalves % 2 == 0) {
-    return std::uint64_t{1} << (64 - alphaHalves / 2);
-  }
-  return isqrt128(static_cast<U128>(1) << 127) >> ((alphaHalves - 1) / 2);
+/// BoundedPareto's fixed shape: gaps span kParetoOctaves octaves
+/// [L, L * 2^8) whose masses decay by 2^(-alpha) per octave, alpha = 1.5.
+constexpr int kParetoOctaves = 8;
+
+/// 2^(-1.5) in Q0.64: 2^62.5, half the integer square root of 2^127.
+std::uint64_t octaveDecayQ64() {
+  return isqrt128(static_cast<U128>(1) << 127) >> 1;
 }
 
 }  // namespace
@@ -49,15 +49,11 @@ void ArrivalSchedule::validate() const {
         "fit in int64)");
   check(!processLifetimeCycles || *processLifetimeCycles > 0,
         "ArrivalSchedule: processLifetimeCycles must be positive when set");
-  check(paretoAlphaHalves >= 1 && paretoAlphaHalves <= 16,
-        "ArrivalSchedule: paretoAlphaHalves must be in [1, 16]");
-  check(paretoSpanOctaves >= 1 && paretoSpanOctaves <= 24,
-        "ArrivalSchedule: paretoSpanOctaves must be in [1, 24]");
   if (distribution == ArrivalDistribution::BoundedPareto) {
     check(meanInterArrivalCycles <=
-              std::numeric_limits<std::int64_t>::max() >> paretoSpanOctaves,
+              std::numeric_limits<std::int64_t>::max() >> kParetoOctaves,
           "ArrivalSchedule: meanInterArrivalCycles too large for "
-          "paretoSpanOctaves (largest gap must fit in int64)");
+          "BoundedPareto (largest gap must fit in int64)");
   }
 }
 
@@ -85,13 +81,12 @@ GapSampler::GapSampler(const ArrivalSchedule& schedule)
     case ArrivalDistribution::BoundedPareto: {
       // Octave weights w_j = r^j, r = 2^(-alpha), kept in Q0.32 so the
       // cumulative table fits comfortably in 64 bits.
-      const std::uint64_t r = octaveDecayQ64(schedule.paretoAlphaHalves);
-      paretoOctaves_ = schedule.paretoSpanOctaves;
-      paretoCumWeights_.resize(static_cast<std::size_t>(paretoOctaves_));
+      const std::uint64_t r = octaveDecayQ64();
+      paretoCumWeights_.resize(kParetoOctaves);
       std::uint64_t w = std::uint64_t{1} << 32;  // w_0 = 1.0 in Q0.32
       std::uint64_t cum = 0;
       U128 weighted = 0;  // S = sum_j w_j * 2^j, for the mean solve
-      for (int j = 0; j < paretoOctaves_; ++j) {
+      for (int j = 0; j < kParetoOctaves; ++j) {
         cum += w;
         weighted += static_cast<U128>(w) << j;
         paretoCumWeights_[static_cast<std::size_t>(j)] = cum;

@@ -52,12 +52,11 @@ enum class ArrivalDistribution {
   /// are sampled by inverting the fixed-point survival function
   /// q^k (q = 1 - 1/mean in Q0.64), so cost is O(log gap), not O(gap).
   Exponential,
-  /// Bounded Pareto-like heavy tail: gaps span paretoSpanOctaves
-  /// octaves [L*2^j, L*2^(j+1)) whose probabilities decay as
-  /// 2^(-alpha*j) (uniform within an octave), alpha =
-  /// paretoAlphaHalves/2. L is derived from the configured mean, so the
-  /// empirical mean still tracks meanInterArrivalCycles (to within
-  /// rounding of L). P(gap > k*mean) decays polynomially in k — far
+  /// Bounded Pareto-like heavy tail: gaps span 8 octaves
+  /// [L*2^j, L*2^(j+1)) whose probabilities decay as 2^(-alpha*j)
+  /// (uniform within an octave), alpha = 1.5. L is derived from the
+  /// configured mean, so the empirical mean still tracks
+  /// meanInterArrivalCycles (to within rounding of L). P(gap > k*mean) decays polynomially in k — far
   /// heavier than Exponential's e^(-k) — which is what makes open
   /// service workloads bursty.
   BoundedPareto,
@@ -88,18 +87,9 @@ struct ArrivalSchedule {
   /// Inter-arrival gap distribution (default: the PR 5 uniform scheme).
   ArrivalDistribution distribution = ArrivalDistribution::Uniform;
 
-  /// BoundedPareto tail index alpha in half-units: alpha =
-  /// paretoAlphaHalves / 2 (default 3 -> alpha = 1.5). Halves keep the
-  /// octave decay ratio 2^(-alpha) computable with integer square
-  /// roots. In [1, 16].
-  int paretoAlphaHalves = 3;
-
-  /// BoundedPareto support width: gaps span [L, L * 2^spanOctaves).
-  /// In [1, 24].
-  int paretoSpanOctaves = 8;
-
-  /// Throws laps::Error on a non-positive mean or lifetime, or Pareto
-  /// knobs outside their documented ranges.
+  /// Throws laps::Error on a non-positive mean or lifetime, or a
+  /// BoundedPareto mean whose largest gap (2^8 times the smallest)
+  /// overflows int64.
   void validate() const;
 };
 
@@ -126,10 +116,9 @@ class GapSampler {
   /// and a sanity cap on the (astronomically unlikely) extreme tail.
   std::uint64_t geomSurvivalQ64_ = 0;
   std::int64_t maxGap_ = 0;
-  /// BoundedPareto: smallest gap L, octave count, per-octave cumulative
-  /// weights in Q0.32 (cumWeights_.back() is the total).
+  /// BoundedPareto: smallest gap L and per-octave cumulative weights in
+  /// Q0.32 (paretoCumWeights_.back() is the total).
   std::int64_t paretoMinGap_ = 1;
-  int paretoOctaves_ = 0;
   std::vector<std::uint64_t> paretoCumWeights_;
 };
 

@@ -163,16 +163,15 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       return true;
     };
 
-    // Iterations 1..chunk-1 of a chunk with jumpers, after its first
-    // iteration ran per event (docs/ARCHITECTURE.md §6). Jumper accesses
-    // go through dataAccess at their exact clock and cycle; a co-stream
-    // access is a known hit that adds dHit cycles and one clock tick.
+    // Iterations 1..chunk-1 of a resident chunk, after its first
+    // iteration ran per event (docs/ARCHITECTURE.md §6). A co-stream
+    // access is a known hit that adds dHit cycles and one clock tick;
+    // jumper accesses go through dataAccess at their exact clock and cycle.
     // Step (q, j) — iteration q of the chunk, stream j — is data access
     // dclock0 + q*K + j + 1, so a co-stream's stamp follows from its
     // index; its line is re-stamped only where a stamp can be read: in
     // the jumper's set before a jumper access, and when the chunk ends.
-    const auto jumperChunk = [&](std::int64_t chunkStart, std::int64_t chunk,
-                                 std::uint64_t dclock0) {
+    const auto commitChunk = [&](std::int64_t chunk, std::uint64_t dclock0) {
       // Re-stamps the co-stream lines \p wanted selects with their last
       // access before step (q, j) (touch keeps a newer stamp).
       const auto restamp = [&](std::int64_t q, std::int64_t j, auto&& wanted) {
@@ -187,12 +186,28 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       const auto addrOf = [&](const StreamState& s, std::int64_t q) {
         return s.chunkBase + static_cast<std::uint64_t>(s.stride * q);
       };
-      for (StreamState& s : pos) s.set = mem.dcache().setIndexOf(s.chunkBase);
 
       std::int64_t ticked = K;  // steps whose clock ticks the L1 holds
       bool fellBack = false;    // a jumper miss removed a co-stream line
       std::int64_t q = 1;       // the next step is (q, j)
       std::int64_t j = 0;
+      if (jumpers > 0) {
+        for (StreamState& s : pos) {
+          s.set = mem.dcache().setIndexOf(s.chunkBase);
+        }
+      } else {
+        // Every step hits: the whole iterations that stay below the
+        // quantum commit at once, and the step loop only finishes the
+        // iteration the quantum cuts.
+        const std::int64_t perIter = K * dHit + compute;
+        std::int64_t whole = chunk - 1;
+        if (quantum && perIter > 0) {
+          whole = std::min(whole, (*quantum - cycles - 1) / perIter);
+        }
+        q += whole;
+        cycles += whole * perIter;
+        consumed += whole * K;
+      }
       while (q < chunk && !overQuantum && !fellBack) {
         const StreamState& s = pos[static_cast<std::size_t>(j)];
         if (!s.jumps) {
@@ -222,18 +237,25 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
           ++q;
         }
       }
-      mem.countJumperChunk(fellBack);
+      if (jumpers > 0) mem.countJumperChunk(fellBack);
       mem.dataBulkHits(q * K + j - ticked);
-      restamp(q, j, [&](const StreamState& c) {
-        return !fellBack || mem.dcache().probe(c.chunkBase);
-      });
-      if (shadowLines > 0) {
-        // The K steps before (q, j) hold every stream's last access:
-        // replay them into the shadow LRU in per-event order.
-        for (std::int64_t u = j; u < K + j; ++u) {
-          const bool inQ = u >= K;  // step (q, u - K), else (q - 1, u)
-          const StreamState& s = pos[static_cast<std::size_t>(inQ ? u - K : u)];
-          mem.dataShadowTouch(addrOf(s, inQ ? q : q - 1));
+      // Whole iterations without a jumper keep the first iteration's
+      // stamp order in every set and cycle the shadow LRU's MRU block
+      // completely: only the clock advances. A jumper or a cut
+      // mid-iteration needs the exact stamps and the shadow replay.
+      if (jumpers > 0 || j > 0) {
+        restamp(q, j, [&](const StreamState& c) {
+          return !fellBack || mem.dcache().probe(c.chunkBase);
+        });
+        if (shadowLines > 0) {
+          // The K steps before (q, j) hold every stream's last access:
+          // replay them into the shadow LRU in per-event order.
+          for (std::int64_t u = j; u < K + j; ++u) {
+            const bool inQ = u >= K;  // step (q, u - K), else (q - 1, u)
+            const StreamState& s =
+                pos[static_cast<std::size_t>(inQ ? u - K : u)];
+            mem.dataShadowTouch(addrOf(s, inQ ? q : q - 1));
+          }
         }
       }
       // After a fallback the iteration finishes per event.
@@ -241,8 +263,10 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
         const StreamState& s = pos[static_cast<std::size_t>(j)];
         doStep(j, addrOf(s, q), s.isWrite);
       }
-      const std::int64_t iters = (consumed - chunkStart) / K - 1;
-      itersLeft -= iters;  // complete iterations beyond the first
+      // Complete iterations beyond the first (j == K: the fallback
+      // finished iteration q).
+      const std::int64_t iters = j == K ? q : q - 1;
+      itersLeft -= iters;
       for (StreamState& s : pos) {
         s.addr += static_cast<std::uint64_t>(s.stride * iters);
       }
@@ -295,107 +319,18 @@ std::int64_t replaySegmentRunLength(ProcessTraceCursor& cursor,
       const std::uint64_t dclock0 = mem.dataClock();
       const std::uint64_t missesBefore = mem.dcache().stats().misses;
       doIteration();
-      if (overQuantum) {
-        deferFetches(chunkStart);
-        break;
-      }
-      std::int64_t rest = chunk - 1;
-      if (rest == 0) {
-        deferFetches(chunkStart);
-        continue;
-      }
-
-      // The bulk shortcut needs every fetch to hit (warm body) and every
+      // The step loop needs every fetch to hit (warm body) and every
       // co-stream's line to have survived the first iteration. A hit
       // leaves its line resident and a miss fills it, so only a
       // first-iteration miss — which may have evicted another stream's
       // line from a shared set — makes the probes necessary.
-      const bool resident =
-          iWarm && (K == 1 || mem.dcache().stats().misses == missesBefore ||
-                    coStreamsResident());
-      if (!resident) {
-        while (rest-- > 0 && !overQuantum) doIteration();
-        deferFetches(chunkStart);
-        continue;
-      }
-      if (jumpers > 0) {
-        jumperChunk(chunkStart, chunk, dclock0);
-        deferFetches(chunkStart);
-        continue;
-      }
-
-      // How much of the chunk's remainder does the quantum allow? A bulk
-      // iteration's steps cost dHit each, plus the compute cycles on its
-      // last step (everything hits). Find the exact step on which the
-      // per-event loop would stop.
-      std::int64_t takeIters = rest;  // complete iterations to commit
-      std::int64_t takeExtra = 0;     // steps of one further partial iteration
-      const std::int64_t stepsPerIter = std::max<std::int64_t>(K, 1);
-      const std::int64_t perIter = K * dHit + compute;
-      if (quantum && perIter > 0) {
-        const std::int64_t budget = *quantum - cycles;  // >= 1 here
-        const std::int64_t fullBelow = (budget - 1) / perIter;
-        if (fullBelow < rest) {
-          const std::int64_t gap = budget - fullBelow * perIter;
-          std::int64_t within = stepsPerIter;
-          if (K > 0 && dHit > 0) {
-            within = std::min<std::int64_t>(K, (gap + dHit - 1) / dHit);
-          }
-          if (within >= stepsPerIter) {
-            takeIters = fullBelow + 1;
-            takeExtra = 0;
-          } else {
-            takeIters = fullBelow;
-            takeExtra = within;
-          }
-          overQuantum = true;
-        }
-      }
-
-      const std::int64_t bulkSteps = takeIters * stepsPerIter + takeExtra;
-      if (bulkSteps > 0) {
-        cycles += takeIters * perIter + takeExtra * dHit;
-
-        if (K > 0) {
-          if (quantum) {
-            // Exact per-event LRU stamps: bulk access (q, j) — iteration
-            // q, stream j — is the (q*K + j + 1)-th data access after the
-            // current clock. A partial final iteration (takeExtra) can
-            // reorder streams' final stamps, so each line is re-stamped
-            // explicitly.
-            const std::uint64_t dclock = mem.dataClock();
-            for (std::int64_t j = 0; j < K; ++j) {
-              const std::int64_t lastIter =
-                  j < takeExtra ? takeIters : takeIters - 1;
-              if (lastIter < 0) continue;  // stream has no bulk access
-              const StreamState& s = pos[static_cast<std::size_t>(j)];
-              mem.dataTouch(
-                  s.chunkBase, s.isWrite,
-                  dclock + static_cast<std::uint64_t>(lastIter * K + j + 1));
-            }
-          }
-          // Without a quantum the chunk commits whole iterations, so the
-          // streams' final per-event stamps are ordered exactly like the
-          // first-iteration stamps they already carry (by stream index),
-          // and dirty bits were set by the first iteration's real
-          // accesses. LRU decisions compare stamps only within a set and
-          // only by order, so advancing the clock alone is behaviorally
-          // exact — every later access still outranks the chunk's lines.
-          mem.dataBulkHits(takeIters * K + takeExtra);
-          // The skipped accesses are no-ops for the miss classifier as
-          // long as they cycle the shadow LRU's MRU block completely; a
-          // partial final iteration is not a complete cycle, so replay
-          // exactly those accesses into the shadow to leave it in the
-          // per-event order (they are shadow hits — nothing is counted).
-          for (std::int64_t j = 0; j < takeExtra; ++j) {
-            mem.dataShadowTouch(pos[static_cast<std::size_t>(j)].chunkBase);
-          }
-        }
-
-        consumed += bulkSteps;
-        itersLeft -= takeIters;
-        for (StreamState& s : pos) {
-          s.addr += static_cast<std::uint64_t>(s.stride * takeIters);
+      if (!overQuantum && chunk > 1) {
+        if (K > 0 && iWarm &&
+            (K == 1 || mem.dcache().stats().misses == missesBefore ||
+             coStreamsResident())) {
+          commitChunk(chunk, dclock0);
+        } else {
+          while (--chunk > 0 && !overQuantum) doIteration();
         }
       }
       deferFetches(chunkStart);

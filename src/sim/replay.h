@@ -5,14 +5,18 @@
 /// Touching the cache model once per trace step is the simulation
 /// bottleneck with thousands of concurrent processes.
 /// replaySegmentRunLength consumes TraceRuns instead
-/// (ProcessTraceCursor::peekRun/consume) and resolves each cache line's
-/// group of consecutive accesses in bulk. A stream that jumps a line
+/// (ProcessTraceCursor::peekRun/consume) and replays each run in chunks:
+/// the iterations during which every co-stream (a stream whose stride
+/// is below the line size) keeps its current cache line. A chunk's
+/// first iteration runs per event; one step loop commits the rest, the
+/// co-stream accesses as known hits in bulk. A stream that jumps a line
 /// every iteration (a transposed read) is replayed per event inside
-/// chunks cut on the other streams, whose hits are still committed in
-/// bulk: their stamps are restored where a jumper miss could read them,
-/// a jumper miss that removes one of their lines sends the chunk back
-/// to per-event replay, and the miss classifier's shadow LRU is replayed
-/// and kept within capacity. The result is guaranteed bit-identical to
+/// that loop: co-stream stamps are restored where a jumper miss could
+/// read them, a jumper miss that removes a co-stream line sends the
+/// chunk back to per-event replay, and the miss classifier's shadow LRU
+/// is replayed and kept within capacity. Without a jumper, the whole
+/// iterations below the quantum are committed at once. The result is
+/// guaranteed bit-identical to
 /// replaying one step at a time — same cycles, cache statistics, LRU
 /// order, miss classification and preemption points — because every
 /// analytical shortcut is guarded by an exact residency check and falls

@@ -144,16 +144,18 @@ TEST(TimelineAudit, RejectsEmptyOrInvertedInterval) {
 
 TEST(TimelineAudit, InjectedCorruptionTripsTheAuditedBooking) {
   // Proves the in-situ LAPS_AUDIT call after a booking fires: corrupt the
-  // calendar behind the invariant maintenance, then book. Only
-  // observable in an audit build — otherwise the check is compiled out
-  // and the booking must succeed untouched.
+  // calendar behind the invariant maintenance, then book next to the
+  // corruption (a booking audits the interval it changed and its two
+  // neighbours). Only observable in an audit build — otherwise the
+  // check is compiled out and the booking must succeed untouched.
   BusyTimeline t;
   t.reserve(0, 10);                       // [0, 10)
   t.auditInjectIntervalForTest(5, 15);    // overlaps, bypassing reserve
   if (audit::enabled()) {
-    EXPECT_THROW(t.reserve(100, 10), AuditError);
+    // Extends [5, 15) to [5, 20), whose neighbour [0, 10) overlaps it.
+    EXPECT_THROW(t.reserve(15, 5), AuditError);
   } else {
-    EXPECT_NO_THROW(t.reserve(100, 10));
+    EXPECT_NO_THROW(t.reserve(15, 5));
   }
 }
 

@@ -202,14 +202,16 @@ TEST(LinkCalendarAudit, RejectsAnOverflowWordWithoutALiveLargerSlot) {
 
 TEST(LinkCalendarAudit, InjectedCorruptionTripsTheAuditedBooking) {
   // Proves the in-situ LAPS_AUDIT call after a booking fires: corrupt
-  // the overflow behind the upkeep, then book. Only observable in an
-  // audit build; otherwise the booking must succeed untouched.
+  // the overflow behind the upkeep, then book into the corrupted word
+  // (a booking audits the words it writes and their overflow
+  // neighbours). Only observable in an audit build; otherwise the
+  // booking must succeed untouched.
   LinkCalendar link = collidingCalendar();
   link.auditInjectOverflowWordForTest({wordOf(2 * kRingCycles), 2});
   if (audit::enabled()) {
-    EXPECT_THROW(link.reserve(5000, 1, 0), AuditError);
+    EXPECT_THROW(link.reserve(2 * kRingCycles + 5, 1, 0), AuditError);
   } else {
-    EXPECT_NO_THROW(link.reserve(5000, 1, 0));
+    EXPECT_NO_THROW(link.reserve(2 * kRingCycles + 5, 1, 0));
   }
 }
 

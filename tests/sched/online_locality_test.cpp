@@ -632,6 +632,29 @@ struct OrphanRig {
   }
 };
 
+TEST(OnlineLocality, PreemptedProcessResumesOnItsOwnAnchorCore) {
+  // A preempted process is still the anchor of the core it ran on. With
+  // that core's queue dry, the resume patch scores the core with
+  // sharing.at(o, o), o's whole footprint, which no pair cell exceeds:
+  // on a 2x2 mesh with hopWeight 64, o preempted on core 2 stays there
+  // at key 2 x 1024 against 960 for core 3, the hop-nearest core whose
+  // anchor shares with o (core 1 shares as much, two hops away).
+  enum : ProcessId { a1, a3, o, kN };
+  OrphanRig rig(test::SharingBuilder(kN).pair(a1, o, 1).pair(a3, o, 1), kN,
+                4, 64);
+  LocalityScore score;
+  score.configure(&rig.sharing, &*rig.mesh, 64);
+  EXPECT_EQ(score.key(rig.sharing.at(o, o), 2, 2),
+            2 * LocalityScore::kSharingScale);
+  EXPECT_EQ(score.key(rig.sharing.at(a3, o), 3, 2), 960);
+  EXPECT_EQ(score.key(rig.sharing.at(a1, o), 1, 2), 896);
+  rig.runOn(a1, 1);
+  rig.runOn(a3, 3);
+  rig.runOn(o, 2);
+  rig.policy.onPreempt(o);
+  EXPECT_EQ(rig.coreOf(o), 2u);
+}
+
 TEST(OnlineLocality, CoreDownReHomesOrphansByTheArrivalRule) {
   {
     // The max-sharing tail wins, and a core's tail — not its anchor —
